@@ -25,7 +25,6 @@ from pathlib import Path
 import numpy as np
 
 from .allocator import AllocationConfig, POLICY_NAMES, allocate
-from .cache import make_plan_policy
 from .chaser import (
     HeadScoreMatrix,
     aggregate_gqa_scores,
@@ -40,7 +39,7 @@ from .simmodel import (
     build_synthetic_model,
     generate_ocr_samples,
     mask_heads,
-    replay_decode,
+    replay_plans,
 )
 
 __all__ = [
@@ -244,94 +243,84 @@ def _chase_for_seed(cfg: ExperimentConfig, seed: int):
     return model, samples, scores
 
 
-def _replay(model: SyntheticModel, workload, plan) -> tuple[float, int, int]:
-    record = replay_decode(model.geometry, workload, make_plan_policy(plan))
-    return record.mean_recall, record.peak_slots, record.total_touches
+def _scores_for_seed(cfg: ExperimentConfig, seed: int):
+    """Model and head scores for one seed; the corpus is freed on return."""
+    model, _, scores = _chase_for_seed(cfg, seed)
+    return model, scores
 
 
 def _sweep_seed_rows(cfg: ExperimentConfig, seed: int) -> list[ResultRow]:
-    model, _, scores = _chase_for_seed(cfg, seed)
+    model, scores = _scores_for_seed(cfg, seed)
     precision, recall = recovery_stats(scores, model.planted)
     kv_scores = aggregate_gqa_scores(scores, cfg.geometry.group_size)
-    workload = model.decode_workload(cfg.prompt_len, cfg.out_len, cfg.window)
     n_kv = cfg.layers * cfg.kv_heads
-    rows = []
-    for budget in cfg.budgets_per_head:
-        alloc_cfg = AllocationConfig(budget * n_kv, cfg.window, cfg.rho)
-        for policy in cfg.policies:
-            plan = allocate(
-                policy,
-                alloc_cfg,
-                cfg.layers,
-                cfg.kv_heads,
-                scores=kv_scores,
-                seed=_plan_seed(seed, budget),
-            )
-            mean_recall, peak, touches = _replay(model, workload, plan)
-            rows.append(
-                ResultRow(
-                    "sweep",
-                    policy,
-                    budget,
-                    budget * n_kv,
-                    cfg.rho,
-                    seed,
-                    mean_recall,
-                    peak,
-                    touches,
-                    precision,
-                    recall,
-                )
-            )
-    return rows
+    cells = [(budget, policy) for budget in cfg.budgets_per_head for policy in cfg.policies]
+    plans = [
+        allocate(
+            policy,
+            AllocationConfig(budget * n_kv, cfg.window, cfg.rho),
+            cfg.layers,
+            cfg.kv_heads,
+            scores=kv_scores,
+            seed=_plan_seed(seed, budget),
+        )
+        for budget, policy in cells
+    ]
+    workload = model.decode_workload(cfg.prompt_len, cfg.out_len, cfg.window)
+    records = replay_plans(model.geometry, workload, plans)
+    return [
+        ResultRow(
+            "sweep",
+            policy,
+            budget,
+            budget * n_kv,
+            cfg.rho,
+            seed,
+            record.mean_recall,
+            record.peak_slots,
+            record.total_touches,
+            precision,
+            recall,
+        )
+        for (budget, policy), record in zip(cells, records)
+    ]
 
 
 def _rho_seed_rows(cfg: ExperimentConfig, seed: int) -> list[ResultRow]:
-    model, _, scores = _chase_for_seed(cfg, seed)
+    model, scores = _scores_for_seed(cfg, seed)
     precision, recall = recovery_stats(scores, model.planted)
     kv_scores = aggregate_gqa_scores(scores, cfg.geometry.group_size)
-    workload = model.decode_workload(cfg.prompt_len, cfg.out_len, cfg.window)
     budget = cfg.budgets_per_head[0]
     n_kv = cfg.layers * cfg.kv_heads
-    rows = []
-    for rho in cfg.rhos:
-        plan = allocate(
-            "sparsemm",
+    cells = [("sparsemm", float(rho)) for rho in cfg.rhos] + [("uniform", 1.0)]
+    plans = [
+        allocate(
+            policy,
             AllocationConfig(budget * n_kv, cfg.window, rho),
             cfg.layers,
             cfg.kv_heads,
             scores=kv_scores,
         )
-        mean_recall, peak, touches = _replay(model, workload, plan)
-        rows.append(
-            ResultRow(
-                "rho",
-                "sparsemm",
-                budget,
-                budget * n_kv,
-                float(rho),
-                seed,
-                mean_recall,
-                peak,
-                touches,
-                precision,
-                recall,
-            )
-        )
-    plan = allocate(
-        "uniform",
-        AllocationConfig(budget * n_kv, cfg.window, 1.0),
-        cfg.layers,
-        cfg.kv_heads,
-    )
-    mean_recall, peak, touches = _replay(model, workload, plan)
-    rows.append(
+        for policy, rho in cells
+    ]
+    workload = model.decode_workload(cfg.prompt_len, cfg.out_len, cfg.window)
+    records = replay_plans(model.geometry, workload, plans)
+    return [
         ResultRow(
-            "rho", "uniform", budget, budget * n_kv, 1.0, seed,
-            mean_recall, peak, touches, precision, recall,
+            "rho",
+            policy,
+            budget,
+            budget * n_kv,
+            rho,
+            seed,
+            record.mean_recall,
+            record.peak_slots,
+            record.total_touches,
+            precision,
+            recall,
         )
-    )
-    return rows
+        for (policy, rho), record in zip(cells, records)
+    ]
 
 
 def _grounding_mass(samples, planted: PlantedHeadSet) -> float:
@@ -376,7 +365,7 @@ def _mask_seed_rows(cfg: ExperimentConfig, seed: int) -> list[MaskRow]:
         kv_scores = aggregate_gqa_scores(scores, cfg.geometry.group_size)
         plan = allocate("sparsemm", alloc_cfg, cfg.layers, cfg.kv_heads, scores=kv_scores)
         workload = model.decode_workload(cfg.prompt_len, cfg.out_len, cfg.window)
-        return replay_decode(model.geometry, workload, make_plan_policy(plan)).mean_recall
+        return replay_plans(model.geometry, workload, [plan])[0].mean_recall
 
     base_decode = decode_recall_for(base_model, base_scores)
     total = cfg.layers * cfg.query_heads
@@ -400,11 +389,11 @@ def _mask_seed_rows(cfg: ExperimentConfig, seed: int) -> list[MaskRow]:
                 model = mask_heads(base_model, chosen)
                 samples = generate_ocr_samples(model, cfg.corpus_size, seed)
                 scores, _ = chase_corpus(samples)
+                _, recovery = recovery_stats(scores, planted)
+                grounding = _grounding_mass(samples, planted)
+                decode = decode_recall_for(model, scores)
             else:
-                model, samples, scores = base_model, base_samples, base_scores
-            _, recovery = recovery_stats(scores, planted)
-            grounding = _grounding_mass(samples, planted)
-            decode = decode_recall_for(model, scores)
+                recovery, grounding, decode = base_recovery, base_grounding, base_decode
             rows.append(
                 MaskRow(
                     seed,

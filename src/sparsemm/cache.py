@@ -28,6 +28,7 @@ from .tensor import CausalMask, Matrix, matmul_scaled, softmax_row_masked
 __all__ = [
     "EvictionReport",
     "HeadEviction",
+    "KeyRanking",
     "KvCache",
     "PrefillInfo",
     "StepStats",
@@ -37,6 +38,7 @@ __all__ = [
     "decode_step",
     "keep_all_policy",
     "make_plan_policy",
+    "rank_window_keys",
     "report_to_csv",
     "report_to_json",
     "select_topk",
@@ -81,6 +83,16 @@ class TopKSelection(NamedTuple):
     clamped: bool
 
 
+def _descending_order(scores: np.ndarray) -> np.ndarray:
+    """Positions by descending score along the last axis; ties favor earlier positions.
+
+    This is the program's one tie rule for key ranking.
+    """
+    if not np.isfinite(scores).all():
+        raise InvalidInputError("scores must be finite")
+    return np.argsort(-scores, axis=-1, kind="stable")
+
+
 def select_topk(scores, k: int) -> TopKSelection:
     """Positions of the k largest scores, ascending; ties favor earlier positions.
 
@@ -89,14 +101,43 @@ def select_topk(scores, k: int) -> TopKSelection:
     arr = np.asarray(scores, dtype=np.float64)
     if arr.ndim != 1:
         raise ShapeError("select_topk expects a 1-D score vector")
-    if not np.isfinite(arr).all():
-        raise InvalidInputError("scores must be finite")
+    order = _descending_order(arr)
     if k < 0:
         raise InvalidInputError("k must be non-negative")
     clamped = k > arr.size
     k = min(k, arr.size)
-    order = np.lexsort((np.arange(arr.size), -arr))
     return TopKSelection(np.sort(order[:k]), clamped)
+
+
+class KeyRanking(NamedTuple):
+    scores: np.ndarray  # (L, H_kv, Lp - w) window-mean score per key left of the window
+    order: np.ndarray  # (L, H_kv, Lp - w) key positions, best first
+
+
+def rank_window_keys(window_attn, kv_heads: int, w: int) -> KeyRanking:
+    """Score and rank every kv head's prompt keys left of the window.
+
+    `window_attn` is (layers, query_heads, w, Lp). Query heads are summed onto
+    their kv head, then the w rows are averaged per key. The reduction runs one
+    layer at a time, so no (layers, kv_heads, w, Lp) temporary is built. A
+    budget b keeps the window plus `order[..., :b - w]`, whatever the plan.
+    """
+    attn = np.asarray(window_attn, dtype=np.float64)
+    if attn.ndim != 4:
+        raise ShapeError("window_attn must be (layers, query_heads, w, Lp)")
+    layers, query_heads, rows, lp = attn.shape
+    if query_heads % kv_heads != 0:
+        raise ShapeError(f"{query_heads} query heads not divisible by {kv_heads} kv heads")
+    if rows != w:
+        raise ShapeError(f"window_attn has {rows} rows, expected w={w}")
+    if lp < w:
+        raise InvalidInputError(f"window {w} exceeds prompt length {lp}")
+    group = query_heads // kv_heads
+    scores = np.zeros((layers, kv_heads, lp - w))  # an empty window scores every key 0
+    for l in range(layers if w else 0):
+        grouped = attn[l].reshape(kv_heads, group, w, lp).sum(axis=1)
+        scores[l] = grouped[:, :, : lp - w].mean(axis=1)
+    return KeyRanking(scores, _descending_order(scores))
 
 
 @dataclass(frozen=True)
@@ -210,7 +251,6 @@ def compress_prefill(window_attn, plan, w: int) -> tuple[KvCache, EvictionReport
         raise ShapeError(
             f"{query_heads} query heads not divisible by {plan.kv_heads} kv heads"
         )
-    group = query_heads // plan.kv_heads
 
     if lp < w:
         cache = KvCache.full(layers, plan.kv_heads, lp)
@@ -232,30 +272,24 @@ def compress_prefill(window_attn, plan, w: int) -> tuple[KvCache, EvictionReport
     if (plan.budgets < w).any():
         raise InvalidInputError("plan grants some head fewer than w slots")
 
-    grouped = attn.reshape(layers, plan.kv_heads, group, w, lp).sum(axis=2)
+    ranking = rank_window_keys(attn, plan.kv_heads, w)
     window_positions = np.arange(lp - w, lp)
     kept_positions: list[list[np.ndarray]] = []
     entries = []
-    scores = np.empty((layers, plan.kv_heads, lp - w))
     for l in range(layers):
         row_kept = []
         for j in range(plan.kv_heads):
-            abar = average_window_scores(grouped[l, j])
-            scores[l, j] = abar
             b = int(plan.budgets[l, j])
+            clamped = b > lp
             if b >= lp:
                 kept = np.arange(lp)
-                clamped = b > lp
             else:
-                sel = select_topk(abar, b - w)
-                kept = np.concatenate([sel.positions, window_positions])
-                kept.sort()
-                clamped = sel.clamped
+                kept = np.concatenate([np.sort(ranking.order[l, j, : b - w]), window_positions])
             row_kept.append(kept)
             entries.append(HeadEviction(l, j, b, tuple(int(p) for p in kept), clamped))
         kept_positions.append(row_kept)
     cache = KvCache(layers, plan.kv_heads, lp, kept_positions)
-    return cache, EvictionReport(lp, w, tuple(entries), scores)
+    return cache, EvictionReport(lp, w, tuple(entries), ranking.scores)
 
 
 class StepStats(NamedTuple):

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cache import KvCache, PrefillInfo, decode_step
+from .cache import KvCache, PrefillInfo, decode_step, rank_window_keys
 from .errors import EvictionPolicyError, InvalidInputError, ShapeError
 
 __all__ = [
@@ -50,6 +50,7 @@ __all__ = [
     "load_corpus",
     "mask_heads",
     "replay_decode",
+    "replay_plans",
     "save_corpus",
 ]
 
@@ -529,7 +530,12 @@ def decode_with_cache(
 
 
 def replay_decode(geometry: ModelGeometry, workload: DecodeWorkload, policy) -> DecodeRecord:
-    """Drive decode_step over a prebuilt workload (reusable across policies)."""
+    """Drive decode_step over a prebuilt workload under any cache policy.
+
+    This is the reference oracle: it builds the policy's cache and scores each
+    step against it slot by slot. `replay_plans` must match it (integers
+    exactly, recalls within 1e-12) for every budget plan.
+    """
     info = PrefillInfo(
         geometry.layers,
         geometry.query_heads,
@@ -561,6 +567,69 @@ def replay_decode(geometry: ModelGeometry, workload: DecodeWorkload, policy) -> 
         slots[t] = stats.slots
         touches[t] = stats.touches
     return DecodeRecord(recalls, slots, touches, cache.total_slots(), head_acc / out_len)
+
+
+def replay_plans(geometry: ModelGeometry, workload: DecodeWorkload, plans) -> list[DecodeRecord]:
+    """One DecodeRecord per budget plan, ranking the workload's keys once.
+
+    A plan keeps, per kv head, the window plus its best b - w ranked keys, so
+    every plan cuts the same key order. Each decode step builds one table of
+    cumulative captured mass over the ranked keys, (layers, query_heads,
+    Lp - w + 1); a plan's captured mass is window mass + generated mass +
+    table[b - w]. A head with b >= Lp reads the row total, so its recall is
+    exactly 1. Slot counts follow from min(b, Lp) alone.
+    """
+    layers, query_heads, kv_heads = geometry.layers, geometry.query_heads, geometry.kv_heads
+    lp, w, out_len = workload.prompt_len, workload.window, workload.out_len
+    for plan in plans:
+        if plan.window != w:
+            raise InvalidInputError(f"plan window {plan.window} != decode window {w}")
+        if plan.budgets.shape != (layers, kv_heads):
+            raise ShapeError(
+                f"plan budgets {plan.budgets.shape} != (layers, kv_heads) {(layers, kv_heads)}"
+            )
+        if (plan.budgets < w).any():
+            raise InvalidInputError("plan grants some head fewer than w slots")
+    if workload.window_attention.shape != (layers, query_heads, w, lp):
+        raise ShapeError("workload window attention does not match the geometry")
+
+    group = geometry.group_size
+    n = lp - w
+    order = rank_window_keys(workload.window_attention, kv_heads, w).order[:, :, None, :]
+    kept = [np.minimum(plan.budgets, lp) for plan in plans]
+    # table index per query head: 0 keeps the window only, n keeps the prompt
+    index = [np.repeat(k - w, group, axis=1)[:, :, None] for k in kept]
+    recalls = np.zeros((len(plans), out_len))
+    head_acc = np.zeros((len(plans), layers, query_heads))
+    for t, rows in enumerate(workload.decode_rows):
+        if rows.shape != (layers, query_heads, lp + t):
+            raise ShapeError(f"decode rows of step {t} do not match the geometry")
+        prompt = rows[:, :, :lp].reshape(layers, kv_heads, group, lp)
+        ranked = np.take_along_axis(prompt, order, axis=3).reshape(layers, query_heads, n)
+        table = np.zeros((layers, query_heads, n + 1))
+        np.cumsum(ranked, axis=2, out=table[:, :, 1:])
+        always = rows[:, :, n:lp].sum(axis=2) + rows[:, :, lp:].sum(axis=2)
+        total = always + table[:, :, n]
+        for p, idx in enumerate(index):
+            recall = (always + np.take_along_axis(table, idx, axis=2)[:, :, 0]) / total
+            recalls[p, t] = recall.mean()
+            head_acc[p] += recall
+
+    steps = np.arange(out_len, dtype=np.int64)
+    records = []
+    for p, k in enumerate(kept):
+        base = int(k.sum())
+        slots = base + steps * (layers * kv_heads)
+        records.append(
+            DecodeRecord(
+                recalls[p],
+                slots,
+                group * slots,
+                base + out_len * layers * kv_heads,
+                head_acc[p] / out_len,
+            )
+        )
+    return records
 
 
 def _sample_payload(sample: OcrSample, trace: AttentionTrace) -> dict:

@@ -21,7 +21,7 @@ from sparsemm.bench import (
 from sparsemm.chaser import HeadScoreMatrix
 from sparsemm.cli import main
 from sparsemm.errors import InvalidInputError
-from sparsemm.simmodel import PlantedHeadSet, decode_with_cache, build_synthetic_model
+from sparsemm.simmodel import PlantedHeadSet, decode_with_cache, build_synthetic_model, replay_plans
 from sparsemm.cache import make_plan_policy
 from sparsemm.allocator import AllocationConfig, allocate_uniform
 
@@ -279,6 +279,10 @@ class TestCostModel:
         record = decode_with_cache(model, lp, out, make_plan_policy(plan), cfg.window)
         assert record.peak_slots == cost.compressed_peak_slots
         assert record.total_touches == cost.compressed_slot_touches
+        workload = model.decode_workload(lp, out, cfg.window)
+        (fast,) = replay_plans(model.geometry, workload, [plan])
+        assert fast.peak_slots == cost.compressed_peak_slots
+        assert fast.total_touches == cost.compressed_slot_touches
 
 
 class TestWriters:

@@ -15,6 +15,7 @@ from sparsemm.cache import (
     decode_step,
     keep_all_policy,
     make_plan_policy,
+    rank_window_keys,
     report_to_csv,
     report_to_json,
     select_topk,
@@ -124,6 +125,38 @@ class TestSelectTopk:
             select_topk([1.0], -1)
         with pytest.raises(ShapeError):
             select_topk(np.zeros((2, 2)), 1)
+
+
+class TestRankWindowKeys:
+    def test_kept_sets_equal_select_topk(self):
+        rng = np.random.default_rng(61)
+        lp, w = 24, 4
+        coarse = rng.integers(0, 3, size=(2, 4, w, lp)).astype(float)  # ties
+        fine = rng.random((2, 4, w, lp))  # sums that depend on their order
+        for attn, kv_heads in [(a, k) for a in (coarse, fine) for k in (1, 2, 4)]:
+            ranking = rank_window_keys(attn, kv_heads, w)
+            assert ranking.order.shape == ranking.scores.shape == (2, kv_heads, lp - w)
+            grouped = attn.reshape(2, kv_heads, 4 // kv_heads, w, lp).sum(axis=2)
+            for l in range(2):
+                for j in range(kv_heads):
+                    abar = average_window_scores(grouped[l, j])
+                    assert np.array_equal(ranking.scores[l, j], abar)
+                    for k in range(lp - w + 1):
+                        kept = np.sort(ranking.order[l, j, :k])
+                        assert kept.tolist() == select_topk(abar, k).positions.tolist()
+
+    def test_errors(self):
+        attn = np.zeros((1, 2, 4, 20))
+        bad = attn.copy()
+        bad[0, 0, 0, 0] = np.inf
+        with pytest.raises(InvalidInputError):
+            rank_window_keys(bad, 2, 4)  # non-finite scores
+        with pytest.raises(ShapeError):
+            rank_window_keys(attn, 3, 4)  # group mismatch
+        with pytest.raises(ShapeError):
+            rank_window_keys(attn, 2, 5)  # row count
+        with pytest.raises(ShapeError):
+            rank_window_keys(attn[0], 2, 4)  # ndim
 
 
 class TestCompressPrefill:

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import binomtest
 
-from sparsemm.allocator import AllocationConfig, allocate_uniform
+from sparsemm.allocator import POLICY_NAMES, AllocationConfig, BudgetPlan, allocate, allocate_uniform
 from sparsemm.cache import keep_all_policy, make_plan_policy
-from sparsemm.chaser import chase_corpus, match_bbox_to_patches
-from sparsemm.errors import EvictionPolicyError, InvalidInputError
+from sparsemm.chaser import HeadScoreMatrix, chase_corpus, match_bbox_to_patches
+from sparsemm.errors import EvictionPolicyError, InvalidInputError, ShapeError
 from sparsemm.simmodel import (
     TEXT_TOKEN,
     AttentionTrace,
@@ -20,6 +22,8 @@ from sparsemm.simmodel import (
     generate_ocr_samples,
     load_corpus,
     mask_heads,
+    replay_decode,
+    replay_plans,
     save_corpus,
 )
 
@@ -286,3 +290,85 @@ class TestDecodeWithCache:
         assert record.mean_recall == pytest.approx(1.0)
         assert record.head_mean_recall.shape == (2, 4)
         assert np.allclose(record.head_mean_recall, 1.0)
+
+
+class TestReplayPlans:
+    """replay_plans against the replay_decode oracle.
+
+    Integer fields must match exactly. Recalls may differ only by summation
+    order: a float64 sum of at most Lp terms, each at most 1, stays far below
+    the 1e-12 tolerance.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        layers=st.integers(1, 2),
+        query_heads=st.sampled_from([2, 4]),
+        kv_kind=st.sampled_from(["one", "two", "mha"]),
+        window=st.integers(1, 8),
+        extra=st.integers(2, 40),
+        out_len=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_replay_decode(
+        self, layers, query_heads, kv_kind, window, extra, out_len, seed
+    ):
+        kv_heads = {"one": 1, "two": 2, "mha": query_heads}[kv_kind]
+        geo = ModelGeometry(layers, query_heads, kv_heads)
+        model = small_model(seed=seed, strength=0.8, planted=((0, 1),), geometry=geo)
+        lp = window + extra
+        workload = model.decode_workload(lp, out_len, window)
+        n_kv = layers * kv_heads
+        scores = HeadScoreMatrix(np.random.default_rng(seed).random((layers, kv_heads)))
+        # per-head budgets at b = w, w < b < Lp, b = Lp and b > Lp
+        levels = (window, (window + lp) // 2, lp, lp + 3)
+        plans = [
+            allocate(policy, AllocationConfig(b * n_kv, window), layers, kv_heads, scores, seed)
+            for policy in POLICY_NAMES
+            for b in levels
+        ]
+        mixed = np.resize(np.array(levels), n_kv).reshape(layers, kv_heads)
+        plans.append(BudgetPlan(mixed, int(mixed.sum()), window=window))
+
+        for plan, fast in zip(plans, replay_plans(geo, workload, plans), strict=True):
+            slow = replay_decode(geo, workload, make_plan_policy(plan))
+            assert np.array_equal(fast.slots_per_step, slow.slots_per_step)
+            assert np.array_equal(fast.touches_per_step, slow.touches_per_step)
+            assert fast.peak_slots == slow.peak_slots
+            assert fast.total_touches == slow.total_touches
+            assert np.abs(fast.recall_per_step - slow.recall_per_step).max() <= 1e-12
+            assert np.abs(fast.head_mean_recall - slow.head_mean_recall).max() <= 1e-12
+            assert abs(fast.mean_recall - slow.mean_recall) <= 1e-12
+            full = plan.budgets >= lp
+            if full.all():
+                assert (fast.recall_per_step == 1.0).all()
+
+    def _setup(self):
+        model = small_model(seed=56)
+        return model.geometry, model.decode_workload(64, 2, 8)
+
+    def test_window_mismatch_rejected(self):
+        geo, workload = self._setup()
+        plan = allocate_uniform(AllocationConfig(2 * 4 * 16, window=4), 2, 4)
+        with pytest.raises(InvalidInputError):
+            replay_plans(geo, workload, [plan])
+
+    def test_layer_mismatch_rejected(self):
+        geo, workload = self._setup()
+        plan = allocate_uniform(AllocationConfig(3 * 4 * 16, window=8), 3, 4)
+        with pytest.raises(ShapeError):
+            replay_plans(geo, workload, [plan])
+
+    def test_kv_head_mismatch_rejected(self):
+        geo, workload = self._setup()
+        plan = allocate_uniform(AllocationConfig(2 * 2 * 16, window=8), 2, 2)
+        with pytest.raises(ShapeError):
+            replay_plans(geo, workload, [plan])
+
+    def test_budget_below_window_rejected(self):
+        geo, workload = self._setup()
+        budgets = np.full((2, 4), 16)
+        budgets[1, 3] = 7
+        plan = BudgetPlan(budgets, int(budgets.sum()), window=8)
+        with pytest.raises(InvalidInputError):
+            replay_plans(geo, workload, [plan])
