@@ -10,6 +10,8 @@ capture against a full-cache shadow row.
 
 Under grouped-query attention the query heads sharing one kv head have their
 window attentions summed before averaging, so selection happens per kv head.
+Eviction itself takes those per-kv-head window scores, shape
+(layers, kv_heads, Lp - w), never the window rows they come from.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ __all__ = [
     "PrefillInfo",
     "StepStats",
     "TopKSelection",
-    "average_window_scores",
     "compress_prefill",
     "decode_step",
     "keep_all_policy",
@@ -42,6 +43,7 @@ __all__ = [
     "report_to_csv",
     "report_to_json",
     "select_topk",
+    "sum_onto_kv_heads",
     "window_attention",
 ]
 
@@ -61,21 +63,6 @@ def window_attention(q_local: Matrix, k_all: Matrix) -> Matrix:
         )
     scores = matmul_scaled(q_local, k_all, 1.0 / math.sqrt(q_local.cols))
     return softmax_row_masked(scores, CausalMask(), lp - w)
-
-
-def average_window_scores(attn) -> np.ndarray:
-    """Per-key mean of the window rows, for keys left of the window.
-
-    Input is (w, Lp); output has length Lp - w. Keys inside the window are
-    excluded because they are retained unconditionally.
-    """
-    arr = attn.array if isinstance(attn, Matrix) else np.asarray(attn, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ShapeError("average_window_scores expects a (w, Lp) matrix")
-    w, lp = arr.shape
-    if w > lp:
-        raise InvalidInputError(f"window {w} exceeds prompt length {lp}")
-    return arr[:, : lp - w].mean(axis=0) if w else np.zeros(lp)
 
 
 class TopKSelection(NamedTuple):
@@ -114,13 +101,28 @@ class KeyRanking(NamedTuple):
     order: np.ndarray  # (L, H_kv, Lp - w) key positions, best first
 
 
+def sum_onto_kv_heads(rows: np.ndarray, kv_heads: int) -> np.ndarray:
+    """Sum (layers, query_heads, n) rows onto their kv heads, one query head at a time.
+
+    Query head h belongs to kv head h // (query_heads // kv_heads). The sum
+    runs in query-head order for every shape, so reducing window rows one at a
+    time as they are drawn gives the same bits as reducing a stored tensor.
+    """
+    layers, query_heads, n = rows.shape
+    grouped = rows.reshape(layers, kv_heads, query_heads // kv_heads, n)
+    total = grouped[:, :, 0].copy()
+    for k in range(1, grouped.shape[2]):
+        total += grouped[:, :, k]
+    return total
+
+
 def rank_window_keys(window_attn, kv_heads: int, w: int) -> KeyRanking:
     """Score and rank every kv head's prompt keys left of the window.
 
     `window_attn` is (layers, query_heads, w, Lp). Query heads are summed onto
-    their kv head, then the w rows are averaged per key. The reduction runs one
-    layer at a time, so no (layers, kv_heads, w, Lp) temporary is built. A
-    budget b keeps the window plus `order[..., :b - w]`, whatever the plan.
+    their kv head, then the w rows are averaged per key, summed in row order.
+    No (layers, kv_heads, w, Lp) temporary is built. A budget b keeps the
+    window plus `order[..., :b - w]`, whatever the plan.
     """
     attn = np.asarray(window_attn, dtype=np.float64)
     if attn.ndim != 4:
@@ -132,11 +134,11 @@ def rank_window_keys(window_attn, kv_heads: int, w: int) -> KeyRanking:
         raise ShapeError(f"window_attn has {rows} rows, expected w={w}")
     if lp < w:
         raise InvalidInputError(f"window {w} exceeds prompt length {lp}")
-    group = query_heads // kv_heads
     scores = np.zeros((layers, kv_heads, lp - w))  # an empty window scores every key 0
-    for l in range(layers if w else 0):
-        grouped = attn[l].reshape(kv_heads, group, w, lp).sum(axis=1)
-        scores[l] = grouped[:, :, : lp - w].mean(axis=1)
+    for i in range(w):
+        scores += sum_onto_kv_heads(attn[:, :, i, : lp - w], kv_heads)
+    if w:
+        scores /= w
     return KeyRanking(scores, _descending_order(scores))
 
 
@@ -234,62 +236,64 @@ class KvCache:
         self.generated += 1
 
 
-def compress_prefill(window_attn, plan, w: int) -> tuple[KvCache, EvictionReport]:
-    """Retain, per kv head, the w-window plus the top (b - w) keys by mean score.
+def compress_prefill(
+    window_scores, plan, w: int, prompt_len: int
+) -> tuple[KvCache, EvictionReport]:
+    """Retain, per kv head, the w-window plus the top (b - w) keys by window score.
 
-    `window_attn` is (layers, query_heads, w, Lp); query heads are summed onto
-    their kv head before averaging. Budgets at or above Lp keep the whole
-    prompt. A prompt shorter than w keeps everything and skips scoring.
+    `window_scores` is (layers, kv_heads, Lp - w): each kv head's mean window
+    attention per key left of the window (`rank_window_keys`). Budgets at or
+    above Lp keep the whole prompt. A prompt shorter than w keeps everything
+    and skips scoring; its scores are (layers, kv_heads, 0).
     """
-    attn = np.asarray(window_attn, dtype=np.float64)
-    if attn.ndim != 4:
-        raise ShapeError("window_attn must be (layers, query_heads, w, Lp)")
-    layers, query_heads, rows, lp = attn.shape
+    scores = np.asarray(window_scores, dtype=np.float64)
+    if scores.ndim != 3:
+        raise ShapeError("window_scores must be (layers, kv_heads, Lp - w)")
+    layers, kv_heads, n = scores.shape
+    lp = prompt_len
     if plan.layers != layers:
         raise ShapeError(f"plan has {plan.layers} layers, trace has {layers}")
-    if query_heads % plan.kv_heads != 0:
-        raise ShapeError(
-            f"{query_heads} query heads not divisible by {plan.kv_heads} kv heads"
-        )
+    if plan.kv_heads != kv_heads:
+        raise ShapeError(f"plan has {plan.kv_heads} kv heads, trace has {kv_heads}")
+    if n != max(lp - w, 0):
+        raise ShapeError(f"window_scores cover {n} keys, expected Lp - w = {max(lp - w, 0)}")
 
     if lp < w:
-        cache = KvCache.full(layers, plan.kv_heads, lp)
+        cache = KvCache.full(layers, kv_heads, lp)
         report = EvictionReport(
             lp,
             w,
             tuple(
                 HeadEviction(l, j, int(plan.budgets[l, j]), tuple(range(lp)), False)
                 for l in range(layers)
-                for j in range(plan.kv_heads)
+                for j in range(kv_heads)
             ),
-            np.zeros((layers, plan.kv_heads, 0)),
+            scores,
             scoring_skipped=True,
         )
         return cache, report
 
-    if rows != w:
-        raise ShapeError(f"window_attn has {rows} rows, expected w={w}")
     if (plan.budgets < w).any():
         raise InvalidInputError("plan grants some head fewer than w slots")
 
-    ranking = rank_window_keys(attn, plan.kv_heads, w)
+    order = _descending_order(scores)
     window_positions = np.arange(lp - w, lp)
     kept_positions: list[list[np.ndarray]] = []
     entries = []
     for l in range(layers):
         row_kept = []
-        for j in range(plan.kv_heads):
+        for j in range(kv_heads):
             b = int(plan.budgets[l, j])
             clamped = b > lp
             if b >= lp:
                 kept = np.arange(lp)
             else:
-                kept = np.concatenate([np.sort(ranking.order[l, j, : b - w]), window_positions])
+                kept = np.concatenate([np.sort(order[l, j, : b - w]), window_positions])
             row_kept.append(kept)
             entries.append(HeadEviction(l, j, b, tuple(int(p) for p in kept), clamped))
         kept_positions.append(row_kept)
-    cache = KvCache(layers, plan.kv_heads, lp, kept_positions)
-    return cache, EvictionReport(lp, w, tuple(entries), ranking.scores)
+    cache = KvCache(layers, kv_heads, lp, kept_positions)
+    return cache, EvictionReport(lp, w, tuple(entries), scores)
 
 
 class StepStats(NamedTuple):
@@ -334,14 +338,14 @@ def decode_step(cache: KvCache, full_rows, step: int) -> StepStats:
 
 @dataclass(frozen=True)
 class PrefillInfo:
-    """What a cache policy sees after prefill: geometry plus window attention."""
+    """What a cache policy sees after prefill: geometry plus window scores."""
 
     layers: int
     query_heads: int
     kv_heads: int
     prompt_len: int
     window: int
-    window_attention: np.ndarray = field(repr=False)  # (L, Hq, w, Lp)
+    window_scores: np.ndarray = field(repr=False)  # (L, H_kv, Lp - w)
 
 
 CachePolicy = Callable[[PrefillInfo], KvCache]
@@ -360,7 +364,7 @@ def make_plan_policy(plan) -> CachePolicy:
             raise InvalidInputError(
                 f"plan window {plan.window} != decode window {info.window}"
             )
-        cache, _ = compress_prefill(info.window_attention, plan, info.window)
+        cache, _ = compress_prefill(info.window_scores, plan, info.window, info.prompt_len)
         return cache
 
     return policy

@@ -1,7 +1,8 @@
 """Command-line front end for the pipeline.
 
 Subcommands cover the full artifact flow: `corpus` and `prefill` generate
-synthetic inputs, `chase` turns a corpus into a score file, `allocate` turns
+synthetic inputs (`prefill` writes each kv head's window scores, not the
+window rows), `chase` turns a corpus into a score file, `allocate` turns
 scores into a budget plan, `compress` applies a plan to a prefill trace, and
 `bench sweep|rho|mask|cost` runs the packaged experiments from a JSON config.
 
@@ -37,7 +38,7 @@ from .chaser import (
     save_scores,
     score_file_hash,
 )
-from .errors import InvalidInputError, SparseMMError
+from .errors import InvalidInputError, ShapeError, SparseMMError
 from .simmodel import (
     ModelGeometry,
     PlantedHeadSet,
@@ -157,7 +158,7 @@ def cmd_prefill(args: argparse.Namespace) -> dict:
         "kv_heads": model.geometry.kv_heads,
         "prompt_len": workload.prompt_len,
         "window": workload.window,
-        "window_attention": workload.window_attention.tolist(),
+        "window_scores": workload.window_scores.tolist(),
     }
     with open(args.out, "w") as fh:
         json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
@@ -170,16 +171,47 @@ def cmd_prefill(args: argparse.Namespace) -> dict:
     }
 
 
+TRACE_KEYS = ("window_scores", "prompt_len", "window", "kv_heads")
+
+
+def _load_trace(path) -> tuple[np.ndarray, int, int, int]:
+    """(window_scores, prompt_len, window, kv_heads) from a `prefill` trace file."""
+    try:
+        blob = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise InvalidInputError(f"cannot read trace {path}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise InvalidInputError(f"trace {path} is not JSON: {exc}") from exc
+    if not isinstance(blob, dict):
+        raise InvalidInputError(f"trace {path} must hold a JSON object")
+    if "window_attention" in blob and "window_scores" not in blob:
+        raise InvalidInputError(
+            f"trace {path} holds window_attention rows, the old format; "
+            "write it again with `sparsemm prefill`"
+        )
+    missing = [key for key in TRACE_KEYS if key not in blob]
+    if missing:
+        raise InvalidInputError(f"trace {path} lacks {', '.join(missing)}")
+    sizes = [blob[key] for key in TRACE_KEYS[1:]]
+    if any(type(v) is not int or v < 0 for v in sizes):
+        raise InvalidInputError(f"trace {path}: prompt_len, window and kv_heads must be counts")
+    try:
+        scores = np.asarray(blob["window_scores"], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"trace {path}: window_scores is not a numeric array") from exc
+    return (scores, *sizes)
+
+
 def cmd_compress(args: argparse.Namespace) -> dict:
-    blob = json.loads(Path(args.trace).read_text())
-    attn = np.asarray(blob["window_attention"], dtype=np.float64)
+    scores, prompt_len, window, kv_heads = _load_trace(args.trace)
     plan = load_plan(args.plan)
-    window = int(blob["window"])
     if plan.window != window:
         raise InvalidInputError(
             f"plan window {plan.window} does not match trace window {window}"
         )
-    cache, report = compress_prefill(attn, plan, window)
+    if plan.kv_heads != kv_heads:
+        raise ShapeError(f"plan has {plan.kv_heads} kv heads, trace has {kv_heads}")
+    cache, report = compress_prefill(scores, plan, window, prompt_len)
     if args.out_json:
         report_to_json(report, args.out_json)
     if args.out_csv:
@@ -251,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_allocate)
 
-    p = sub.add_parser("prefill", help="generate a prefill window-attention trace")
+    p = sub.add_parser("prefill", help="generate a prefill trace of per-kv-head window scores")
     _add_model_args(p)
     p.add_argument("--prompt-len", type=int, required=True)
     p.add_argument("--out-len", type=int, default=16)

@@ -15,8 +15,10 @@ Decode workloads follow the same recipe over a single long prompt: planted
 heads' observation-window rows concentrate on the union of upcoming ground
 truth regions, and their decode rows land inside the per-token region, so a
 cache policy that reads the window correctly can keep what those heads will
-need. Masked heads emit exactly uniform rows. Masking is applied after all
-random draws, so masking any subset never perturbs the other heads' rows.
+need. Window rows are reduced to per-kv-head key scores as they are drawn;
+only the scores are kept. Masked heads emit exactly uniform rows. Masking is
+applied after all random draws, so masking any subset never perturbs the
+other heads' rows.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cache import KvCache, PrefillInfo, decode_step, rank_window_keys
+from .cache import KvCache, PrefillInfo, _descending_order, decode_step, sum_onto_kv_heads
 from .errors import EvictionPolicyError, InvalidInputError, ShapeError
 
 __all__ = [
@@ -214,18 +216,22 @@ class SampleParams:
 
 
 def _normalize_blocks(draw: np.ndarray, roles) -> np.ndarray:
-    """Compose role-wise Dirichlet blocks into rows that sum to one.
+    """Compose role-wise Dirichlet blocks into rows that sum to one, in place.
 
-    `roles` pairs position arrays with target masses; roles with no visible
-    position forfeit their mass to the rest (renormalized).
+    `roles` holds (start, stop, mass) ranges that partition the last axis of
+    `draw`; each range is rescaled to carry its mass. Ranges with no position
+    forfeit their mass to the rest (renormalized). A range's total is summed
+    from a copy that holds the position axis outermost, which fixes the order
+    of its float sum.
     """
-    out = np.zeros_like(draw)
-    live = [(pos, m) for pos, m in roles if pos.size]
-    z = sum(m for _, m in live)
-    for pos, m in live:
-        block = draw[..., pos]
-        out[..., pos] = (m / z) * block / block.sum(axis=-1, keepdims=True)
-    return out
+    live = [(start, stop, m) for start, stop, m in roles if stop > start]
+    z = sum(m for _, _, m in live)
+    for start, stop, m in live:
+        block = draw[..., start:stop]
+        total = np.moveaxis(block, -1, 0).copy().sum(axis=0)[..., None]
+        block *= m / z
+        block /= total
+    return draw
 
 
 def _plant_hit_row(rng, row: np.ndarray, region: np.ndarray) -> np.ndarray:
@@ -241,7 +247,12 @@ def _plant_hit_row(rng, row: np.ndarray, region: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DecodeWorkload:
-    """Deterministic decode scenario: prefill window rows plus per-step rows."""
+    """Deterministic decode scenario: prefill window scores plus per-step rows.
+
+    `window_scores` is each kv head's mean observation-window attention per
+    prompt key left of the window: the query heads of a group are summed, then
+    the w window rows are averaged.
+    """
 
     prompt_len: int
     out_len: int
@@ -249,7 +260,7 @@ class DecodeWorkload:
     prompt_layout: tuple[int, ...]
     union_positions: np.ndarray = field(repr=False)
     token_regions: tuple[np.ndarray, ...] = field(repr=False)
-    window_attention: np.ndarray = field(repr=False)  # (L, Hq, w, Lp)
+    window_scores: np.ndarray = field(repr=False)  # (L, H_kv, Lp - w)
     decode_rows: tuple[np.ndarray, ...] = field(repr=False)  # per t: (L, Hq, Lp + t)
 
 
@@ -313,9 +324,7 @@ class SyntheticModel:
             [np.full(n_pre, TEXT_TOKEN), np.arange(g), np.full(n_instr, TEXT_TOKEN)]
         )
         lp = layout.size
-        sinks = np.arange(n_pre)
-        image_pos = np.arange(n_pre, n_pre + g)
-        instr_pos = np.arange(n_pre + g, lp)
+        instr_off = n_pre + g  # sinks | image | instructions, then generated text
 
         pairs = []
         regions = []
@@ -343,10 +352,14 @@ class SyntheticModel:
         steps = []
         for t in range(n_out):
             visible = lp + t
-            text = np.concatenate([instr_pos, lp + np.arange(t)])
             draw = rng.exponential(size=(geo.layers, geo.query_heads, visible))
             block = _normalize_blocks(
-                draw, [(text, CORPUS_BG[0]), (sinks, CORPUS_BG[1]), (image_pos, CORPUS_BG[2])]
+                draw,
+                [
+                    (instr_off, visible, CORPUS_BG[0]),
+                    (0, n_pre, CORPUS_BG[1]),
+                    (n_pre, instr_off, CORPUS_BG[2]),
+                ],
             )
             self._overwrite_special_rows(rng, block, regions[t], visible)
             steps.append(block)
@@ -362,12 +375,14 @@ class SyntheticModel:
     def decode_workload(
         self, prompt_len: int, out_len: int, window: int = DEFAULT_WINDOW
     ) -> DecodeWorkload:
-        """Build the prefill window attention and per-step decode rows.
+        """Build the prefill window scores and per-step decode rows.
 
         The prompt is laid out as a few leading sink tokens, a large image
         block, and a short instruction tail that the window mostly covers.
         Planted heads aim their window rows at the union of the regions their
-        upcoming output tokens will need.
+        upcoming output tokens will need. Each window row is folded into the
+        per-kv-head scores as soon as it is drawn, so no (layers, query_heads,
+        w, Lp) tensor is built.
         """
         if prompt_len < window:
             raise InvalidInputError(f"prompt_len {prompt_len} shorter than window {window}")
@@ -399,11 +414,9 @@ class SyntheticModel:
         )
         lp = prompt_len
         image_off = n_pre + header
-        sinks = np.arange(n_pre)
-        image_pos = np.arange(image_off, image_off + g)
-        # header filler and image share the thin leak mass
-        leak_pos = np.arange(n_pre, image_off + g)
-        tail_pos = np.arange(image_off + g, lp)
+        # sinks [0, n_pre) | leak [n_pre, tail_off) | tail [tail_off, lp): header
+        # filler and image share the thin leak mass
+        tail_off = image_off + g
 
         # union of ground-truth regions: rectangles until ~60% of the grid,
         # wide enough that no near-uniform budget can cover it
@@ -438,15 +451,19 @@ class SyntheticModel:
             else:
                 token_regions.append(np.empty(0, dtype=np.int64))
 
-        window_stack = np.zeros((geo.layers, geo.query_heads, window, lp))
+        n = lp - window
+        window_scores = np.zeros((geo.layers, geo.kv_heads, n))
         for i in range(window):
             pos = lp - window + i
             visible = pos + 1
-            text = tail_pos[tail_pos <= pos]
-            leak_vis = leak_pos[leak_pos <= pos]
             draw = rng.exponential(size=(geo.layers, geo.query_heads, visible))
             block = _normalize_blocks(
-                draw, [(text, DECODE_BG[0]), (sinks, DECODE_BG[1]), (leak_vis, DECODE_BG[2])]
+                draw,
+                [
+                    (tail_off, visible, DECODE_BG[0]),
+                    (0, n_pre, DECODE_BG[1]),
+                    (n_pre, min(tail_off, visible), DECODE_BG[2]),
+                ],
             )
             union_vis = union_positions[union_positions <= pos]
             for entry in self.planted.entries:
@@ -458,15 +475,21 @@ class SyntheticModel:
                     block[entry.layer, entry.query_head] = row
             for l, h in sorted(self.masked):
                 block[l, h] = 1.0 / visible
-            window_stack[:, :, i, :visible] = block
+            window_scores += sum_onto_kv_heads(block[:, :, :n], geo.kv_heads)
+        if window:
+            window_scores /= window
 
         decode_rows = []
         for t in range(out_len):
             visible = lp + t
-            text = np.concatenate([tail_pos, lp + np.arange(t)])
             draw = rng.exponential(size=(geo.layers, geo.query_heads, visible))
             block = _normalize_blocks(
-                draw, [(text, DECODE_BG[0]), (sinks, DECODE_BG[1]), (leak_pos, DECODE_BG[2])]
+                draw,
+                [
+                    (tail_off, visible, DECODE_BG[0]),
+                    (0, n_pre, DECODE_BG[1]),
+                    (n_pre, tail_off, DECODE_BG[2]),
+                ],
             )
             self._overwrite_special_rows(rng, block, token_regions[t], visible)
             decode_rows.append(block)
@@ -478,7 +501,7 @@ class SyntheticModel:
             tuple(int(v) for v in layout),
             union_positions,
             tuple(token_regions),
-            window_stack,
+            window_scores,
             tuple(decode_rows),
         )
 
@@ -542,7 +565,7 @@ def replay_decode(geometry: ModelGeometry, workload: DecodeWorkload, policy) -> 
         geometry.kv_heads,
         workload.prompt_len,
         workload.window,
-        workload.window_attention,
+        workload.window_scores,
     )
     cache = policy(info)
     if not isinstance(cache, KvCache):
@@ -590,12 +613,12 @@ def replay_plans(geometry: ModelGeometry, workload: DecodeWorkload, plans) -> li
             )
         if (plan.budgets < w).any():
             raise InvalidInputError("plan grants some head fewer than w slots")
-    if workload.window_attention.shape != (layers, query_heads, w, lp):
-        raise ShapeError("workload window attention does not match the geometry")
+    if workload.window_scores.shape != (layers, kv_heads, lp - w):
+        raise ShapeError("workload window scores do not match the geometry")
 
     group = geometry.group_size
     n = lp - w
-    order = rank_window_keys(workload.window_attention, kv_heads, w).order[:, :, None, :]
+    order = _descending_order(workload.window_scores)[:, :, None, :]
     kept = [np.minimum(plan.budgets, lp) for plan in plans]
     # table index per query head: 0 keeps the window only, n keeps the prompt
     index = [np.repeat(k - w, group, axis=1)[:, :, None] for k in kept]

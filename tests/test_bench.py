@@ -21,7 +21,7 @@ from sparsemm.bench import (
 from sparsemm.chaser import HeadScoreMatrix
 from sparsemm.cli import main
 from sparsemm.errors import InvalidInputError
-from sparsemm.simmodel import PlantedHeadSet, decode_with_cache, build_synthetic_model, replay_plans
+from sparsemm.simmodel import PlantedHeadSet, build_synthetic_model, replay_decode, replay_plans
 from sparsemm.cache import make_plan_policy
 from sparsemm.allocator import AllocationConfig, allocate_uniform
 
@@ -265,24 +265,25 @@ class TestCostModel:
         assert all(b < a for a, b in zip(peaks, peaks[1:]))
 
     def test_formula_matches_actual_decode(self):
-        cfg = small_config()
-        lp, out, b = 200, 4, 48
-        cost = run_cost_model(
-            small_config(cost_lengths=(lp,), cost_out_len=out, cost_budget_per_head=b)
-        )[0]
-        model = build_synthetic_model(cfg.geometry, cfg.planted_for_seed(0), 0)
-        plan = allocate_uniform(
-            AllocationConfig(b * cfg.layers * cfg.kv_heads, window=cfg.window),
-            cfg.layers,
-            cfg.kv_heads,
-        )
-        record = decode_with_cache(model, lp, out, make_plan_policy(plan), cfg.window)
-        assert record.peak_slots == cost.compressed_peak_slots
-        assert record.total_touches == cost.compressed_slot_touches
-        workload = model.decode_workload(lp, out, cfg.window)
-        (fast,) = replay_plans(model.geometry, workload, [plan])
-        assert fast.peak_slots == cost.compressed_peak_slots
-        assert fast.total_touches == cost.compressed_slot_touches
+        out, b = 4, 48
+        for kv_heads in (4, 2):  # MHA and GQA
+            for lp in (32, 200, 1024):  # Lp = w, b < Lp and b far below Lp
+                cfg = small_config(
+                    kv_heads=kv_heads, cost_lengths=(lp,), cost_out_len=out, cost_budget_per_head=b
+                )
+                (cost,) = run_cost_model(cfg)
+                model = build_synthetic_model(cfg.geometry, cfg.planted_for_seed(0), 0)
+                plan = allocate_uniform(
+                    AllocationConfig(b * cfg.layers * kv_heads, window=cfg.window),
+                    cfg.layers,
+                    kv_heads,
+                )
+                workload = model.decode_workload(lp, out, cfg.window)
+                record = replay_decode(model.geometry, workload, make_plan_policy(plan))
+                (fast,) = replay_plans(model.geometry, workload, [plan])
+                for got in (record, fast):
+                    assert got.peak_slots == cost.compressed_peak_slots, (kv_heads, lp)
+                    assert got.total_touches == cost.compressed_slot_touches, (kv_heads, lp)
 
 
 class TestWriters:
@@ -392,3 +393,103 @@ class TestCli:
         main(["bench", "sweep", "--config", str(cfg_path), "--out-dir", str(b_dir), "--seed", "7"])
         capsys.readouterr()
         assert (a_dir / "sweep.csv").read_bytes() != (b_dir / "sweep.csv").read_bytes()
+
+
+class TestCompressTraceValidation:
+    """`compress` rejects a malformed trace with exit 2 and a structured error."""
+
+    @pytest.fixture
+    def files(self, tmp_path, capsys):
+        trace, plan = tmp_path / "trace.json", tmp_path / "plan.json"
+        assert main([
+            "prefill", "--layers", "2", "--query-heads", "4", "--kv-heads", "2",
+            "--planted", "0,1", "--seed", "3", "--prompt-len", "40", "--out-len", "2",
+            "--window", "8", "--out", str(trace),
+        ]) == 0
+        assert main([
+            "allocate", "--layers", "2", "--heads", "2", "--budget", str(4 * 16),
+            "--window", "8", "--policy", "uniform", "--out", str(plan),
+        ]) == 0
+        capsys.readouterr()
+        return trace, plan
+
+    def _compress(self, trace, plan, capsys):
+        code = main(["compress", "--trace", str(trace), "--plan", str(plan)])
+        captured = capsys.readouterr()
+        return code, captured
+
+    def _rejects(self, trace, plan, capsys, error="InvalidInputError"):
+        code, captured = self._compress(trace, plan, capsys)
+        assert code == 2
+        err = json.loads(captured.err)
+        assert set(err) == {"error", "message"}
+        assert err["error"] == error
+        return err["message"]
+
+    def _rewrite(self, trace, edit):
+        blob = json.loads(trace.read_text())
+        edit(blob)
+        trace.write_text(json.dumps(blob))
+
+    def test_valid_trace_holds_scores(self, files, capsys):
+        trace, plan = files
+        blob = json.loads(trace.read_text())
+        assert "window_attention" not in blob
+        assert np.asarray(blob["window_scores"]).shape == (2, 2, 40 - 8)
+        assert blob["kv_heads"] == 2
+        code, captured = self._compress(trace, plan, capsys)
+        assert code == 0
+        assert json.loads(captured.out)["total_kept"] == 4 * 16
+
+    def test_non_json_trace(self, files, capsys):
+        trace, plan = files
+        trace.write_text('{"window_scores": [[')
+        assert "not JSON" in self._rejects(trace, plan, capsys)
+
+    def test_missing_trace_file(self, files, capsys):
+        trace, plan = files
+        trace.unlink()
+        assert "cannot read" in self._rejects(trace, plan, capsys)
+
+    @pytest.mark.parametrize("key", ["window_scores", "prompt_len", "window", "kv_heads"])
+    def test_missing_key(self, files, capsys, key):
+        trace, plan = files
+        self._rewrite(trace, lambda blob: blob.pop(key))
+        assert key in self._rejects(trace, plan, capsys)
+
+    def test_fields_of_wrong_type(self, files, capsys):
+        trace, plan = files
+        self._rewrite(trace, lambda blob: blob.update(prompt_len="40"))
+        assert "counts" in self._rejects(trace, plan, capsys)
+        ragged = [[1.0], [1.0, 2.0]]
+        self._rewrite(trace, lambda blob: blob.update(prompt_len=40, window_scores=ragged))
+        assert "numeric" in self._rejects(trace, plan, capsys)
+        trace.write_text("[1, 2]")
+        assert "JSON object" in self._rejects(trace, plan, capsys)
+
+    def test_old_window_attention_trace(self, files, capsys):
+        trace, plan = files
+
+        def to_old_format(blob):
+            blob.pop("window_scores")
+            blob["window_attention"] = np.full((2, 4, 8, 40), 1.0 / 40).tolist()
+
+        self._rewrite(trace, to_old_format)
+        assert "old format" in self._rejects(trace, plan, capsys)
+
+    def test_scores_of_wrong_shape(self, files, capsys):
+        trace, plan = files
+        self._rewrite(trace, lambda blob: blob.update(window_scores=np.zeros((2, 2, 31)).tolist()))
+        self._rejects(trace, plan, capsys, error="ShapeError")
+        self._rewrite(trace, lambda blob: blob.update(window_scores=np.zeros((2, 4, 32)).tolist()))
+        self._rejects(trace, plan, capsys, error="ShapeError")
+
+    def test_non_finite_scores(self, files, capsys):
+        trace, plan = files
+
+        def poison(blob):
+            blob["window_scores"][1][0][5] = float("nan")
+
+        self._rewrite(trace, poison)
+        assert "finite" in self._rejects(trace, plan, capsys)
+

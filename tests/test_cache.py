@@ -10,7 +10,6 @@ from sparsemm.cache import (
     EvictionReport,
     KvCache,
     PrefillInfo,
-    average_window_scores,
     compress_prefill,
     decode_step,
     keep_all_policy,
@@ -33,6 +32,28 @@ def oracle_full_causal(q_full, k_all):
 def flat_plan(layers, kv_heads, per_head, window=8):
     budgets = np.full((layers, kv_heads), per_head, dtype=np.int64)
     return BudgetPlan(budgets, per_head * layers * kv_heads, window=window)
+
+
+def average_window_scores(attn) -> np.ndarray:
+    """Per-key mean of the window rows, for keys left of the window.
+
+    Input is (w, Lp); output has length Lp - w. Keys inside the window are
+    excluded because they are retained unconditionally. This is the oracle
+    for one kv head's row of `rank_window_keys`.
+    """
+    arr = attn.array if isinstance(attn, Matrix) else np.asarray(attn, dtype=np.float64)
+    if arr.ndim != 2:
+        raise ShapeError("average_window_scores expects a (w, Lp) matrix")
+    w, lp = arr.shape
+    if w > lp:
+        raise InvalidInputError(f"window {w} exceeds prompt length {lp}")
+    return arr[:, : lp - w].mean(axis=0) if w else np.zeros(lp)
+
+
+def compress_window(attn, plan, w):
+    """compress_prefill on the scores `rank_window_keys` takes from a window tensor."""
+    scores = rank_window_keys(attn, plan.kv_heads, w).scores
+    return compress_prefill(scores, plan, w, attn.shape[-1])
 
 
 class TestWindowAttention:
@@ -145,6 +166,21 @@ class TestRankWindowKeys:
                         kept = np.sort(ranking.order[l, j, :k])
                         assert kept.tolist() == select_topk(abar, k).positions.tolist()
 
+    def test_sums_run_in_order_for_every_shape(self):
+        # one kv head and one scored key leave a single reduced axis, which a
+        # plain numpy sum would add pairwise; the scores must still be the
+        # sequential sum a window reduced row by row gives
+        rng = np.random.default_rng(62)
+        for group, w in [(4, 32), (16, 4)] * 20:
+            attn = rng.random((1, group, w, w + 1))
+            want = 0.0
+            for i in range(w):
+                row = attn[0, 0, i, 0]
+                for h in range(1, group):
+                    row += attn[0, h, i, 0]
+                want += row
+            assert rank_window_keys(attn, 1, w).scores[0, 0, 0] == want / w
+
     def test_errors(self):
         attn = np.zeros((1, 2, 4, 20))
         bad = attn.copy()
@@ -165,7 +201,7 @@ class TestCompressPrefill:
         lp, w = 40, 8
         attn = rng.random((2, 4, w, lp))
         plan = flat_plan(2, 4, 16, window=w)
-        cache, report = compress_prefill(attn, plan, w)
+        cache, report = compress_window(attn, plan, w)
         window = set(range(lp - w, lp))
         for l in range(2):
             for j in range(4):
@@ -179,7 +215,7 @@ class TestCompressPrefill:
         rng = np.random.default_rng(55)
         lp, w = 20, 4
         attn = rng.random((1, 2, w, lp))
-        cache, report = compress_prefill(attn, flat_plan(1, 2, lp, window=w), w)
+        cache, report = compress_window(attn, flat_plan(1, 2, lp, window=w), w)
         for j in range(2):
             assert cache.prompt_kept(0, j).tolist() == list(range(lp))
         assert not any(h.clamped for h in report.heads)
@@ -188,7 +224,7 @@ class TestCompressPrefill:
         rng = np.random.default_rng(56)
         lp, w = 10, 2
         attn = rng.random((1, 1, w, lp))
-        _, report = compress_prefill(attn, flat_plan(1, 1, lp + 5, window=w), w)
+        _, report = compress_window(attn, flat_plan(1, 1, lp + 5, window=w), w)
         assert report.heads[0].clamped
         assert report.heads[0].kept == tuple(range(lp))
 
@@ -196,14 +232,14 @@ class TestCompressPrefill:
         rng = np.random.default_rng(57)
         lp, w = 30, 6
         attn = rng.random((1, 1, w, lp))
-        cache, _ = compress_prefill(attn, flat_plan(1, 1, w, window=w), w)
+        cache, _ = compress_window(attn, flat_plan(1, 1, w, window=w), w)
         assert cache.prompt_kept(0, 0).tolist() == list(range(lp - w, lp))
 
     def test_mass_ranking_oracle(self):
         rng = np.random.default_rng(58)
         lp, w, b = 25, 5, 12
         attn = rng.integers(0, 5, size=(1, 1, w, lp)).astype(float)  # coarse → ties
-        cache, _ = compress_prefill(attn, flat_plan(1, 1, b, window=w), w)
+        cache, _ = compress_window(attn, flat_plan(1, 1, b, window=w), w)
         means = [sum(attn[0, 0, i, j] for i in range(w)) / w for j in range(lp - w)]
         want = sorted(sorted(range(lp - w), key=lambda j: (-means[j], j))[: b - w])
         want += list(range(lp - w, lp))
@@ -216,14 +252,13 @@ class TestCompressPrefill:
         attn[0, 0, :, 0] = 1.0
         attn[0, 1, :, 1] = 2.5
         plan = BudgetPlan(np.array([[w + 1]]), w + 1, window=w)
-        cache, _ = compress_prefill(attn, plan, w)
+        cache, _ = compress_window(attn, plan, w)
         assert cache.prompt_kept(0, 0).tolist() == [1, lp - 2, lp - 1]
 
     def test_short_prompt_keeps_all_and_skips_scoring(self):
-        rng = np.random.default_rng(59)
         lp, w = 5, 8
-        attn = rng.random((1, 2, lp, lp))  # row count is irrelevant on this path
-        cache, report = compress_prefill(attn, flat_plan(1, 2, 16, window=w), w)
+        scores = np.zeros((1, 2, 0))  # a prompt shorter than the window has no scored key
+        cache, report = compress_prefill(scores, flat_plan(1, 2, 16, window=w), w, lp)
         assert report.scoring_skipped
         assert report.window_scores.shape == (1, 2, 0)
         for j in range(2):
@@ -231,17 +266,24 @@ class TestCompressPrefill:
 
     def test_errors(self):
         rng = np.random.default_rng(60)
-        attn = rng.random((1, 2, 4, 20))
+        scores = rng.random((1, 2, 16))  # Lp = 20, w = 4
         with pytest.raises(ShapeError):
-            compress_prefill(attn, flat_plan(2, 2, 8, window=4), 4)  # layer mismatch
+            compress_prefill(scores, flat_plan(2, 2, 8, window=4), 4, 20)  # layer mismatch
         with pytest.raises(ShapeError):
-            compress_prefill(attn, flat_plan(1, 3, 8, window=4), 4)  # group mismatch
+            compress_prefill(scores, flat_plan(1, 3, 8, window=4), 4, 20)  # kv head mismatch
         with pytest.raises(ShapeError):
-            compress_prefill(attn, flat_plan(1, 2, 8, window=5), 5)  # row count
+            compress_prefill(scores, flat_plan(1, 2, 8, window=5), 5, 20)  # key count
+        short = np.zeros((1, 2, 3))  # Lp = 5 < w scores no key
+        with pytest.raises(ShapeError):
+            compress_prefill(short, flat_plan(1, 2, 8, window=8), 8, 5)
         with pytest.raises(InvalidInputError):
-            compress_prefill(attn, flat_plan(1, 2, 3, window=4), 4)  # budget < w
+            compress_prefill(scores, flat_plan(1, 2, 3, window=4), 4, 20)  # budget < w
         with pytest.raises(ShapeError):
-            compress_prefill(attn[0], flat_plan(1, 2, 8, window=4), 4)  # ndim
+            compress_prefill(scores[0], flat_plan(1, 2, 8, window=4), 4, 20)  # ndim
+        bad = scores.copy()
+        bad[0, 1, 3] = np.nan
+        with pytest.raises(InvalidInputError):
+            compress_prefill(bad, flat_plan(1, 2, 8, window=4), 4, 20)  # non-finite
 
 
 class TestKvCache:
@@ -301,7 +343,7 @@ class TestDecodeStep:
         rng = np.random.default_rng(63)
         lp, w, b = 30, 4, 10
         attn = rng.random((2, 4, w, lp))
-        cache, _ = compress_prefill(attn, flat_plan(2, 2, b, window=w), w)
+        cache, _ = compress_window(attn, flat_plan(2, 2, b, window=w), w)
         group = 2
         for step in range(3):
             rows = rng.random((2, 4, lp + step))
@@ -317,7 +359,7 @@ class TestDecodeStep:
         rows = rng.random((1, 2, lp))
         captured = []
         for b in (8, 12, 20, 40):
-            cache, _ = compress_prefill(attn, flat_plan(1, 2, b, window=w), w)
+            cache, _ = compress_window(attn, flat_plan(1, 2, b, window=w), w)
             captured.append(decode_step(cache, rows.copy(), 0).captured)
         for lo, hi in zip(captured, captured[1:]):
             assert (hi >= lo).all()
@@ -336,13 +378,13 @@ class TestDecodeStep:
 class TestPoliciesAndReports:
     def test_keep_all_policy(self):
         rng = np.random.default_rng(65)
-        info = PrefillInfo(1, 2, 2, 9, 3, rng.random((1, 2, 3, 9)))
+        info = PrefillInfo(1, 2, 2, 9, 3, rng.random((1, 2, 9 - 3)))
         cache = keep_all_policy(info)
         assert cache.total_slots() == 1 * 2 * 9
 
     def test_plan_policy_window_mismatch(self):
         rng = np.random.default_rng(66)
-        info = PrefillInfo(1, 2, 2, 9, 3, rng.random((1, 2, 3, 9)))
+        info = PrefillInfo(1, 2, 2, 9, 3, rng.random((1, 2, 9 - 3)))
         policy = make_plan_policy(flat_plan(1, 2, 5, window=4))
         with pytest.raises(InvalidInputError):
             policy(info)
@@ -350,7 +392,7 @@ class TestPoliciesAndReports:
     def test_plan_policy_applies_compression(self):
         rng = np.random.default_rng(67)
         lp, w = 20, 4
-        info = PrefillInfo(1, 2, 2, lp, w, rng.random((1, 2, w, lp)))
+        info = PrefillInfo(1, 2, 2, lp, w, rng.random((1, 2, lp - w)))
         cache = make_plan_policy(flat_plan(1, 2, 7, window=w))(info)
         assert cache.total_slots() == 2 * 7
 
@@ -358,7 +400,7 @@ class TestPoliciesAndReports:
         rng = np.random.default_rng(68)
         lp, w = 15, 3
         attn = rng.random((1, 2, w, lp))
-        _, report = compress_prefill(attn, flat_plan(1, 2, 6, window=w), w)
+        _, report = compress_window(attn, flat_plan(1, 2, 6, window=w), w)
         jpath, cpath = tmp_path / "r.json", tmp_path / "r.csv"
         report_to_json(report, jpath)
         report_to_csv(report, cpath)

@@ -1,18 +1,22 @@
 """Tests for the synthetic attention model: planted structure, determinism, IO."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binomtest
 
+from sparsemm import simmodel
 from sparsemm.allocator import POLICY_NAMES, AllocationConfig, BudgetPlan, allocate, allocate_uniform
-from sparsemm.cache import keep_all_policy, make_plan_policy
+from sparsemm.cache import keep_all_policy, make_plan_policy, rank_window_keys
 from sparsemm.chaser import HeadScoreMatrix, chase_corpus, match_bbox_to_patches
 from sparsemm.errors import EvictionPolicyError, InvalidInputError, ShapeError
 from sparsemm.simmodel import (
     TEXT_TOKEN,
     AttentionTrace,
+    DecodeWorkload,
     ModelGeometry,
     OcrSample,
     PlantedHeadSet,
@@ -31,6 +35,107 @@ from sparsemm.simmodel import (
 def small_model(seed=0, strength=1.0, planted=((0, 1),), geometry=None):
     geo = geometry or ModelGeometry.mha(2, 4)
     return build_synthetic_model(geo, PlantedHeadSet.uniform(list(planted), strength), seed)
+
+
+def oracle_normalize_blocks(draw, roles):
+    """Role-wise normalization through a gathered copy and a zero-filled output.
+
+    `roles` pairs position arrays with target masses; roles with no visible
+    position forfeit their mass to the rest (renormalized). The in-place
+    `simmodel._normalize_blocks` must reproduce it bit for bit.
+    """
+    out = np.zeros_like(draw)
+    live = [(pos, m) for pos, m in roles if pos.size]
+    z = sum(m for _, m in live)
+    for pos, m in live:
+        block = draw[..., pos]
+        out[..., pos] = (m / z) * block / block.sum(axis=-1, keepdims=True)
+    return out
+
+
+def oracle_decode_workload(model, prompt_len, out_len, window):
+    """The materializing decode workload: (L, Hq, w, Lp) window rows and decode rows.
+
+    Same RNG draws and role layout as `SyntheticModel.decode_workload`, but
+    every window row is stored, and blocks are normalized by
+    `oracle_normalize_blocks`. Returns (window_attention, decode_rows).
+    """
+    geo = model.geometry
+    rng = model._rng(simmodel._STREAM_DECODE, prompt_len, out_len, window)
+    n_pre = min(4, max(0, prompt_len - window))
+    tail = max(1, min(24, window - n_pre, prompt_len - n_pre))
+    g_avail = prompt_len - n_pre - tail
+    if g_avail >= 4:
+        gr = int(math.isqrt(g_avail))
+        gc = g_avail // gr
+        g = gr * gc
+        header = g_avail - g
+    else:
+        gr = gc = g = 0
+        header = max(0, g_avail)
+    lp = prompt_len
+    image_off = n_pre + header
+    sinks = np.arange(n_pre)
+    leak_pos = np.arange(n_pre, image_off + g)
+    tail_pos = np.arange(image_off + g, lp)
+
+    rects = []
+    union_patches = set()
+    if g:
+        for _ in range(16):
+            if len(union_patches) >= 0.6 * g:
+                break
+            rh = int(rng.integers(max(1, gr // 4), max(2, gr // 3) + 1))
+            rw = int(rng.integers(max(1, gc // 4), max(2, gc // 3) + 1))
+            r0 = int(rng.integers(0, gr - rh + 1))
+            c0 = int(rng.integers(0, gc - rw + 1))
+            rects.append((r0, c0, rh, rw))
+            union_patches |= {(r0 + i) * gc + (c0 + j) for i in range(rh) for j in range(rw)}
+    union_positions = image_off + np.array(sorted(union_patches), dtype=np.int64)
+
+    token_regions = []
+    for _ in range(out_len):
+        if rects:
+            r0, c0, rh, rw = rects[int(rng.integers(len(rects)))]
+            sh = int(rng.integers(1, rh + 1))
+            sw = int(rng.integers(1, rw + 1))
+            o_r = r0 + int(rng.integers(0, rh - sh + 1))
+            o_c = c0 + int(rng.integers(0, rw - sw + 1))
+            patches = np.array([(o_r + i) * gc + (o_c + j) for i in range(sh) for j in range(sw)])
+            token_regions.append(image_off + patches)
+        else:
+            token_regions.append(np.empty(0, dtype=np.int64))
+
+    bg = simmodel.DECODE_BG
+    window_stack = np.zeros((geo.layers, geo.query_heads, window, lp))
+    for i in range(window):
+        pos = lp - window + i
+        visible = pos + 1
+        text = tail_pos[tail_pos <= pos]
+        leak_vis = leak_pos[leak_pos <= pos]
+        draw = rng.exponential(size=(geo.layers, geo.query_heads, visible))
+        block = oracle_normalize_blocks(draw, [(text, bg[0]), (sinks, bg[1]), (leak_vis, bg[2])])
+        union_vis = union_positions[union_positions <= pos]
+        for entry in model.planted.entries:
+            if union_vis.size:
+                u_mass = simmodel.WINDOW_REGION_FACTOR * entry.strength
+                spread = rng.exponential(size=union_vis.size)
+                row = (1.0 - u_mass) * block[entry.layer, entry.query_head]
+                row[union_vis] += u_mass * spread / spread.sum()
+                block[entry.layer, entry.query_head] = row
+        for l, h in sorted(model.masked):
+            block[l, h] = 1.0 / visible
+        window_stack[:, :, i, :visible] = block
+
+    decode_rows = []
+    for t in range(out_len):
+        visible = lp + t
+        text = np.concatenate([tail_pos, lp + np.arange(t)])
+        draw = rng.exponential(size=(geo.layers, geo.query_heads, visible))
+        block = oracle_normalize_blocks(draw, [(text, bg[0]), (sinks, bg[1]), (leak_pos, bg[2])])
+        model._overwrite_special_rows(rng, block, token_regions[t], visible)
+        decode_rows.append(block)
+    return window_stack, decode_rows
 
 
 class TestGeometry:
@@ -110,7 +215,7 @@ class TestDeterminism:
         m = small_model(seed=3)
         wa = m.decode_workload(128, 4, 32)
         wb = m.decode_workload(128, 4, 32)
-        assert np.array_equal(wa.window_attention, wb.window_attention)
+        assert np.array_equal(wa.window_scores, wb.window_scores)
         for ra, rb in zip(wa.decode_rows, wb.decode_rows):
             assert np.array_equal(ra, rb)
 
@@ -225,11 +330,13 @@ class TestDecodeWorkload:
     def test_geometry_and_probability_structure(self):
         model = small_model(seed=41)
         wl = model.decode_workload(160, 3, 32)
-        assert wl.window_attention.shape == (2, 4, 32, 160)
+        window_attention, _ = oracle_decode_workload(model, 160, 3, 32)
+        assert window_attention.shape == (2, 4, 32, 160)
+        assert wl.window_scores.shape == (2, 4, 160 - 32)
         # window row i may only see positions <= 160 - 32 + i
         for i in range(32):
-            assert np.allclose(wl.window_attention[:, :, i, 160 - 32 + i + 1 :], 0.0)
-            assert np.allclose(wl.window_attention[:, :, i].sum(axis=-1), 1.0, atol=1e-9)
+            assert np.allclose(window_attention[:, :, i, 160 - 32 + i + 1 :], 0.0)
+            assert np.allclose(window_attention[:, :, i].sum(axis=-1), 1.0, atol=1e-9)
         for t, rows in enumerate(wl.decode_rows):
             assert rows.shape == (2, 4, 160 + t)
             assert np.allclose(rows.sum(axis=-1), 1.0, atol=1e-9)
@@ -241,11 +348,78 @@ class TestDecodeWorkload:
         for region in wl.token_regions:
             assert set(region.tolist()) <= set(wl.union_positions.tolist())
 
+    @pytest.mark.parametrize(
+        "query_heads, kv_heads, masked, prompt_len, window",
+        [
+            (4, 4, (), 160, 32),  # MHA
+            (4, 2, (), 160, 32),  # GQA 4 -> 2
+            (4, 1, (), 160, 32),  # GQA 4 -> 1
+            (4, 2, ((0, 1), (1, 3)), 160, 32),  # a masked planted head and another
+            (4, 2, (), 32, 32),  # Lp = w: no key left of the window
+            (4, 1, (), 33, 32),  # one scored key, one kv head
+            (4, 2, (), 40, 32),  # too short for an image grid
+            (4, 4, (), 6, 4),  # no sink tokens and no image grid
+        ],
+    )
+    def test_matches_materializing_oracle(self, query_heads, kv_heads, masked, prompt_len, window):
+        geo = ModelGeometry(2, query_heads, kv_heads)
+        model = mask_heads(
+            small_model(seed=43, strength=0.8, planted=((0, 1), (1, 2)), geometry=geo), masked
+        )
+        wl = model.decode_workload(prompt_len, 3, window)
+        window_attention, decode_rows = oracle_decode_workload(model, prompt_len, 3, window)
+        want = rank_window_keys(window_attention, kv_heads, window).scores
+        assert wl.window_scores.shape == (2, kv_heads, prompt_len - window)
+        assert np.array_equal(wl.window_scores, want)
+        assert len(wl.decode_rows) == len(decode_rows)
+        for got, rows in zip(wl.decode_rows, decode_rows, strict=True):
+            assert np.array_equal(got, rows)
+
+    def test_holds_no_window_by_prompt_array(self):
+        lp, w = 160, 32
+        wl = small_model(seed=44).decode_workload(lp, 3, w)
+        shapes = []
+        for value in vars(wl).values():
+            items = value if isinstance(value, tuple) else (value,)
+            shapes += [v.shape for v in items if isinstance(v, np.ndarray)]
+        assert (2, 4, lp - w) in shapes
+        for shape in shapes:
+            assert (w, lp) not in zip(shape, shape[1:]), shape
+
     def test_prompt_shorter_than_window_rejected(self):
         with pytest.raises(InvalidInputError):
             small_model().decode_workload(16, 2, 32)
         with pytest.raises(InvalidInputError):
             small_model().decode_workload(64, 0, 32)
+
+
+class TestNormalizeBlocks:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_in_place_matches_gathering_oracle(self, data):
+        layers = data.draw(st.integers(1, 3))
+        heads = data.draw(st.integers(1, 4))
+        visible = data.draw(st.integers(1, 300))
+        # a partition of [0, visible) into contiguous ranges, some of them empty,
+        # listed in an arbitrary role order
+        n_cuts = data.draw(st.integers(0, 4))
+        cuts = data.draw(st.lists(st.integers(0, visible), min_size=n_cuts, max_size=n_cuts))
+        cuts.sort()
+        bounds = [0, *cuts, visible]
+        ranges = list(zip(bounds, bounds[1:]))
+        order = data.draw(st.permutations(range(len(ranges))))
+        masses = data.draw(
+            st.lists(st.floats(0.01, 1.0), min_size=len(ranges), max_size=len(ranges))
+        )
+        seed = data.draw(st.integers(0, 2**16))
+        draw = np.random.default_rng(seed).exponential(size=(layers, heads, visible))
+        roles = [(*ranges[k], masses[k]) for k in order]
+        want = oracle_normalize_blocks(
+            draw.copy(), [(np.arange(start, stop), m) for start, stop, m in roles]
+        )
+        got = simmodel._normalize_blocks(draw, roles)
+        assert got is draw
+        assert np.array_equal(got, want)
 
 
 class TestDecodeWithCache:
@@ -342,6 +516,28 @@ class TestReplayPlans:
             full = plan.budgets >= lp
             if full.all():
                 assert (fast.recall_per_step == 1.0).all()
+
+    def test_tied_scores_follow_the_shared_tie_rule(self):
+        # coarse scores tie often, so only the tie rule decides which keys a
+        # plan keeps; both paths must keep the same ones
+        lp, w, out_len = 72, 8, 2
+        geo = ModelGeometry(1, 2, 1)
+        rng = np.random.default_rng(57)
+        empty = np.empty(0, dtype=np.int64)
+        workload = DecodeWorkload(
+            lp,
+            out_len,
+            w,
+            (TEXT_TOKEN,) * lp,
+            empty,
+            (empty,) * out_len,
+            rng.integers(0, 3, size=(1, 1, lp - w)).astype(float),
+            tuple(rng.dirichlet(np.ones(lp + t), size=(1, 2)) for t in range(out_len)),
+        )
+        plans = [BudgetPlan(np.array([[b]]), b, window=w) for b in (w + 5, w + 20, w + 41)]
+        for plan, fast in zip(plans, replay_plans(geo, workload, plans), strict=True):
+            slow = replay_decode(geo, workload, make_plan_policy(plan))
+            assert np.abs(fast.recall_per_step - slow.recall_per_step).max() <= 1e-12
 
     def _setup(self):
         model = small_model(seed=56)
