@@ -8,142 +8,20 @@ score. `simmodel` supplies a deterministic synthetic transformer with planted
 visual heads for validation, and `bench` packages the comparison experiments.
 """
 
-from .allocator import (
-    AllocationConfig,
-    BudgetPlan,
-    POLICY_NAMES,
-    allocate,
-    allocate_adaptive_layer,
-    allocate_pyramid,
-    allocate_random,
-    allocate_sparsemm,
-    allocate_uniform,
-    load_plan,
-    save_plan,
-)
-from .cache import (
-    EvictionReport,
-    HeadEviction,
-    KvCache,
-    PrefillInfo,
-    StepStats,
-    TopKSelection,
-    compress_prefill,
-    decode_step,
-    keep_all_policy,
-    make_plan_policy,
-    report_to_csv,
-    report_to_json,
-    select_topk,
-    window_attention,
-)
-from .chaser import (
-    HeadScoreMatrix,
-    PatchIndexSet,
-    SampleScore,
-    aggregate_corpus,
-    aggregate_gqa_scores,
-    chase_corpus,
-    load_scores,
-    match_bbox_to_patches,
-    save_scores,
-    score_file_hash,
-    score_sample,
-)
 from .errors import (
     DegenerateBoxError,
-    EvictionPolicyError,
     InfeasibleBudgetError,
     InvalidInputError,
     ShapeError,
     SparseMMError,
 )
-from .simmodel import (
-    AttentionTrace,
-    DecodeRecord,
-    DecodeWorkload,
-    ModelGeometry,
-    OcrSample,
-    PlantedHead,
-    PlantedHeadSet,
-    SampleParams,
-    SyntheticModel,
-    build_synthetic_model,
-    corpus_digest,
-    decode_with_cache,
-    generate_ocr_samples,
-    load_corpus,
-    mask_heads,
-    replay_decode,
-    save_corpus,
-)
-from .tensor import CausalMask, Matrix, argmax_row, matmul_scaled, softmax_row_masked
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AllocationConfig",
-    "AttentionTrace",
-    "BudgetPlan",
-    "CausalMask",
-    "DecodeRecord",
-    "DecodeWorkload",
     "DegenerateBoxError",
-    "EvictionPolicyError",
-    "EvictionReport",
-    "HeadEviction",
-    "HeadScoreMatrix",
     "InfeasibleBudgetError",
     "InvalidInputError",
-    "KvCache",
-    "Matrix",
-    "ModelGeometry",
-    "OcrSample",
-    "POLICY_NAMES",
-    "PatchIndexSet",
-    "PlantedHead",
-    "PlantedHeadSet",
-    "PrefillInfo",
-    "SampleParams",
-    "SampleScore",
     "ShapeError",
     "SparseMMError",
-    "StepStats",
-    "SyntheticModel",
-    "TopKSelection",
-    "aggregate_corpus",
-    "aggregate_gqa_scores",
-    "allocate",
-    "allocate_adaptive_layer",
-    "allocate_pyramid",
-    "allocate_random",
-    "allocate_sparsemm",
-    "allocate_uniform",
-    "argmax_row",
-    "build_synthetic_model",
-    "chase_corpus",
-    "compress_prefill",
-    "corpus_digest",
-    "decode_step",
-    "decode_with_cache",
-    "generate_ocr_samples",
-    "keep_all_policy",
-    "load_corpus",
-    "load_plan",
-    "load_scores",
-    "make_plan_policy",
-    "mask_heads",
-    "match_bbox_to_patches",
-    "matmul_scaled",
-    "replay_decode",
-    "report_to_csv",
-    "report_to_json",
-    "save_corpus",
-    "save_plan",
-    "save_scores",
-    "score_file_hash",
-    "score_sample",
-    "select_topk",
-    "softmax_row_masked",
-    "window_attention",
 ]

@@ -3,10 +3,9 @@
 Compression happens once, at the end of prefill: the last w prompt queries
 (the observation window) attend over every prompt key, their attention rows
 are averaged per key position, and each head keeps its window plus the
-top-(b - w) positions by that average. Generated tokens are appended without
-eviction. Slots carry no value payloads here; a slot is its absolute
-position, and quality is measured as the attention mass the retained slots
-capture against a full-cache shadow row.
+top-(b - w) positions by that average. Generated tokens are never evicted.
+Slots carry no value payloads here; a retained slot is a True entry of a
+(layers, kv_heads, Lp) mask over prompt positions.
 
 Under grouped-query attention the query heads sharing one kv head have their
 window attentions summed before averaging, so selection happens per kv head.
@@ -19,26 +18,20 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EvictionPolicyError, InvalidInputError, ShapeError
+from .errors import InvalidInputError, ShapeError
 from .tensor import CausalMask, Matrix, matmul_scaled, softmax_row_masked
 
 __all__ = [
     "EvictionReport",
     "HeadEviction",
     "KeyRanking",
-    "KvCache",
-    "PrefillInfo",
-    "StepStats",
     "TopKSelection",
     "compress_prefill",
-    "decode_step",
-    "keep_all_policy",
-    "make_plan_policy",
     "rank_window_keys",
     "report_to_csv",
     "report_to_json",
@@ -155,12 +148,11 @@ class HeadEviction:
 
 @dataclass(frozen=True)
 class EvictionReport:
-    """Per-head kept positions and window-average scores from one prefill."""
+    """Per-head kept positions from one prefill."""
 
     prompt_len: int
     window: int
     heads: tuple[HeadEviction, ...]
-    window_scores: np.ndarray = field(repr=False)  # (L, H_kv, Lp - w)
     scoring_skipped: bool = False
 
     @property
@@ -168,83 +160,17 @@ class EvictionReport:
         return sum(len(h.kept) for h in self.heads)
 
 
-class KvCache:
-    """Retained prompt slots per (layer, kv-head) plus appended generations.
-
-    A slot is identified by its absolute position. One decode session owns a
-    cache at a time; `append_generated` is the only mutation.
-    """
-
-    def __init__(self, layers: int, kv_heads: int, prompt_len: int, kept_positions):
-        if layers <= 0 or kv_heads <= 0:
-            raise InvalidInputError("cache needs positive layer and head counts")
-        if prompt_len < 0:
-            raise InvalidInputError("prompt_len must be non-negative")
-        self.layers = layers
-        self.kv_heads = kv_heads
-        self.prompt_len = prompt_len
-        self.generated = 0
-        self._kept: list[list[np.ndarray]] = []
-        mask = np.zeros((layers, kv_heads, prompt_len), dtype=bool)
-        for l in range(layers):
-            row = []
-            for j in range(kv_heads):
-                pos = np.asarray(kept_positions[l][j], dtype=np.int64)
-                if pos.size:
-                    if pos.min() < 0 or pos.max() >= prompt_len:
-                        raise EvictionPolicyError(
-                            f"head ({l},{j}) retains positions outside [0, {prompt_len})"
-                        )
-                    if (np.diff(pos) <= 0).any():
-                        raise EvictionPolicyError(
-                            f"head ({l},{j}) positions must be strictly increasing"
-                        )
-                mask[l, j, pos] = True
-                row.append(pos)
-            self._kept.append(row)
-        self.prompt_mask = mask
-
-    @classmethod
-    def full(cls, layers: int, kv_heads: int, prompt_len: int) -> "KvCache":
-        everything = np.arange(prompt_len)
-        return cls(
-            layers,
-            kv_heads,
-            prompt_len,
-            [[everything for _ in range(kv_heads)] for _ in range(layers)],
-        )
-
-    def prompt_kept(self, layer: int, kv_head: int) -> np.ndarray:
-        return self._kept[layer][kv_head]
-
-    def positions(self, layer: int, kv_head: int) -> np.ndarray:
-        gen = self.prompt_len + np.arange(self.generated)
-        return np.concatenate([self._kept[layer][kv_head], gen])
-
-    def slot_count(self, layer: int, kv_head: int) -> int:
-        return len(self._kept[layer][kv_head]) + self.generated
-
-    def total_slots(self) -> int:
-        return sum(len(p) for row in self._kept for p in row) + self.generated * self.layers * self.kv_heads
-
-    def append_generated(self, position: int) -> None:
-        expected = self.prompt_len + self.generated
-        if position != expected:
-            raise EvictionPolicyError(
-                f"append position {position} != next decode position {expected}"
-            )
-        self.generated += 1
-
-
 def compress_prefill(
     window_scores, plan, w: int, prompt_len: int
-) -> tuple[KvCache, EvictionReport]:
+) -> tuple[np.ndarray, EvictionReport]:
     """Retain, per kv head, the w-window plus the top (b - w) keys by window score.
 
     `window_scores` is (layers, kv_heads, Lp - w): each kv head's mean window
-    attention per key left of the window (`rank_window_keys`). Budgets at or
-    above Lp keep the whole prompt. A prompt shorter than w keeps everything
-    and skips scoring; its scores are (layers, kv_heads, 0).
+    attention per key left of the window (`rank_window_keys`). Returns the
+    (layers, kv_heads, Lp) bool mask of retained prompt positions and the
+    report. Budgets at or above Lp keep the whole prompt. A prompt shorter
+    than w keeps everything and skips scoring; its scores are
+    (layers, kv_heads, 0).
     """
     scores = np.asarray(window_scores, dtype=np.float64)
     if scores.ndim != 3:
@@ -258,116 +184,20 @@ def compress_prefill(
     if n != max(lp - w, 0):
         raise ShapeError(f"window_scores cover {n} keys, expected Lp - w = {max(lp - w, 0)}")
 
-    if lp < w:
-        cache = KvCache.full(layers, kv_heads, lp)
-        report = EvictionReport(
-            lp,
-            w,
-            tuple(
-                HeadEviction(l, j, int(plan.budgets[l, j]), tuple(range(lp)), False)
-                for l in range(layers)
-                for j in range(kv_heads)
-            ),
-            scores,
-            scoring_skipped=True,
-        )
-        return cache, report
-
-    if (plan.budgets < w).any():
-        raise InvalidInputError("plan grants some head fewer than w slots")
-
-    order = _descending_order(scores)
-    window_positions = np.arange(lp - w, lp)
-    kept_positions: list[list[np.ndarray]] = []
-    entries = []
+    skipped = lp < w
+    kept = np.ones((layers, kv_heads, lp), dtype=bool)
+    if not skipped:
+        if (plan.budgets < w).any():
+            raise InvalidInputError("plan grants some head fewer than w slots")
+        rank = np.argsort(_descending_order(scores), axis=-1)  # each key's place in the order
+        kept[:, :, :n] = rank < (plan.budgets - w)[:, :, None]
+    heads = []
     for l in range(layers):
-        row_kept = []
         for j in range(kv_heads):
             b = int(plan.budgets[l, j])
-            clamped = b > lp
-            if b >= lp:
-                kept = np.arange(lp)
-            else:
-                kept = np.concatenate([np.sort(order[l, j, : b - w]), window_positions])
-            row_kept.append(kept)
-            entries.append(HeadEviction(l, j, b, tuple(int(p) for p in kept), clamped))
-        kept_positions.append(row_kept)
-    cache = KvCache(layers, kv_heads, lp, kept_positions)
-    return cache, EvictionReport(lp, w, tuple(entries), scores)
-
-
-class StepStats(NamedTuple):
-    captured: np.ndarray  # (layers, query_heads) attention-mass recall
-    slots: int  # cache slots live while attending
-    touches: int  # query-head slot reads this step
-
-
-def decode_step(cache: KvCache, full_rows, step: int) -> StepStats:
-    """Score one decode step against the cache, then append the new token.
-
-    `full_rows` is the full-cache shadow attention (layers, query_heads,
-    prompt_len + step) of the token generated at position prompt_len + step.
-    Captured mass is the fraction of each row's total mass on retained slots;
-    generated slots are always retained.
-    """
-    rows = np.asarray(full_rows, dtype=np.float64)
-    if rows.ndim != 3:
-        raise ShapeError("full_rows must be (layers, query_heads, positions)")
-    layers, query_heads, length = rows.shape
-    if layers != cache.layers or query_heads % cache.kv_heads != 0:
-        raise ShapeError("full_rows geometry does not match the cache")
-    if length != cache.prompt_len + step or step != cache.generated:
-        raise InvalidInputError(
-            f"step {step} rows of length {length} do not match cache state"
-        )
-    group = query_heads // cache.kv_heads
-    mask = np.repeat(cache.prompt_mask, group, axis=1)
-    prompt_part = rows[:, :, : cache.prompt_len]
-    gen_part = rows[:, :, cache.prompt_len:].sum(axis=2)
-    captured = (prompt_part * mask).sum(axis=2) + gen_part
-    total = (prompt_part * np.ones_like(mask)).sum(axis=2) + gen_part
-    slots = cache.total_slots()
-    touches = sum(
-        group * cache.slot_count(l, j)
-        for l in range(cache.layers)
-        for j in range(cache.kv_heads)
-    )
-    cache.append_generated(cache.prompt_len + step)
-    return StepStats(captured / total, slots, touches)
-
-
-@dataclass(frozen=True)
-class PrefillInfo:
-    """What a cache policy sees after prefill: geometry plus window scores."""
-
-    layers: int
-    query_heads: int
-    kv_heads: int
-    prompt_len: int
-    window: int
-    window_scores: np.ndarray = field(repr=False)  # (L, H_kv, Lp - w)
-
-
-CachePolicy = Callable[[PrefillInfo], KvCache]
-
-
-def keep_all_policy(info: PrefillInfo) -> KvCache:
-    """No eviction: retain every prompt position."""
-    return KvCache.full(info.layers, info.kv_heads, info.prompt_len)
-
-
-def make_plan_policy(plan) -> CachePolicy:
-    """Policy that compresses the prefill under a fixed budget plan."""
-
-    def policy(info: PrefillInfo) -> KvCache:
-        if plan.window != info.window:
-            raise InvalidInputError(
-                f"plan window {plan.window} != decode window {info.window}"
-            )
-        cache, _ = compress_prefill(info.window_scores, plan, info.window, info.prompt_len)
-        return cache
-
-    return policy
+            positions = tuple(np.flatnonzero(kept[l, j]).tolist())
+            heads.append(HeadEviction(l, j, b, positions, not skipped and b > lp))
+    return kept, EvictionReport(lp, w, tuple(heads), scoring_skipped=skipped)
 
 
 def report_to_json(report: EvictionReport, path) -> None:

@@ -91,6 +91,20 @@ def _build_model(args: argparse.Namespace):
     return build_synthetic_model(geometry, planted, args.seed)
 
 
+def _load(loader, path, what: str):
+    """loader(path), with an unreadable or malformed file raised as InvalidInputError.
+
+    Loaders index raw JSON, so a missing file, bad JSON, a non-object or a
+    missing key surfaces as one of the builtin errors caught here.
+    """
+    try:
+        return loader(path)
+    except SparseMMError:
+        raise
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise InvalidInputError(f"cannot load {what} {path}: {type(exc).__name__}: {exc}") from exc
+
+
 def cmd_corpus(args: argparse.Namespace) -> dict:
     model = _build_model(args)
     samples = generate_ocr_samples(model, args.samples, args.seed)
@@ -127,7 +141,7 @@ def cmd_allocate(args: argparse.Namespace) -> dict:
     layers, heads = args.layers, args.heads
     score_hash = ""
     if args.scores:
-        scores = load_scores(args.scores)
+        scores = _load(load_scores, args.scores, "score file")
         score_hash = score_file_hash(args.scores)
         layers, heads = scores.layers, scores.heads
     if layers is None or heads is None:
@@ -204,14 +218,14 @@ def _load_trace(path) -> tuple[np.ndarray, int, int, int]:
 
 def cmd_compress(args: argparse.Namespace) -> dict:
     scores, prompt_len, window, kv_heads = _load_trace(args.trace)
-    plan = load_plan(args.plan)
+    plan = _load(load_plan, args.plan, "plan")
     if plan.window != window:
         raise InvalidInputError(
             f"plan window {plan.window} does not match trace window {window}"
         )
     if plan.kv_heads != kv_heads:
         raise ShapeError(f"plan has {plan.kv_heads} kv heads, trace has {kv_heads}")
-    cache, report = compress_prefill(scores, plan, window, prompt_len)
+    kept, report = compress_prefill(scores, plan, window, prompt_len)
     if args.out_json:
         report_to_json(report, args.out_json)
     if args.out_csv:
@@ -220,13 +234,13 @@ def cmd_compress(args: argparse.Namespace) -> dict:
         "command": "compress",
         "prompt_len": report.prompt_len,
         "total_kept": report.total_kept,
-        "total_slots_full": cache.layers * cache.kv_heads * report.prompt_len,
+        "total_slots_full": kept.size,
         "scoring_skipped": report.scoring_skipped,
     }
 
 
 def cmd_bench(args: argparse.Namespace) -> dict:
-    cfg = bench.load_config(args.config)
+    cfg = _load(bench.load_config, args.config, "config")
     if args.seed:
         cfg = replace(cfg, seeds=tuple(s + args.seed for s in cfg.seeds))
     out_dir = Path(args.out_dir)

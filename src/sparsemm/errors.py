@@ -19,7 +19,3 @@ class DegenerateBoxError(InvalidInputError):
 
 class InfeasibleBudgetError(SparseMMError, ValueError):
     """The total budget cannot satisfy the per-head floor."""
-
-
-class EvictionPolicyError(SparseMMError, ValueError):
-    """A cache policy hook returned an ill-formed retention set."""

@@ -31,8 +31,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cache import KvCache, PrefillInfo, _descending_order, decode_step, sum_onto_kv_heads
-from .errors import EvictionPolicyError, InvalidInputError, ShapeError
+from .cache import _descending_order, sum_onto_kv_heads
+from .errors import InvalidInputError, ShapeError
 
 __all__ = [
     "TEXT_TOKEN",
@@ -47,11 +47,9 @@ __all__ = [
     "SyntheticModel",
     "build_synthetic_model",
     "corpus_digest",
-    "decode_with_cache",
     "generate_ocr_samples",
     "load_corpus",
     "mask_heads",
-    "replay_decode",
     "replay_plans",
     "save_corpus",
 ]
@@ -538,58 +536,6 @@ def generate_ocr_samples(model: SyntheticModel, n: int, seed: int):
         rng = model._rng(_STREAM_CORPUS, int(seed), i)
         out.append(model.sample_ocr(rng))
     return out
-
-
-def decode_with_cache(
-    model: SyntheticModel,
-    prompt_len: int,
-    out_len: int,
-    policy,
-    window: int = DEFAULT_WINDOW,
-) -> DecodeRecord:
-    """Run a decode pass under a cache policy and report recall and slot stats."""
-    workload = model.decode_workload(prompt_len, out_len, window)
-    return replay_decode(model.geometry, workload, policy)
-
-
-def replay_decode(geometry: ModelGeometry, workload: DecodeWorkload, policy) -> DecodeRecord:
-    """Drive decode_step over a prebuilt workload under any cache policy.
-
-    This is the reference oracle: it builds the policy's cache and scores each
-    step against it slot by slot. `replay_plans` must match it (integers
-    exactly, recalls within 1e-12) for every budget plan.
-    """
-    info = PrefillInfo(
-        geometry.layers,
-        geometry.query_heads,
-        geometry.kv_heads,
-        workload.prompt_len,
-        workload.window,
-        workload.window_scores,
-    )
-    cache = policy(info)
-    if not isinstance(cache, KvCache):
-        raise EvictionPolicyError(f"policy returned {type(cache).__name__}, not a KvCache")
-    if (
-        cache.layers != geometry.layers
-        or cache.kv_heads != geometry.kv_heads
-        or cache.prompt_len != workload.prompt_len
-        or cache.generated != 0
-    ):
-        raise EvictionPolicyError("policy returned a cache for a different prefill")
-
-    out_len = workload.out_len
-    recalls = np.zeros(out_len)
-    slots = np.zeros(out_len, dtype=np.int64)
-    touches = np.zeros(out_len, dtype=np.int64)
-    head_acc = np.zeros((geometry.layers, geometry.query_heads))
-    for t, rows in enumerate(workload.decode_rows):
-        stats = decode_step(cache, rows, t)
-        recalls[t] = stats.captured.mean()
-        head_acc += stats.captured
-        slots[t] = stats.slots
-        touches[t] = stats.touches
-    return DecodeRecord(recalls, slots, touches, cache.total_slots(), head_acc / out_len)
 
 
 def replay_plans(geometry: ModelGeometry, workload: DecodeWorkload, plans) -> list[DecodeRecord]:

@@ -1,9 +1,9 @@
 """Minimal dense-matrix kernel used by the attention simulator and cache engine.
 
 Everything is float64 and pure: operations never mutate their inputs, and
-`Matrix` freezes its backing array at construction time. The three kernels
-(scaled matmul, causally masked row softmax, row argmax) are the only numeric
-primitives the rest of the package builds on.
+`Matrix` freezes its backing array at construction time. The two kernels
+(scaled matmul, causally masked row softmax) are the only numeric primitives
+the rest of the package builds on.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from .errors import InvalidInputError, ShapeError
 __all__ = [
     "CausalMask",
     "Matrix",
-    "argmax_row",
     "matmul_scaled",
     "softmax_row_masked",
 ]
@@ -140,15 +139,3 @@ def softmax_row_masked(scores: Matrix, mask: CausalMask, row_offset: int) -> Mat
     stabilized = logits - logits.max(axis=1, keepdims=True)
     weights = np.exp(stabilized, where=allowed, out=np.zeros((n, m)))
     return Matrix(weights / weights.sum(axis=1, keepdims=True))
-
-
-def argmax_row(row) -> int:
-    """Index of the maximum entry; ties resolve to the lowest index."""
-    arr = _as_float64(row)
-    if arr.ndim != 1:
-        raise ShapeError("argmax_row expects a 1-D vector")
-    if arr.size == 0:
-        raise InvalidInputError("argmax_row rejects an empty vector")
-    if not np.isfinite(arr).all():
-        raise InvalidInputError("argmax_row requires finite entries")
-    return int(np.argmax(arr))

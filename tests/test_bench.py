@@ -21,9 +21,10 @@ from sparsemm.bench import (
 from sparsemm.chaser import HeadScoreMatrix
 from sparsemm.cli import main
 from sparsemm.errors import InvalidInputError
-from sparsemm.simmodel import PlantedHeadSet, build_synthetic_model, replay_decode, replay_plans
-from sparsemm.cache import make_plan_policy
+from sparsemm.simmodel import PlantedHeadSet, build_synthetic_model, replay_plans
 from sparsemm.allocator import AllocationConfig, allocate_uniform
+
+from replay_oracle import replay_plan
 
 
 def small_config(**overrides):
@@ -279,7 +280,7 @@ class TestCostModel:
                     kv_heads,
                 )
                 workload = model.decode_workload(lp, out, cfg.window)
-                record = replay_decode(model.geometry, workload, make_plan_policy(plan))
+                record = replay_plan(model.geometry, workload, plan)
                 (fast,) = replay_plans(model.geometry, workload, [plan])
                 for got in (record, fast):
                     assert got.peak_slots == cost.compressed_peak_slots, (kv_heads, lp)
@@ -395,6 +396,54 @@ class TestCli:
         assert (a_dir / "sweep.csv").read_bytes() != (b_dir / "sweep.csv").read_bytes()
 
 
+class TestLoaderErrors:
+    """A missing or malformed score, plan or config file exits 2 with a structured error."""
+
+    CONTENT = {"non_json": "{not json", "non_object": "[1, 2]"}
+    MISSING_KEY = {
+        "scores": '{"layers": 2}',
+        "plan": '{"plan": [[8, 8]]}',
+        "config": '{"geometry": {"layers": 2}}',
+    }
+
+    @pytest.mark.parametrize("case", ["missing", "non_json", "non_object", "missing_key"])
+    @pytest.mark.parametrize("loader", ["scores", "plan", "config"])
+    def test_bad_file_exits_2(self, tmp_path, capsys, loader, case):
+        bad = tmp_path / "bad.json"
+        if case != "missing":
+            bad.write_text(self.MISSING_KEY[loader] if case == "missing_key" else self.CONTENT[case])
+        if loader == "scores":
+            argv = ["allocate", "--scores", str(bad), "--budget", "64", "--out", str(tmp_path / "p.json")]
+        elif loader == "plan":
+            trace = tmp_path / "trace.json"
+            assert main([
+                "prefill", "--layers", "1", "--query-heads", "2", "--planted", "0,1",
+                "--prompt-len", "40", "--window", "8", "--out", str(trace),
+            ]) == 0
+            argv = ["compress", "--trace", str(trace), "--plan", str(bad)]
+        else:
+            argv = ["bench", "sweep", "--config", str(bad), "--out-dir", str(tmp_path / "out")]
+        capsys.readouterr()
+        self._rejects(argv, capsys)
+
+    def test_config_section_of_wrong_type(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"planted": [[0, 1]]}')  # a list where an object belongs
+        self._rejects(["bench", "sweep", "--config", str(bad), "--out-dir", str(tmp_path)], capsys)
+
+    def test_loader_errors_pass_through(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"layers": 2, "heads": 2, "scores": [1.0]}')
+        argv = ["allocate", "--scores", str(bad), "--budget", "64", "--out", str(tmp_path / "p.json")]
+        self._rejects(argv, capsys, error="ShapeError")
+
+    def _rejects(self, argv, capsys, error="InvalidInputError"):
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert set(err) == {"error", "message"}
+        assert err["error"] == error
+
+
 class TestCompressTraceValidation:
     """`compress` rejects a malformed trace with exit 2 and a structured error."""
 
@@ -439,7 +488,9 @@ class TestCompressTraceValidation:
         assert blob["kv_heads"] == 2
         code, captured = self._compress(trace, plan, capsys)
         assert code == 0
-        assert json.loads(captured.out)["total_kept"] == 4 * 16
+        summary = json.loads(captured.out)
+        assert summary["total_kept"] == 4 * 16
+        assert summary["total_slots_full"] == 2 * 2 * 40
 
     def test_non_json_trace(self, files, capsys):
         trace, plan = files

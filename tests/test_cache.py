@@ -1,4 +1,4 @@
-"""Tests for window attention, top-k eviction, the KV cache, and decode stats."""
+"""Tests for window attention, key ranking, top-k eviction, and decode recall."""
 
 import json
 
@@ -7,20 +7,15 @@ import pytest
 
 from sparsemm.allocator import BudgetPlan
 from sparsemm.cache import (
-    EvictionReport,
-    KvCache,
-    PrefillInfo,
     compress_prefill,
-    decode_step,
-    keep_all_policy,
-    make_plan_policy,
     rank_window_keys,
     report_to_csv,
     report_to_json,
     select_topk,
     window_attention,
 )
-from sparsemm.errors import EvictionPolicyError, InvalidInputError, ShapeError
+from sparsemm.errors import InvalidInputError, ShapeError
+from sparsemm.simmodel import TEXT_TOKEN, DecodeWorkload, ModelGeometry, replay_plans
 from sparsemm.tensor import CausalMask, Matrix, matmul_scaled, softmax_row_masked
 
 
@@ -54,6 +49,16 @@ def compress_window(attn, plan, w):
     """compress_prefill on the scores `rank_window_keys` takes from a window tensor."""
     scores = rank_window_keys(attn, plan.kv_heads, w).scores
     return compress_prefill(scores, plan, w, attn.shape[-1])
+
+
+def hand_workload(window_scores, decode_rows, w):
+    """A decode workload of given (L, H_kv, Lp - w) window scores and per-step rows."""
+    lp = window_scores.shape[-1] + w
+    empty = np.empty(0, dtype=np.int64)
+    steps = len(decode_rows)
+    return DecodeWorkload(
+        lp, steps, w, (TEXT_TOKEN,) * lp, empty, (empty,) * steps, window_scores, tuple(decode_rows)
+    )
 
 
 class TestWindowAttention:
@@ -201,13 +206,14 @@ class TestCompressPrefill:
         lp, w = 40, 8
         attn = rng.random((2, 4, w, lp))
         plan = flat_plan(2, 4, 16, window=w)
-        cache, report = compress_window(attn, plan, w)
+        kept, report = compress_window(attn, plan, w)
+        assert kept.shape == (2, 4, lp)
         window = set(range(lp - w, lp))
         for l in range(2):
             for j in range(4):
-                kept = cache.prompt_kept(l, j)
-                assert kept.size == 16
-                assert window <= set(kept.tolist())
+                positions = np.flatnonzero(kept[l, j])
+                assert positions.size == 16
+                assert window <= set(positions.tolist())
         assert report.total_kept == 2 * 4 * 16
         assert not report.scoring_skipped
 
@@ -215,9 +221,10 @@ class TestCompressPrefill:
         rng = np.random.default_rng(55)
         lp, w = 20, 4
         attn = rng.random((1, 2, w, lp))
-        cache, report = compress_window(attn, flat_plan(1, 2, lp, window=w), w)
+        kept, report = compress_window(attn, flat_plan(1, 2, lp, window=w), w)
+        assert kept.all()
         for j in range(2):
-            assert cache.prompt_kept(0, j).tolist() == list(range(lp))
+            assert np.flatnonzero(kept[0, j]).tolist() == list(range(lp))
         assert not any(h.clamped for h in report.heads)
 
     def test_over_budget_sets_clamped(self):
@@ -232,18 +239,18 @@ class TestCompressPrefill:
         rng = np.random.default_rng(57)
         lp, w = 30, 6
         attn = rng.random((1, 1, w, lp))
-        cache, _ = compress_window(attn, flat_plan(1, 1, w, window=w), w)
-        assert cache.prompt_kept(0, 0).tolist() == list(range(lp - w, lp))
+        kept, _ = compress_window(attn, flat_plan(1, 1, w, window=w), w)
+        assert np.flatnonzero(kept[0, 0]).tolist() == list(range(lp - w, lp))
 
     def test_mass_ranking_oracle(self):
         rng = np.random.default_rng(58)
         lp, w, b = 25, 5, 12
         attn = rng.integers(0, 5, size=(1, 1, w, lp)).astype(float)  # coarse → ties
-        cache, _ = compress_window(attn, flat_plan(1, 1, b, window=w), w)
+        kept, _ = compress_window(attn, flat_plan(1, 1, b, window=w), w)
         means = [sum(attn[0, 0, i, j] for i in range(w)) / w for j in range(lp - w)]
         want = sorted(sorted(range(lp - w), key=lambda j: (-means[j], j))[: b - w])
         want += list(range(lp - w, lp))
-        assert cache.prompt_kept(0, 0).tolist() == want
+        assert np.flatnonzero(kept[0, 0]).tolist() == want
 
     def test_gqa_selection_follows_group_sum(self):
         # query head 0 favors key 0; query head 1 favors key 1 twice as hard.
@@ -252,17 +259,17 @@ class TestCompressPrefill:
         attn[0, 0, :, 0] = 1.0
         attn[0, 1, :, 1] = 2.5
         plan = BudgetPlan(np.array([[w + 1]]), w + 1, window=w)
-        cache, _ = compress_window(attn, plan, w)
-        assert cache.prompt_kept(0, 0).tolist() == [1, lp - 2, lp - 1]
+        kept, _ = compress_window(attn, plan, w)
+        assert np.flatnonzero(kept[0, 0]).tolist() == [1, lp - 2, lp - 1]
 
     def test_short_prompt_keeps_all_and_skips_scoring(self):
         lp, w = 5, 8
         scores = np.zeros((1, 2, 0))  # a prompt shorter than the window has no scored key
-        cache, report = compress_prefill(scores, flat_plan(1, 2, 16, window=w), w, lp)
+        kept, report = compress_prefill(scores, flat_plan(1, 2, 16, window=w), w, lp)
         assert report.scoring_skipped
-        assert report.window_scores.shape == (1, 2, 0)
+        assert kept.shape == (1, 2, lp) and kept.all()
         for j in range(2):
-            assert cache.prompt_kept(0, j).tolist() == list(range(lp))
+            assert report.heads[j].kept == tuple(range(lp))
 
     def test_errors(self):
         rng = np.random.default_rng(60)
@@ -286,115 +293,79 @@ class TestCompressPrefill:
             compress_prefill(bad, flat_plan(1, 2, 8, window=4), 4, 20)  # non-finite
 
 
-class TestKvCache:
-    def test_full_cache(self):
-        cache = KvCache.full(2, 3, 7)
-        assert cache.total_slots() == 2 * 3 * 7
-        assert cache.prompt_mask.all()
-
-    def test_out_of_range_positions_rejected(self):
-        with pytest.raises(EvictionPolicyError):
-            KvCache(1, 1, 5, [[np.array([0, 5])]])
-        with pytest.raises(EvictionPolicyError):
-            KvCache(1, 1, 5, [[np.array([-1, 2])]])
-
-    def test_unsorted_positions_rejected(self):
-        with pytest.raises(EvictionPolicyError):
-            KvCache(1, 1, 5, [[np.array([3, 1])]])
-        with pytest.raises(EvictionPolicyError):
-            KvCache(1, 1, 5, [[np.array([2, 2])]])
-
-    def test_append_sequence(self):
-        cache = KvCache(1, 1, 4, [[np.array([0, 3])]])
-        assert cache.slot_count(0, 0) == 2
-        cache.append_generated(4)
-        cache.append_generated(5)
-        assert cache.slot_count(0, 0) == 4
-        assert cache.positions(0, 0).tolist() == [0, 3, 4, 5]
-        with pytest.raises(EvictionPolicyError):
-            cache.append_generated(9)
-
-
 class TestDecodeStep:
+    """Per-step recall and slot counts of `replay_plans` on hand-built workloads."""
+
     def test_full_cache_recall_is_exactly_one(self):
         rng = np.random.default_rng(61)
-        cache = KvCache.full(2, 4, 10)
-        for step in range(3):
-            rows = rng.random((2, 4, 10 + step))
-            stats = decode_step(cache, rows, step)
-            assert (stats.captured == 1.0).all()
+        lp, w = 10, 2
+        rows = [rng.random((2, 4, lp + step)) for step in range(3)]
+        workload = hand_workload(rng.random((2, 4, lp - w)), rows, w)
+        (record,) = replay_plans(ModelGeometry.mha(2, 4), workload, [flat_plan(2, 4, lp, window=w)])
+        assert (record.recall_per_step == 1.0).all()
+        assert (record.head_mean_recall == 1.0).all()
 
     def test_captured_matches_python_oracle(self):
         rng = np.random.default_rng(62)
-        lp = 12
-        kept = [[np.array([0, 2, 3, 9, 10, 11]), np.array([1, 5, 8, 9, 10, 11])]]
-        cache = KvCache(1, 2, lp, kept)
+        lp, w = 12, 3
+        kept_sets = [[0, 2, 3, 9, 10, 11], [1, 5, 8, 9, 10, 11]]
+        scores = np.zeros((1, 2, lp - w))
+        scores[0, 0, [0, 2, 3]] = 1.0
+        scores[0, 1, [1, 5, 8]] = 1.0
+        plan = flat_plan(1, 2, 6, window=w)
+        kept, _ = compress_prefill(scores, plan, w, lp)
+        assert [np.flatnonzero(k).tolist() for k in kept[0]] == kept_sets
+        rows = [rng.random((1, 2, lp + step)) for step in range(2)]
+        want = np.zeros((2, 2))
         for step in range(2):
-            rows = rng.random((1, 2, lp + step))
-            want = np.zeros((1, 2))
             for h in range(2):
-                keep = set(kept[0][h].tolist()) | set(range(lp, lp + step))
-                num = sum(rows[0, h, p] for p in sorted(keep))
-                want[0, h] = num / rows[0, h].sum()
-            stats = decode_step(cache, rows, step)
-            assert np.allclose(stats.captured, want, atol=1e-12)
+                keep = set(kept_sets[h]) | set(range(lp, lp + step))
+                num = sum(rows[step][0, h, p] for p in sorted(keep))
+                want[step, h] = num / rows[step][0, h].sum()
+        (record,) = replay_plans(ModelGeometry.mha(1, 2), hand_workload(scores, rows, w), [plan])
+        assert np.allclose(record.recall_per_step, want.mean(axis=1), atol=1e-12)
+        assert np.allclose(record.head_mean_recall[0], want.mean(axis=0), atol=1e-12)
 
     def test_slot_and_touch_arithmetic(self):
         rng = np.random.default_rng(63)
         lp, w, b = 30, 4, 10
-        attn = rng.random((2, 4, w, lp))
-        cache, _ = compress_window(attn, flat_plan(2, 2, b, window=w), w)
+        scores = rank_window_keys(rng.random((2, 4, w, lp)), 2, w).scores
+        rows = [rng.random((2, 4, lp + step)) for step in range(3)]
+        geo = ModelGeometry(2, 4, 2)
+        (record,) = replay_plans(geo, hand_workload(scores, rows, w), [flat_plan(2, 2, b, window=w)])
         group = 2
         for step in range(3):
-            rows = rng.random((2, 4, lp + step))
-            stats = decode_step(cache, rows, step)
             per_head = min(lp, b) + step
-            assert stats.slots == 2 * 2 * per_head
-            assert stats.touches == 2 * 2 * group * per_head
+            assert record.slots_per_step[step] == 2 * 2 * per_head
+            assert record.touches_per_step[step] == 2 * 2 * group * per_head
 
     def test_recall_monotone_in_budget(self):
         rng = np.random.default_rng(64)
         lp, w = 40, 8
-        attn = rng.random((1, 2, w, lp))
-        rows = rng.random((1, 2, lp))
-        captured = []
-        for b in (8, 12, 20, 40):
-            cache, _ = compress_window(attn, flat_plan(1, 2, b, window=w), w)
-            captured.append(decode_step(cache, rows.copy(), 0).captured)
+        scores = rank_window_keys(rng.random((1, 2, w, lp)), 2, w).scores
+        workload = hand_workload(scores, [rng.random((1, 2, lp))], w)
+        plans = [flat_plan(1, 2, b, window=w) for b in (8, 12, 20, 40)]
+        captured = [r.head_mean_recall for r in replay_plans(ModelGeometry.mha(1, 2), workload, plans)]
         for lo, hi in zip(captured, captured[1:]):
             assert (hi >= lo).all()
         assert (captured[-1] == 1.0).all()
 
     def test_geometry_errors(self):
-        cache = KvCache.full(1, 2, 6)
+        lp, w = 6, 2
+        geo, plan = ModelGeometry.mha(1, 2), flat_plan(1, 2, 4, window=w)
+        scores = np.zeros((1, 2, lp - w))
         with pytest.raises(ShapeError):
-            decode_step(cache, np.zeros((2, 2, 6)), 0)
-        with pytest.raises(InvalidInputError):
-            decode_step(cache, np.zeros((1, 2, 7)), 0)  # length != prompt_len + step
-        with pytest.raises(InvalidInputError):
-            decode_step(cache, np.zeros((1, 2, 7)), 1)  # cache has not generated yet
+            replay_plans(geo, hand_workload(scores, [np.zeros((2, 2, lp))], w), [plan])
+        with pytest.raises(ShapeError):  # length != prompt_len + step
+            replay_plans(geo, hand_workload(scores, [np.zeros((1, 2, lp + 1))], w), [plan])
 
 
 class TestPoliciesAndReports:
-    def test_keep_all_policy(self):
-        rng = np.random.default_rng(65)
-        info = PrefillInfo(1, 2, 2, 9, 3, rng.random((1, 2, 9 - 3)))
-        cache = keep_all_policy(info)
-        assert cache.total_slots() == 1 * 2 * 9
-
-    def test_plan_policy_window_mismatch(self):
-        rng = np.random.default_rng(66)
-        info = PrefillInfo(1, 2, 2, 9, 3, rng.random((1, 2, 9 - 3)))
-        policy = make_plan_policy(flat_plan(1, 2, 5, window=4))
-        with pytest.raises(InvalidInputError):
-            policy(info)
-
     def test_plan_policy_applies_compression(self):
         rng = np.random.default_rng(67)
         lp, w = 20, 4
-        info = PrefillInfo(1, 2, 2, lp, w, rng.random((1, 2, lp - w)))
-        cache = make_plan_policy(flat_plan(1, 2, 7, window=w))(info)
-        assert cache.total_slots() == 2 * 7
+        kept, _ = compress_prefill(rng.random((1, 2, lp - w)), flat_plan(1, 2, 7, window=w), w, lp)
+        assert kept.sum() == 2 * 7
 
     def test_report_export(self, tmp_path):
         rng = np.random.default_rng(68)

@@ -10,9 +10,9 @@ from scipy.stats import binomtest
 
 from sparsemm import simmodel
 from sparsemm.allocator import POLICY_NAMES, AllocationConfig, BudgetPlan, allocate, allocate_uniform
-from sparsemm.cache import keep_all_policy, make_plan_policy, rank_window_keys
+from sparsemm.cache import compress_prefill, rank_window_keys
 from sparsemm.chaser import HeadScoreMatrix, chase_corpus, match_bbox_to_patches
-from sparsemm.errors import EvictionPolicyError, InvalidInputError, ShapeError
+from sparsemm.errors import InvalidInputError, ShapeError
 from sparsemm.simmodel import (
     TEXT_TOKEN,
     AttentionTrace,
@@ -22,14 +22,14 @@ from sparsemm.simmodel import (
     PlantedHeadSet,
     build_synthetic_model,
     corpus_digest,
-    decode_with_cache,
     generate_ocr_samples,
     load_corpus,
     mask_heads,
-    replay_decode,
     replay_plans,
     save_corpus,
 )
+
+from replay_oracle import replay_plan
 
 
 def small_model(seed=0, strength=1.0, planted=((0, 1),), geometry=None):
@@ -423,8 +423,17 @@ class TestNormalizeBlocks:
 
 
 class TestDecodeWithCache:
+    """Recall and slot accounting of `replay_plans` on model decode workloads."""
+
+    def _replay(self, model, lp, out, w, per_head):
+        layers, heads = model.geometry.layers, model.geometry.kv_heads
+        plan = allocate_uniform(AllocationConfig(layers * heads * per_head, window=w), layers, heads)
+        workload = model.decode_workload(lp, out, w)
+        (record,) = replay_plans(model.geometry, workload, [plan])
+        return record
+
     def test_full_cache_recall_exactly_one(self):
-        record = decode_with_cache(small_model(seed=51), 128, 5, keep_all_policy, 32)
+        record = self._replay(small_model(seed=51), 128, 5, 32, per_head=128)
         assert (record.recall_per_step == 1.0).all()
         assert record.peak_slots == 2 * 4 * (128 + 5)
 
@@ -433,41 +442,26 @@ class TestDecodeWithCache:
             small_model(seed=52), [(l, h) for l in range(2) for h in range(4)]
         )
         lp, out, w = 128, 6, 32
-        plan = allocate_uniform(AllocationConfig(2 * 4 * w, window=w), 2, 4)
-        record = decode_with_cache(model, lp, out, make_plan_policy(plan), w)
+        record = self._replay(model, lp, out, w, per_head=w)
         want = (w + np.arange(out)) / (lp + np.arange(out))
         assert np.abs(record.recall_per_step - want).max() <= 1e-12
 
     def test_compressed_slot_accounting(self):
         lp, out, w, b = 128, 4, 32, 48
-        plan = allocate_uniform(AllocationConfig(2 * 4 * b, window=w), 2, 4)
-        record = decode_with_cache(small_model(seed=53), lp, out, make_plan_policy(plan), w)
+        record = self._replay(small_model(seed=53), lp, out, w, per_head=b)
         assert record.slots_per_step.tolist() == [2 * 4 * (b + t) for t in range(out)]
         assert record.peak_slots == 2 * 4 * (b + out)
         assert record.total_touches == sum(2 * 4 * (b + t) for t in range(out))
 
-    def test_policy_must_return_matching_cache(self):
-        model = small_model(seed=54)
-        with pytest.raises(EvictionPolicyError):
-            decode_with_cache(model, 128, 2, lambda info: None, 32)
-
-        def wrong_prefill(info):
-            from sparsemm.cache import KvCache
-
-            return KvCache.full(info.layers, info.kv_heads, info.prompt_len - 1)
-
-        with pytest.raises(EvictionPolicyError):
-            decode_with_cache(model, 128, 2, wrong_prefill, 32)
-
     def test_decode_record_aggregates(self):
-        record = decode_with_cache(small_model(seed=55), 96, 3, keep_all_policy, 32)
+        record = self._replay(small_model(seed=55), 96, 3, 32, per_head=96)
         assert record.mean_recall == pytest.approx(1.0)
         assert record.head_mean_recall.shape == (2, 4)
         assert np.allclose(record.head_mean_recall, 1.0)
 
 
 class TestReplayPlans:
-    """replay_plans against the replay_decode oracle.
+    """replay_plans against the slot-by-slot oracle, `replay_oracle.replay_plan`.
 
     Integer fields must match exactly. Recalls may differ only by summation
     order: a float64 sum of at most Lp terms, each at most 1, stays far below
@@ -484,7 +478,7 @@ class TestReplayPlans:
         out_len=st.integers(1, 3),
         seed=st.integers(0, 2**16),
     )
-    def test_matches_replay_decode(
+    def test_matches_replay_oracle(
         self, layers, query_heads, kv_kind, window, extra, out_len, seed
     ):
         kv_heads = {"one": 1, "two": 2, "mha": query_heads}[kv_kind]
@@ -504,8 +498,17 @@ class TestReplayPlans:
         mixed = np.resize(np.array(levels), n_kv).reshape(layers, kv_heads)
         plans.append(BudgetPlan(mixed, int(mixed.sum()), window=window))
 
+        # a key is ranked where replay_plans orders it: the stable tie rule
+        order = np.argsort(-workload.window_scores, axis=-1, kind="stable")
         for plan, fast in zip(plans, replay_plans(geo, workload, plans), strict=True):
-            slow = replay_decode(geo, workload, make_plan_policy(plan))
+            # compress_prefill keeps the window plus the first table-index
+            # keys of that order, min(b, Lp) - w per kv head
+            kept, _ = compress_prefill(workload.window_scores, plan, window, lp)
+            assert kept[:, :, lp - window :].all()
+            index = np.minimum(plan.budgets, lp) - window
+            ranked = np.take_along_axis(kept[:, :, : lp - window], order, axis=2)
+            assert np.array_equal(ranked, np.arange(lp - window) < index[:, :, None])
+            slow = replay_plan(geo, workload, plan)
             assert np.array_equal(fast.slots_per_step, slow.slots_per_step)
             assert np.array_equal(fast.touches_per_step, slow.touches_per_step)
             assert fast.peak_slots == slow.peak_slots
@@ -536,7 +539,7 @@ class TestReplayPlans:
         )
         plans = [BudgetPlan(np.array([[b]]), b, window=w) for b in (w + 5, w + 20, w + 41)]
         for plan, fast in zip(plans, replay_plans(geo, workload, plans), strict=True):
-            slow = replay_decode(geo, workload, make_plan_policy(plan))
+            slow = replay_plan(geo, workload, plan)
             assert np.abs(fast.recall_per_step - slow.recall_per_step).max() <= 1e-12
 
     def _setup(self):

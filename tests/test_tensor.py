@@ -1,4 +1,4 @@
-"""Tests for the dense kernel: scaled matmul, masked row softmax, argmax."""
+"""Tests for the dense kernel: scaled matmul and masked row softmax."""
 
 import math
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sparsemm.errors import InvalidInputError, ShapeError
-from sparsemm.tensor import CausalMask, Matrix, argmax_row, matmul_scaled, softmax_row_masked
+from sparsemm.tensor import CausalMask, Matrix, matmul_scaled, softmax_row_masked
 
 
 def oracle_matmul_scaled(q, k, scale):
@@ -34,14 +34,6 @@ def oracle_softmax_masked(scores, row_offset):
         z = sum(exps)
         out.append([e / z for e in exps])
     return out
-
-
-def oracle_argmax(row):
-    best, best_val = 0, row[0]
-    for j, v in enumerate(row):
-        if v > best_val:
-            best, best_val = j, v
-    return best
 
 
 class TestMatrix:
@@ -152,29 +144,6 @@ class TestSoftmaxRowMasked:
         # row 0 sits at absolute position -1: no admissible key
         with pytest.raises(InvalidInputError):
             softmax_row_masked(Matrix.from_rows([[1.0, 2.0]]), CausalMask(), -1)
-
-
-class TestArgmaxRow:
-    def test_basic(self):
-        assert argmax_row([0.1, 0.7, 0.2]) == 1
-
-    def test_tie_breaks_to_lowest_index(self):
-        assert argmax_row([0.5, 0.5]) == 0
-
-    def test_matches_linear_scan_oracle(self):
-        rng = np.random.default_rng(13)
-        for _ in range(100):
-            n = int(rng.integers(1, 40))
-            row = rng.integers(0, 5, size=n) / 4.0  # coarse values force ties
-            assert argmax_row(row) == oracle_argmax(row.tolist())
-
-    def test_empty_rejected(self):
-        with pytest.raises(InvalidInputError):
-            argmax_row([])
-
-    def test_non_vector_rejected(self):
-        with pytest.raises(ShapeError):
-            argmax_row([[1.0, 2.0]])
 
 
 class TestCausalMask:
