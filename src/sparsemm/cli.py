@@ -120,7 +120,7 @@ def cmd_corpus(args: argparse.Namespace) -> dict:
 
 
 def cmd_chase(args: argparse.Namespace) -> dict:
-    samples = load_corpus(args.corpus)
+    samples = _load(load_corpus, args.corpus, "corpus")
     scores, skipped = chase_corpus(samples)
     if args.group > 1:
         scores = aggregate_gqa_scores(scores, args.group)
@@ -165,14 +165,24 @@ def cmd_allocate(args: argparse.Namespace) -> dict:
 
 def cmd_prefill(args: argparse.Namespace) -> dict:
     model = _build_model(args)
-    workload = model.decode_workload(args.prompt_len, args.out_len, args.window)
+    geo = model.geometry
+    if args.prompt_len < 1 or args.out_len < 1:
+        raise InvalidInputError("prompt_len and out_len must be positive")
+    if args.prompt_len < args.window:
+        # the whole prompt sits inside the window: there is no key to score,
+        # and compress keeps every position
+        window_scores = np.zeros((geo.layers, geo.kv_heads, 0))
+    else:
+        window_scores = model.decode_workload(
+            args.prompt_len, args.out_len, args.window
+        ).window_scores
     payload = {
-        "layers": model.geometry.layers,
-        "query_heads": model.geometry.query_heads,
-        "kv_heads": model.geometry.kv_heads,
-        "prompt_len": workload.prompt_len,
-        "window": workload.window,
-        "window_scores": workload.window_scores.tolist(),
+        "layers": geo.layers,
+        "query_heads": geo.query_heads,
+        "kv_heads": geo.kv_heads,
+        "prompt_len": args.prompt_len,
+        "window": args.window,
+        "window_scores": window_scores.tolist(),
     }
     with open(args.out, "w") as fh:
         json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
@@ -180,8 +190,8 @@ def cmd_prefill(args: argparse.Namespace) -> dict:
     return {
         "command": "prefill",
         "out": str(args.out),
-        "prompt_len": workload.prompt_len,
-        "window": workload.window,
+        "prompt_len": args.prompt_len,
+        "window": args.window,
     }
 
 

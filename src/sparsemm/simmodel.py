@@ -24,6 +24,7 @@ other heads' rows.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 import os
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .cache import _descending_order, sum_onto_kv_heads
-from .errors import InvalidInputError, ShapeError
+from .errors import InvalidInputError, ShapeError, SparseMMError
 
 __all__ = [
     "TEXT_TOKEN",
@@ -601,53 +602,140 @@ def replay_plans(geometry: ModelGeometry, workload: DecodeWorkload, plans) -> li
     return records
 
 
-def _sample_payload(sample: OcrSample, trace: AttentionTrace) -> dict:
-    return {
-        "image_shape": list(sample.image_shape),
-        "grid": list(sample.grid),
-        "pairs": [[tok, list(bbox)] for tok, bbox in sample.pairs],
-        "prompt_layout": list(sample.prompt_layout),
-        "rows": [[[list(map(float, row)) for row in layer] for layer in step] for step in trace.steps],
-    }
+CORPUS_KEYS = (
+    "image_shape", "grid", "pairs", "prompt_layout", "layers", "query_heads", "steps", "sha256"
+)
+
+
+def _corpus_names(directory) -> list[str]:
+    try:
+        names = os.listdir(directory)
+    except OSError as exc:
+        raise InvalidInputError(f"cannot read corpus {directory}: {exc.strerror}") from exc
+    return sorted(n for n in names if n.startswith("sample_") and n.endswith((".json", ".npy")))
 
 
 def save_corpus(directory, samples) -> None:
-    """Write one canonical-JSON record per sample into `directory`."""
+    """Write each sample as `sample_NNNNN.json` beside `sample_NNNNN.npy`.
+
+    The `.npy` payload is one 1-D float64 array: the trace's steps, each
+    raveled, concatenated in step order. The JSON record is canonical and
+    holds the sample, the trace's geometry and step count, and the payload's
+    sha256.
+    """
     os.makedirs(directory, exist_ok=True)
     for i, (sample, trace) in enumerate(samples):
-        path = os.path.join(directory, f"sample_{i:05d}.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(_sample_payload(sample, trace), fh, sort_keys=True, separators=(",", ":"))
+        stem = os.path.join(directory, f"sample_{i:05d}")
+        buf = io.BytesIO()
+        np.save(buf, np.concatenate([step.ravel() for step in trace.steps]))
+        data = buf.getvalue()
+        with open(stem + ".npy", "wb") as fh:
+            fh.write(data)
+        record = {
+            "image_shape": list(sample.image_shape),
+            "grid": list(sample.grid),
+            "pairs": [[tok, list(bbox)] for tok, bbox in sample.pairs],
+            "prompt_layout": list(sample.prompt_layout),
+            "layers": trace.layers,
+            "query_heads": trace.query_heads,
+            "steps": trace.out_len,
+            "sha256": hashlib.sha256(data).hexdigest(),
+        }
+        with open(stem + ".json", "w", encoding="utf-8") as fh:
+            json.dump(record, fh, sort_keys=True, separators=(",", ":"))
             fh.write("\n")
 
 
+def _load_record(path) -> tuple[OcrSample, dict]:
+    """The sample and the checked geometry of one corpus record."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            record = json.load(fh)
+    except OSError as exc:
+        raise InvalidInputError(f"cannot read corpus record {path}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise InvalidInputError(f"corpus record {path} is not JSON: {exc}") from exc
+    if not isinstance(record, dict):
+        raise InvalidInputError(f"corpus record {path} must hold a JSON object")
+    if "rows" in record:
+        raise InvalidInputError(
+            f"corpus record {path} holds JSON rows, the old format; "
+            "regenerate it with `sparsemm corpus`"
+        )
+    missing = [key for key in CORPUS_KEYS if key not in record]
+    if missing:
+        raise InvalidInputError(f"corpus record {path} lacks {', '.join(missing)}")
+    counts = [record[key] for key in ("layers", "query_heads", "steps")]
+    if any(type(v) is not int or v < 1 for v in counts):
+        raise InvalidInputError(
+            f"corpus record {path}: layers, query_heads and steps must be positive counts"
+        )
+    try:
+        sample = OcrSample(
+            tuple(int(v) for v in record["image_shape"]),
+            tuple(int(v) for v in record["grid"]),
+            tuple((int(tok), tuple(float(v) for v in bbox)) for tok, bbox in record["pairs"]),
+            tuple(int(v) for v in record["prompt_layout"]),
+        )
+    except SparseMMError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"corpus record {path} has a malformed field: {exc}") from exc
+    return sample, record
+
+
+def _load_payload(path, record: dict, prompt_len: int) -> tuple[np.ndarray, ...]:
+    """The trace steps stored in a `.npy` payload, checked against its record."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise InvalidInputError(f"cannot read corpus payload {path}: {exc.strerror}") from exc
+    if hashlib.sha256(data).hexdigest() != record["sha256"]:
+        raise InvalidInputError(f"corpus payload {path} does not match its record's sha256")
+    try:
+        flat = np.load(io.BytesIO(data), allow_pickle=False)
+    except (OSError, ValueError, EOFError) as exc:
+        raise InvalidInputError(f"corpus payload {path} is not a readable .npy: {exc}") from exc
+    if flat.dtype != np.float64:
+        raise InvalidInputError(f"corpus payload {path} has dtype {flat.dtype}, expected float64")
+    if flat.ndim != 1:
+        raise InvalidInputError(f"corpus payload {path} is {flat.ndim}-D, expected 1-D")
+    layers, heads, n_steps = record["layers"], record["query_heads"], record["steps"]
+    expected = layers * heads * (n_steps * prompt_len + n_steps * (n_steps - 1) // 2)
+    if flat.size != expected:
+        raise InvalidInputError(
+            f"corpus payload {path} holds {flat.size} values, its record implies {expected}"
+        )
+    steps, start = [], 0
+    for t in range(n_steps):
+        stop = start + layers * heads * (prompt_len + t)
+        steps.append(flat[start:stop].reshape(layers, heads, prompt_len + t))
+        start = stop
+    return tuple(steps)
+
+
 def load_corpus(directory):
-    names = sorted(
-        n for n in os.listdir(directory) if n.startswith("sample_") and n.endswith(".json")
-    )
-    if not names:
+    """The (OcrSample, AttentionTrace) pairs of a `save_corpus` directory, in name order.
+
+    Every record and payload is checked; any unreadable, malformed or
+    mismatched file raises InvalidInputError.
+    """
+    stems = [n[: -len(".json")] for n in _corpus_names(directory) if n.endswith(".json")]
+    if not stems:
         raise InvalidInputError(f"no sample records in {directory}")
     out = []
-    for name in names:
-        with open(os.path.join(directory, name), "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        sample = OcrSample(
-            tuple(payload["image_shape"]),
-            tuple(payload["grid"]),
-            tuple((int(tok), tuple(float(v) for v in bbox)) for tok, bbox in payload["pairs"]),
-            tuple(int(v) for v in payload["prompt_layout"]),
-        )
-        steps = tuple(np.asarray(step, dtype=np.float64) for step in payload["rows"])
+    for stem in stems:
+        sample, record = _load_record(os.path.join(directory, stem + ".json"))
+        steps = _load_payload(os.path.join(directory, stem + ".npy"), record, sample.prompt_len)
         out.append((sample, AttentionTrace(steps, sample.prompt_len)))
     return out
 
 
 def corpus_digest(directory) -> str:
-    """sha256 over the corpus files, bytes and names, in name order."""
+    """sha256 over the names and bytes of every record and payload, in name order."""
     digest = hashlib.sha256()
-    for name in sorted(os.listdir(directory)):
-        if not (name.startswith("sample_") and name.endswith(".json")):
-            continue
+    for name in _corpus_names(directory):
         digest.update(name.encode())
         with open(os.path.join(directory, name), "rb") as fh:
             digest.update(fh.read())

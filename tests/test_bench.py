@@ -1,5 +1,7 @@
 """Tests for the experiment harness and the CLI wiring."""
 
+import hashlib
+import io
 import json
 import warnings
 
@@ -18,10 +20,18 @@ from sparsemm.bench import (
     write_rows_csv,
     write_rows_json,
 )
-from sparsemm.chaser import HeadScoreMatrix
+from sparsemm.chaser import HeadScoreMatrix, chase_corpus, save_scores
 from sparsemm.cli import main
 from sparsemm.errors import InvalidInputError
-from sparsemm.simmodel import PlantedHeadSet, build_synthetic_model, replay_plans
+from sparsemm.simmodel import (
+    ModelGeometry,
+    PlantedHeadSet,
+    build_synthetic_model,
+    generate_ocr_samples,
+    load_corpus,
+    replay_plans,
+    save_corpus,
+)
 from sparsemm.allocator import AllocationConfig, allocate_uniform
 
 from replay_oracle import replay_plan
@@ -355,6 +365,43 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "InfeasibleBudgetError"
 
+    def test_chase_on_saved_corpus_matches_in_memory_scores(self, tmp_path, capsys):
+        model = build_synthetic_model(
+            ModelGeometry(2, 4, 2), PlantedHeadSet.uniform([(0, 1), (1, 2)], 0.9), 7
+        )
+        samples = generate_ocr_samples(model, 4, 7)
+        corpus_dir = tmp_path / "corpus"
+        save_corpus(corpus_dir, samples)
+        on_disk = tmp_path / "disk.json"
+        assert main(["chase", "--corpus", str(corpus_dir), "--out", str(on_disk)]) == 0
+        in_memory = tmp_path / "memory.json"
+        save_scores(in_memory, chase_corpus(samples)[0])
+        assert on_disk.read_bytes() == in_memory.read_bytes()
+
+    def test_prompt_shorter_than_window_keeps_everything(self, tmp_path, capsys):
+        trace, plan = tmp_path / "trace.json", tmp_path / "plan.json"
+        assert main([
+            "prefill", "--layers", "2", "--query-heads", "4", "--kv-heads", "2",
+            "--planted", "0,1", "--prompt-len", "20", "--window", "32", "--out", str(trace),
+        ]) == 0
+        blob = json.loads(trace.read_text())
+        assert (blob["prompt_len"], blob["window"]) == (20, 32)
+        assert np.asarray(blob["window_scores"]).shape == (2, 2, 0)
+        assert main([
+            "allocate", "--layers", "2", "--heads", "2", "--budget", str(4 * 48),
+            "--window", "32", "--policy", "uniform", "--out", str(plan),
+        ]) == 0
+        report = tmp_path / "report.json"
+        capsys.readouterr()
+        assert main([
+            "compress", "--trace", str(trace), "--plan", str(plan), "--out-json", str(report),
+        ]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["scoring_skipped"] is True
+        assert summary["total_kept"] == summary["total_slots_full"] == 2 * 2 * 20
+        heads = json.loads(report.read_text())["heads"]
+        assert all(h["kept"] == list(range(20)) for h in heads)
+
     def test_bench_subcommand_writes_both_formats(self, tmp_path, capsys):
         cfg = {
             "geometry": {"layers": 4, "query_heads": 4},
@@ -442,6 +489,126 @@ class TestLoaderErrors:
         err = json.loads(capsys.readouterr().err)
         assert set(err) == {"error", "message"}
         assert err["error"] == error
+
+
+class TestCorpusLoaderErrors:
+    """`load_corpus` raises InvalidInputError on a bad corpus; `chase` exits 2 with it."""
+
+    @pytest.fixture
+    def corpus(self, tmp_path):
+        model = build_synthetic_model(
+            ModelGeometry.mha(1, 2), PlantedHeadSet.uniform([(0, 1)], 0.9), 3
+        )
+        directory = tmp_path / "corpus"
+        save_corpus(directory, generate_ocr_samples(model, 2, 3))
+        return directory
+
+    def _rejects(self, directory, tmp_path, capsys, fragment):
+        with pytest.raises(InvalidInputError, match=fragment):
+            load_corpus(directory)
+        capsys.readouterr()
+        assert main(["chase", "--corpus", str(directory), "--out", str(tmp_path / "s.json")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert set(err) == {"error", "message"}
+        assert err["error"] == "InvalidInputError"
+        assert not (tmp_path / "s.json").exists()
+
+    def _edit_record(self, directory, edit, stem="sample_00001"):
+        path = directory / f"{stem}.json"
+        record = json.loads(path.read_text())
+        edit(record)
+        path.write_text(json.dumps(record))
+
+    def _replace_payload(self, directory, array=None, data=None, stem="sample_00001"):
+        """Write a new payload and point the record's sha256 at it."""
+        path = directory / f"{stem}.npy"
+        if data is None:
+            buf = io.BytesIO()
+            np.save(buf, array)
+            data = buf.getvalue()
+        path.write_bytes(data)
+        digest = hashlib.sha256(data).hexdigest()
+        self._edit_record(directory, lambda record: record.update(sha256=digest), stem)
+
+    def _payload(self, directory, stem="sample_00001"):
+        return np.load(directory / f"{stem}.npy", allow_pickle=False)
+
+    def test_missing_directory(self, tmp_path, capsys):
+        self._rejects(tmp_path / "absent", tmp_path, capsys, "cannot read corpus")
+
+    def test_directory_without_records(self, tmp_path, capsys):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        (empty / "notes.txt").write_text("no samples here")
+        self._rejects(empty, tmp_path, capsys, "no sample records")
+
+    @pytest.mark.parametrize("text, fragment", [
+        ("{not json", "not JSON"), ("[1, 2]", "JSON object"),
+    ])
+    def test_record_not_a_json_object(self, corpus, tmp_path, capsys, text, fragment):
+        (corpus / "sample_00001.json").write_text(text)
+        self._rejects(corpus, tmp_path, capsys, fragment)
+
+    @pytest.mark.parametrize("key", [
+        "image_shape", "grid", "pairs", "prompt_layout", "layers", "query_heads", "steps", "sha256",
+    ])
+    def test_record_missing_key(self, corpus, tmp_path, capsys, key):
+        self._edit_record(corpus, lambda record: record.pop(key))
+        self._rejects(corpus, tmp_path, capsys, f"lacks {key}")
+
+    @pytest.mark.parametrize("field, value, fragment", [
+        ("layers", "1", "positive counts"),
+        ("steps", 0, "positive counts"),
+        ("pairs", 3, "malformed"),
+        ("grid", [1, 1], "image tokens"),
+    ])
+    def test_record_field_of_wrong_type(self, corpus, tmp_path, capsys, field, value, fragment):
+        self._edit_record(corpus, lambda record: record.update({field: value}))
+        self._rejects(corpus, tmp_path, capsys, fragment)
+
+    def test_old_format_record_with_rows(self, corpus, tmp_path, capsys):
+        def to_old_format(record):
+            for key in ("layers", "query_heads", "steps", "sha256"):
+                record.pop(key)
+            record["rows"] = [[[[1.0]]]]
+
+        self._edit_record(corpus, to_old_format)
+        (corpus / "sample_00001.npy").unlink()
+        self._rejects(corpus, tmp_path, capsys, "old format; regenerate it with `sparsemm corpus`")
+
+    def test_missing_payload(self, corpus, tmp_path, capsys):
+        (corpus / "sample_00001.npy").unlink()
+        self._rejects(corpus, tmp_path, capsys, "cannot read corpus payload")
+
+    def test_truncated_payload(self, corpus, tmp_path, capsys):
+        data = (corpus / "sample_00001.npy").read_bytes()
+        self._replace_payload(corpus, data=data[: len(data) - 8])
+        self._rejects(corpus, tmp_path, capsys, "not a readable .npy")
+
+    def test_payload_of_wrong_dtype(self, corpus, tmp_path, capsys):
+        self._replace_payload(corpus, self._payload(corpus).astype(np.float32))
+        self._rejects(corpus, tmp_path, capsys, "dtype float32")
+
+    def test_two_dimensional_payload(self, corpus, tmp_path, capsys):
+        self._replace_payload(corpus, self._payload(corpus).reshape(2, -1))
+        self._rejects(corpus, tmp_path, capsys, "2-D")
+
+    def test_payload_of_wrong_size(self, corpus, tmp_path, capsys):
+        self._replace_payload(corpus, self._payload(corpus)[:-1])
+        self._rejects(corpus, tmp_path, capsys, "holds .* values")
+
+    def test_payload_sha256_mismatch(self, corpus, tmp_path, capsys):
+        flat = self._payload(corpus).copy()
+        flat[[0, 1]] = flat[[1, 0]]  # same values, same size, other bytes
+        np.save(corpus / "sample_00001.npy", flat)
+        self._rejects(corpus, tmp_path, capsys, "sha256")
+
+    def test_swapped_payloads(self, corpus, tmp_path, capsys):
+        first, second = corpus / "sample_00000.npy", corpus / "sample_00001.npy"
+        a, b = first.read_bytes(), second.read_bytes()
+        first.write_bytes(b)
+        second.write_bytes(a)
+        self._rejects(corpus, tmp_path, capsys, "sample_00000.npy does not match")
 
 
 class TestCompressTraceValidation:

@@ -1,6 +1,9 @@
 """Tests for the synthetic attention model: planted structure, determinism, IO."""
 
+import hashlib
+import json
 import math
+import tempfile
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from sparsemm.simmodel import (
     ModelGeometry,
     OcrSample,
     PlantedHeadSet,
+    SampleParams,
     build_synthetic_model,
     corpus_digest,
     generate_ocr_samples,
@@ -324,6 +328,61 @@ class TestCorpusIO:
         save_corpus(d1, generate_ocr_samples(small_model(seed=31), 2, seed=1))
         save_corpus(d2, generate_ocr_samples(small_model(seed=31), 2, seed=2))
         assert corpus_digest(d1) != corpus_digest(d2)
+
+    def test_layout_is_a_record_beside_a_flat_payload(self, tmp_path):
+        samples = generate_ocr_samples(small_model(seed=31), 2, seed=1)
+        save_corpus(tmp_path, samples)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "sample_00000.json", "sample_00000.npy", "sample_00001.json", "sample_00001.npy",
+        ]
+        sample, trace = samples[1]
+        record = json.loads((tmp_path / "sample_00001.json").read_text())
+        assert "rows" not in record
+        assert (record["layers"], record["query_heads"], record["steps"]) == (2, 4, trace.out_len)
+        data = (tmp_path / "sample_00001.npy").read_bytes()
+        assert record["sha256"] == hashlib.sha256(data).hexdigest()
+        flat = np.load(tmp_path / "sample_00001.npy", allow_pickle=False)
+        assert flat.dtype == np.float64 and flat.ndim == 1
+        assert np.array_equal(flat, np.concatenate([step.ravel() for step in trace.steps]))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        layers=st.integers(1, 3),
+        heads=st.integers(1, 3),
+        max_steps=st.integers(1, 3),
+        n=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_round_trip_property(self, layers, heads, max_steps, n, seed):
+        params = SampleParams(
+            grid_rows=(1, 2), grid_cols=(1, 2), pre_text=(0, 2), instr_text=(1, 3),
+            out_tokens=(1, max_steps), region_rows=(1, 2), region_cols=(1, 2),
+        )
+        model = build_synthetic_model(
+            ModelGeometry.mha(layers, heads), PlantedHeadSet.uniform([(0, 0)], 0.7), seed, params
+        )
+        samples = generate_ocr_samples(model, n, seed)
+        with tempfile.TemporaryDirectory() as directory:
+            save_corpus(directory, samples)
+            back = load_corpus(directory)
+        assert len(back) == n
+        for (sa, ta), (sb, tb) in zip(samples, back):
+            assert sa == sb
+            assert tb.prompt_len == ta.prompt_len and tb.out_len == ta.out_len
+            for ra, rb in zip(ta.steps, tb.steps):
+                assert ra.shape == rb.shape
+                assert ra.tobytes() == rb.tobytes()
+
+    def test_flipped_payload_byte_changes_digest_and_fails_load(self, tmp_path):
+        save_corpus(tmp_path, generate_ocr_samples(small_model(seed=31), 2, seed=1))
+        before = corpus_digest(tmp_path)
+        payload = tmp_path / "sample_00001.npy"
+        data = bytearray(payload.read_bytes())
+        data[-3] ^= 0x01
+        payload.write_bytes(bytes(data))
+        assert corpus_digest(tmp_path) != before
+        with pytest.raises(InvalidInputError, match="sha256"):
+            load_corpus(tmp_path)
 
 
 class TestDecodeWorkload:
