@@ -15,12 +15,12 @@ B exactly.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import counts, elements, numbers, read_object, write_json
 from .chaser import HeadScoreMatrix
 from .errors import InfeasibleBudgetError, InvalidInputError, ShapeError
 
@@ -289,27 +289,31 @@ def allocate(
 
 
 def save_plan(path, plan: BudgetPlan) -> None:
-    payload = {
+    write_json(path, {
         "budget_B": plan.total_budget,
         "w": plan.window,
         "rho": plan.uniform_ratio,
         "plan": [[int(b) for b in row] for row in plan.budgets],
         "allocator": plan.allocator,
         "score_file_hash": plan.score_file_hash,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    })
 
 
 def load_plan(path) -> BudgetPlan:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return BudgetPlan(
-        np.asarray(payload["plan"], dtype=np.int64),
-        int(payload["budget_B"]),
-        int(payload["w"]),
-        float(payload["rho"]),
-        str(payload["allocator"]),
-        score_file_hash=str(payload.get("score_file_hash", "")),
-    )
+    """The plan of a `save_plan` file; a malformed file raises InvalidInputError."""
+    where = f"plan {path}"
+    payload = read_object(path, "plan", ("plan", "budget_B", "w", "rho", "allocator"))
+    total, window = counts({"budget_B": payload["budget_B"], "w": payload["w"]}, where)
+    named = {}
+    for name, row in elements(payload["plan"], "plan", where).items():
+        named |= elements(row, name, where)
+    counts(named, where)
+    (rho,) = numbers({"rho": payload["rho"]}, where)
+    allocator, score_hash = payload["allocator"], payload.get("score_file_hash", "")
+    if not isinstance(allocator, str) or not isinstance(score_hash, str):
+        raise InvalidInputError(f"{where}: allocator and score_file_hash must be strings")
+    try:
+        budgets = np.array(payload["plan"], dtype=np.int64)
+    except (OverflowError, ValueError) as exc:  # a budget past int64, or ragged rows
+        raise InvalidInputError(f"{where}: plan is not a grid of 64-bit budgets") from exc
+    return BudgetPlan(budgets, total, window, float(rho), allocator, score_file_hash=score_hash)

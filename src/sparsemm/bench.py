@@ -16,15 +16,14 @@ rows of existing cells.
 from __future__ import annotations
 
 import csv
-import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 
 from .allocator import AllocationConfig, POLICY_NAMES, allocate
+from .artifacts import counts, elements, numbers, read_object, write_json
 from .chaser import (
     HeadScoreMatrix,
     aggregate_gqa_scores,
@@ -132,35 +131,73 @@ class ExperimentConfig:
         return PlantedHeadSet.uniform(pairs, self.planted_strength)
 
 
+# count-valued config keys, single or listed, and their minimum
+_CONFIG_COUNTS = {
+    "layers": 1, "query_heads": 1, "kv_heads": 1, "head_dim": 1, "corpus_size": 1,
+    "prompt_len": 1, "out_len": 1, "window": 0, "cost_out_len": 1, "cost_budget_per_head": 1,
+    "budgets_per_head": 1, "seeds": 0, "cost_lengths": 1,
+}
+# tuple-valued fields are JSON lists
+_CONFIG_LISTS = {f.name for f in fields(ExperimentConfig) if isinstance(f.default, tuple)}
+
+
+def _config_value(key: str, value, where: str):
+    """One config value checked against its field's JSON type; lists become tuples."""
+    if value is None and key in ("planted_pairs", "planted_fraction"):
+        return None
+    named = elements(value, key, where) if key in _CONFIG_LISTS else {key: value}
+    if key in _CONFIG_COUNTS:
+        values = counts(named, where, _CONFIG_COUNTS[key])
+    elif key == "policies":
+        values = value  # ExperimentConfig rejects every name outside POLICY_NAMES
+    elif key == "planted_pairs":
+        values = [
+            tuple(counts(elements(pair, name, where, 2), where)) for name, pair in named.items()
+        ]
+    else:
+        values = numbers(named, where)
+    return tuple(values) if key in _CONFIG_LISTS else values[0]
+
+
+def _section(blob: dict, name: str, required, optional, where: str) -> dict:
+    """blob[name] popped: an object with every `required` key and no key outside `optional`."""
+    section = blob.pop(name, {})
+    if not isinstance(section, dict):
+        raise InvalidInputError(f"{where}: {name} must be a JSON object")
+    missing = [key for key in required if key not in section]
+    if section and missing:
+        raise InvalidInputError(f"{where}: {name} lacks {', '.join(missing)}")
+    unknown = sorted(set(section) - set(required) - set(optional))
+    if unknown:
+        raise InvalidInputError(f"{where}: unknown {name} key {unknown[0]!r}")
+    return section
+
+
 def load_config(path) -> ExperimentConfig:
-    """Read an ExperimentConfig from a JSON object file."""
-    blob = json.loads(Path(path).read_text())
-    if not isinstance(blob, dict):
-        raise InvalidInputError("config file must hold a JSON object")
-    kwargs = {}
-    known = {f.name for f in fields(ExperimentConfig)}
-    geometry = blob.pop("geometry", None)
-    if geometry:
-        kwargs.update(
-            layers=geometry["layers"],
-            query_heads=geometry["query_heads"],
-            kv_heads=geometry.get("kv_heads", geometry["query_heads"]),
-            head_dim=geometry.get("head_dim", 64),
-        )
-    planted = blob.pop("planted", None)
+    """Read an ExperimentConfig from a JSON object file.
+
+    Every value is checked against its field's JSON type, so a malformed file
+    raises InvalidInputError naming the file.
+    """
+    blob = read_object(path, "config")
+    where = f"config {path}"
+    kwargs = _section(blob, "geometry", ("layers", "query_heads"), ("kv_heads", "head_dim"), where)
+    if kwargs:
+        kwargs.setdefault("kv_heads", kwargs["query_heads"])
+    planted = _section(blob, "planted", (), ("pairs", "fraction", "strength"), where)
     if planted:
-        kwargs["planted_strength"] = planted.get("strength", 0.8)
-        if "pairs" in planted:
-            kwargs["planted_pairs"] = tuple((int(l), int(h)) for l, h in planted["pairs"])
-            kwargs["planted_fraction"] = None
-        else:
-            kwargs["planted_pairs"] = None
-            kwargs["planted_fraction"] = float(planted["fraction"])
+        if ("pairs" in planted) == ("fraction" in planted):
+            raise InvalidInputError(f"{where}: planted needs exactly one of pairs and fraction")
+        kwargs["planted_pairs"] = planted.get("pairs")
+        kwargs["planted_fraction"] = planted.get("fraction")
+        if "strength" in planted:
+            kwargs["planted_strength"] = planted["strength"]
+    known = {f.name for f in fields(ExperimentConfig)}
     for key, value in blob.items():
         if key not in known:
-            raise InvalidInputError(f"unknown config key {key!r}")
-        kwargs[key] = tuple(tuple(v) if isinstance(v, list) else v for v in value) if isinstance(value, list) else value
-    return ExperimentConfig(**kwargs)
+            raise InvalidInputError(f"{where}: unknown config key {key!r}")
+        kwargs[key] = value
+    return ExperimentConfig(**{k: _config_value(k, v, where) for k, v in kwargs.items()})
 
 
 @dataclass(frozen=True)
@@ -249,77 +286,23 @@ def _scores_for_seed(cfg: ExperimentConfig, seed: int):
     return model, scores
 
 
-def _sweep_seed_rows(cfg: ExperimentConfig, seed: int) -> list[ResultRow]:
+def _replay_seed_rows(cfg: ExperimentConfig, seed: int, experiment: str, cells) -> list[ResultRow]:
+    """One row per (policy, budget_per_head, rho) cell, all replayed over one decode workload."""
     model, scores = _scores_for_seed(cfg, seed)
     precision, recall = recovery_stats(scores, model.planted)
     kv_scores = aggregate_gqa_scores(scores, cfg.geometry.group_size)
     n_kv = cfg.layers * cfg.kv_heads
-    cells = [(budget, policy) for budget in cfg.budgets_per_head for policy in cfg.policies]
     plans = [
-        allocate(
-            policy,
-            AllocationConfig(budget * n_kv, cfg.window, cfg.rho),
-            cfg.layers,
-            cfg.kv_heads,
-            scores=kv_scores,
-            seed=_plan_seed(seed, budget),
-        )
-        for budget, policy in cells
+        allocate(policy, AllocationConfig(budget * n_kv, cfg.window, rho), cfg.layers,
+                 cfg.kv_heads, scores=kv_scores, seed=_plan_seed(seed, budget))
+        for policy, budget, rho in cells
     ]
     workload = model.decode_workload(cfg.prompt_len, cfg.out_len, cfg.window)
     records = replay_plans(model.geometry, workload, plans)
     return [
-        ResultRow(
-            "sweep",
-            policy,
-            budget,
-            budget * n_kv,
-            cfg.rho,
-            seed,
-            record.mean_recall,
-            record.peak_slots,
-            record.total_touches,
-            precision,
-            recall,
-        )
-        for (budget, policy), record in zip(cells, records)
-    ]
-
-
-def _rho_seed_rows(cfg: ExperimentConfig, seed: int) -> list[ResultRow]:
-    model, scores = _scores_for_seed(cfg, seed)
-    precision, recall = recovery_stats(scores, model.planted)
-    kv_scores = aggregate_gqa_scores(scores, cfg.geometry.group_size)
-    budget = cfg.budgets_per_head[0]
-    n_kv = cfg.layers * cfg.kv_heads
-    cells = [("sparsemm", float(rho)) for rho in cfg.rhos] + [("uniform", 1.0)]
-    plans = [
-        allocate(
-            policy,
-            AllocationConfig(budget * n_kv, cfg.window, rho),
-            cfg.layers,
-            cfg.kv_heads,
-            scores=kv_scores,
-        )
-        for policy, rho in cells
-    ]
-    workload = model.decode_workload(cfg.prompt_len, cfg.out_len, cfg.window)
-    records = replay_plans(model.geometry, workload, plans)
-    return [
-        ResultRow(
-            "rho",
-            policy,
-            budget,
-            budget * n_kv,
-            rho,
-            seed,
-            record.mean_recall,
-            record.peak_slots,
-            record.total_touches,
-            precision,
-            recall,
-        )
-        for (policy, rho), record in zip(cells, records)
+        ResultRow(experiment, policy, budget, budget * n_kv, rho, seed, record.mean_recall,
+                  record.peak_slots, record.total_touches, precision, recall)
+        for (policy, budget, rho), record in zip(cells, records)
     ]
 
 
@@ -423,7 +406,8 @@ def _merge_seed_lists(cfg: ExperimentConfig, fn, jobs: int):
 
 def run_budget_sweep(cfg: ExperimentConfig, jobs: int = 1) -> list[ResultRow]:
     """One paired ResultRow per (policy, budget, seed)."""
-    rows = _merge_seed_lists(cfg, _sweep_seed_rows, jobs)
+    cells = [(policy, b, cfg.rho) for b in cfg.budgets_per_head for policy in cfg.policies]
+    rows = _merge_seed_lists(cfg, partial(_replay_seed_rows, experiment="sweep", cells=cells), jobs)
     policy_order = {name: i for i, name in enumerate(cfg.policies)}
     budget_order = {b: i for i, b in enumerate(cfg.budgets_per_head)}
     seed_order = {s: i for i, s in enumerate(cfg.seeds)}
@@ -435,7 +419,9 @@ def run_budget_sweep(cfg: ExperimentConfig, jobs: int = 1) -> list[ResultRow]:
 
 def run_rho_sweep(cfg: ExperimentConfig, jobs: int = 1) -> list[ResultRow]:
     """Sparsemm rows per (rho, seed) plus one uniform reference row per seed."""
-    rows = _merge_seed_lists(cfg, _rho_seed_rows, jobs)
+    budget = cfg.budgets_per_head[0]
+    cells = [("sparsemm", budget, float(rho)) for rho in cfg.rhos] + [("uniform", budget, 1.0)]
+    rows = _merge_seed_lists(cfg, partial(_replay_seed_rows, experiment="rho", cells=cells), jobs)
     rho_order = {float(r): i for i, r in enumerate(cfg.rhos)}
     seed_order = {s: i for i, s in enumerate(cfg.seeds)}
     rows.sort(
@@ -506,7 +492,4 @@ def write_rows_csv(path, rows) -> None:
 
 def write_rows_json(path, rows) -> None:
     """JSON mirror of the CSV rows."""
-    blob = [asdict(row) for row in rows]
-    with open(path, "w") as fh:
-        json.dump(blob, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, [asdict(row) for row in rows])

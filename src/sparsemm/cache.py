@@ -16,23 +16,21 @@ Eviction itself takes those per-kv-head window scores, shape
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from .artifacts import write_json
 from .errors import InvalidInputError, ShapeError
 from .tensor import CausalMask, Matrix, matmul_scaled, softmax_row_masked
 
 __all__ = [
     "EvictionReport",
     "HeadEviction",
-    "KeyRanking",
     "TopKSelection",
     "compress_prefill",
-    "rank_window_keys",
     "report_to_csv",
     "report_to_json",
     "select_topk",
@@ -89,11 +87,6 @@ def select_topk(scores, k: int) -> TopKSelection:
     return TopKSelection(np.sort(order[:k]), clamped)
 
 
-class KeyRanking(NamedTuple):
-    scores: np.ndarray  # (L, H_kv, Lp - w) window-mean score per key left of the window
-    order: np.ndarray  # (L, H_kv, Lp - w) key positions, best first
-
-
 def sum_onto_kv_heads(rows: np.ndarray, kv_heads: int) -> np.ndarray:
     """Sum (layers, query_heads, n) rows onto their kv heads, one query head at a time.
 
@@ -107,32 +100,6 @@ def sum_onto_kv_heads(rows: np.ndarray, kv_heads: int) -> np.ndarray:
     for k in range(1, grouped.shape[2]):
         total += grouped[:, :, k]
     return total
-
-
-def rank_window_keys(window_attn, kv_heads: int, w: int) -> KeyRanking:
-    """Score and rank every kv head's prompt keys left of the window.
-
-    `window_attn` is (layers, query_heads, w, Lp). Query heads are summed onto
-    their kv head, then the w rows are averaged per key, summed in row order.
-    No (layers, kv_heads, w, Lp) temporary is built. A budget b keeps the
-    window plus `order[..., :b - w]`, whatever the plan.
-    """
-    attn = np.asarray(window_attn, dtype=np.float64)
-    if attn.ndim != 4:
-        raise ShapeError("window_attn must be (layers, query_heads, w, Lp)")
-    layers, query_heads, rows, lp = attn.shape
-    if query_heads % kv_heads != 0:
-        raise ShapeError(f"{query_heads} query heads not divisible by {kv_heads} kv heads")
-    if rows != w:
-        raise ShapeError(f"window_attn has {rows} rows, expected w={w}")
-    if lp < w:
-        raise InvalidInputError(f"window {w} exceeds prompt length {lp}")
-    scores = np.zeros((layers, kv_heads, lp - w))  # an empty window scores every key 0
-    for i in range(w):
-        scores += sum_onto_kv_heads(attn[:, :, i, : lp - w], kv_heads)
-    if w:
-        scores /= w
-    return KeyRanking(scores, _descending_order(scores))
 
 
 @dataclass(frozen=True)
@@ -166,9 +133,10 @@ def compress_prefill(
     """Retain, per kv head, the w-window plus the top (b - w) keys by window score.
 
     `window_scores` is (layers, kv_heads, Lp - w): each kv head's mean window
-    attention per key left of the window (`rank_window_keys`). Returns the
-    (layers, kv_heads, Lp) bool mask of retained prompt positions and the
-    report. Budgets at or above Lp keep the whole prompt. A prompt shorter
+    attention per key left of the window, its query heads summed by
+    `sum_onto_kv_heads`, as `SyntheticModel.decode_workload` draws them.
+    Returns the (layers, kv_heads, Lp) bool mask of retained prompt positions
+    and the report. Budgets at or above Lp keep the whole prompt. A prompt shorter
     than w keeps everything and skips scoring; its scores are
     (layers, kv_heads, 0).
     """
@@ -201,7 +169,7 @@ def compress_prefill(
 
 
 def report_to_json(report: EvictionReport, path) -> None:
-    payload = {
+    write_json(path, {
         "prompt_len": report.prompt_len,
         "window": report.window,
         "scoring_skipped": report.scoring_skipped,
@@ -216,10 +184,7 @@ def report_to_json(report: EvictionReport, path) -> None:
             }
             for h in report.heads
         ],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    })
 
 
 def report_to_csv(report: EvictionReport, path) -> None:

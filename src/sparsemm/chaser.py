@@ -11,11 +11,11 @@ token count, and min-max normalized into [0, 1].
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import counts, numeric_array, read_object, write_json
 from .errors import DegenerateBoxError, InvalidInputError, ShapeError
 from .simmodel import AttentionTrace, OcrSample
 
@@ -220,30 +220,28 @@ def aggregate_gqa_scores(scores: HeadScoreMatrix, group: int) -> HeadScoreMatrix
 
 def save_scores(path, matrix: HeadScoreMatrix) -> None:
     """Write the score-file JSON: layers, heads, row-major scores, metadata."""
-    payload = {
+    write_json(path, {
         "layers": matrix.layers,
         "heads": matrix.heads,
         "scores": [float(v) for v in matrix.scores.ravel()],
         "normalization": matrix.normalization,
         "corpus_tokens": matrix.corpus_tokens,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    })
 
 
 def load_scores(path) -> HeadScoreMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    layers, heads = int(payload["layers"]), int(payload["heads"])
-    flat = np.asarray(payload["scores"], dtype=np.float64)
-    if flat.size != layers * heads:
-        raise ShapeError("score file length does not match layers*heads")
-    return HeadScoreMatrix(
-        flat.reshape(layers, heads),
-        str(payload.get("normalization", "none")),
-        int(payload.get("corpus_tokens", 0)),
-    )
+    """The score matrix of a `save_scores` file; a malformed file raises InvalidInputError."""
+    where = f"score file {path}"
+    payload = read_object(path, "score file", ("layers", "heads", "scores"))
+    layers, heads = counts({"layers": payload["layers"], "heads": payload["heads"]}, where, 1)
+    flat = numeric_array(payload["scores"], f"{where}: scores")
+    if flat.ndim != 1 or flat.size != layers * heads:
+        raise ShapeError(f"{where}: scores length does not match layers*heads")
+    normalization = payload.get("normalization", "none")
+    if not isinstance(normalization, str):
+        raise InvalidInputError(f"{where}: normalization must be a string")
+    (corpus_tokens,) = counts({"corpus_tokens": payload.get("corpus_tokens", 0)}, where)
+    return HeadScoreMatrix(flat.reshape(layers, heads), normalization, corpus_tokens)
 
 
 def score_file_hash(path) -> str:

@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench
+from .artifacts import counts, numeric_array, read_object, write_json
 from .allocator import (
     AllocationConfig,
     DEFAULT_RHO,
@@ -91,20 +92,6 @@ def _build_model(args: argparse.Namespace):
     return build_synthetic_model(geometry, planted, args.seed)
 
 
-def _load(loader, path, what: str):
-    """loader(path), with an unreadable or malformed file raised as InvalidInputError.
-
-    Loaders index raw JSON, so a missing file, bad JSON, a non-object or a
-    missing key surfaces as one of the builtin errors caught here.
-    """
-    try:
-        return loader(path)
-    except SparseMMError:
-        raise
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise InvalidInputError(f"cannot load {what} {path}: {type(exc).__name__}: {exc}") from exc
-
-
 def cmd_corpus(args: argparse.Namespace) -> dict:
     model = _build_model(args)
     samples = generate_ocr_samples(model, args.samples, args.seed)
@@ -120,7 +107,7 @@ def cmd_corpus(args: argparse.Namespace) -> dict:
 
 
 def cmd_chase(args: argparse.Namespace) -> dict:
-    samples = _load(load_corpus, args.corpus, "corpus")
+    samples = load_corpus(args.corpus)
     scores, skipped = chase_corpus(samples)
     if args.group > 1:
         scores = aggregate_gqa_scores(scores, args.group)
@@ -141,7 +128,7 @@ def cmd_allocate(args: argparse.Namespace) -> dict:
     layers, heads = args.layers, args.heads
     score_hash = ""
     if args.scores:
-        scores = _load(load_scores, args.scores, "score file")
+        scores = load_scores(args.scores)
         score_hash = score_file_hash(args.scores)
         layers, heads = scores.layers, scores.heads
     if layers is None or heads is None:
@@ -176,17 +163,14 @@ def cmd_prefill(args: argparse.Namespace) -> dict:
         window_scores = model.decode_workload(
             args.prompt_len, args.out_len, args.window
         ).window_scores
-    payload = {
+    write_json(args.out, {
         "layers": geo.layers,
         "query_heads": geo.query_heads,
         "kv_heads": geo.kv_heads,
         "prompt_len": args.prompt_len,
         "window": args.window,
         "window_scores": window_scores.tolist(),
-    }
-    with open(args.out, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    })
     return {
         "command": "prefill",
         "out": str(args.out),
@@ -200,35 +184,15 @@ TRACE_KEYS = ("window_scores", "prompt_len", "window", "kv_heads")
 
 def _load_trace(path) -> tuple[np.ndarray, int, int, int]:
     """(window_scores, prompt_len, window, kv_heads) from a `prefill` trace file."""
-    try:
-        blob = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise InvalidInputError(f"cannot read trace {path}: {exc.strerror}") from exc
-    except ValueError as exc:
-        raise InvalidInputError(f"trace {path} is not JSON: {exc}") from exc
-    if not isinstance(blob, dict):
-        raise InvalidInputError(f"trace {path} must hold a JSON object")
-    if "window_attention" in blob and "window_scores" not in blob:
-        raise InvalidInputError(
-            f"trace {path} holds window_attention rows, the old format; "
-            "write it again with `sparsemm prefill`"
-        )
-    missing = [key for key in TRACE_KEYS if key not in blob]
-    if missing:
-        raise InvalidInputError(f"trace {path} lacks {', '.join(missing)}")
-    sizes = [blob[key] for key in TRACE_KEYS[1:]]
-    if any(type(v) is not int or v < 0 for v in sizes):
-        raise InvalidInputError(f"trace {path}: prompt_len, window and kv_heads must be counts")
-    try:
-        scores = np.asarray(blob["window_scores"], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"trace {path}: window_scores is not a numeric array") from exc
-    return (scores, *sizes)
+    blob = read_object(path, "trace", TRACE_KEYS, old_format=("window_attention", "prefill"))
+    where = f"trace {path}"
+    sizes = counts({key: blob[key] for key in TRACE_KEYS[1:]}, where)
+    return (numeric_array(blob["window_scores"], f"{where}: window_scores"), *sizes)
 
 
 def cmd_compress(args: argparse.Namespace) -> dict:
     scores, prompt_len, window, kv_heads = _load_trace(args.trace)
-    plan = _load(load_plan, args.plan, "plan")
+    plan = load_plan(args.plan)
     if plan.window != window:
         raise InvalidInputError(
             f"plan window {plan.window} does not match trace window {window}"
@@ -250,7 +214,7 @@ def cmd_compress(args: argparse.Namespace) -> dict:
 
 
 def cmd_bench(args: argparse.Namespace) -> dict:
-    cfg = _load(bench.load_config, args.config, "config")
+    cfg = bench.load_config(args.config)
     if args.seed:
         cfg = replace(cfg, seeds=tuple(s + args.seed for s in cfg.seeds))
     out_dir = Path(args.out_dir)

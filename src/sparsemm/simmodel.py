@@ -25,15 +25,15 @@ from __future__ import annotations
 
 import hashlib
 import io
-import json
 import math
 import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .artifacts import counts, elements, numbers, read_object, write_json
 from .cache import _descending_order, sum_onto_kv_heads
-from .errors import InvalidInputError, ShapeError, SparseMMError
+from .errors import InvalidInputError, ShapeError
 
 __all__ = [
     "TEXT_TOKEN",
@@ -641,46 +641,26 @@ def save_corpus(directory, samples) -> None:
             "steps": trace.out_len,
             "sha256": hashlib.sha256(data).hexdigest(),
         }
-        with open(stem + ".json", "w", encoding="utf-8") as fh:
-            json.dump(record, fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
+        write_json(stem + ".json", record)
 
 
 def _load_record(path) -> tuple[OcrSample, dict]:
     """The sample and the checked geometry of one corpus record."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            record = json.load(fh)
-    except OSError as exc:
-        raise InvalidInputError(f"cannot read corpus record {path}: {exc.strerror}") from exc
-    except ValueError as exc:
-        raise InvalidInputError(f"corpus record {path} is not JSON: {exc}") from exc
-    if not isinstance(record, dict):
-        raise InvalidInputError(f"corpus record {path} must hold a JSON object")
-    if "rows" in record:
-        raise InvalidInputError(
-            f"corpus record {path} holds JSON rows, the old format; "
-            "regenerate it with `sparsemm corpus`"
-        )
-    missing = [key for key in CORPUS_KEYS if key not in record]
-    if missing:
-        raise InvalidInputError(f"corpus record {path} lacks {', '.join(missing)}")
-    counts = [record[key] for key in ("layers", "query_heads", "steps")]
-    if any(type(v) is not int or v < 1 for v in counts):
-        raise InvalidInputError(
-            f"corpus record {path}: layers, query_heads and steps must be positive counts"
-        )
-    try:
-        sample = OcrSample(
-            tuple(int(v) for v in record["image_shape"]),
-            tuple(int(v) for v in record["grid"]),
-            tuple((int(tok), tuple(float(v) for v in bbox)) for tok, bbox in record["pairs"]),
-            tuple(int(v) for v in record["prompt_layout"]),
-        )
-    except SparseMMError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"corpus record {path} has a malformed field: {exc}") from exc
+    record = read_object(path, "corpus record", CORPUS_KEYS, old_format=("rows", "corpus"))
+    where = f"corpus record {path}"
+    counts({key: record[key] for key in ("layers", "query_heads", "steps")}, where, 1)
+    pairs = []
+    for i, pair in enumerate(elements(record["pairs"], "pairs", where).values()):
+        tok, bbox = elements(pair, f"pairs[{i}]", where, 2).values()
+        (tok,) = counts({f"pairs[{i}][0]": tok}, where)
+        bbox = numbers(elements(bbox, f"pairs[{i}][1]", where, 4), where)
+        pairs.append((tok, tuple(float(v) for v in bbox)))
+    sample = OcrSample(
+        tuple(counts(elements(record["image_shape"], "image_shape", where, 2), where, 1)),
+        tuple(counts(elements(record["grid"], "grid", where, 2), where, 1)),
+        tuple(pairs),
+        tuple(counts(elements(record["prompt_layout"], "prompt_layout", where), where, TEXT_TOKEN)),
+    )
     return sample, record
 
 

@@ -1,0 +1,400 @@
+"""Tests for the artifact format: one canonical writer, validating readers."""
+
+import ast
+import json
+import tempfile
+from functools import lru_cache
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import sparsemm
+from sparsemm.allocator import AllocationConfig, allocate_uniform, load_plan, save_plan
+from sparsemm.artifacts import counts, elements, numbers, numeric_array, read_object, write_json
+from sparsemm.bench import load_config
+from sparsemm.chaser import HeadScoreMatrix, load_scores, save_scores
+from sparsemm.cli import _load_trace, main
+from sparsemm.errors import InvalidInputError, SparseMMError
+from sparsemm.simmodel import (
+    ModelGeometry,
+    PlantedHeadSet,
+    build_synthetic_model,
+    generate_ocr_samples,
+    load_corpus,
+    save_corpus,
+)
+
+SRC = Path(sparsemm.__file__).parent
+
+# a config in the README schema with every top-level key present
+CONFIG = {
+    "geometry": {"layers": 8, "query_heads": 8, "kv_heads": 8, "head_dim": 64},
+    "planted": {"pairs": [[0, 1], [3, 4], [6, 2]], "strength": 0.8},
+    "corpus_size": 40,
+    "budgets_per_head": [48, 64, 128],
+    "rhos": [0.0, 0.1, 0.25, 0.5, 0.75, 1.0],
+    "policies": ["sparsemm", "uniform", "pyramid", "random", "ada"],
+    "mask_fractions": [0.0, 0.02, 0.05, 0.10],
+    "seeds": [0, 1],
+    "prompt_len": 384,
+    "out_len": 16,
+    "window": 32,
+    "rho": 0.1,
+    "cost_lengths": [2048, 4096],
+    "cost_out_len": 100,
+    "cost_budget_per_head": 256,
+}
+
+
+class TestWriteJson:
+    def test_canonical_form(self, tmp_path):
+        path = tmp_path / "a.json"
+        write_json(path, {"b": [1, 2.5], "a": {"d": None, "c": True}})
+        assert path.read_bytes() == b'{"a":{"c":true,"d":null},"b":[1,2.5]}\n'
+
+    def test_equal_objects_give_equal_bytes(self, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        write_json(a, {"x": 1, "y": [0.1, 0.2]})
+        write_json(b, {"y": [0.1, 0.2], "x": 1})
+        assert a.read_bytes() == b.read_bytes()
+
+
+class TestReadObject:
+    @pytest.mark.parametrize("text, fragment", [
+        (None, "cannot read"),
+        ("{not json", "not JSON"),
+        (b"\xff\xfe\x00", "not JSON"),
+        ("[1, 2]", "JSON object"),
+        ('{"a": 1}', "lacks b, c"),
+    ])
+    def test_rejects(self, tmp_path, text, fragment):
+        path = tmp_path / "x.json"
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        elif text is not None:
+            path.write_text(text)
+        with pytest.raises(InvalidInputError, match=fragment) as info:
+            read_object(path, "thing", ("a", "b", "c"))
+        assert str(path) in str(info.value)
+
+    def test_old_format_is_named_only_when_a_key_is_missing(self, tmp_path):
+        path = tmp_path / "x.json"
+        path.write_text('{"rows": 1}')
+        with pytest.raises(InvalidInputError, match="holds rows, the old format; regenerate it"):
+            read_object(path, "thing", ("a",), old_format=("rows", "corpus"))
+        path.write_text('{"rows": 1, "a": 2}')
+        assert read_object(path, "thing", ("a",), old_format=("rows", "corpus")) == {"rows": 1, "a": 2}
+
+
+class TestFieldCheckers:
+    @pytest.mark.parametrize("value", [True, False, 2.0, 1.5, "3", None, [1], -1])
+    def test_counts_reject_non_integers_and_negatives(self, value):
+        with pytest.raises(InvalidInputError, match="n must be counts"):
+            counts({"n": value}, "f")
+
+    def test_counts_minimum(self):
+        assert counts({"a": 1, "b": 2**70}, "f", 1) == [1, 2**70]
+        with pytest.raises(InvalidInputError, match="f: a must be positive counts"):
+            counts({"a": 0, "b": 2}, "f", 1)
+        assert counts({"a": -1}, "f", -1) == [-1]
+
+    def test_numbers(self):
+        assert numbers({"a": 1, "b": 0.5}, "f") == [1, 0.5]
+        for bad in (True, "1", float("nan"), float("inf"), 10**400, None):
+            with pytest.raises(InvalidInputError, match="finite numbers"):
+                numbers({"a": bad}, "f")
+
+    def test_elements(self):
+        assert elements([4, 5], "g", "f", 2) == {"g[0]": 4, "g[1]": 5}
+        for bad in ([4], {"0": 4}, "45", None):
+            with pytest.raises(InvalidInputError, match="g is malformed"):
+                elements(bad, "g", "f", 2)
+
+    def test_numeric_array(self):
+        assert numeric_array([[1, 2.5]], "f").dtype == np.float64
+        for bad in ([[1.0], [1.0, 2.0]], ["1.0"], [True, False], [None], [10**30], {"a": 1}):
+            with pytest.raises(InvalidInputError, match="numeric"):
+                numeric_array(bad, "f")
+
+
+# -- every loader returns or raises a SparseMMError, whatever one field holds
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=12,
+)
+
+
+@lru_cache(maxsize=None)
+def _valid_files():
+    """A parsed valid file of every JSON artifact, and the corpus record's payload bytes."""
+    with tempfile.TemporaryDirectory() as directory:
+        d = Path(directory)
+        save_scores(d / "scores.json", HeadScoreMatrix(np.arange(6.0).reshape(2, 3) / 5, "minmax", 7))
+        save_plan(d / "plan.json", allocate_uniform(AllocationConfig(2 * 2 * 16, 8), 2, 2))
+        assert main([
+            "prefill", "--layers", "2", "--query-heads", "4", "--kv-heads", "2",
+            "--planted", "0,1", "--prompt-len", "24", "--out-len", "2", "--window", "8",
+            "--out", str(d / "trace.json"),
+        ]) == 0
+        model = build_synthetic_model(
+            ModelGeometry.mha(1, 2), PlantedHeadSet.uniform([(0, 1)], 0.9), 3
+        )
+        save_corpus(d / "corpus", generate_ocr_samples(model, 1, 3))
+        blobs = {
+            name: json.loads((d / f"{name}.json").read_text())
+            for name in ("scores", "plan", "trace")
+        }
+        blobs["record"] = json.loads((d / "corpus" / "sample_00000.json").read_text())
+        payload = (d / "corpus" / "sample_00000.npy").read_bytes()
+    blobs["config"] = CONFIG
+    return blobs, payload
+
+
+LOADERS = {"scores": load_scores, "plan": load_plan, "config": load_config, "trace": _load_trace}
+
+
+def _load(artifact: str, blob: dict):
+    """Write `blob` as the artifact's file (a corpus record beside its payload) and load it."""
+    _, payload = _valid_files()
+    with tempfile.TemporaryDirectory() as directory:
+        d = Path(directory)
+        if artifact == "record":
+            (d / "sample_00000.npy").write_bytes(payload)
+            write_json(d / "sample_00000.json", blob)
+            return load_corpus(d)
+        write_json(d / f"{artifact}.json", blob)
+        return LOADERS[artifact](d / f"{artifact}.json")
+
+
+def _edit_one_item(value, data):
+    """`value` with one item at any depth replaced by an arbitrary JSON value.
+
+    Values near a valid field reach the checks on its items (a float budget,
+    a ragged score row) that a wholly arbitrary value seldom does.
+    """
+    if isinstance(value, (list, dict)) and value and data.draw(st.integers(0, 3)) > 0:
+        key = data.draw(st.sampled_from(sorted(value) if isinstance(value, dict) else range(len(value))))
+        edited = dict(value) if isinstance(value, dict) else list(value)
+        edited[key] = _edit_one_item(value[key], data)
+        return edited
+    return data.draw(JSON_VALUES)
+
+
+def _loads_or_raises_sparsemm_error(artifact: str, data):
+    blob = dict(_valid_files()[0][artifact])
+    field = data.draw(st.sampled_from(sorted(blob)), label="field")
+    blob[field] = _edit_one_item(blob[field], data)
+    try:
+        _load(artifact, blob)
+    except SparseMMError:
+        pass
+
+
+# values of every JSON type, at the edges the loaders must not fall over
+HOSTILE = [None, True, -1, 0, 1.5, float("nan"), float("inf"), 2**63, 10**400, "x", [], {},
+           [[1], [1, 2]]]
+
+
+def _paths(value, path=()):
+    """The path to every item of `value`, following the first and last item of each list."""
+    yield path
+    if isinstance(value, dict):
+        for key in sorted(value):
+            yield from _paths(value[key], path + (key,))
+    elif isinstance(value, list):
+        for i in sorted({0, len(value) - 1} if value else set()):
+            yield from _paths(value[i], path + (i,))
+
+
+def _replaced(value, path, new):
+    if not path:
+        return new
+    edited = dict(value) if isinstance(value, dict) else list(value)
+    edited[path[0]] = _replaced(value[path[0]], path[1:], new)
+    return edited
+
+
+class TestLoadersOnAnyFieldValue:
+    """Replacing one top-level field of a valid file with another JSON value
+    (an arbitrary one, or the valid one with one nested item replaced) never
+    makes a loader raise anything but a SparseMMError."""
+
+    @pytest.mark.parametrize("artifact", ["scores", "plan", "config", "trace", "record"])
+    def test_valid_files_load(self, artifact):
+        _load(artifact, _valid_files()[0][artifact])
+
+    @pytest.mark.parametrize("artifact", ["scores", "plan", "config", "trace", "record"])
+    def test_every_item_replaced_by_a_hostile_value(self, artifact):
+        blob = _valid_files()[0][artifact]
+        for path in list(_paths(blob))[1:]:
+            for value in HOSTILE:
+                try:
+                    _load(artifact, _replaced(blob, path, value))
+                except SparseMMError:
+                    pass
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_scores(self, data):
+        _loads_or_raises_sparsemm_error("scores", data)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_plan(self, data):
+        _loads_or_raises_sparsemm_error("plan", data)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_config(self, data):
+        _loads_or_raises_sparsemm_error("config", data)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_prefill_trace(self, data):
+        _loads_or_raises_sparsemm_error("trace", data)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_corpus_record(self, data):
+        _loads_or_raises_sparsemm_error("record", data)
+
+
+# -- what the CLI writes
+
+MODEL = ["--layers", "2", "--query-heads", "4", "--kv-heads", "2", "--planted", "0,1;1,2",
+         "--strength", "0.9", "--seed", "4"]
+
+
+@pytest.fixture
+def flow(tmp_path, capsys):
+    """Every artifact of one CLI flow, plus the parsed summary lines."""
+    corpus = tmp_path / "corpus"
+    commands = [
+        ["corpus", *MODEL, "--samples", "4", "--out-dir", str(corpus)],
+        ["chase", "--corpus", str(corpus), "--group", "2", "--out", str(tmp_path / "scores.json")],
+        ["allocate", "--scores", str(tmp_path / "scores.json"), "--budget", str(4 * 24),
+         "--window", "8", "--out", str(tmp_path / "plan.json")],
+        ["prefill", *MODEL, "--prompt-len", "40", "--out-len", "2", "--window", "8",
+         "--out", str(tmp_path / "trace.json")],
+        ["compress", "--trace", str(tmp_path / "trace.json"), "--plan", str(tmp_path / "plan.json"),
+         "--out-json", str(tmp_path / "report.json")],
+    ]
+    for argv in commands:
+        assert main(argv) == 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"geometry": {"layers": 2, "query_heads": 2}, "seeds": [0]}))
+    assert main(["bench", "cost", "--config", str(config), "--out-dir", str(tmp_path / "bench")]) == 0
+    summaries = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    return tmp_path, {s["command"]: s for s in summaries}
+
+
+class TestCliArtifacts:
+    def test_plan_records_the_hash_chase_printed(self, flow):
+        directory, summaries = flow
+        printed = summaries["chase"]["hash"]
+        assert json.loads((directory / "plan.json").read_text())["score_file_hash"] == printed
+        plan = load_plan(directory / "plan.json")
+        assert plan.score_file_hash == printed
+        save_plan(directory / "again.json", plan)
+        assert (directory / "again.json").read_bytes() == (directory / "plan.json").read_bytes()
+
+    def test_every_json_artifact_is_canonical(self, flow, tmp_path):
+        directory, _ = flow
+        written = [
+            directory / name
+            for name in ("scores.json", "plan.json", "trace.json", "report.json")
+        ] + sorted((directory / "corpus").glob("*.json")) + [directory / "bench" / "cost.json"]
+        again = tmp_path / "again.json"
+        for path in written:
+            write_json(again, json.loads(path.read_bytes()))
+            assert again.read_bytes() == path.read_bytes(), path.name
+
+
+# -- the format lives in one module
+
+JSON_CALLS = {"dump", "dumps", "load", "loads"}
+
+
+def _json_calls(tree: ast.AST) -> list[tuple[str | None, ast.Call]]:
+    """(enclosing function name, call) for every json.dump/dumps/load/loads call."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                visit(child, child.name)
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and isinstance(child.func.value, ast.Name)
+                and child.func.value.id == "json"
+                and child.func.attr in JSON_CALLS
+            ):
+                found.append((func, child))
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def _is_summary_line(func: str | None, call: ast.Call) -> bool:
+    """`json.dump(obj, sys.stdout)` or `json.dump(obj, sys.stderr)` inside `main`."""
+    stream = call.args[1] if len(call.args) == 2 else None
+    return (
+        func == "main"
+        and call.func.attr == "dump"
+        and isinstance(stream, ast.Attribute)
+        and isinstance(stream.value, ast.Name)
+        and stream.value.id == "sys"
+        and stream.attr in ("stdout", "stderr")
+    )
+
+
+def _offenders(name: str, tree: ast.AST) -> list[str]:
+    """json uses in module `name` that bypass artifacts.py."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "json":
+            found.append(f"{name}:{node.lineno} from json import")
+        if isinstance(node, ast.Import) and any(a.name == "json" and a.asname for a in node.names):
+            found.append(f"{name}:{node.lineno} json imported under another name")
+    for func, call in _json_calls(tree):
+        if not (name == "cli.py" and _is_summary_line(func, call)):
+            found.append(f"{name}:{call.lineno} json.{call.func.attr} in {func}")
+    return found
+
+
+def test_json_is_encoded_and_decoded_only_in_artifacts():
+    modules = sorted(SRC.glob("*.py"))
+    assert {"artifacts.py", "cli.py", "bench.py"} <= {p.name for p in modules}
+    offenders = []
+    for path in modules:
+        if path.name != "artifacts.py":
+            offenders += _offenders(path.name, ast.parse(path.read_text(), str(path)))
+    assert not offenders, offenders
+
+
+def test_guard_catches_a_hand_rolled_writer():
+    source = (
+        "import json\n"
+        "def save(path, obj):\n"
+        "    with open(path, 'w') as fh:\n"
+        "        json.dump(obj, fh)\n"
+        "def main():\n"
+        "    json.dump({}, sys.stdout)\n"
+        "    json.dump({}, sys.stderr)\n"
+        "    json.dumps({})\n"
+    )
+    tree = ast.parse(source)
+    assert _offenders("cli.py", tree) == ["cli.py:4 json.dump in save", "cli.py:8 json.dumps in main"]
+    assert len(_offenders("cache.py", tree)) == 4
+    assert _offenders("x.py", ast.parse("from json import loads\nimport json as j\n")) == [
+        "x.py:1 from json import", "x.py:2 json imported under another name",
+    ]

@@ -20,7 +20,7 @@ from sparsemm.bench import (
     write_rows_csv,
     write_rows_json,
 )
-from sparsemm.chaser import HeadScoreMatrix, chase_corpus, save_scores
+from sparsemm.chaser import HeadScoreMatrix, chase_corpus, load_scores, save_scores
 from sparsemm.cli import main
 from sparsemm.errors import InvalidInputError
 from sparsemm.simmodel import (
@@ -32,7 +32,7 @@ from sparsemm.simmodel import (
     replay_plans,
     save_corpus,
 )
-from sparsemm.allocator import AllocationConfig, allocate_uniform
+from sparsemm.allocator import AllocationConfig, allocate_uniform, load_plan
 
 from replay_oracle import replay_plan
 
@@ -477,6 +477,48 @@ class TestLoaderErrors:
         bad = tmp_path / "bad.json"
         bad.write_text('{"planted": [[0, 1]]}')  # a list where an object belongs
         self._rejects(["bench", "sweep", "--config", str(bad), "--out-dir", str(tmp_path)], capsys)
+
+    @pytest.mark.parametrize("field, value", [
+        ("prompt_len", "384"),
+        ("out_len", 2.5),
+        ("seeds", [0, True]),
+        ("rho", "0.1"),
+        ("geometry", [[8, 8]]),
+        ("planted", [[0, 1]]),
+    ])
+    def test_config_field_of_wrong_type(self, tmp_path, capsys, field, value):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"budgets_per_head": [48], "seeds": [0], field: value}))
+        with pytest.raises(InvalidInputError, match=field):
+            load_config(bad)
+        self._rejects(["bench", "sweep", "--config", str(bad), "--out-dir", str(tmp_path)], capsys)
+
+    @pytest.mark.parametrize("field, value", [
+        ("plan", [[8.5, 7.5]]), ("plan", [[15, True]]), ("budget_B", 16.0), ("w", "8"),
+    ])
+    def test_plan_field_of_wrong_type(self, tmp_path, capsys, field, value):
+        bad = tmp_path / "plan.json"
+        bad.write_text(json.dumps(
+            {"plan": [[8, 8]], "budget_B": 16, "w": 8, "rho": 0.1, "allocator": "uniform", field: value}
+        ))
+        with pytest.raises(InvalidInputError, match=field):
+            load_plan(bad)
+        trace = tmp_path / "trace.json"
+        assert main([
+            "prefill", "--layers", "1", "--query-heads", "2", "--planted", "0,1",
+            "--prompt-len", "40", "--window", "8", "--out", str(trace),
+        ]) == 0
+        capsys.readouterr()
+        self._rejects(["compress", "--trace", str(trace), "--plan", str(bad)], capsys)
+
+    @pytest.mark.parametrize("field, value", [("layers", 1.9), ("heads", 1.9), ("heads", 0)])
+    def test_score_counts_of_wrong_type(self, tmp_path, capsys, field, value):
+        bad = tmp_path / "scores.json"
+        bad.write_text(json.dumps({"layers": 1, "heads": 1, "scores": [0.5], field: value}))
+        with pytest.raises(InvalidInputError, match=f"{field} must be positive counts"):
+            load_scores(bad)
+        argv = ["allocate", "--scores", str(bad), "--budget", "64", "--out", str(tmp_path / "p.json")]
+        self._rejects(argv, capsys)
 
     def test_loader_errors_pass_through(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

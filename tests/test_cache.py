@@ -8,7 +8,6 @@ import pytest
 from sparsemm.allocator import BudgetPlan
 from sparsemm.cache import (
     compress_prefill,
-    rank_window_keys,
     report_to_csv,
     report_to_json,
     select_topk,
@@ -17,6 +16,8 @@ from sparsemm.cache import (
 from sparsemm.errors import InvalidInputError, ShapeError
 from sparsemm.simmodel import TEXT_TOKEN, DecodeWorkload, ModelGeometry, replay_plans
 from sparsemm.tensor import CausalMask, Matrix, matmul_scaled, softmax_row_masked
+
+from ranking_oracle import rank_window_keys
 
 
 def oracle_full_causal(q_full, k_all):

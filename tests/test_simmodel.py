@@ -13,7 +13,7 @@ from scipy.stats import binomtest
 
 from sparsemm import simmodel
 from sparsemm.allocator import POLICY_NAMES, AllocationConfig, BudgetPlan, allocate, allocate_uniform
-from sparsemm.cache import compress_prefill, rank_window_keys
+from sparsemm.cache import compress_prefill
 from sparsemm.chaser import HeadScoreMatrix, chase_corpus, match_bbox_to_patches
 from sparsemm.errors import InvalidInputError, ShapeError
 from sparsemm.simmodel import (
@@ -33,6 +33,7 @@ from sparsemm.simmodel import (
     save_corpus,
 )
 
+from ranking_oracle import rank_window_keys
 from replay_oracle import replay_plan
 
 
