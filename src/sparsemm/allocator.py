@@ -16,7 +16,7 @@ B exactly.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -63,22 +63,13 @@ class AllocationConfig:
 
 @dataclass(frozen=True)
 class BudgetPlan:
-    """Integer budgets per (layer, kv-head), summing exactly to the budget.
-
-    remain_after_window, uniform_extra and remain_after_uniform record the
-    intermediate quantities of the three-part split when the producing policy
-    defines them (None otherwise).
-    """
+    """Integer budgets per (layer, kv-head), summing exactly to the budget."""
 
     budgets: np.ndarray = field(repr=False)
     total_budget: int = 0
     window: int = DEFAULT_WINDOW
     uniform_ratio: float = DEFAULT_RHO
     allocator: str = "sparsemm"
-    remain_after_window: float | None = None
-    uniform_extra: float | None = None
-    remain_after_uniform: float | None = None
-    score_file_hash: str = ""
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.budgets)
@@ -148,34 +139,17 @@ def allocate_sparsemm(scores: HeadScoreMatrix, config: AllocationConfig) -> Budg
         warnings.warn("all-zero scores: falling back to a uniform split", stacklevel=2)
         score_part = np.full((layers, heads), remain2 / n)
     budgets = _largest_remainder(w + uniform_extra + score_part, budget)
-    return BudgetPlan(
-        budgets,
-        budget,
-        w,
-        rho,
-        "sparsemm",
-        float(remain1),
-        float(uniform_extra),
-        float(remain2),
-    )
+    return BudgetPlan(budgets, budget, w, rho, "sparsemm")
 
 
 def allocate_uniform(config: AllocationConfig, layers: int, heads: int) -> BudgetPlan:
-    """Equal split: floor(B/N) per head, remainder to the earliest heads."""
+    """Equal split of B over the N heads."""
     n = layers * heads
     budget = config.total_budget
     if budget < n:
         raise InfeasibleBudgetError(f"budget {budget} below one slot per head ({n})")
-    base, rem = divmod(budget, n)
-    flat = np.full(n, base, dtype=np.int64)
-    flat[:rem] += 1
-    return BudgetPlan(
-        flat.reshape(layers, heads),
-        budget,
-        config.window,
-        config.uniform_ratio,
-        "uniform",
-    )
+    budgets = _largest_remainder(np.full((layers, heads), budget / n), budget)
+    return BudgetPlan(budgets, budget, config.window, config.uniform_ratio, "uniform")
 
 
 def allocate_pyramid(config: AllocationConfig, layers: int, heads: int) -> BudgetPlan:
@@ -191,20 +165,8 @@ def allocate_pyramid(config: AllocationConfig, layers: int, heads: int) -> Budge
     extra = budget - n * w
     weights = np.arange(layers, 0, -1, dtype=np.float64)
     layer_totals = _largest_remainder(heads * w + extra * weights / weights.sum(), budget)
-    rows = []
-    for total in layer_totals:
-        base, rem = divmod(int(total), heads)
-        row = np.full(heads, base, dtype=np.int64)
-        row[:rem] += 1
-        rows.append(row)
-    return BudgetPlan(
-        np.stack(rows),
-        budget,
-        w,
-        config.uniform_ratio,
-        "pyramid",
-        float(extra),
-    )
+    rows = [_largest_remainder(np.full(heads, int(t) / heads), int(t)) for t in layer_totals]
+    return BudgetPlan(np.stack(rows), budget, w, config.uniform_ratio, "pyramid")
 
 
 def allocate_random(
@@ -213,17 +175,7 @@ def allocate_random(
     """Control policy: i.i.d. uniform scores through the flagship split."""
     rng = np.random.default_rng(np.random.SeedSequence([0x5EED, int(seed)]))
     scores = HeadScoreMatrix(rng.random((layers, heads)))
-    plan = allocate_sparsemm(scores, config)
-    return BudgetPlan(
-        plan.budgets,
-        plan.total_budget,
-        plan.window,
-        plan.uniform_ratio,
-        "random",
-        plan.remain_after_window,
-        plan.uniform_extra,
-        plan.remain_after_uniform,
-    )
+    return replace(allocate_sparsemm(scores, config), allocator="random")
 
 
 def allocate_adaptive_layer(
@@ -251,14 +203,7 @@ def allocate_adaptive_layer(
         else:
             targets = np.full(heads, w + extra / heads)
         rows.append(_largest_remainder(targets, int(total)))
-    return BudgetPlan(
-        np.stack(rows),
-        budget,
-        w,
-        config.uniform_ratio,
-        "ada",
-        float(budget - n * w),
-    )
+    return BudgetPlan(np.stack(rows), budget, w, config.uniform_ratio, "ada")
 
 
 def allocate(
@@ -295,12 +240,15 @@ def save_plan(path, plan: BudgetPlan) -> None:
         "rho": plan.uniform_ratio,
         "plan": [[int(b) for b in row] for row in plan.budgets],
         "allocator": plan.allocator,
-        "score_file_hash": plan.score_file_hash,
     })
 
 
 def load_plan(path) -> BudgetPlan:
-    """The plan of a `save_plan` file; a malformed file raises InvalidInputError."""
+    """The plan of a `save_plan` file; a malformed file raises InvalidInputError.
+
+    Keys outside the plan's fields, such as the `score_file_hash` that older
+    plan files hold, are ignored.
+    """
     where = f"plan {path}"
     payload = read_object(path, "plan", ("plan", "budget_B", "w", "rho", "allocator"))
     total, window = counts({"budget_B": payload["budget_B"], "w": payload["w"]}, where)
@@ -309,11 +257,11 @@ def load_plan(path) -> BudgetPlan:
         named |= elements(row, name, where)
     counts(named, where)
     (rho,) = numbers({"rho": payload["rho"]}, where)
-    allocator, score_hash = payload["allocator"], payload.get("score_file_hash", "")
-    if not isinstance(allocator, str) or not isinstance(score_hash, str):
-        raise InvalidInputError(f"{where}: allocator and score_file_hash must be strings")
+    allocator = payload["allocator"]
+    if not isinstance(allocator, str):
+        raise InvalidInputError(f"{where}: allocator must be a string")
     try:
         budgets = np.array(payload["plan"], dtype=np.int64)
     except (OverflowError, ValueError) as exc:  # a budget past int64, or ragged rows
         raise InvalidInputError(f"{where}: plan is not a grid of 64-bit budgets") from exc
-    return BudgetPlan(budgets, total, window, float(rho), allocator, score_file_hash=score_hash)
+    return BudgetPlan(budgets, total, window, float(rho), allocator)

@@ -2,10 +2,10 @@
 
 Each experiment consumes one ExperimentConfig and emits a list of row
 dataclasses plus canonical CSV (and a JSON mirror). Rows are computed per
-seed — all policies in a cell share the same corpus, score matrix and decode
-workload, so comparisons are paired — and merged in a fixed order keyed by
-the config's own (policy, budget, seed) ordering, which makes output bytes
-independent of worker count.
+seed — all cells of a seed share the same corpus, score matrix and decode
+workload, so comparisons are paired — and merged cell by cell, each cell's
+rows in the config's seed order, which makes output bytes independent of
+worker count.
 
 Seeding is hierarchical: the model seed is the cell seed, the random-plan
 seed derives from (seed, budget), and fraction-specified planted heads derive
@@ -96,6 +96,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not self.seeds:
             raise InvalidInputError("config needs at least one seed")
+        if min(self.seeds) < 0:
+            raise InvalidInputError(f"seed {min(self.seeds)} must be non-negative")
         if self.corpus_size < 1:
             raise InvalidInputError("corpus_size must be at least 1")
         if not self.budgets_per_head:
@@ -111,6 +113,10 @@ class ExperimentConfig:
         for f in self.mask_fractions:
             if not 0.0 <= f <= 1.0:
                 raise InvalidInputError("mask fractions must lie in [0, 1]")
+        for name in ("seeds", "budgets_per_head", "policies", "rhos", "mask_fractions"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise InvalidInputError(f"{name} repeats an entry")
         if (self.planted_pairs is None) == (self.planted_fraction is None):
             raise InvalidInputError(
                 "specify exactly one of planted_pairs and planted_fraction"
@@ -286,10 +292,9 @@ def _scores_for_seed(cfg: ExperimentConfig, seed: int):
     return model, scores
 
 
-def _replay_seed_rows(cfg: ExperimentConfig, seed: int, experiment: str, cells) -> list[ResultRow]:
-    """One row per (policy, budget_per_head, rho) cell, all replayed over one decode workload."""
-    model, scores = _scores_for_seed(cfg, seed)
-    precision, recall = recovery_stats(scores, model.planted)
+def _decode_records(cfg: ExperimentConfig, model: SyntheticModel, scores: HeadScoreMatrix,
+                    seed: int, cells):
+    """One DecodeRecord per (policy, budget_per_head, rho) cell, all replayed over one workload."""
     kv_scores = aggregate_gqa_scores(scores, cfg.geometry.group_size)
     n_kv = cfg.layers * cfg.kv_heads
     plans = [
@@ -298,7 +303,15 @@ def _replay_seed_rows(cfg: ExperimentConfig, seed: int, experiment: str, cells) 
         for policy, budget, rho in cells
     ]
     workload = model.decode_workload(cfg.prompt_len, cfg.out_len, cfg.window)
-    records = replay_plans(model.geometry, workload, plans)
+    return replay_plans(model.geometry, workload, plans)
+
+
+def _replay_seed_rows(cfg: ExperimentConfig, seed: int, experiment: str, cells) -> list[ResultRow]:
+    """One row per (policy, budget_per_head, rho) cell."""
+    model, scores = _scores_for_seed(cfg, seed)
+    precision, recall = recovery_stats(scores, model.planted)
+    records = _decode_records(cfg, model, scores, seed, cells)
+    n_kv = cfg.layers * cfg.kv_heads
     return [
         ResultRow(experiment, policy, budget, budget * n_kv, rho, seed, record.mean_recall,
                   record.peak_slots, record.total_touches, precision, recall)
@@ -340,22 +353,13 @@ def _mask_seed_rows(cfg: ExperimentConfig, seed: int) -> list[MaskRow]:
     planted = base_model.planted
     _, base_recovery = recovery_stats(base_scores, planted)
     base_grounding = _grounding_mass(base_samples, planted)
-    budget = cfg.budgets_per_head[0]
-    n_kv = cfg.layers * cfg.kv_heads
-    alloc_cfg = AllocationConfig(budget * n_kv, cfg.window, cfg.rho)
-
-    def decode_recall_for(model: SyntheticModel, scores: HeadScoreMatrix) -> float:
-        kv_scores = aggregate_gqa_scores(scores, cfg.geometry.group_size)
-        plan = allocate("sparsemm", alloc_cfg, cfg.layers, cfg.kv_heads, scores=kv_scores)
-        workload = model.decode_workload(cfg.prompt_len, cfg.out_len, cfg.window)
-        return replay_plans(model.geometry, workload, [plan])[0].mean_recall
-
-    base_decode = decode_recall_for(base_model, base_scores)
+    cells = [("sparsemm", cfg.budgets_per_head[0], cfg.rho)]
+    base_decode = _decode_records(cfg, base_model, base_scores, seed, cells)[0].mean_recall
     total = cfg.layers * cfg.query_heads
     rows = []
     for fraction in cfg.mask_fractions:
         n_mask = round(fraction * total)
-        for mode in ("top", "random"):
+        for mode in ("random", "top"):
             if n_mask == 0:
                 chosen: list[tuple[int, int]] = []
             elif mode == "top":
@@ -374,7 +378,7 @@ def _mask_seed_rows(cfg: ExperimentConfig, seed: int) -> list[MaskRow]:
                 scores, _ = chase_corpus(samples)
                 _, recovery = recovery_stats(scores, planted)
                 grounding = _grounding_mass(samples, planted)
-                decode = decode_recall_for(model, scores)
+                decode = _decode_records(cfg, model, scores, seed, cells)[0].mean_recall
             else:
                 recovery, grounding, decode = base_recovery, base_grounding, base_decode
             rows.append(
@@ -395,48 +399,32 @@ def _mask_seed_rows(cfg: ExperimentConfig, seed: int) -> list[MaskRow]:
 
 
 def _merge_seed_lists(cfg: ExperimentConfig, fn, jobs: int):
+    """fn's per-seed row lists, one per cell in order, merged cell-major."""
     runner = partial(fn, cfg)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             per_seed = list(pool.map(runner, cfg.seeds))
     else:
         per_seed = [runner(seed) for seed in cfg.seeds]
-    return [row for rows in per_seed for row in rows]
+    return [row for rows in zip(*per_seed) for row in rows]
 
 
 def run_budget_sweep(cfg: ExperimentConfig, jobs: int = 1) -> list[ResultRow]:
     """One paired ResultRow per (policy, budget, seed)."""
-    cells = [(policy, b, cfg.rho) for b in cfg.budgets_per_head for policy in cfg.policies]
-    rows = _merge_seed_lists(cfg, partial(_replay_seed_rows, experiment="sweep", cells=cells), jobs)
-    policy_order = {name: i for i, name in enumerate(cfg.policies)}
-    budget_order = {b: i for i, b in enumerate(cfg.budgets_per_head)}
-    seed_order = {s: i for i, s in enumerate(cfg.seeds)}
-    rows.sort(
-        key=lambda r: (policy_order[r.policy], budget_order[r.budget_per_head], seed_order[r.seed])
-    )
-    return rows
+    cells = [(policy, b, cfg.rho) for policy in cfg.policies for b in cfg.budgets_per_head]
+    return _merge_seed_lists(cfg, partial(_replay_seed_rows, experiment="sweep", cells=cells), jobs)
 
 
 def run_rho_sweep(cfg: ExperimentConfig, jobs: int = 1) -> list[ResultRow]:
     """Sparsemm rows per (rho, seed) plus one uniform reference row per seed."""
     budget = cfg.budgets_per_head[0]
     cells = [("sparsemm", budget, float(rho)) for rho in cfg.rhos] + [("uniform", budget, 1.0)]
-    rows = _merge_seed_lists(cfg, partial(_replay_seed_rows, experiment="rho", cells=cells), jobs)
-    rho_order = {float(r): i for i, r in enumerate(cfg.rhos)}
-    seed_order = {s: i for i, s in enumerate(cfg.seeds)}
-    rows.sort(
-        key=lambda r: (r.policy, rho_order.get(r.rho, len(rho_order)), seed_order[r.seed])
-    )
-    return rows
+    return _merge_seed_lists(cfg, partial(_replay_seed_rows, experiment="rho", cells=cells), jobs)
 
 
 def run_masking_study(cfg: ExperimentConfig, jobs: int = 1) -> list[MaskRow]:
-    """Paired top-vs-random masking rows per (seed, fraction, mode)."""
-    rows = _merge_seed_lists(cfg, _mask_seed_rows, jobs)
-    fraction_order = {float(f): i for i, f in enumerate(cfg.mask_fractions)}
-    seed_order = {s: i for i, s in enumerate(cfg.seeds)}
-    rows.sort(key=lambda r: (fraction_order[r.fraction], r.mode, seed_order[r.seed]))
-    return rows
+    """Paired random-vs-top masking rows per (fraction, mode, seed)."""
+    return _merge_seed_lists(cfg, _mask_seed_rows, jobs)
 
 
 def run_cost_model(cfg: ExperimentConfig) -> list[CostRow]:

@@ -38,13 +38,10 @@ __all__ = [
 class HeadScoreMatrix:
     """Non-negative per-(layer, head) scores.
 
-    `normalization` records how the entries were produced: "none" for raw
-    increments, "minmax" after corpus aggregation. `corpus_tokens` is the
-    number of output tokens that contributed.
+    `corpus_tokens` is the number of output tokens that contributed.
     """
 
     scores: np.ndarray = field(repr=False)
-    normalization: str = "none"
     corpus_tokens: int = 0
 
     def __post_init__(self) -> None:
@@ -161,7 +158,7 @@ def score_sample(sample: OcrSample, trace: AttentionTrace) -> SampleScore:
         top = np.argmax(rows, axis=2)
         inc += hit_value * np.isin(top, positions)
         scored += 1
-    return SampleScore(HeadScoreMatrix(inc, "none", scored), scored, skipped)
+    return SampleScore(HeadScoreMatrix(inc, scored), scored, skipped)
 
 
 def aggregate_corpus(increments, token_counts) -> HeadScoreMatrix:
@@ -190,7 +187,7 @@ def aggregate_corpus(increments, token_counts) -> HeadScoreMatrix:
         normalized = np.ones_like(mean)
     else:
         normalized = np.zeros_like(mean)
-    return HeadScoreMatrix(normalized, "minmax", total_tokens)
+    return HeadScoreMatrix(normalized, total_tokens)
 
 
 def chase_corpus(samples) -> tuple[HeadScoreMatrix, int]:
@@ -215,36 +212,36 @@ def aggregate_gqa_scores(scores: HeadScoreMatrix, group: int) -> HeadScoreMatrix
     if scores.heads % group != 0:
         raise ShapeError(f"{scores.heads} query heads not divisible by group {group}")
     kv = scores.scores.reshape(scores.layers, scores.heads // group, group).sum(axis=2)
-    return HeadScoreMatrix(kv, scores.normalization, scores.corpus_tokens)
+    return HeadScoreMatrix(kv, scores.corpus_tokens)
 
 
 def save_scores(path, matrix: HeadScoreMatrix) -> None:
-    """Write the score-file JSON: layers, heads, row-major scores, metadata."""
+    """Write the score-file JSON: layers, heads, row-major scores, corpus tokens."""
     write_json(path, {
         "layers": matrix.layers,
         "heads": matrix.heads,
         "scores": [float(v) for v in matrix.scores.ravel()],
-        "normalization": matrix.normalization,
         "corpus_tokens": matrix.corpus_tokens,
     })
 
 
 def load_scores(path) -> HeadScoreMatrix:
-    """The score matrix of a `save_scores` file; a malformed file raises InvalidInputError."""
+    """The score matrix of a `save_scores` file; a malformed file raises InvalidInputError.
+
+    Keys outside the matrix's fields, such as the `normalization` that older
+    score files hold, are ignored.
+    """
     where = f"score file {path}"
     payload = read_object(path, "score file", ("layers", "heads", "scores"))
     layers, heads = counts({"layers": payload["layers"], "heads": payload["heads"]}, where, 1)
     flat = numeric_array(payload["scores"], f"{where}: scores")
     if flat.ndim != 1 or flat.size != layers * heads:
         raise ShapeError(f"{where}: scores length does not match layers*heads")
-    normalization = payload.get("normalization", "none")
-    if not isinstance(normalization, str):
-        raise InvalidInputError(f"{where}: normalization must be a string")
     (corpus_tokens,) = counts({"corpus_tokens": payload.get("corpus_tokens", 0)}, where)
-    return HeadScoreMatrix(flat.reshape(layers, heads), normalization, corpus_tokens)
+    return HeadScoreMatrix(flat.reshape(layers, heads), corpus_tokens)
 
 
 def score_file_hash(path) -> str:
-    """Hex sha256 of the score file bytes, recorded in plan files."""
+    """Hex sha256 of the score file bytes, printed by `sparsemm chase`."""
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()

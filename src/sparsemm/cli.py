@@ -60,10 +60,11 @@ def _parse_planted(text: str) -> list[tuple[int, int]]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        parts = chunk.split(",")
-        if len(parts) != 2:
-            raise InvalidInputError(f"bad planted pair {chunk!r}; expected 'layer,head'")
-        pairs.append((int(parts[0]), int(parts[1])))
+        try:
+            layer, head = (int(part) for part in chunk.split(","))
+        except ValueError as exc:  # not two parts, or a part that is not an integer
+            raise InvalidInputError(f"bad planted pair {chunk!r}; expected 'layer,head'") from exc
+        pairs.append((layer, head))
     if not pairs:
         raise InvalidInputError("planted spec is empty")
     return pairs
@@ -126,10 +127,8 @@ def cmd_chase(args: argparse.Namespace) -> dict:
 def cmd_allocate(args: argparse.Namespace) -> dict:
     scores = None
     layers, heads = args.layers, args.heads
-    score_hash = ""
     if args.scores:
         scores = load_scores(args.scores)
-        score_hash = score_file_hash(args.scores)
         layers, heads = scores.layers, scores.heads
     if layers is None or heads is None:
         raise InvalidInputError(
@@ -137,8 +136,6 @@ def cmd_allocate(args: argparse.Namespace) -> dict:
         )
     config = AllocationConfig(args.budget, args.window, args.rho)
     plan = allocate(args.policy, config, layers, heads, scores=scores, seed=args.seed)
-    if score_hash:
-        plan = replace(plan, score_file_hash=score_hash)
     save_plan(args.out, plan)
     return {
         "command": "allocate",

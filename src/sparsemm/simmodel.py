@@ -140,7 +140,7 @@ class OcrSample:
     """One generated sample: image geometry, per-token bbox truth, prompt roles.
 
     prompt_layout holds TEXT_TOKEN for text positions and the patch index
-    (row-major) for image positions.
+    (row-major) for image positions: every patch of the grid appears once.
     """
 
     image_shape: tuple[int, int]
@@ -149,10 +149,12 @@ class OcrSample:
     prompt_layout: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n_image = sum(1 for role in self.prompt_layout if role != TEXT_TOKEN)
-        if n_image != self.grid[0] * self.grid[1]:
+        labels = sorted(role for role in self.prompt_layout if role != TEXT_TOKEN)
+        n_patches = self.grid[0] * self.grid[1]
+        if len(labels) != n_patches or labels != list(range(n_patches)):
             raise InvalidInputError(
-                f"layout has {n_image} image tokens, grid implies {self.grid[0] * self.grid[1]}"
+                f"layout's {len(labels)} image tokens are not the grid's patch indices "
+                f"0..{n_patches - 1}, each once"
             )
 
     @property
@@ -383,6 +385,8 @@ class SyntheticModel:
         per-kv-head scores as soon as it is drawn, so no (layers, query_heads,
         w, Lp) tensor is built.
         """
+        if window < 0:
+            raise InvalidInputError("window must be non-negative")
         if prompt_len < window:
             raise InvalidInputError(f"prompt_len {prompt_len} shorter than window {window}")
         if out_len < 1:
@@ -532,6 +536,8 @@ def generate_ocr_samples(model: SyntheticModel, n: int, seed: int):
     """n deterministic (OcrSample, AttentionTrace) pairs for the given seed."""
     if n < 1:
         raise InvalidInputError("n must be at least 1")
+    if seed < 0:
+        raise InvalidInputError(f"corpus seed {seed} must be non-negative")
     out = []
     for i in range(n):
         rng = model._rng(_STREAM_CORPUS, int(seed), i)

@@ -1,5 +1,6 @@
 """Tests for the budget allocators: frozen arithmetic, oracles, invariants."""
 
+import json
 import math
 
 import numpy as np
@@ -33,6 +34,12 @@ def oracle_largest_remainder(targets, total):
     return base
 
 
+def oracle_divmod_split(total, n):
+    """The equal split of `total` over n heads: divmod, one extra slot each to the earliest."""
+    base, rem = divmod(total, n)
+    return [base + 1] * rem + [base] * (n - rem)
+
+
 def oracle_sparsemm(scores, budget, w, rho):
     """Independent script evaluation of the three-part split."""
     layers, heads = len(scores), len(scores[0])
@@ -59,9 +66,6 @@ class TestSparsemmFrozen:
             AllocationConfig(256, window=32, uniform_ratio=0.1),
         )
         assert plan.budgets.tolist() == [[64, 64], [64, 64]]
-        assert plan.remain_after_window == 128.0
-        assert plan.uniform_extra == pytest.approx(3.2)
-        assert plan.remain_after_uniform == pytest.approx(115.2)
 
     def test_rho_zero_one_hot(self):
         plan = allocate_sparsemm(
@@ -198,6 +202,38 @@ class TestPyramid:
             assert (plan.budgets >= w).all()
 
 
+class TestEqualSplitOracle:
+    """Equal targets rounded by largest remainder give exactly the divmod split."""
+
+    @staticmethod
+    def _geometry(rng):
+        layers, heads = int(rng.integers(1, 71)), int(rng.integers(1, 71))
+        # spread over magnitudes: budgets from barely feasible up to 2**31
+        return layers, heads, int(rng.integers(0, 2 ** int(rng.integers(1, 31))))
+
+    def test_uniform_matches_divmod_split(self):
+        rng = np.random.default_rng(40)
+        for _ in range(300):
+            layers, heads, spare = self._geometry(rng)
+            n = layers * heads
+            budget = min(n + spare, 2**31 - 1)
+            plan = allocate_uniform(AllocationConfig(budget, window=0), layers, heads)
+            assert plan.budgets.ravel().tolist() == oracle_divmod_split(budget, n)
+
+    def test_pyramid_matches_divmod_rows(self):
+        rng = np.random.default_rng(41)
+        for _ in range(300):
+            layers, heads, spare = self._geometry(rng)
+            n, w = layers * heads, int(rng.integers(0, 65))
+            budget = min(n * w + spare, 2**31 - 1)
+            plan = allocate_pyramid(AllocationConfig(budget, window=w), layers, heads)
+            weights = [float(layers - l) for l in range(layers)]
+            targets = [heads * w + (budget - n * w) * wt / sum(weights) for wt in weights]
+            totals = oracle_largest_remainder([targets], budget)
+            want = [b for total in totals for b in oracle_divmod_split(total, heads)]
+            assert plan.budgets.ravel().tolist() == want
+
+
 class TestRandom:
     def test_same_seed_identical(self):
         cfg = AllocationConfig(256, 32, 0.1)
@@ -305,6 +341,16 @@ class TestPlanValidationAndIO:
         assert back.window == plan.window
         assert back.uniform_ratio == plan.uniform_ratio
         assert back.allocator == plan.allocator
+
+    def test_file_with_retired_score_file_hash_loads(self, tmp_path):
+        path = tmp_path / "plan.json"
+        save_plan(path, allocate_uniform(AllocationConfig(40, window=8), 1, 2))
+        saved = path.read_bytes()
+        blob = json.loads(saved)
+        assert set(blob) == {"budget_B", "w", "rho", "plan", "allocator"}
+        path.write_text(json.dumps(blob | {"score_file_hash": "ab" * 32}))
+        save_plan(tmp_path / "again.json", load_plan(path))
+        assert (tmp_path / "again.json").read_bytes() == saved
 
     def test_config_validation(self):
         with pytest.raises(InvalidInputError):

@@ -135,7 +135,7 @@ def _valid_files():
     """A parsed valid file of every JSON artifact, and the corpus record's payload bytes."""
     with tempfile.TemporaryDirectory() as directory:
         d = Path(directory)
-        save_scores(d / "scores.json", HeadScoreMatrix(np.arange(6.0).reshape(2, 3) / 5, "minmax", 7))
+        save_scores(d / "scores.json", HeadScoreMatrix(np.arange(6.0).reshape(2, 3) / 5, 7))
         save_plan(d / "plan.json", allocate_uniform(AllocationConfig(2 * 2 * 16, 8), 2, 2))
         assert main([
             "prefill", "--layers", "2", "--query-heads", "4", "--kv-heads", "2",
@@ -295,12 +295,9 @@ def flow(tmp_path, capsys):
 
 
 class TestCliArtifacts:
-    def test_plan_records_the_hash_chase_printed(self, flow):
-        directory, summaries = flow
-        printed = summaries["chase"]["hash"]
-        assert json.loads((directory / "plan.json").read_text())["score_file_hash"] == printed
+    def test_plan_file_round_trips_byte_for_byte(self, flow):
+        directory, _ = flow
         plan = load_plan(directory / "plan.json")
-        assert plan.score_file_hash == printed
         save_plan(directory / "again.json", plan)
         assert (directory / "again.json").read_bytes() == (directory / "plan.json").read_bytes()
 

@@ -100,6 +100,21 @@ class TestConfig:
         assert len(a) == round(0.25 * 16)
         assert cfg.planted_for_seed(4).pairs() != a.pairs()
 
+    @pytest.mark.parametrize("field, value", [
+        ("seeds", (1, 0, 1)),
+        ("budgets_per_head", (48, 64, 48)),
+        ("policies", ("uniform", "sparsemm", "uniform")),
+        ("rhos", (0.1, 0.10)),
+        ("mask_fractions", (0.0, 0.0)),
+    ])
+    def test_repeated_entries_rejected(self, field, value):
+        with pytest.raises(InvalidInputError, match=f"{field} repeats an entry"):
+            small_config(**{field: value})
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidInputError, match="non-negative"):
+            small_config(seeds=(0, -1))
+
     def test_load_config_round_trip(self, tmp_path):
         blob = {
             "geometry": {"layers": 4, "query_heads": 4},
@@ -155,6 +170,12 @@ class TestBudgetSweep:
         )
         assert len(run_budget_sweep(cfg)) == 45
 
+    def test_rows_follow_policy_budget_seed_order(self):
+        cfg = small_config(budgets_per_head=(64, 48), seeds=(1, 0), corpus_size=3, out_len=2)
+        assert [(r.policy, r.budget_per_head, r.seed) for r in run_budget_sweep(cfg)] == [
+            (p, b, s) for p in cfg.policies for b in cfg.budgets_per_head for s in cfg.seeds
+        ]
+
     def test_deterministic_and_parallel_identical(self, tmp_path):
         cfg = small_config()
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -199,6 +220,12 @@ class TestRhoSweep:
         for seed, value in uniform.items():
             assert endpoint[seed] == value
 
+    def test_rows_follow_rho_then_uniform_order(self):
+        cfg = small_config(rhos=(0.5, 0.0, 1.0), seeds=(1, 0), corpus_size=3, out_len=2)
+        assert [(r.policy, r.rho, r.seed) for r in run_rho_sweep(cfg)] == [
+            ("sparsemm", rho, s) for rho in cfg.rhos for s in cfg.seeds
+        ] + [("uniform", 1.0, s) for s in cfg.seeds]
+
     def test_rho_zero_not_better_than_default(self):
         rows = run_rho_sweep(planted_config())
         mean = lambda rho: np.mean(
@@ -225,6 +252,15 @@ class TestMaskingStudy:
                 assert row.recovery_degradation == 0.0
                 assert row.grounding_degradation == 0.0
                 assert row.decode_degradation == 0.0
+
+    def test_rows_follow_fraction_mode_seed_order(self):
+        cfg = small_config(mask_fractions=(0.1, 0.0), seeds=(1, 0), corpus_size=3, out_len=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rows = run_masking_study(cfg)
+        assert [(r.fraction, r.mode, r.seed) for r in rows] == [
+            (f, m, s) for f in cfg.mask_fractions for m in ("random", "top") for s in cfg.seeds
+        ]
 
     def test_top_masking_hurts_more_than_random(self):
         with warnings.catch_warnings():
@@ -278,7 +314,7 @@ class TestCostModel:
     def test_formula_matches_actual_decode(self):
         out, b = 4, 48
         for kv_heads in (4, 2):  # MHA and GQA
-            for lp in (32, 200, 1024):  # Lp = w, b < Lp and b far below Lp
+            for lp in (32, 200, 1024, 2048, 4096, 8192):  # Lp = w, b < Lp and b far below Lp
                 cfg = small_config(
                     kv_heads=kv_heads, cost_lengths=(lp,), cost_out_len=out, cost_budget_per_head=b
                 )
@@ -441,6 +477,37 @@ class TestCli:
         main(["bench", "sweep", "--config", str(cfg_path), "--out-dir", str(b_dir), "--seed", "7"])
         capsys.readouterr()
         assert (a_dir / "sweep.csv").read_bytes() != (b_dir / "sweep.csv").read_bytes()
+
+
+class TestCliInputErrors:
+    """A bad value on the command line exits 2 with InvalidInputError, never a traceback."""
+
+    MODEL = ["--layers", "1", "--query-heads", "2", "--planted", "0,1"]
+
+    @pytest.mark.parametrize("argv", [
+        ["corpus", "--layers", "1", "--query-heads", "2", "--planted", "0,x", "--out-dir", "c"],
+        ["prefill", "--layers", "1", "--query-heads", "2", "--planted", "0;1", "--prompt-len", "40",
+         "--out", "t.json"],
+        ["corpus", *MODEL, "--seed", "-1", "--samples", "1", "--out-dir", "c"],
+        ["prefill", *MODEL, "--prompt-len", "40", "--window", "-1", "--out", "t.json"],
+    ], ids=["planted-not-an-integer", "planted-not-a-pair", "corpus-seed", "prefill-window"])
+    def test_bad_argument_exits_2(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InvalidInputError"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_bench_seed_offset_below_zero_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"budgets_per_head": [48], "seeds": [0, 1]}))
+        out_dir = tmp_path / "out"
+        argv = ["bench", "sweep", "--config", str(cfg_path), "--out-dir", str(out_dir), "--seed", "-3"]
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InvalidInputError"
+        assert "seed -3" in err["message"]
+        assert not out_dir.exists()
 
 
 class TestLoaderErrors:
@@ -607,6 +674,16 @@ class TestCorpusLoaderErrors:
     def test_record_field_of_wrong_type(self, corpus, tmp_path, capsys, field, value, fragment):
         self._edit_record(corpus, lambda record: record.update({field: value}))
         self._rejects(corpus, tmp_path, capsys, fragment)
+
+    @pytest.mark.parametrize("label", [1000000, "repeat"])
+    def test_layout_label_outside_the_grid_patches(self, corpus, tmp_path, capsys, label):
+        def tamper(record):
+            layout = record["prompt_layout"]
+            image = [i for i, role in enumerate(layout) if role >= 0]
+            layout[image[0]] = layout[image[1]] if label == "repeat" else label
+
+        self._edit_record(corpus, tamper)
+        self._rejects(corpus, tmp_path, capsys, "patch indices")
 
     def test_old_format_record_with_rows(self, corpus, tmp_path, capsys):
         def to_old_format(record):

@@ -1,5 +1,7 @@
 """Tests for bbox-to-patch mapping, hit scoring, aggregation, GQA grouping."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -184,7 +186,6 @@ class TestAggregateCorpus:
         inc = HeadScoreMatrix(np.array([[0.5, 0.0], [0.25, 0.0]]))
         out = aggregate_corpus([inc], [1])
         assert out.scores.max() == 1.0
-        assert out.normalization == "minmax"
         assert out.corpus_tokens == 1
 
     def test_all_zero_guard(self):
@@ -263,20 +264,28 @@ class TestAggregateGqa:
 
 class TestScoreFileIO:
     def test_round_trip(self, tmp_path):
-        m = HeadScoreMatrix(np.random.default_rng(5).random((3, 5)), "minmax", 42)
+        m = HeadScoreMatrix(np.random.default_rng(5).random((3, 5)), 42)
         path = tmp_path / "scores.json"
         save_scores(path, m)
         back = load_scores(path)
         assert np.array_equal(back.scores, m.scores)
-        assert back.normalization == "minmax"
         assert back.corpus_tokens == 42
 
     def test_hash_stable(self, tmp_path):
-        m = HeadScoreMatrix(np.ones((2, 2)), "minmax", 1)
+        m = HeadScoreMatrix(np.ones((2, 2)), 1)
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         save_scores(p1, m)
         save_scores(p2, m)
         assert score_file_hash(p1) == score_file_hash(p2)
+
+    def test_file_with_retired_normalization_loads(self, tmp_path):
+        path = tmp_path / "scores.json"
+        path.write_text('{"layers":1,"heads":2,"scores":[0.0,1.0],"normalization":"minmax","corpus_tokens":3}')
+        back = load_scores(path)
+        assert back.scores.tolist() == [[0.0, 1.0]]
+        assert back.corpus_tokens == 3
+        save_scores(path, back)
+        assert set(json.loads(path.read_text())) == {"layers", "heads", "scores", "corpus_tokens"}
 
     def test_length_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
