@@ -26,9 +26,11 @@ from .allocator import AllocationConfig, POLICY_NAMES, allocate
 from .artifacts import counts, elements, numbers, read_object, write_json
 from .chaser import (
     HeadScoreMatrix,
+    aggregate_corpus,
     aggregate_gqa_scores,
     chase_corpus,
     match_bbox_to_patches,
+    score_sample,
 )
 from .errors import DegenerateBoxError, InvalidInputError
 from .simmodel import (
@@ -279,16 +281,10 @@ def _plan_seed(seed: int, budget: int) -> int:
     return int(np.random.SeedSequence([int(seed), int(budget)]).generate_state(1)[0])
 
 
-def _chase_for_seed(cfg: ExperimentConfig, seed: int):
-    model = build_synthetic_model(cfg.geometry, cfg.planted_for_seed(seed), seed)
-    samples = generate_ocr_samples(model, cfg.corpus_size, seed)
-    scores, _ = chase_corpus(samples)
-    return model, samples, scores
-
-
 def _scores_for_seed(cfg: ExperimentConfig, seed: int):
     """Model and head scores for one seed; the corpus is freed on return."""
-    model, _, scores = _chase_for_seed(cfg, seed)
+    model = build_synthetic_model(cfg.geometry, cfg.planted_for_seed(seed), seed)
+    scores, _ = chase_corpus(generate_ocr_samples(model, cfg.corpus_size, seed))
     return model, scores
 
 
@@ -319,13 +315,14 @@ def _replay_seed_rows(cfg: ExperimentConfig, seed: int, experiment: str, cells) 
     ]
 
 
-def _grounding_mass(samples, planted: PlantedHeadSet) -> float:
-    """Mean attention mass planted heads place on each token's own patch set."""
-    total = 0.0
-    count = 0
-    pairs = planted.pairs()
-    if not pairs:
-        return 0.0
+def _grounding_terms(samples, planted: PlantedHeadSet):
+    """(head, drawn, uniform) per sample, scored step and planted head, in that order.
+
+    `drawn` is the attention mass the head's row places on the token's own
+    patch set; `uniform` is the mass an exactly uniform (masked) row places
+    there.
+    """
+    terms = []
     for sample, trace in samples:
         position_of = {
             patch: pos
@@ -342,19 +339,60 @@ def _grounding_mass(samples, planted: PlantedHeadSet) -> float:
             except DegenerateBoxError:
                 continue
             positions = np.array([position_of[p] for p in patches.indices])
-            for l, h in pairs:
-                total += float(step[l, h, positions].sum())
-                count += 1
-    return total / count if count else 0.0
+            uniform = float(np.full(positions.size, 1.0 / step.shape[2]).sum())
+            for l, h in planted.pairs():
+                terms.append(((l, h), float(step[l, h, positions].sum()), uniform))
+    return terms
+
+
+def _grounding_mass(terms, masked) -> float:
+    """Mean mass planted heads place on each token's own patch set; `masked` heads read uniform."""
+    total = 0.0
+    for head, drawn, uniform in terms:
+        total += uniform if head in masked else drawn
+    return total / len(terms) if terms else 0.0
+
+
+def _masked_scores(results, masked) -> HeadScoreMatrix:
+    """The corpus scores with the `masked` (layer, head) pairs' per-sample increments zeroed."""
+    index = tuple(np.array(masked, dtype=np.int64).reshape(-1, 2).T)
+    increments = []
+    for result in results:
+        inc = result.increment.scores.copy()
+        inc[index] = 0.0
+        increments.append(HeadScoreMatrix(inc))
+    return aggregate_corpus(increments, [r.tokens_scored for r in results])
 
 
 def _mask_seed_rows(cfg: ExperimentConfig, seed: int) -> list[MaskRow]:
-    base_model, base_samples, base_scores = _chase_for_seed(cfg, seed)
-    planted = base_model.planted
-    _, base_recovery = recovery_stats(base_scores, planted)
-    base_grounding = _grounding_mass(base_samples, planted)
+    """One MaskRow per (fraction, mode) cell, every cell derived from one corpus.
+
+    Masking overwrites rows after every random draw, so a masked model's
+    corpus is this seed's corpus with the masked rows set to exactly
+    1/visible. Such a row's argmax is position 0, which is a text token in
+    every sample (`SampleParams.pre_text` starts at 2), so a masked head never
+    scores and every skip decision is the same: the masked cell's scores are
+    the base per-sample increments with the masked heads zeroed, aggregated
+    again, and its grounding mass reads each masked planted row as uniform.
+    Only the decode workload is built again per cell, since the GQA window
+    scores sum a step's query heads together. `tests/mask_oracle.py` holds
+    the regenerate-per-cell reference these rows equal.
+    """
+    model = build_synthetic_model(cfg.geometry, cfg.planted_for_seed(seed), seed)
+    planted = model.planted
+    samples = generate_ocr_samples(model, cfg.corpus_size, seed)
+    results = [score_sample(sample, trace) for sample, trace in samples]
+    terms = _grounding_terms(samples, planted)
+    del samples  # free the corpus before any decode workload is built
     cells = [("sparsemm", cfg.budgets_per_head[0], cfg.rho)]
-    base_decode = _decode_records(cfg, base_model, base_scores, seed, cells)[0].mean_recall
+
+    def measure(scores: HeadScoreMatrix, chosen) -> tuple[float, float, float]:
+        _, recovery = recovery_stats(scores, planted)
+        records = _decode_records(cfg, mask_heads(model, chosen), scores, seed, cells)
+        return recovery, _grounding_mass(terms, set(chosen)), records[0].mean_recall
+
+    base_scores = _masked_scores(results, [])
+    base_recovery, base_grounding, base_decode = measure(base_scores, [])
     total = cfg.layers * cfg.query_heads
     rows = []
     for fraction in cfg.mask_fractions:
@@ -373,12 +411,7 @@ def _mask_seed_rows(cfg: ExperimentConfig, seed: int) -> list[MaskRow]:
                     (int(i) // cfg.query_heads, int(i) % cfg.query_heads) for i in flat
                 ]
             if chosen:
-                model = mask_heads(base_model, chosen)
-                samples = generate_ocr_samples(model, cfg.corpus_size, seed)
-                scores, _ = chase_corpus(samples)
-                _, recovery = recovery_stats(scores, planted)
-                grounding = _grounding_mass(samples, planted)
-                decode = _decode_records(cfg, model, scores, seed, cells)[0].mean_recall
+                recovery, grounding, decode = measure(_masked_scores(results, chosen), chosen)
             else:
                 recovery, grounding, decode = base_recovery, base_grounding, base_decode
             rows.append(

@@ -294,10 +294,12 @@ class SyntheticModel:
     masked: frozenset = frozenset()
     params: SampleParams = SampleParams()
 
+    def __post_init__(self) -> None:
+        if not 0 <= self.seed < 2**32:
+            raise InvalidInputError(f"model seed {self.seed} outside [0, 2**32)")
+
     def _rng(self, stream, *key) -> np.random.Generator:
-        return np.random.default_rng(
-            np.random.SeedSequence([int(self.seed) & 0xFFFFFFFF, stream, *key])
-        )
+        return np.random.default_rng(np.random.SeedSequence([int(self.seed), stream, *key]))
 
     def _overwrite_special_rows(self, rng, block, region, visible) -> None:
         """Apply planted-hit and masked-uniform overwrites to one step block."""

@@ -7,7 +7,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sparsemm import bench
 from sparsemm.bench import (
     ExperimentConfig,
     load_config,
@@ -20,20 +23,24 @@ from sparsemm.bench import (
     write_rows_csv,
     write_rows_json,
 )
-from sparsemm.chaser import HeadScoreMatrix, chase_corpus, load_scores, save_scores
+from sparsemm.chaser import HeadScoreMatrix, chase_corpus, load_scores, save_scores, score_sample
 from sparsemm.cli import main
 from sparsemm.errors import InvalidInputError
 from sparsemm.simmodel import (
+    TEXT_TOKEN,
     ModelGeometry,
     PlantedHeadSet,
+    SampleParams,
     build_synthetic_model,
     generate_ocr_samples,
     load_corpus,
+    mask_heads,
     replay_plans,
     save_corpus,
 )
 from sparsemm.allocator import AllocationConfig, allocate_uniform, load_plan
 
+import mask_oracle
 from replay_oracle import replay_plan
 
 
@@ -284,6 +291,86 @@ class TestMaskingStudy:
             assert first > incremental
 
 
+@st.composite
+def mask_configs(draw):
+    """Small study configs: MHA and GQA geometries, pinned or per-seed planted heads."""
+    layers, query_heads, kv_heads = draw(st.sampled_from([(2, 4, 4), (2, 4, 2), (3, 4, 1), (2, 8, 2)]))
+    heads = [(l, h) for l in range(layers) for h in range(query_heads)]
+    if draw(st.booleans()):
+        planted = dict(planted_pairs=tuple(draw(st.lists(st.sampled_from(heads), min_size=1,
+                                                         max_size=3, unique=True))))
+    else:
+        planted = dict(planted_pairs=None, planted_fraction=draw(st.sampled_from([0.1, 0.25, 0.5])))
+    fractions = draw(st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.5]), max_size=2, unique=True))
+    return ExperimentConfig(
+        layers=layers, query_heads=query_heads, kv_heads=kv_heads, **planted,
+        planted_strength=draw(st.sampled_from([0.5, 0.8, 1.0])),
+        corpus_size=draw(st.integers(1, 3)),
+        budgets_per_head=(16,), window=8, prompt_len=48, out_len=2,
+        rho=draw(st.sampled_from([0.0, 0.1, 1.0])),
+        mask_fractions=tuple(draw(st.permutations([*fractions, 1.0]))),
+        seeds=tuple(draw(st.lists(st.integers(0, 50), min_size=1, max_size=2, unique=True))),
+    )
+
+
+class TestMaskDerivation:
+    """The masking study derives every masked cell from one corpus and one chase per seed."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(cfg=mask_configs())
+    def test_rows_equal_regenerate_per_cell_oracle(self, cfg):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            derived = run_masking_study(cfg)
+            reference = mask_oracle.run_masking_study(cfg)
+        assert derived == reference
+
+    def test_default_config_rows_equal_oracle(self):
+        cfg = ExperimentConfig(seeds=(0,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert run_masking_study(cfg) == mask_oracle.run_masking_study(cfg)
+
+    @pytest.mark.parametrize("fractions", [(0.0,), (0.1,), (0.0, 0.1, 0.25, 0.5, 1.0)])
+    def test_one_corpus_and_one_chase_per_seed(self, monkeypatch, fractions):
+        corpora = []
+        scored = []
+
+        def generate(model, n, seed):
+            corpora.append((seed, model.masked))
+            return generate_ocr_samples(model, n, seed)
+
+        def score(sample, trace):
+            scored.append(sample)
+            return score_sample(sample, trace)
+
+        monkeypatch.setattr(bench, "generate_ocr_samples", generate)
+        monkeypatch.setattr(bench, "score_sample", score)
+        cfg = small_config(mask_fractions=fractions, corpus_size=3, out_len=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rows = run_masking_study(cfg)
+        assert len(rows) == 2 * len(fractions) * len(cfg.seeds)
+        assert corpora == [(seed, frozenset()) for seed in cfg.seeds]
+        assert len(scored) == cfg.corpus_size * len(cfg.seeds)
+
+    @settings(max_examples=20, deadline=None)
+    @given(model_seed=st.integers(0, 2**32 - 1), corpus_seed=st.integers(0, 2**16))
+    def test_uniform_rows_never_score(self, model_seed, corpus_seed):
+        """The premise: position 0 is text, so a masked (uniform) head scores no hit."""
+        assert SampleParams().pre_text[0] >= 1
+        geometry = ModelGeometry(2, 4, 2)
+        model = build_synthetic_model(geometry, PlantedHeadSet.uniform([(0, 1)], 1.0), model_seed)
+        every_head = [(l, h) for l in range(2) for h in range(4)]
+        base = generate_ocr_samples(model, 3, corpus_seed)
+        masked = generate_ocr_samples(mask_heads(model, every_head), 3, corpus_seed)
+        for (sample, trace), (_, masked_trace) in zip(base, masked):
+            assert sample.prompt_layout[0] == TEXT_TOKEN
+            result = score_sample(sample, masked_trace)
+            assert not result.increment.scores.any()
+            assert result.tokens_scored == score_sample(sample, trace).tokens_scored
+
+
 class TestCostModel:
     def test_closed_forms(self):
         cfg = small_config(cost_lengths=(2048, 32768), cost_out_len=100, cost_budget_per_head=256)
@@ -490,7 +577,10 @@ class TestCliInputErrors:
          "--out", "t.json"],
         ["corpus", *MODEL, "--seed", "-1", "--samples", "1", "--out-dir", "c"],
         ["prefill", *MODEL, "--prompt-len", "40", "--window", "-1", "--out", "t.json"],
-    ], ids=["planted-not-an-integer", "planted-not-a-pair", "corpus-seed", "prefill-window"])
+        ["prefill", *MODEL, "--prompt-len", "40", "--seed", "-1", "--out", "t.json"],
+        ["prefill", *MODEL, "--prompt-len", "40", "--seed", str(2**32), "--out", "t.json"],
+    ], ids=["planted-not-an-integer", "planted-not-a-pair", "corpus-seed", "prefill-window",
+            "prefill-seed-negative", "prefill-seed-33-bits"])
     def test_bad_argument_exits_2(self, tmp_path, capsys, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
         assert main(argv) == 2

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from sparsemm.simmodel import (
     OcrSample,
     PlantedHeadSet,
     SampleParams,
+    SyntheticModel,
     build_synthetic_model,
     corpus_digest,
     generate_ocr_samples,
@@ -223,6 +225,20 @@ class TestDeterminism:
         assert np.array_equal(wa.window_scores, wb.window_scores)
         for ra, rb in zip(wa.decode_rows, wb.decode_rows):
             assert np.array_equal(ra, rb)
+
+    @pytest.mark.parametrize("seed", [-1, 2**32])
+    def test_model_seed_outside_32_bits_rejected(self, seed):
+        with pytest.raises(InvalidInputError, match=f"model seed {seed} outside"):
+            small_model(seed=seed)
+        with pytest.raises(InvalidInputError, match="model seed"):
+            SyntheticModel(ModelGeometry.mha(2, 4), PlantedHeadSet(), seed)
+        with pytest.raises(InvalidInputError, match="model seed"):
+            replace(small_model(), seed=seed)  # the copy mask_heads makes
+
+    def test_largest_model_seed_accepted(self):
+        model = mask_heads(small_model(seed=2**32 - 1), [(1, 2)])
+        assert model.seed == 2**32 - 1
+        assert len(generate_ocr_samples(model, 1, seed=0)) == 1
 
     def test_sample_variety(self):
         samples = generate_ocr_samples(small_model(seed=1), 20, seed=0)
