@@ -1,0 +1,94 @@
+"""The synthetic model's generated bytes, pinned by sha256.
+
+Every bench CSV and CLI artifact is computed from these rows, so a change to
+the generator that moves a single bit, or draws from its generator in
+another order, shows here first. The digests cover each corpus sample's
+fields and step rows, and each decode workload's window scores, decode rows
+and regions, for three models: MHA 2x4, GQA 2x4 over 2 kv heads with a
+masked planted head, and a prompt too short for an image grid.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from sparsemm.simmodel import (
+    ModelGeometry,
+    PlantedHeadSet,
+    build_synthetic_model,
+    generate_ocr_samples,
+    mask_heads,
+)
+
+
+def _array(digest, arr, dtype) -> None:
+    arr = np.ascontiguousarray(arr, dtype=dtype)
+    digest.update(repr(arr.shape).encode())
+    digest.update(arr.tobytes())
+
+
+def corpus_digest(samples) -> str:
+    digest = hashlib.sha256()
+    for sample, trace in samples:
+        fields = [sample.image_shape, sample.grid, sample.pairs, sample.prompt_layout]
+        digest.update(json.dumps(fields).encode())
+        for step in trace.steps:
+            _array(digest, step, np.float64)
+    return digest.hexdigest()
+
+
+def workload_digest(workload) -> str:
+    digest = hashlib.sha256()
+    digest.update(repr((workload.prompt_len, workload.out_len, workload.window)).encode())
+    _array(digest, workload.window_scores, np.float64)
+    for rows in workload.decode_rows:
+        _array(digest, rows, np.float64)
+    _array(digest, workload.union_positions, np.int64)
+    for region in workload.token_regions:
+        _array(digest, region, np.int64)
+    return digest.hexdigest()
+
+
+MODELS = {
+    # name: (query_heads, kv_heads, masked, seed, prompt_len, window)
+    "mha-2x4": (4, 4, (), 5, 160, 32),
+    "gqa-2x4-2kv-masked": (4, 2, ((0, 1), (1, 3)), 6, 160, 32),
+    "no-image-grid": (4, 2, (), 7, 6, 4),
+}
+
+DIGESTS = {
+    "mha-2x4": (
+        "3cc061d732c1ba26176466beda6626c8cc2278f65379aa9b6f76eae24952b5d7",
+        "5d1e594ca38820a376128647fe2fcb0b0b0936193b833f1f2fb430f909b5e1c5",
+    ),
+    "gqa-2x4-2kv-masked": (
+        "dce207af5081943783dbc1d3daa3af9437a8674ab219d2d03cfbc8225db38513",
+        "b81865fa4150c80825b3e711e2dae1715677feab4963ca7edde789d0a4b44561",
+    ),
+    "no-image-grid": (
+        "3ce472820a881a77217d9ed80e772a4b3cfe003da008dff51158bedcc9b84b8e",
+        "34133dec9ae49c3240bbded60b0b45dd9c978b04220bc62a5c21dc25c301438d",
+    ),
+}
+
+
+def _model(name):
+    query_heads, kv_heads, masked, seed, _, _ = MODELS[name]
+    planted = PlantedHeadSet.uniform([(0, 1), (1, 2)], 0.8)
+    model = build_synthetic_model(ModelGeometry(2, query_heads, kv_heads), planted, seed)
+    return mask_heads(model, masked)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_corpus_bytes(name):
+    samples = generate_ocr_samples(_model(name), 3, seed=11)
+    assert corpus_digest(samples) == DIGESTS[name][0]
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_decode_workload_bytes(name):
+    *_, prompt_len, window = MODELS[name]
+    workload = _model(name).decode_workload(prompt_len, 3, window)
+    assert workload_digest(workload) == DIGESTS[name][1]
