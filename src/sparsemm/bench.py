@@ -24,15 +24,16 @@ import numpy as np
 
 from .allocator import AllocationConfig, POLICY_NAMES, allocate
 from .artifacts import counts, elements, numbers, read_object, write_json
+from .cache import replay_plans
 from .chaser import (
     HeadScoreMatrix,
     aggregate_corpus,
     aggregate_gqa_scores,
     chase_corpus,
-    match_bbox_to_patches,
     score_sample,
+    token_positions,
 )
-from .errors import DegenerateBoxError, InvalidInputError
+from .errors import InvalidInputError
 from .simmodel import (
     ModelGeometry,
     PlantedHeadSet,
@@ -40,7 +41,6 @@ from .simmodel import (
     build_synthetic_model,
     generate_ocr_samples,
     mask_heads,
-    replay_plans,
 )
 
 __all__ = [
@@ -77,7 +77,6 @@ class ExperimentConfig:
     layers: int = 8
     query_heads: int = 8
     kv_heads: int = 8
-    head_dim: int = 64
     planted_pairs: tuple[tuple[int, int], ...] | None = ((0, 1), (3, 4), (6, 2))
     planted_fraction: float | None = None
     planted_strength: float = 0.8
@@ -96,10 +95,17 @@ class ExperimentConfig:
     cost_budget_per_head: int = 256
 
     def __post_init__(self) -> None:
+        geometry = self.geometry  # rejects counts below 1 and kv heads that do not divide
         if not self.seeds:
             raise InvalidInputError("config needs at least one seed")
         if min(self.seeds) < 0:
             raise InvalidInputError(f"seed {min(self.seeds)} must be non-negative")
+        if max(self.seeds) >= 2**32:
+            raise InvalidInputError(f"seed {max(self.seeds)} outside the model seeds [0, 2**32)")
+        if self.prompt_len < self.window:
+            raise InvalidInputError(
+                f"prompt_len {self.prompt_len} shorter than window {self.window}"
+            )
         if self.corpus_size < 1:
             raise InvalidInputError("corpus_size must be at least 1")
         if not self.budgets_per_head:
@@ -123,10 +129,15 @@ class ExperimentConfig:
             raise InvalidInputError(
                 "specify exactly one of planted_pairs and planted_fraction"
             )
+        if self.planted_fraction is not None and not 0.0 <= self.planted_fraction <= 1.0:
+            raise InvalidInputError("planted_fraction must lie in [0, 1]")
+        # pinned heads and the strength, checked as every seed's model checks them
+        pinned = PlantedHeadSet.uniform(self.planted_pairs or (), self.planted_strength)
+        build_synthetic_model(geometry, pinned, 0)
 
     @property
     def geometry(self) -> ModelGeometry:
-        return ModelGeometry(self.layers, self.query_heads, self.kv_heads, self.head_dim)
+        return ModelGeometry(self.layers, self.query_heads, self.kv_heads)
 
     def planted_for_seed(self, seed: int) -> PlantedHeadSet:
         if self.planted_pairs is not None:
@@ -141,7 +152,7 @@ class ExperimentConfig:
 
 # count-valued config keys, single or listed, and their minimum
 _CONFIG_COUNTS = {
-    "layers": 1, "query_heads": 1, "kv_heads": 1, "head_dim": 1, "corpus_size": 1,
+    "layers": 1, "query_heads": 1, "kv_heads": 1, "corpus_size": 1,
     "prompt_len": 1, "out_len": 1, "window": 0, "cost_out_len": 1, "cost_budget_per_head": 1,
     "budgets_per_head": 1, "seeds": 0, "cost_lengths": 1,
 }
@@ -190,6 +201,8 @@ def load_config(path) -> ExperimentConfig:
     blob = read_object(path, "config")
     where = f"config {path}"
     kwargs = _section(blob, "geometry", ("layers", "query_heads"), ("kv_heads", "head_dim"), where)
+    if "head_dim" in kwargs:  # checked, then ignored: no stage reads a head dimension
+        counts({"head_dim": kwargs.pop("head_dim")}, where, 1)
     if kwargs:
         kwargs.setdefault("kv_heads", kwargs["query_heads"])
     planted = _section(blob, "planted", (), ("pairs", "fraction", "strength"), where)
@@ -269,7 +282,7 @@ def recovery_stats(
     scores: HeadScoreMatrix, planted: PlantedHeadSet, k: int | None = None
 ) -> tuple[float, float]:
     """Precision and recall of the top-k scored heads against the planted set."""
-    truth = set(planted.pairs())
+    truth = set(planted.heads)
     if not truth:
         return 0.0, 0.0
     k = len(truth) if k is None else k
@@ -324,23 +337,11 @@ def _grounding_terms(samples, planted: PlantedHeadSet):
     """
     terms = []
     for sample, trace in samples:
-        position_of = {
-            patch: pos
-            for pos, patch in enumerate(sample.prompt_layout)
-            if patch >= 0
-        }
-        for t, step in enumerate(trace.steps):
-            if t >= len(sample.pairs):
-                break
-            try:
-                patches = match_bbox_to_patches(
-                    sample.pairs[t][1], sample.image_shape, sample.grid
-                )
-            except DegenerateBoxError:
+        for step, positions in zip(trace.steps, token_positions(sample, trace.out_len)):
+            if positions is None:
                 continue
-            positions = np.array([position_of[p] for p in patches.indices])
             uniform = float(np.full(positions.size, 1.0 / step.shape[2]).sum())
-            for l, h in planted.pairs():
+            for l, h in planted.heads:
                 terms.append(((l, h), float(step[l, h, positions].sum()), uniform))
     return terms
 
@@ -370,7 +371,7 @@ def _mask_seed_rows(cfg: ExperimentConfig, seed: int) -> list[MaskRow]:
     Masking overwrites rows after every random draw, so a masked model's
     corpus is this seed's corpus with the masked rows set to exactly
     1/visible. Such a row's argmax is position 0, which is a text token in
-    every sample (`SampleParams.pre_text` starts at 2), so a masked head never
+    every sample (`simmodel.PRE_TEXT` starts at 2), so a masked head never
     scores and every skip decision is the same: the masked cell's scores are
     the base per-sample increments with the masked heads zeroed, aggregated
     again, and its grounding mass reads each masked planted row as uniform.

@@ -11,13 +11,16 @@ Under grouped-query attention the query heads sharing one kv head have their
 window attentions summed before averaging, so selection happens per kv head.
 Eviction itself takes those per-kv-head window scores, shape
 (layers, kv_heads, Lp - w), never the window rows they come from.
+
+`replay_plans` reads decode recall for many plans over one synthetic decode
+workload. It keeps what `compress_prefill` keeps, by the same tie rule.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -27,10 +30,12 @@ from .errors import InvalidInputError, ShapeError
 from .tensor import CausalMask, Matrix, matmul_scaled, softmax_row_masked
 
 __all__ = [
+    "DecodeRecord",
     "EvictionReport",
     "HeadEviction",
     "TopKSelection",
     "compress_prefill",
+    "replay_plans",
     "report_to_csv",
     "report_to_json",
     "select_topk",
@@ -127,6 +132,16 @@ class EvictionReport:
         return sum(len(h.kept) for h in self.heads)
 
 
+def _check_plan(plan, layers: int, kv_heads: int, w: int) -> None:
+    """Reject a plan drawn for another window or another (layers, kv_heads) shape."""
+    if plan.window != w:
+        raise InvalidInputError(f"plan window {plan.window} != window {w}")
+    if plan.budgets.shape != (layers, kv_heads):
+        raise ShapeError(
+            f"plan budgets {plan.budgets.shape} != (layers, kv_heads) {(layers, kv_heads)}"
+        )
+
+
 def compress_prefill(
     window_scores, plan, w: int, prompt_len: int
 ) -> tuple[np.ndarray, EvictionReport]:
@@ -138,17 +153,14 @@ def compress_prefill(
     Returns the (layers, kv_heads, Lp) bool mask of retained prompt positions
     and the report. Budgets at or above Lp keep the whole prompt. A prompt shorter
     than w keeps everything and skips scoring; its scores are
-    (layers, kv_heads, 0).
+    (layers, kv_heads, 0). The plan must be drawn for window w.
     """
     scores = np.asarray(window_scores, dtype=np.float64)
     if scores.ndim != 3:
         raise ShapeError("window_scores must be (layers, kv_heads, Lp - w)")
     layers, kv_heads, n = scores.shape
     lp = prompt_len
-    if plan.layers != layers:
-        raise ShapeError(f"plan has {plan.layers} layers, trace has {layers}")
-    if plan.kv_heads != kv_heads:
-        raise ShapeError(f"plan has {plan.kv_heads} kv heads, trace has {kv_heads}")
+    _check_plan(plan, layers, kv_heads, w)
     if n != max(lp - w, 0):
         raise ShapeError(f"window_scores cover {n} keys, expected Lp - w = {max(lp - w, 0)}")
 
@@ -166,6 +178,84 @@ def compress_prefill(
             positions = tuple(np.flatnonzero(kept[l, j]).tolist())
             heads.append(HeadEviction(l, j, b, positions, not skipped and b > lp))
     return kept, EvictionReport(lp, w, tuple(heads), scoring_skipped=skipped)
+
+
+@dataclass(frozen=True)
+class DecodeRecord:
+    """Per-step recall and slot accounting from one decode pass."""
+
+    recall_per_step: np.ndarray
+    slots_per_step: np.ndarray
+    touches_per_step: np.ndarray
+    peak_slots: int
+    head_mean_recall: np.ndarray = field(repr=False)  # (layers, query_heads)
+
+    @property
+    def mean_recall(self) -> float:
+        return float(self.recall_per_step.mean())
+
+    @property
+    def total_touches(self) -> int:
+        return int(self.touches_per_step.sum())
+
+
+def replay_plans(geometry, workload, plans) -> list[DecodeRecord]:
+    """One DecodeRecord per budget plan over one decode workload, ranking its keys once.
+
+    `workload` is a `simmodel.DecodeWorkload`. A plan keeps, per kv head, the
+    window plus its best b - w ranked keys, which is what `compress_prefill`
+    keeps, so every plan cuts the same key order. Each decode step builds one
+    table of cumulative captured mass over the ranked keys,
+    (layers, query_heads, Lp - w + 1); a plan's captured mass is window mass +
+    generated mass + table[b - w]. A head with b >= Lp reads the row total, so
+    its recall is exactly 1. Slot counts follow from min(b, Lp) alone.
+    """
+    layers, query_heads, kv_heads = geometry.layers, geometry.query_heads, geometry.kv_heads
+    lp, w, out_len = workload.prompt_len, workload.window, workload.out_len
+    for plan in plans:
+        _check_plan(plan, layers, kv_heads, w)
+        if (plan.budgets < w).any():
+            raise InvalidInputError("plan grants some head fewer than w slots")
+    if workload.window_scores.shape != (layers, kv_heads, lp - w):
+        raise ShapeError("workload window scores do not match the geometry")
+
+    group = geometry.group_size
+    n = lp - w
+    order = _descending_order(workload.window_scores)[:, :, None, :]
+    kept = [np.minimum(plan.budgets, lp) for plan in plans]
+    # table index per query head: 0 keeps the window only, n keeps the prompt
+    index = [np.repeat(k - w, group, axis=1)[:, :, None] for k in kept]
+    recalls = np.zeros((len(plans), out_len))
+    head_acc = np.zeros((len(plans), layers, query_heads))
+    for t, rows in enumerate(workload.decode_rows):
+        if rows.shape != (layers, query_heads, lp + t):
+            raise ShapeError(f"decode rows of step {t} do not match the geometry")
+        prompt = rows[:, :, :lp].reshape(layers, kv_heads, group, lp)
+        ranked = np.take_along_axis(prompt, order, axis=3).reshape(layers, query_heads, n)
+        table = np.zeros((layers, query_heads, n + 1))
+        np.cumsum(ranked, axis=2, out=table[:, :, 1:])
+        always = rows[:, :, n:lp].sum(axis=2) + rows[:, :, lp:].sum(axis=2)
+        total = always + table[:, :, n]
+        for p, idx in enumerate(index):
+            recall = (always + np.take_along_axis(table, idx, axis=2)[:, :, 0]) / total
+            recalls[p, t] = recall.mean()
+            head_acc[p] += recall
+
+    steps = np.arange(out_len, dtype=np.int64)
+    records = []
+    for p, k in enumerate(kept):
+        base = int(k.sum())
+        slots = base + steps * (layers * kv_heads)
+        records.append(
+            DecodeRecord(
+                recalls[p],
+                slots,
+                group * slots,
+                base + out_len * layers * kv_heads,
+                head_acc[p] / out_len,
+            )
+        )
+    return records
 
 
 def report_to_json(report: EvictionReport, path) -> None:

@@ -31,6 +31,7 @@ __all__ = [
     "save_scores",
     "score_file_hash",
     "score_sample",
+    "token_positions",
 ]
 
 
@@ -129,34 +130,43 @@ def match_bbox_to_patches(bbox, image_shape, grid) -> PatchIndexSet:
     return PatchIndexSet(tuple(covered))
 
 
+def token_positions(sample: OcrSample, out_len: int) -> list[np.ndarray | None]:
+    """Per output token, the ascending prompt positions of its bbox's patches.
+
+    A token is skipped, and reads None, when its (text, bbox) pair is
+    missing, its box is degenerate, or its patches hold no prompt position.
+    """
+    out: list[np.ndarray | None] = []
+    for t in range(out_len):
+        if t >= len(sample.pairs):
+            out.append(None)
+            continue
+        try:
+            patches = match_bbox_to_patches(sample.pairs[t][1], sample.image_shape, sample.grid)
+        except DegenerateBoxError:
+            out.append(None)
+            continue
+        positions = patches.prompt_positions(sample.prompt_layout)
+        out.append(positions if positions.size else None)
+    return out
+
+
 def score_sample(sample: OcrSample, trace: AttentionTrace) -> SampleScore:
     """Score one sample: accumulate 1/|I| for each head whose argmax hits I.
 
-    Tokens whose (text, bbox) pair is missing, malformed, or maps to an empty
-    patch set are skipped and counted in `tokens_skipped` instead of being
-    treated as misses.
+    Tokens that `token_positions` skips (a missing or malformed (text, bbox)
+    pair, or an empty patch set) are counted in `tokens_skipped` instead of
+    being treated as misses.
     """
-    layers, heads = trace.layers, trace.query_heads
-    inc = np.zeros((layers, heads))
+    inc = np.zeros((trace.layers, trace.query_heads))
     scored = 0
     skipped = 0
-    for t, rows in enumerate(trace.steps):
-        if t >= len(sample.pairs):
+    for rows, positions in zip(trace.steps, token_positions(sample, trace.out_len)):
+        if positions is None:
             skipped += 1
             continue
-        _, bbox = sample.pairs[t]
-        try:
-            patches = match_bbox_to_patches(bbox, sample.image_shape, sample.grid)
-        except DegenerateBoxError:
-            skipped += 1
-            continue
-        positions = patches.prompt_positions(sample.prompt_layout)
-        if positions.size == 0:
-            skipped += 1
-            continue
-        hit_value = 1.0 / positions.size
         top = np.argmax(rows, axis=2)
-        inc += hit_value * np.isin(top, positions)
+        inc += (1.0 / positions.size) * np.isin(top, positions)
         scored += 1
     return SampleScore(HeadScoreMatrix(inc, scored), scored, skipped)
 

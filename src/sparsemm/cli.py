@@ -75,7 +75,6 @@ def _add_model_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--query-heads", type=int, required=True)
     parser.add_argument("--kv-heads", type=int, default=None,
                         help="defaults to --query-heads (multi-head attention)")
-    parser.add_argument("--head-dim", type=int, default=64)
     parser.add_argument("--planted", required=True,
                         help="semicolon-separated layer,head pairs, e.g. '0,1;3,4'")
     parser.add_argument("--strength", type=float, default=0.8)
@@ -87,7 +86,6 @@ def _build_model(args: argparse.Namespace):
         args.layers,
         args.query_heads,
         args.kv_heads if args.kv_heads is not None else args.query_heads,
-        args.head_dim,
     )
     planted = PlantedHeadSet.uniform(_parse_planted(args.planted), args.strength)
     return build_synthetic_model(geometry, planted, args.seed)
@@ -176,26 +174,31 @@ def cmd_prefill(args: argparse.Namespace) -> dict:
     }
 
 
-TRACE_KEYS = ("window_scores", "prompt_len", "window", "kv_heads")
+TRACE_KEYS = ("window_scores", "layers", "query_heads", "kv_heads", "prompt_len", "window")
 
 
-def _load_trace(path) -> tuple[np.ndarray, int, int, int]:
-    """(window_scores, prompt_len, window, kv_heads) from a `prefill` trace file."""
+def _load_trace(path) -> tuple[np.ndarray, int, int]:
+    """(window_scores, prompt_len, window) from a `prefill` trace file.
+
+    The scores must be (layers, kv_heads, max(prompt_len - window, 0)) and
+    kv_heads must divide query_heads.
+    """
     blob = read_object(path, "trace", TRACE_KEYS, old_format=("window_attention", "prefill"))
     where = f"trace {path}"
-    sizes = counts({key: blob[key] for key in TRACE_KEYS[1:]}, where)
-    return (numeric_array(blob["window_scores"], f"{where}: window_scores"), *sizes)
+    layers, query_heads, kv_heads = counts({key: blob[key] for key in TRACE_KEYS[1:4]}, where, 1)
+    prompt_len, window = counts({key: blob[key] for key in TRACE_KEYS[4:]}, where)
+    if query_heads % kv_heads:
+        raise ShapeError(f"{where}: {query_heads} query heads not divisible by {kv_heads} kv heads")
+    scores = numeric_array(blob["window_scores"], f"{where}: window_scores")
+    shape = (layers, kv_heads, max(prompt_len - window, 0))
+    if scores.shape != shape:
+        raise ShapeError(f"{where}: window_scores are {scores.shape}, expected {shape}")
+    return scores, prompt_len, window
 
 
 def cmd_compress(args: argparse.Namespace) -> dict:
-    scores, prompt_len, window, kv_heads = _load_trace(args.trace)
+    scores, prompt_len, window = _load_trace(args.trace)
     plan = load_plan(args.plan)
-    if plan.window != window:
-        raise InvalidInputError(
-            f"plan window {plan.window} does not match trace window {window}"
-        )
-    if plan.kv_heads != kv_heads:
-        raise ShapeError(f"plan has {plan.kv_heads} kv heads, trace has {kv_heads}")
     kept, report = compress_prefill(scores, plan, window, prompt_len)
     if args.out_json:
         report_to_json(report, args.out_json)

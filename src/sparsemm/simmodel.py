@@ -32,26 +32,22 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .artifacts import counts, elements, numbers, read_object, write_json
-from .cache import _descending_order, sum_onto_kv_heads
+from .cache import sum_onto_kv_heads
 from .errors import InvalidInputError, ShapeError
 
 __all__ = [
     "TEXT_TOKEN",
     "AttentionTrace",
-    "DecodeRecord",
     "DecodeWorkload",
     "ModelGeometry",
     "OcrSample",
-    "PlantedHead",
     "PlantedHeadSet",
-    "SampleParams",
     "SyntheticModel",
     "build_synthetic_model",
     "corpus_digest",
     "generate_ocr_samples",
     "load_corpus",
     "mask_heads",
-    "replay_plans",
     "save_corpus",
 ]
 
@@ -71,6 +67,17 @@ DECODE_BG = (0.96, 0.02, 0.02)
 # fraction of a planted head's window-row mass steered onto the region union
 WINDOW_REGION_FACTOR = 0.85
 
+# ranges (inclusive) drawn per corpus sample; every prompt opens with at least
+# PRE_TEXT[0] text tokens
+IMAGE_PX = (192, 512)
+GRID_ROWS = (6, 12)
+GRID_COLS = (6, 12)
+PRE_TEXT = (2, 5)
+INSTR_TEXT = (10, 28)
+OUT_TOKENS = (4, 9)
+REGION_ROWS = (1, 3)
+REGION_COLS = (1, 4)
+
 _STREAM_CORPUS = 1
 _STREAM_DECODE = 2
 
@@ -82,10 +89,9 @@ class ModelGeometry:
     layers: int
     query_heads: int
     kv_heads: int
-    head_dim: int = 64
 
     def __post_init__(self) -> None:
-        if min(self.layers, self.query_heads, self.kv_heads, self.head_dim) < 1:
+        if min(self.layers, self.query_heads, self.kv_heads) < 1:
             raise InvalidInputError("geometry counts must be positive")
         if self.query_heads % self.kv_heads != 0:
             raise InvalidInputError(
@@ -97,42 +103,32 @@ class ModelGeometry:
         return self.query_heads // self.kv_heads
 
     @classmethod
-    def mha(cls, layers: int, heads: int, head_dim: int = 64) -> "ModelGeometry":
-        return cls(layers, heads, heads, head_dim)
-
-
-@dataclass(frozen=True)
-class PlantedHead:
-    layer: int
-    query_head: int
-    strength: float
+    def mha(cls, layers: int, heads: int) -> "ModelGeometry":
+        return cls(layers, heads, heads)
 
 
 @dataclass(frozen=True)
 class PlantedHeadSet:
-    """Ground-truth visual heads with per-head strengths in [0, 1]."""
+    """Ground-truth visual heads: (layer, query_head) pairs sharing one strength in [0, 1]."""
 
-    entries: tuple[PlantedHead, ...] = ()
+    heads: tuple[tuple[int, int], ...] = ()
+    strength: float = 0.0
 
     def __post_init__(self) -> None:
-        ordered = tuple(sorted(self.entries, key=lambda e: (e.layer, e.query_head)))
-        seen = {(e.layer, e.query_head) for e in ordered}
-        if len(seen) != len(ordered):
+        heads = tuple(sorted((int(l), int(h)) for l, h in self.heads))
+        if len(set(heads)) != len(heads):
             raise InvalidInputError("duplicate planted head")
-        for e in ordered:
-            if not 0.0 <= e.strength <= 1.0:
-                raise InvalidInputError(f"strength {e.strength} outside [0, 1]")
-        object.__setattr__(self, "entries", ordered)
+        if not 0.0 <= self.strength <= 1.0:
+            raise InvalidInputError(f"strength {self.strength} outside [0, 1]")
+        object.__setattr__(self, "heads", heads)
+        object.__setattr__(self, "strength", float(self.strength))
 
     @classmethod
     def uniform(cls, pairs, strength: float) -> "PlantedHeadSet":
-        return cls(tuple(PlantedHead(int(l), int(h), float(strength)) for l, h in pairs))
-
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple((e.layer, e.query_head) for e in self.entries)
+        return cls(tuple(pairs), strength)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.heads)
 
 
 @dataclass(frozen=True)
@@ -202,20 +198,6 @@ class AttentionTrace:
         return len(self.steps)
 
 
-@dataclass(frozen=True)
-class SampleParams:
-    """Ranges (inclusive) drawn per corpus sample."""
-
-    image_px: tuple[int, int] = (192, 512)
-    grid_rows: tuple[int, int] = (6, 12)
-    grid_cols: tuple[int, int] = (6, 12)
-    pre_text: tuple[int, int] = (2, 5)
-    instr_text: tuple[int, int] = (10, 28)
-    out_tokens: tuple[int, int] = (4, 9)
-    region_rows: tuple[int, int] = (1, 3)
-    region_cols: tuple[int, int] = (1, 4)
-
-
 def _normalize_blocks(draw: np.ndarray, roles) -> np.ndarray:
     """Compose role-wise Dirichlet blocks into rows that sum to one, in place.
 
@@ -233,6 +215,28 @@ def _normalize_blocks(draw: np.ndarray, roles) -> np.ndarray:
         block *= m / z
         block /= total
     return draw
+
+
+def _draw_block(rng, geo: ModelGeometry, visible: int, n_pre: int, text_off: int, bg):
+    """One step's (layers, query_heads, visible) background rows.
+
+    Positions run sinks [0, n_pre) | leak [n_pre, text_off) | text
+    [text_off, visible); `bg` holds the (text, sink, leak) masses. A window
+    row that does not reach text_off sees only part of the leak range.
+    """
+    draw = rng.exponential(size=(geo.layers, geo.query_heads, visible))
+    roles = [(text_off, visible, bg[0]), (0, n_pre, bg[1]), (n_pre, min(text_off, visible), bg[2])]
+    return _normalize_blocks(draw, roles)
+
+
+def _draw_count(rng, span: tuple[int, int]) -> int:
+    """One integer drawn from the inclusive range `span`."""
+    return int(rng.integers(span[0], span[1] + 1))
+
+
+def _rect_patches(r0: int, c0: int, rows: int, cols: int, grid_cols: int) -> np.ndarray:
+    """Row-major grid indices of the rows x cols patch rectangle at (r0, c0)."""
+    return ((r0 + np.arange(rows))[:, None] * grid_cols + (c0 + np.arange(cols))).ravel()
 
 
 def _plant_hit_row(rng, row: np.ndarray, region: np.ndarray) -> np.ndarray:
@@ -258,30 +262,10 @@ class DecodeWorkload:
     prompt_len: int
     out_len: int
     window: int
-    prompt_layout: tuple[int, ...]
     union_positions: np.ndarray = field(repr=False)
     token_regions: tuple[np.ndarray, ...] = field(repr=False)
     window_scores: np.ndarray = field(repr=False)  # (L, H_kv, Lp - w)
     decode_rows: tuple[np.ndarray, ...] = field(repr=False)  # per t: (L, Hq, Lp + t)
-
-
-@dataclass(frozen=True)
-class DecodeRecord:
-    """Per-step recall and slot accounting from one decode pass."""
-
-    recall_per_step: np.ndarray
-    slots_per_step: np.ndarray
-    touches_per_step: np.ndarray
-    peak_slots: int
-    head_mean_recall: np.ndarray = field(repr=False)  # (layers, query_heads)
-
-    @property
-    def mean_recall(self) -> float:
-        return float(self.recall_per_step.mean())
-
-    @property
-    def total_touches(self) -> int:
-        return int(self.touches_per_step.sum())
 
 
 @dataclass(frozen=True)
@@ -292,7 +276,6 @@ class SyntheticModel:
     planted: PlantedHeadSet
     seed: int
     masked: frozenset = frozenset()
-    params: SampleParams = SampleParams()
 
     def __post_init__(self) -> None:
         if not 0 <= self.seed < 2**32:
@@ -301,27 +284,37 @@ class SyntheticModel:
     def _rng(self, stream, *key) -> np.random.Generator:
         return np.random.default_rng(np.random.SeedSequence([int(self.seed), stream, *key]))
 
-    def _overwrite_special_rows(self, rng, block, region, visible) -> None:
-        """Apply planted-hit and masked-uniform overwrites to one step block."""
-        for entry in self.planted.entries:
-            u = rng.random()
-            if region.size and u < entry.strength:
-                block[entry.layer, entry.query_head] = _plant_hit_row(
-                    rng, block[entry.layer, entry.query_head], region
-                )
+    def _mask_rows(self, block: np.ndarray, visible: int) -> None:
+        """Overwrite every masked head's row of one step block with exactly 1/visible."""
         for l, h in sorted(self.masked):
             block[l, h] = 1.0 / visible
 
+    def _draw_steps(self, rng, lp: int, regions, n_pre: int, text_off: int, bg) -> list:
+        """Output token t's (layers, query_heads, lp + t) rows, one per region.
+
+        Each step draws its background, then each planted head hits the
+        step's region with probability `strength`, then masked rows go uniform.
+        """
+        steps = []
+        for t, region in enumerate(regions):
+            block = _draw_block(rng, self.geometry, lp + t, n_pre, text_off, bg)
+            for l, h in self.planted.heads:
+                u = rng.random()
+                if region.size and u < self.planted.strength:
+                    block[l, h] = _plant_hit_row(rng, block[l, h], region)
+            self._mask_rows(block, lp + t)
+            steps.append(block)
+        return steps
+
     def sample_ocr(self, rng) -> tuple[OcrSample, AttentionTrace]:
         """Generate one OCR-style sample and its decode trace."""
-        geo, p = self.geometry, self.params
-        gr = int(rng.integers(p.grid_rows[0], p.grid_rows[1] + 1))
-        gc = int(rng.integers(p.grid_cols[0], p.grid_cols[1] + 1))
-        h_px = int(rng.integers(p.image_px[0], p.image_px[1] + 1))
-        w_px = int(rng.integers(p.image_px[0], p.image_px[1] + 1))
-        n_pre = int(rng.integers(p.pre_text[0], p.pre_text[1] + 1))
-        n_instr = int(rng.integers(p.instr_text[0], p.instr_text[1] + 1))
-        n_out = int(rng.integers(p.out_tokens[0], p.out_tokens[1] + 1))
+        gr = _draw_count(rng, GRID_ROWS)
+        gc = _draw_count(rng, GRID_COLS)
+        h_px = _draw_count(rng, IMAGE_PX)
+        w_px = _draw_count(rng, IMAGE_PX)
+        n_pre = _draw_count(rng, PRE_TEXT)
+        n_instr = _draw_count(rng, INSTR_TEXT)
+        n_out = _draw_count(rng, OUT_TOKENS)
         g = gr * gc
         layout = np.concatenate(
             [np.full(n_pre, TEXT_TOKEN), np.arange(g), np.full(n_instr, TEXT_TOKEN)]
@@ -333,13 +326,10 @@ class SyntheticModel:
         regions = []
         cell_h, cell_w = h_px / gr, w_px / gc
         for _ in range(n_out):
-            rh = min(int(rng.integers(p.region_rows[0], p.region_rows[1] + 1)), gr)
-            rw = min(int(rng.integers(p.region_cols[0], p.region_cols[1] + 1)), gc)
+            rh = min(_draw_count(rng, REGION_ROWS), gr)
+            rw = min(_draw_count(rng, REGION_COLS), gc)
             r0 = int(rng.integers(0, gr - rh + 1))
             c0 = int(rng.integers(0, gc - rw + 1))
-            patches = np.array(
-                [(r0 + i) * gc + (c0 + j) for i in range(rh) for j in range(rw)]
-            )
             # inset the bbox strictly inside its patch rectangle so the
             # pixel->patch mapping recovers exactly these patches
             dx0, dy0, dx1, dy1 = rng.uniform(0.05, 0.30, size=4)
@@ -350,23 +340,9 @@ class SyntheticModel:
                 (r0 + rh - dy1) * cell_h,
             )
             pairs.append((int(rng.integers(1, 1_000_000)), bbox))
-            regions.append(n_pre + patches)
+            regions.append(n_pre + _rect_patches(r0, c0, rh, rw, gc))
 
-        steps = []
-        for t in range(n_out):
-            visible = lp + t
-            draw = rng.exponential(size=(geo.layers, geo.query_heads, visible))
-            block = _normalize_blocks(
-                draw,
-                [
-                    (instr_off, visible, CORPUS_BG[0]),
-                    (0, n_pre, CORPUS_BG[1]),
-                    (n_pre, instr_off, CORPUS_BG[2]),
-                ],
-            )
-            self._overwrite_special_rows(rng, block, regions[t], visible)
-            steps.append(block)
-
+        steps = self._draw_steps(rng, lp, regions, n_pre, instr_off, CORPUS_BG)
         sample = OcrSample(
             (h_px, w_px),
             (gr, gc),
@@ -410,13 +386,6 @@ class SyntheticModel:
         else:
             gr = gc = g = 0
             header = max(0, g_avail)
-        layout = np.concatenate(
-            [
-                np.full(n_pre + header, TEXT_TOKEN),
-                np.arange(g),
-                np.full(tail, TEXT_TOKEN),
-            ]
-        )
         lp = prompt_len
         image_off = n_pre + header
         # sinks [0, n_pre) | leak [n_pre, tail_off) | tail [tail_off, lp): header
@@ -436,9 +405,7 @@ class SyntheticModel:
                 r0 = int(rng.integers(0, gr - rh + 1))
                 c0 = int(rng.integers(0, gc - rw + 1))
                 rects.append((r0, c0, rh, rw))
-                union_patches |= {
-                    (r0 + i) * gc + (c0 + j) for i in range(rh) for j in range(rw)
-                }
+                union_patches.update(_rect_patches(r0, c0, rh, rw, gc).tolist())
         union_positions = image_off + np.array(sorted(union_patches), dtype=np.int64)
 
         token_regions = []
@@ -449,10 +416,7 @@ class SyntheticModel:
                 sw = int(rng.integers(1, rw + 1))
                 o_r = r0 + int(rng.integers(0, rh - sh + 1))
                 o_c = c0 + int(rng.integers(0, rw - sw + 1))
-                patches = np.array(
-                    [(o_r + i) * gc + (o_c + j) for i in range(sh) for j in range(sw)]
-                )
-                token_regions.append(image_off + patches)
+                token_regions.append(image_off + _rect_patches(o_r, o_c, sh, sw, gc))
             else:
                 token_regions.append(np.empty(0, dtype=np.int64))
 
@@ -461,68 +425,32 @@ class SyntheticModel:
         for i in range(window):
             pos = lp - window + i
             visible = pos + 1
-            draw = rng.exponential(size=(geo.layers, geo.query_heads, visible))
-            block = _normalize_blocks(
-                draw,
-                [
-                    (tail_off, visible, DECODE_BG[0]),
-                    (0, n_pre, DECODE_BG[1]),
-                    (n_pre, min(tail_off, visible), DECODE_BG[2]),
-                ],
-            )
+            block = _draw_block(rng, geo, visible, n_pre, tail_off, DECODE_BG)
             union_vis = union_positions[union_positions <= pos]
-            for entry in self.planted.entries:
-                if union_vis.size:
-                    u_mass = WINDOW_REGION_FACTOR * entry.strength
+            if union_vis.size:
+                u_mass = WINDOW_REGION_FACTOR * self.planted.strength
+                for l, h in self.planted.heads:
                     spread = rng.exponential(size=union_vis.size)
-                    row = (1.0 - u_mass) * block[entry.layer, entry.query_head]
+                    row = (1.0 - u_mass) * block[l, h]
                     row[union_vis] += u_mass * spread / spread.sum()
-                    block[entry.layer, entry.query_head] = row
-            for l, h in sorted(self.masked):
-                block[l, h] = 1.0 / visible
+                    block[l, h] = row
+            self._mask_rows(block, visible)
             window_scores += sum_onto_kv_heads(block[:, :, :n], geo.kv_heads)
         if window:
             window_scores /= window
 
-        decode_rows = []
-        for t in range(out_len):
-            visible = lp + t
-            draw = rng.exponential(size=(geo.layers, geo.query_heads, visible))
-            block = _normalize_blocks(
-                draw,
-                [
-                    (tail_off, visible, DECODE_BG[0]),
-                    (0, n_pre, DECODE_BG[1]),
-                    (n_pre, tail_off, DECODE_BG[2]),
-                ],
-            )
-            self._overwrite_special_rows(rng, block, token_regions[t], visible)
-            decode_rows.append(block)
-
-        return DecodeWorkload(
-            lp,
-            out_len,
-            window,
-            tuple(int(v) for v in layout),
-            union_positions,
-            tuple(token_regions),
-            window_scores,
-            tuple(decode_rows),
-        )
+        decode_rows = self._draw_steps(rng, lp, token_regions, n_pre, tail_off, DECODE_BG)
+        return DecodeWorkload(lp, out_len, window, union_positions, tuple(token_regions),
+                              window_scores, tuple(decode_rows))
 
 
 def build_synthetic_model(
-    geometry: ModelGeometry,
-    planted: PlantedHeadSet,
-    seed: int,
-    params: SampleParams | None = None,
+    geometry: ModelGeometry, planted: PlantedHeadSet, seed: int
 ) -> SyntheticModel:
-    for entry in planted.entries:
-        if not (0 <= entry.layer < geometry.layers and 0 <= entry.query_head < geometry.query_heads):
-            raise InvalidInputError(
-                f"planted head ({entry.layer}, {entry.query_head}) outside geometry"
-            )
-    return SyntheticModel(geometry, planted, int(seed), frozenset(), params or SampleParams())
+    for l, h in planted.heads:
+        if not (0 <= l < geometry.layers and 0 <= h < geometry.query_heads):
+            raise InvalidInputError(f"planted head ({l}, {h}) outside geometry")
+    return SyntheticModel(geometry, planted, int(seed))
 
 
 def mask_heads(model: SyntheticModel, heads) -> SyntheticModel:
@@ -545,69 +473,6 @@ def generate_ocr_samples(model: SyntheticModel, n: int, seed: int):
         rng = model._rng(_STREAM_CORPUS, int(seed), i)
         out.append(model.sample_ocr(rng))
     return out
-
-
-def replay_plans(geometry: ModelGeometry, workload: DecodeWorkload, plans) -> list[DecodeRecord]:
-    """One DecodeRecord per budget plan, ranking the workload's keys once.
-
-    A plan keeps, per kv head, the window plus its best b - w ranked keys, so
-    every plan cuts the same key order. Each decode step builds one table of
-    cumulative captured mass over the ranked keys, (layers, query_heads,
-    Lp - w + 1); a plan's captured mass is window mass + generated mass +
-    table[b - w]. A head with b >= Lp reads the row total, so its recall is
-    exactly 1. Slot counts follow from min(b, Lp) alone.
-    """
-    layers, query_heads, kv_heads = geometry.layers, geometry.query_heads, geometry.kv_heads
-    lp, w, out_len = workload.prompt_len, workload.window, workload.out_len
-    for plan in plans:
-        if plan.window != w:
-            raise InvalidInputError(f"plan window {plan.window} != decode window {w}")
-        if plan.budgets.shape != (layers, kv_heads):
-            raise ShapeError(
-                f"plan budgets {plan.budgets.shape} != (layers, kv_heads) {(layers, kv_heads)}"
-            )
-        if (plan.budgets < w).any():
-            raise InvalidInputError("plan grants some head fewer than w slots")
-    if workload.window_scores.shape != (layers, kv_heads, lp - w):
-        raise ShapeError("workload window scores do not match the geometry")
-
-    group = geometry.group_size
-    n = lp - w
-    order = _descending_order(workload.window_scores)[:, :, None, :]
-    kept = [np.minimum(plan.budgets, lp) for plan in plans]
-    # table index per query head: 0 keeps the window only, n keeps the prompt
-    index = [np.repeat(k - w, group, axis=1)[:, :, None] for k in kept]
-    recalls = np.zeros((len(plans), out_len))
-    head_acc = np.zeros((len(plans), layers, query_heads))
-    for t, rows in enumerate(workload.decode_rows):
-        if rows.shape != (layers, query_heads, lp + t):
-            raise ShapeError(f"decode rows of step {t} do not match the geometry")
-        prompt = rows[:, :, :lp].reshape(layers, kv_heads, group, lp)
-        ranked = np.take_along_axis(prompt, order, axis=3).reshape(layers, query_heads, n)
-        table = np.zeros((layers, query_heads, n + 1))
-        np.cumsum(ranked, axis=2, out=table[:, :, 1:])
-        always = rows[:, :, n:lp].sum(axis=2) + rows[:, :, lp:].sum(axis=2)
-        total = always + table[:, :, n]
-        for p, idx in enumerate(index):
-            recall = (always + np.take_along_axis(table, idx, axis=2)[:, :, 0]) / total
-            recalls[p, t] = recall.mean()
-            head_acc[p] += recall
-
-    steps = np.arange(out_len, dtype=np.int64)
-    records = []
-    for p, k in enumerate(kept):
-        base = int(k.sum())
-        slots = base + steps * (layers * kv_heads)
-        records.append(
-            DecodeRecord(
-                recalls[p],
-                slots,
-                group * slots,
-                base + out_len * layers * kv_heads,
-                head_acc[p] / out_len,
-            )
-        )
-    return records
 
 
 CORPUS_KEYS = (

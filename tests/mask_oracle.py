@@ -17,7 +17,7 @@ from sparsemm.simmodel import build_synthetic_model, generate_ocr_samples, mask_
 def grounding_mass(samples, planted) -> float:
     total = 0.0
     count = 0
-    pairs = planted.pairs()
+    pairs = planted.heads
     if not pairs:
         return 0.0
     for sample, trace in samples:

@@ -1,4 +1,4 @@
-"""Slot-by-slot decode replay: the reference `simmodel.replay_plans` must match.
+"""Slot-by-slot decode replay: the reference `cache.replay_plans` must match.
 
 It keeps what `cache.compress_prefill` keeps, repeats each kv head's mask over
 its query group, and scores every decode step against that mask: captured
@@ -8,8 +8,7 @@ Slots are counted from the mask, not from budgets.
 
 import numpy as np
 
-from sparsemm.cache import compress_prefill
-from sparsemm.simmodel import DecodeRecord
+from sparsemm.cache import DecodeRecord, compress_prefill
 
 
 def replay_plan(geometry, workload, plan) -> DecodeRecord:

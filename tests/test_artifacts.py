@@ -288,7 +288,9 @@ def flow(tmp_path, capsys):
     for argv in commands:
         assert main(argv) == 0
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"geometry": {"layers": 2, "query_heads": 2}, "seeds": [0]}))
+    config.write_text(json.dumps({
+        "geometry": {"layers": 2, "query_heads": 2}, "planted": {"pairs": [[0, 1]]}, "seeds": [0],
+    }))
     assert main(["bench", "cost", "--config", str(config), "--out-dir", str(tmp_path / "bench")]) == 0
     summaries = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     return tmp_path, {s["command"]: s for s in summaries}
@@ -394,4 +396,36 @@ def test_guard_catches_a_hand_rolled_writer():
     assert len(_offenders("cache.py", tree)) == 4
     assert _offenders("x.py", ast.parse("from json import loads\nimport json as j\n")) == [
         "x.py:1 from json import", "x.py:2 json imported under another name",
+    ]
+
+
+# -- modules share only public names
+
+
+def _private_imports(name: str, tree: ast.AST) -> list[str]:
+    """Underscore names that module `name` imports from another sparsemm module."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 0 and not (node.module or "").startswith("sparsemm"):
+            continue
+        for alias in node.names:
+            if alias.name.startswith("_"):
+                found.append(f"{name}:{node.lineno} imports {alias.name} from {node.module}")
+    return found
+
+
+def test_no_module_imports_a_private_name_of_another():
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        offenders += _private_imports(path.name, ast.parse(path.read_text(), str(path)))
+    assert not offenders, offenders
+    source = (
+        "from .cache import _order, keep\n"
+        "from sparsemm.bench import _rows\n"
+        "from os import _exit\n"
+    )
+    assert _private_imports("x.py", ast.parse(source)) == [
+        "x.py:1 imports _order from cache", "x.py:2 imports _rows from sparsemm.bench",
     ]

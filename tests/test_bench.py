@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsemm import bench
+from sparsemm import bench, simmodel
 from sparsemm.bench import (
     ExperimentConfig,
     load_config,
@@ -23,6 +23,7 @@ from sparsemm.bench import (
     write_rows_csv,
     write_rows_json,
 )
+from sparsemm.cache import replay_plans
 from sparsemm.chaser import HeadScoreMatrix, chase_corpus, load_scores, save_scores, score_sample
 from sparsemm.cli import main
 from sparsemm.errors import InvalidInputError
@@ -30,12 +31,10 @@ from sparsemm.simmodel import (
     TEXT_TOKEN,
     ModelGeometry,
     PlantedHeadSet,
-    SampleParams,
     build_synthetic_model,
     generate_ocr_samples,
     load_corpus,
     mask_heads,
-    replay_plans,
     save_corpus,
 )
 from sparsemm.allocator import AllocationConfig, allocate_uniform, load_plan
@@ -103,9 +102,9 @@ class TestConfig:
         cfg = small_config(planted_pairs=None, planted_fraction=0.25)
         a = cfg.planted_for_seed(3)
         b = cfg.planted_for_seed(3)
-        assert a.pairs() == b.pairs()
+        assert a.heads == b.heads
         assert len(a) == round(0.25 * 16)
-        assert cfg.planted_for_seed(4).pairs() != a.pairs()
+        assert cfg.planted_for_seed(4).heads != a.heads
 
     @pytest.mark.parametrize("field, value", [
         ("seeds", (1, 0, 1)),
@@ -358,7 +357,7 @@ class TestMaskDerivation:
     @given(model_seed=st.integers(0, 2**32 - 1), corpus_seed=st.integers(0, 2**16))
     def test_uniform_rows_never_score(self, model_seed, corpus_seed):
         """The premise: position 0 is text, so a masked (uniform) head scores no hit."""
-        assert SampleParams().pre_text[0] >= 1
+        assert simmodel.PRE_TEXT[0] >= 1
         geometry = ModelGeometry(2, 4, 2)
         model = build_synthetic_model(geometry, PlantedHeadSet.uniform([(0, 1)], 1.0), model_seed)
         every_head = [(l, h) for l in range(2) for h in range(4)]
@@ -589,15 +588,27 @@ class TestCliInputErrors:
         assert list(tmp_path.iterdir()) == []
 
     def test_bench_seed_offset_below_zero_exits_2(self, tmp_path, capsys):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"budgets_per_head": [48], "seeds": [0, 1]}))
-        out_dir = tmp_path / "out"
-        argv = ["bench", "sweep", "--config", str(cfg_path), "--out-dir", str(out_dir), "--seed", "-3"]
-        assert main(argv) == 2
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "InvalidInputError"
-        assert "seed -3" in err["message"]
-        assert not out_dir.exists()
+        """A config no run can use is rejected before bench creates --out-dir."""
+        cases = [  # (config, --seed offset, message fragment)
+            ({"budgets_per_head": [48], "seeds": [0, 1]}, "-3", "seed -3"),
+            ({"seeds": [0, 1]}, str(2**32), "seed 4294967297"),
+            ({"seeds": [2**32]}, "0", "seed 4294967296"),
+            ({"query_heads": 2}, "0", "2 query heads not divisible by 8 kv heads"),
+            ({"planted": {"pairs": [[0, 1], [8, 0]]}}, "0", "planted head (8, 0) outside"),
+            ({"prompt_len": 16}, "0", "prompt_len 16 shorter than window 32"),
+            ({"planted": {"fraction": 1.5}}, "0", "planted_fraction"),
+        ]
+        for i, (config, offset, fragment) in enumerate(cases):
+            cfg_path = tmp_path / f"cfg{i}.json"
+            cfg_path.write_text(json.dumps(config))
+            out_dir = tmp_path / f"out{i}"
+            argv = ["bench", "sweep", "--config", str(cfg_path), "--out-dir", str(out_dir),
+                    "--seed", offset]
+            assert main(argv) == 2, config
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "InvalidInputError"
+            assert fragment in err["message"], (config, err["message"])
+            assert not out_dir.exists()
 
 
 class TestLoaderErrors:
@@ -878,7 +889,9 @@ class TestCompressTraceValidation:
         trace.unlink()
         assert "cannot read" in self._rejects(trace, plan, capsys)
 
-    @pytest.mark.parametrize("key", ["window_scores", "prompt_len", "window", "kv_heads"])
+    @pytest.mark.parametrize(
+        "key", ["window_scores", "layers", "query_heads", "kv_heads", "prompt_len", "window"]
+    )
     def test_missing_key(self, files, capsys, key):
         trace, plan = files
         self._rewrite(trace, lambda blob: blob.pop(key))
@@ -891,6 +904,8 @@ class TestCompressTraceValidation:
         ragged = [[1.0], [1.0, 2.0]]
         self._rewrite(trace, lambda blob: blob.update(prompt_len=40, window_scores=ragged))
         assert "numeric" in self._rejects(trace, plan, capsys)
+        self._rewrite(trace, lambda blob: blob.update(window_scores=[], kv_heads=0))
+        assert "positive counts" in self._rejects(trace, plan, capsys)
         trace.write_text("[1, 2]")
         assert "JSON object" in self._rejects(trace, plan, capsys)
 
@@ -910,6 +925,12 @@ class TestCompressTraceValidation:
         self._rejects(trace, plan, capsys, error="ShapeError")
         self._rewrite(trace, lambda blob: blob.update(window_scores=np.zeros((2, 4, 32)).tolist()))
         self._rejects(trace, plan, capsys, error="ShapeError")
+        # the declared geometry must fit the scores
+        self._rewrite(trace, lambda blob: blob.update(window_scores=np.zeros((2, 2, 32)).tolist(),
+                                                      layers=7))
+        assert "expected (7, 2, 32)" in self._rejects(trace, plan, capsys, error="ShapeError")
+        self._rewrite(trace, lambda blob: blob.update(layers=2, query_heads=3))
+        assert "not divisible" in self._rejects(trace, plan, capsys, error="ShapeError")
 
     def test_non_finite_scores(self, files, capsys):
         trace, plan = files

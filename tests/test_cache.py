@@ -8,13 +8,14 @@ import pytest
 from sparsemm.allocator import BudgetPlan
 from sparsemm.cache import (
     compress_prefill,
+    replay_plans,
     report_to_csv,
     report_to_json,
     select_topk,
     window_attention,
 )
 from sparsemm.errors import InvalidInputError, ShapeError
-from sparsemm.simmodel import TEXT_TOKEN, DecodeWorkload, ModelGeometry, replay_plans
+from sparsemm.simmodel import DecodeWorkload, ModelGeometry
 from sparsemm.tensor import CausalMask, Matrix, matmul_scaled, softmax_row_masked
 
 from ranking_oracle import rank_window_keys
@@ -57,9 +58,7 @@ def hand_workload(window_scores, decode_rows, w):
     lp = window_scores.shape[-1] + w
     empty = np.empty(0, dtype=np.int64)
     steps = len(decode_rows)
-    return DecodeWorkload(
-        lp, steps, w, (TEXT_TOKEN,) * lp, empty, (empty,) * steps, window_scores, tuple(decode_rows)
-    )
+    return DecodeWorkload(lp, steps, w, empty, (empty,) * steps, window_scores, tuple(decode_rows))
 
 
 class TestWindowAttention:
@@ -279,6 +278,8 @@ class TestCompressPrefill:
             compress_prefill(scores, flat_plan(2, 2, 8, window=4), 4, 20)  # layer mismatch
         with pytest.raises(ShapeError):
             compress_prefill(scores, flat_plan(1, 3, 8, window=4), 4, 20)  # kv head mismatch
+        with pytest.raises(InvalidInputError):
+            compress_prefill(scores, flat_plan(1, 2, 8, window=8), 4, 20)  # window mismatch
         with pytest.raises(ShapeError):
             compress_prefill(scores, flat_plan(1, 2, 8, window=5), 5, 20)  # key count
         short = np.zeros((1, 2, 3))  # Lp = 5 < w scores no key

@@ -14,7 +14,7 @@ from scipy.stats import binomtest
 
 from sparsemm import simmodel
 from sparsemm.allocator import POLICY_NAMES, AllocationConfig, BudgetPlan, allocate, allocate_uniform
-from sparsemm.cache import compress_prefill
+from sparsemm.cache import compress_prefill, replay_plans
 from sparsemm.chaser import HeadScoreMatrix, chase_corpus, match_bbox_to_patches
 from sparsemm.errors import InvalidInputError, ShapeError
 from sparsemm.simmodel import (
@@ -24,14 +24,12 @@ from sparsemm.simmodel import (
     ModelGeometry,
     OcrSample,
     PlantedHeadSet,
-    SampleParams,
     SyntheticModel,
     build_synthetic_model,
     corpus_digest,
     generate_ocr_samples,
     load_corpus,
     mask_heads,
-    replay_plans,
     save_corpus,
 )
 
@@ -123,13 +121,13 @@ def oracle_decode_workload(model, prompt_len, out_len, window):
         draw = rng.exponential(size=(geo.layers, geo.query_heads, visible))
         block = oracle_normalize_blocks(draw, [(text, bg[0]), (sinks, bg[1]), (leak_vis, bg[2])])
         union_vis = union_positions[union_positions <= pos]
-        for entry in model.planted.entries:
+        for l, h in model.planted.heads:
             if union_vis.size:
-                u_mass = simmodel.WINDOW_REGION_FACTOR * entry.strength
+                u_mass = simmodel.WINDOW_REGION_FACTOR * model.planted.strength
                 spread = rng.exponential(size=union_vis.size)
-                row = (1.0 - u_mass) * block[entry.layer, entry.query_head]
+                row = (1.0 - u_mass) * block[l, h]
                 row[union_vis] += u_mass * spread / spread.sum()
-                block[entry.layer, entry.query_head] = row
+                block[l, h] = row
         for l, h in sorted(model.masked):
             block[l, h] = 1.0 / visible
         window_stack[:, :, i, :visible] = block
@@ -140,7 +138,12 @@ def oracle_decode_workload(model, prompt_len, out_len, window):
         text = np.concatenate([tail_pos, lp + np.arange(t)])
         draw = rng.exponential(size=(geo.layers, geo.query_heads, visible))
         block = oracle_normalize_blocks(draw, [(text, bg[0]), (sinks, bg[1]), (leak_pos, bg[2])])
-        model._overwrite_special_rows(rng, block, token_regions[t], visible)
+        region = token_regions[t]
+        for l, h in model.planted.heads:
+            if rng.random() < model.planted.strength and region.size:
+                block[l, h] = simmodel._plant_hit_row(rng, block[l, h], region)
+        for l, h in sorted(model.masked):
+            block[l, h] = 1.0 / visible
         decode_rows.append(block)
     return window_stack, decode_rows
 
@@ -163,7 +166,7 @@ class TestGeometry:
 class TestPlantedHeadSet:
     def test_canonical_order_and_len(self):
         planted = PlantedHeadSet.uniform([(3, 1), (0, 2)], 0.5)
-        assert planted.pairs() == ((0, 2), (3, 1))
+        assert planted.heads == ((0, 2), (3, 1))
         assert len(planted) == 2
 
     def test_duplicates_rejected(self):
@@ -366,23 +369,27 @@ class TestCorpusIO:
     @given(
         layers=st.integers(1, 3),
         heads=st.integers(1, 3),
-        max_steps=st.integers(1, 3),
+        hand_steps=st.integers(1, 3),
         n=st.integers(1, 3),
         seed=st.integers(0, 2**16),
     )
-    def test_round_trip_property(self, layers, heads, max_steps, n, seed):
-        params = SampleParams(
-            grid_rows=(1, 2), grid_cols=(1, 2), pre_text=(0, 2), instr_text=(1, 3),
-            out_tokens=(1, max_steps), region_rows=(1, 2), region_cols=(1, 2),
-        )
+    def test_round_trip_property(self, layers, heads, hand_steps, n, seed):
         model = build_synthetic_model(
-            ModelGeometry.mha(layers, heads), PlantedHeadSet.uniform([(0, 0)], 0.7), seed, params
+            ModelGeometry.mha(layers, heads), PlantedHeadSet.uniform([(0, 0)], 0.7), seed
         )
         samples = generate_ocr_samples(model, n, seed)
+        # generated prompts open with text; a hand-built one opens with an image token
+        layout = (1, TEXT_TOKEN, 0)
+        rng = np.random.default_rng(seed)
+        hand = OcrSample(
+            (32, 64), (1, 2), ((7, (2.0, 3.0, 60.0, 30.0)),) * hand_steps, layout
+        )
+        rows = tuple(rng.dirichlet(np.ones(3 + t), size=(layers, heads)) for t in range(hand_steps))
+        samples.append((hand, AttentionTrace(rows, len(layout))))
         with tempfile.TemporaryDirectory() as directory:
             save_corpus(directory, samples)
             back = load_corpus(directory)
-        assert len(back) == n
+        assert len(back) == n + 1
         for (sa, ta), (sb, tb) in zip(samples, back):
             assert sa == sb
             assert tb.prompt_len == ta.prompt_len and tb.out_len == ta.out_len
@@ -433,8 +440,8 @@ class TestDecodeWorkload:
             (4, 2, ((0, 1), (1, 3)), 160, 32),  # a masked planted head and another
             (4, 2, (), 32, 32),  # Lp = w: no key left of the window
             (4, 1, (), 33, 32),  # one scored key, one kv head
-            (4, 2, (), 40, 32),  # too short for an image grid
-            (4, 4, (), 6, 4),  # no sink tokens and no image grid
+            (4, 2, (), 40, 32),  # a 3x4 image grid
+            (4, 4, (), 6, 4),  # two sink tokens and no image grid
         ],
     )
     def test_matches_materializing_oracle(self, query_heads, kv_heads, masked, prompt_len, window):
@@ -607,7 +614,6 @@ class TestReplayPlans:
             lp,
             out_len,
             w,
-            (TEXT_TOKEN,) * lp,
             empty,
             (empty,) * out_len,
             rng.integers(0, 3, size=(1, 1, lp - w)).astype(float),
