@@ -55,6 +55,29 @@ def oracle_sparsemm(scores, budget, w, rho):
     return oracle_largest_remainder(targets, budget)
 
 
+def oracle_adaptive_layer(scores, budget, w):
+    """The adaptive-layer split as first written, one loop per layer.
+
+    Layer totals are the even split of B; within a layer every head gets w
+    plus its score's share of the rest, or an even share when the row is zero.
+    """
+    layers, heads = scores.shape
+    if budget < layers * heads * w:
+        raise InfeasibleBudgetError(f"budget {budget} below the {w}-slot floors")
+    layer_totals = oracle_largest_remainder([np.full(layers, budget / layers)], budget)
+    rows = []
+    for l, total in enumerate(layer_totals):
+        extra = total - heads * w
+        row_scores = scores[l]
+        mass = float(row_scores.sum())
+        if mass > 0.0:
+            targets = w + extra * row_scores / mass
+        else:
+            targets = np.full(heads, w + extra / heads)
+        rows += oracle_largest_remainder([targets], total)
+    return rows
+
+
 def random_scores(rng, layers, heads):
     return HeadScoreMatrix(rng.random((layers, heads)))
 
@@ -286,6 +309,29 @@ class TestAdaptiveLayer:
             assert int(totals.sum()) == budget
             assert totals.max() - totals.min() <= 1
             assert (plan.budgets >= w).all()
+
+    def test_matches_loop_oracle(self):
+        rng = np.random.default_rng(42)
+        for case in range(300):
+            layers, heads = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+            n, w = layers * heads, int(rng.integers(0, 65))
+            scores = rng.random((layers, heads))
+            if case % 3 == 1:
+                scores[rng.random(layers) < 0.5] = 0.0  # zero rows
+            elif case % 3 == 2:
+                scores[:] = 0.0
+            # exactly the floors, a few slots over, or far over
+            spare = rng.choice([0, int(rng.integers(1, 2 * layers)), int(rng.integers(0, 2**20))])
+            budget = max(n * w + int(spare), 1)
+            cfg = AllocationConfig(budget, window=w)
+            plan = allocate_adaptive_layer(HeadScoreMatrix(scores), cfg)
+            assert plan.budgets.ravel().tolist() == oracle_adaptive_layer(scores, budget, w)
+            if n * w > 1:
+                short = AllocationConfig(int(rng.integers(1, n * w)), window=w)
+                with pytest.raises(InfeasibleBudgetError):
+                    oracle_adaptive_layer(scores, short.total_budget, w)
+                with pytest.raises(InfeasibleBudgetError):
+                    allocate_adaptive_layer(HeadScoreMatrix(scores), short)
 
 
 class TestDispatch:
