@@ -3,14 +3,15 @@
 The flagship policy splits a global slot budget B over N = layers x kv_heads
 heads in three parts: a local window floor of w slots per head, a uniform
 share r = rho * (B - N*w) / N per head, and the rest proportional to each
-head's visual score. Four comparison policies share the same plan shape:
-uniform (B/N each), pyramid (linearly decaying per-layer totals), random
-(i.i.d. scores fed through the flagship split), and adaptive-layer (B/L per
-layer, score-proportional within a layer).
+head's visual score. The four comparison policies apply that same split,
+`_split`, over other groups and weights: uniform (zero weights, no floor),
+pyramid (layer totals weighted L, L-1, ..., 1 over floors of heads*w, then an
+even split of each layer), random (i.i.d. scores through the flagship split),
+and adaptive-layer (even layer totals, then each layer by its scores).
 
-All real-valued targets are rounded to integers by the largest-remainder
-method with ties broken in (layer, head) index order, so every plan conserves
-B exactly.
+Every split rounds its real-valued targets to integers by the
+largest-remainder method with ties broken in index order, so every plan
+conserves B exactly.
 """
 
 from __future__ import annotations
@@ -116,29 +117,29 @@ def _largest_remainder(targets: np.ndarray, total: int) -> np.ndarray:
     return base.reshape(np.asarray(targets).shape)
 
 
-def _check_feasible(budget: int, n_heads: int, window: int) -> None:
-    if budget < n_heads * window:
-        raise InfeasibleBudgetError(
-            f"budget {budget} cannot give {n_heads} heads a {window}-slot floor"
-        )
+def _split(total: int, weights, floor: int, rho: float = 0.0) -> np.ndarray:
+    """`total` split over the entries of `weights` and rounded by largest remainder.
+
+    Each entry gets the `floor`, then a rho share of the rest evenly, then
+    its weight's share of what is left (an even share when every weight is 0).
+    """
+    weights = np.asarray(weights, dtype=np.float64)
+    n = weights.size
+    if total < n * floor:
+        raise InfeasibleBudgetError(f"budget {total} cannot give {n} shares a {floor}-slot floor")
+    rest = total - n * floor
+    left = rest - rho * rest
+    mass = float(weights.sum())
+    share = left * weights / mass if mass > 0.0 else np.full(weights.shape, left / n)
+    return _largest_remainder(floor + rho * rest / n + share, total)
 
 
 def allocate_sparsemm(scores: HeadScoreMatrix, config: AllocationConfig) -> BudgetPlan:
     """Three-part split: window floor + uniform share + score-proportional rest."""
-    layers, heads = scores.layers, scores.heads
-    n = layers * heads
     budget, w, rho = config.total_budget, config.window, config.uniform_ratio
-    _check_feasible(budget, n, w)
-    remain1 = budget - n * w
-    uniform_extra = rho * remain1 / n
-    remain2 = remain1 - rho * remain1
-    total_score = float(scores.scores.sum())
-    if total_score > 0.0:
-        score_part = remain2 * scores.scores / total_score
-    else:
+    budgets = _split(budget, scores.scores, w, rho)
+    if not scores.scores.any():
         warnings.warn("all-zero scores: falling back to a uniform split", stacklevel=2)
-        score_part = np.full((layers, heads), remain2 / n)
-    budgets = _largest_remainder(w + uniform_extra + score_part, budget)
     return BudgetPlan(budgets, budget, w, rho, "sparsemm")
 
 
@@ -148,7 +149,7 @@ def allocate_uniform(config: AllocationConfig, layers: int, heads: int) -> Budge
     budget = config.total_budget
     if budget < n:
         raise InfeasibleBudgetError(f"budget {budget} below one slot per head ({n})")
-    budgets = _largest_remainder(np.full((layers, heads), budget / n), budget)
+    budgets = _split(budget, np.zeros((layers, heads)), 0)
     return BudgetPlan(budgets, budget, config.window, config.uniform_ratio, "uniform")
 
 
@@ -159,13 +160,9 @@ def allocate_pyramid(config: AllocationConfig, layers: int, heads: int) -> Budge
     decrease from layer 0 to the last layer; heads within a layer split its
     total equally.
     """
-    n = layers * heads
     budget, w = config.total_budget, config.window
-    _check_feasible(budget, n, w)
-    extra = budget - n * w
-    weights = np.arange(layers, 0, -1, dtype=np.float64)
-    layer_totals = _largest_remainder(heads * w + extra * weights / weights.sum(), budget)
-    rows = [_largest_remainder(np.full(heads, int(t) / heads), int(t)) for t in layer_totals]
+    layer_totals = _split(budget, np.arange(layers, 0, -1), heads * w)
+    rows = [_split(int(t), np.zeros(heads), w) for t in layer_totals]
     return BudgetPlan(np.stack(rows), budget, w, config.uniform_ratio, "pyramid")
 
 
@@ -186,23 +183,9 @@ def allocate_adaptive_layer(
     Every head keeps the w floor; a layer with no score mass falls back to an
     equal split of its post-floor total.
     """
-    layers, heads = scores.layers, scores.heads
-    n = layers * heads
     budget, w = config.total_budget, config.window
-    _check_feasible(budget, n, w)
-    layer_totals = _largest_remainder(
-        np.full(layers, budget / layers), budget
-    )
-    rows = []
-    for l, total in enumerate(layer_totals):
-        extra = int(total) - heads * w
-        row_scores = scores.scores[l]
-        mass = float(row_scores.sum())
-        if mass > 0.0:
-            targets = w + extra * row_scores / mass
-        else:
-            targets = np.full(heads, w + extra / heads)
-        rows.append(_largest_remainder(targets, int(total)))
+    layer_totals = _split(budget, np.zeros(scores.layers), 0)
+    rows = [_split(int(t), scores.scores[l], w) for l, t in enumerate(layer_totals)]
     return BudgetPlan(np.stack(rows), budget, w, config.uniform_ratio, "ada")
 
 

@@ -31,7 +31,6 @@ from .chaser import (
     aggregate_gqa_scores,
     chase_corpus,
     score_sample,
-    token_positions,
 )
 from .errors import InvalidInputError
 from .simmodel import (
@@ -121,6 +120,9 @@ class ExperimentConfig:
         for f in self.mask_fractions:
             if not 0.0 <= f <= 1.0:
                 raise InvalidInputError("mask fractions must lie in [0, 1]")
+        for name, ratios in (("rho", (self.rho,)), ("rhos", self.rhos)):
+            if not all(0.0 <= r <= 1.0 for r in ratios):
+                raise InvalidInputError(f"{name} must lie in [0, 1]")
         for name in ("seeds", "budgets_per_head", "policies", "rhos", "mask_fractions"):
             values = getattr(self, name)
             if len(set(values)) != len(values):
@@ -158,6 +160,10 @@ _CONFIG_COUNTS = {
 }
 # tuple-valued fields are JSON lists
 _CONFIG_LISTS = {f.name for f in fields(ExperimentConfig) if isinstance(f.default, tuple)}
+# fields spelled only inside the geometry and planted sections
+_SECTION_FIELDS = {
+    "layers", "query_heads", "kv_heads", "planted_pairs", "planted_fraction", "planted_strength",
+}
 
 
 def _config_value(key: str, value, where: str):
@@ -196,7 +202,8 @@ def load_config(path) -> ExperimentConfig:
     """Read an ExperimentConfig from a JSON object file.
 
     Every value is checked against its field's JSON type, so a malformed file
-    raises InvalidInputError naming the file.
+    raises InvalidInputError naming the file. Geometry and planted-head fields
+    are spelled only inside their `geometry` and `planted` sections.
     """
     blob = read_object(path, "config")
     where = f"config {path}"
@@ -213,7 +220,7 @@ def load_config(path) -> ExperimentConfig:
         kwargs["planted_fraction"] = planted.get("fraction")
         if "strength" in planted:
             kwargs["planted_strength"] = planted["strength"]
-    known = {f.name for f in fields(ExperimentConfig)}
+    known = {f.name for f in fields(ExperimentConfig)} - _SECTION_FIELDS
     for key, value in blob.items():
         if key not in known:
             raise InvalidInputError(f"{where}: unknown config key {key!r}")
@@ -328,16 +335,17 @@ def _replay_seed_rows(cfg: ExperimentConfig, seed: int, experiment: str, cells) 
     ]
 
 
-def _grounding_terms(samples, planted: PlantedHeadSet):
+def _grounding_terms(samples, results, planted: PlantedHeadSet):
     """(head, drawn, uniform) per sample, scored step and planted head, in that order.
 
-    `drawn` is the attention mass the head's row places on the token's own
-    patch set; `uniform` is the mass an exactly uniform (masked) row places
-    there.
+    `results` are the samples' `score_sample` results, which carry each
+    token's patch positions. `drawn` is the attention mass the head's row
+    places on the token's own patch set; `uniform` is the mass an exactly
+    uniform (masked) row places there.
     """
     terms = []
-    for sample, trace in samples:
-        for step, positions in zip(trace.steps, token_positions(sample, trace.out_len)):
+    for (_, trace), result in zip(samples, results):
+        for step, positions in zip(trace.steps, result.positions):
             if positions is None:
                 continue
             uniform = float(np.full(positions.size, 1.0 / step.shape[2]).sum())
@@ -354,15 +362,16 @@ def _grounding_mass(terms, masked) -> float:
     return total / len(terms) if terms else 0.0
 
 
-def _masked_scores(results, masked) -> HeadScoreMatrix:
-    """The corpus scores with the `masked` (layer, head) pairs' per-sample increments zeroed."""
-    index = tuple(np.array(masked, dtype=np.int64).reshape(-1, 2).T)
-    increments = []
-    for result in results:
-        inc = result.increment.scores.copy()
-        inc[index] = 0.0
-        increments.append(HeadScoreMatrix(inc))
-    return aggregate_corpus(increments, [r.tokens_scored for r in results])
+def _masked_scores(summed: HeadScoreMatrix, masked) -> HeadScoreMatrix:
+    """The corpus scores with the `masked` (layer, head) pairs' per-sample increments zeroed.
+
+    `summed` is the corpus's summed increment. A masked head's sum of zeroed
+    increments is exactly 0.0 and every other head's sum is unchanged, so
+    zeroing the summed increment gives the same bits.
+    """
+    inc = summed.scores.copy()
+    inc[tuple(np.array(masked, dtype=np.int64).reshape(-1, 2).T)] = 0.0
+    return aggregate_corpus([HeadScoreMatrix(inc)], [summed.corpus_tokens])
 
 
 def _mask_seed_rows(cfg: ExperimentConfig, seed: int) -> list[MaskRow]:
@@ -373,7 +382,7 @@ def _mask_seed_rows(cfg: ExperimentConfig, seed: int) -> list[MaskRow]:
     1/visible. Such a row's argmax is position 0, which is a text token in
     every sample (`simmodel.PRE_TEXT` starts at 2), so a masked head never
     scores and every skip decision is the same: the masked cell's scores are
-    the base per-sample increments with the masked heads zeroed, aggregated
+    the seed's summed increment with the masked heads zeroed, aggregated
     again, and its grounding mass reads each masked planted row as uniform.
     Only the decode workload is built again per cell, since the GQA window
     scores sum a step's query heads together. `tests/mask_oracle.py` holds
@@ -383,8 +392,11 @@ def _mask_seed_rows(cfg: ExperimentConfig, seed: int) -> list[MaskRow]:
     planted = model.planted
     samples = generate_ocr_samples(model, cfg.corpus_size, seed)
     results = [score_sample(sample, trace) for sample, trace in samples]
-    terms = _grounding_terms(samples, planted)
+    terms = _grounding_terms(samples, results, planted)
     del samples  # free the corpus before any decode workload is built
+    summed = HeadScoreMatrix(
+        sum(r.increment.scores for r in results), sum(r.tokens_scored for r in results)
+    )
     cells = [("sparsemm", cfg.budgets_per_head[0], cfg.rho)]
 
     def measure(scores: HeadScoreMatrix, chosen) -> tuple[float, float, float]:
@@ -392,7 +404,7 @@ def _mask_seed_rows(cfg: ExperimentConfig, seed: int) -> list[MaskRow]:
         records = _decode_records(cfg, mask_heads(model, chosen), scores, seed, cells)
         return recovery, _grounding_mass(terms, set(chosen)), records[0].mean_recall
 
-    base_scores = _masked_scores(results, [])
+    base_scores = _masked_scores(summed, [])
     base_recovery, base_grounding, base_decode = measure(base_scores, [])
     total = cfg.layers * cfg.query_heads
     rows = []
@@ -412,7 +424,7 @@ def _mask_seed_rows(cfg: ExperimentConfig, seed: int) -> list[MaskRow]:
                     (int(i) // cfg.query_heads, int(i) % cfg.query_heads) for i in flat
                 ]
             if chosen:
-                recovery, grounding, decode = measure(_masked_scores(results, chosen), chosen)
+                recovery, grounding, decode = measure(_masked_scores(summed, chosen), chosen)
             else:
                 recovery, grounding, decode = base_recovery, base_grounding, base_decode
             rows.append(

@@ -133,13 +133,15 @@ class EvictionReport:
 
 
 def _check_plan(plan, layers: int, kv_heads: int, w: int) -> None:
-    """Reject a plan drawn for another window or another (layers, kv_heads) shape."""
+    """Reject a plan drawn for another window or (layers, kv_heads) shape, or below the w floor."""
     if plan.window != w:
         raise InvalidInputError(f"plan window {plan.window} != window {w}")
     if plan.budgets.shape != (layers, kv_heads):
         raise ShapeError(
             f"plan budgets {plan.budgets.shape} != (layers, kv_heads) {(layers, kv_heads)}"
         )
+    if (plan.budgets < w).any():
+        raise InvalidInputError("plan grants some head fewer than w slots")
 
 
 def compress_prefill(
@@ -153,7 +155,8 @@ def compress_prefill(
     Returns the (layers, kv_heads, Lp) bool mask of retained prompt positions
     and the report. Budgets at or above Lp keep the whole prompt. A prompt shorter
     than w keeps everything and skips scoring; its scores are
-    (layers, kv_heads, 0). The plan must be drawn for window w.
+    (layers, kv_heads, 0). The plan must be drawn for window w and grant every
+    head at least w slots, whatever the prompt length.
     """
     scores = np.asarray(window_scores, dtype=np.float64)
     if scores.ndim != 3:
@@ -167,8 +170,6 @@ def compress_prefill(
     skipped = lp < w
     kept = np.ones((layers, kv_heads, lp), dtype=bool)
     if not skipped:
-        if (plan.budgets < w).any():
-            raise InvalidInputError("plan grants some head fewer than w slots")
         rank = np.argsort(_descending_order(scores), axis=-1)  # each key's place in the order
         kept[:, :, :n] = rank < (plan.budgets - w)[:, :, None]
     heads = []
@@ -214,8 +215,6 @@ def replay_plans(geometry, workload, plans) -> list[DecodeRecord]:
     lp, w, out_len = workload.prompt_len, workload.window, workload.out_len
     for plan in plans:
         _check_plan(plan, layers, kv_heads, w)
-        if (plan.budgets < w).any():
-            raise InvalidInputError("plan grants some head fewer than w slots")
     if workload.window_scores.shape != (layers, kv_heads, lp - w):
         raise ShapeError("workload window scores do not match the geometry")
 

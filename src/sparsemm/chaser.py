@@ -89,11 +89,15 @@ class PatchIndexSet:
 
 @dataclass(frozen=True)
 class SampleScore:
-    """Unnormalized per-sample increment plus matching diagnostics."""
+    """Unnormalized per-sample increment plus matching diagnostics.
+
+    `positions` is the sample's `token_positions`, one entry per output token.
+    """
 
     increment: HeadScoreMatrix
     tokens_scored: int
     tokens_skipped: int
+    positions: tuple[np.ndarray | None, ...] = field(repr=False, compare=False)
 
 
 def match_bbox_to_patches(bbox, image_shape, grid) -> PatchIndexSet:
@@ -161,14 +165,15 @@ def score_sample(sample: OcrSample, trace: AttentionTrace) -> SampleScore:
     inc = np.zeros((trace.layers, trace.query_heads))
     scored = 0
     skipped = 0
-    for rows, positions in zip(trace.steps, token_positions(sample, trace.out_len)):
+    token_sets = tuple(token_positions(sample, trace.out_len))
+    for rows, positions in zip(trace.steps, token_sets):
         if positions is None:
             skipped += 1
             continue
         top = np.argmax(rows, axis=2)
         inc += (1.0 / positions.size) * np.isin(top, positions)
         scored += 1
-    return SampleScore(HeadScoreMatrix(inc, scored), scored, skipped)
+    return SampleScore(HeadScoreMatrix(inc, scored), scored, skipped, token_sets)
 
 
 def aggregate_corpus(increments, token_counts) -> HeadScoreMatrix:

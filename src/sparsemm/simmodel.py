@@ -53,8 +53,6 @@ __all__ = [
 
 TEXT_TOKEN = -1
 
-DEFAULT_WINDOW = 32
-
 # hit-row composition: peak + region + background must sum to 1, with the
 # peak strictly above any other attainable entry so the argmax is certain
 PEAK_MASS = 0.55
@@ -351,9 +349,7 @@ class SyntheticModel:
         )
         return sample, AttentionTrace(tuple(steps), lp)
 
-    def decode_workload(
-        self, prompt_len: int, out_len: int, window: int = DEFAULT_WINDOW
-    ) -> DecodeWorkload:
+    def decode_workload(self, prompt_len: int, out_len: int, window: int) -> DecodeWorkload:
         """Build the prefill window scores and per-step decode rows.
 
         The prompt is laid out as a few leading sink tokens, a large image

@@ -1,5 +1,6 @@
 """Tests for the experiment harness and the CLI wiring."""
 
+import ast
 import hashlib
 import io
 import json
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsemm import bench, simmodel
+from sparsemm import bench, chaser, simmodel
 from sparsemm.bench import (
     ExperimentConfig,
     load_config,
@@ -24,7 +25,14 @@ from sparsemm.bench import (
     write_rows_json,
 )
 from sparsemm.cache import replay_plans
-from sparsemm.chaser import HeadScoreMatrix, chase_corpus, load_scores, save_scores, score_sample
+from sparsemm.chaser import (
+    HeadScoreMatrix,
+    chase_corpus,
+    load_scores,
+    save_scores,
+    score_sample,
+    token_positions,
+)
 from sparsemm.cli import main
 from sparsemm.errors import InvalidInputError
 from sparsemm.simmodel import (
@@ -148,9 +156,18 @@ class TestConfig:
 
     def test_load_config_rejects_unknown_keys(self, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"budget": 64}))
-        with pytest.raises(InvalidInputError):
-            load_config(path)
+        for blob, key in [
+            ({"budget": 64}, "budget"),
+            ({"query_heads": 2}, "query_heads"),
+            # a second spelling of a section's field is not a silent override
+            ({"planted": {"pairs": [[0, 1]], "strength": 0.8}, "planted_strength": 0.3},
+             "planted_strength"),
+            ({"planted": {"pairs": [[0, 1]]}, "planted_fraction": 0.5, "planted_pairs": None},
+             "planted_fraction"),
+        ]:
+            path.write_text(json.dumps(blob))
+            with pytest.raises(InvalidInputError, match=f"unknown config key {key!r}"):
+                load_config(path)
 
 
 class TestRecoveryHelpers:
@@ -334,6 +351,7 @@ class TestMaskDerivation:
     def test_one_corpus_and_one_chase_per_seed(self, monkeypatch, fractions):
         corpora = []
         scored = []
+        mapped = []
 
         def generate(model, n, seed):
             corpora.append((seed, model.masked))
@@ -343,8 +361,15 @@ class TestMaskDerivation:
             scored.append(sample)
             return score_sample(sample, trace)
 
+        def positions(sample, out_len):
+            mapped.append(sample)
+            return token_positions(sample, out_len)
+
         monkeypatch.setattr(bench, "generate_ocr_samples", generate)
         monkeypatch.setattr(bench, "score_sample", score)
+        monkeypatch.setattr(chaser, "token_positions", positions)
+        # and any copy of the name that bench imports to map a second time
+        monkeypatch.setattr(bench, "token_positions", positions, raising=False)
         cfg = small_config(mask_fractions=fractions, corpus_size=3, out_len=2)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -352,6 +377,15 @@ class TestMaskDerivation:
         assert len(rows) == 2 * len(fractions) * len(cfg.seeds)
         assert corpora == [(seed, frozenset()) for seed in cfg.seeds]
         assert len(scored) == cfg.corpus_size * len(cfg.seeds)
+        assert mapped == scored  # one bbox-to-position pass per sample
+
+    def test_bench_imports_no_private_chaser_name(self):
+        tree = ast.parse(open(bench.__file__, encoding="utf-8").read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module in ("chaser", "sparsemm.chaser"):
+                assert not [a.name for a in node.names if a.name.startswith("_")]
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                assert not (node.value.id == "chaser" and node.attr.startswith("_"))
 
     @settings(max_examples=20, deadline=None)
     @given(model_seed=st.integers(0, 2**32 - 1), corpus_seed=st.integers(0, 2**16))
@@ -589,20 +623,24 @@ class TestCliInputErrors:
 
     def test_bench_seed_offset_below_zero_exits_2(self, tmp_path, capsys):
         """A config no run can use is rejected before bench creates --out-dir."""
-        cases = [  # (config, --seed offset, message fragment)
-            ({"budgets_per_head": [48], "seeds": [0, 1]}, "-3", "seed -3"),
-            ({"seeds": [0, 1]}, str(2**32), "seed 4294967297"),
-            ({"seeds": [2**32]}, "0", "seed 4294967296"),
-            ({"query_heads": 2}, "0", "2 query heads not divisible by 8 kv heads"),
-            ({"planted": {"pairs": [[0, 1], [8, 0]]}}, "0", "planted head (8, 0) outside"),
-            ({"prompt_len": 16}, "0", "prompt_len 16 shorter than window 32"),
-            ({"planted": {"fraction": 1.5}}, "0", "planted_fraction"),
+        geometry = {"layers": 8, "query_heads": 2, "kv_heads": 8}
+        cases = [  # (experiment, config, --seed offset, message fragment)
+            ("sweep", {"budgets_per_head": [48], "seeds": [0, 1]}, "-3", "seed -3"),
+            ("sweep", {"seeds": [0, 1]}, str(2**32), "seed 4294967297"),
+            ("sweep", {"seeds": [2**32]}, "0", "seed 4294967296"),
+            ("sweep", {"geometry": geometry}, "0", "2 query heads not divisible by 8 kv heads"),
+            ("sweep", {"planted": {"pairs": [[0, 1], [8, 0]]}}, "0", "planted head (8, 0) outside"),
+            ("sweep", {"prompt_len": 16}, "0", "prompt_len 16 shorter than window 32"),
+            ("sweep", {"planted": {"fraction": 1.5}}, "0", "planted_fraction"),
+            ("sweep", {"rho": 5.0}, "0", "rho must lie in [0, 1]"),
+            ("rho", {"rhos": [2.0]}, "0", "rhos must lie in [0, 1]"),
+            ("mask", {"rho": -1.0}, "0", "rho must lie in [0, 1]"),
         ]
-        for i, (config, offset, fragment) in enumerate(cases):
+        for i, (experiment, config, offset, fragment) in enumerate(cases):
             cfg_path = tmp_path / f"cfg{i}.json"
             cfg_path.write_text(json.dumps(config))
             out_dir = tmp_path / f"out{i}"
-            argv = ["bench", "sweep", "--config", str(cfg_path), "--out-dir", str(out_dir),
+            argv = ["bench", experiment, "--config", str(cfg_path), "--out-dir", str(out_dir),
                     "--seed", offset]
             assert main(argv) == 2, config
             err = json.loads(capsys.readouterr().err)

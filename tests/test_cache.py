@@ -271,6 +271,16 @@ class TestCompressPrefill:
         for j in range(2):
             assert report.heads[j].kept == tuple(range(lp))
 
+    def test_plan_below_floor_rejected_by_both_readers(self):
+        """A plan under the w floor is rejected for a prompt shorter than w too."""
+        w = 8
+        plan = BudgetPlan(np.array([[3, 3]]), 6, window=w)
+        with pytest.raises(InvalidInputError, match="fewer than w slots"):
+            compress_prefill(np.zeros((1, 2, 0)), plan, w, 5)
+        workload = hand_workload(np.zeros((1, 2, 0)), [np.ones((1, 2, w))], w)
+        with pytest.raises(InvalidInputError, match="fewer than w slots"):
+            replay_plans(ModelGeometry.mha(1, 2), workload, [plan])
+
     def test_errors(self):
         rng = np.random.default_rng(60)
         scores = rng.random((1, 2, 16))  # Lp = 20, w = 4
