@@ -4,7 +4,7 @@ The flagship policy splits a global slot budget B over N = layers x kv_heads
 heads in three parts: a local window floor of w slots per head, a uniform
 share r = rho * (B - N*w) / N per head, and the rest proportional to each
 head's visual score. The four comparison policies apply that same split,
-`_split`, over other groups and weights: uniform (zero weights, no floor),
+`_split`, over other groups and weights: uniform (zero weights),
 pyramid (layer totals weighted L, L-1, ..., 1 over floors of heads*w, then an
 even split of each layer), random (i.i.d. scores through the flagship split),
 and adaptive-layer (even layer totals, then each layer by its scores).
@@ -144,12 +144,12 @@ def allocate_sparsemm(scores: HeadScoreMatrix, config: AllocationConfig) -> Budg
 
 
 def allocate_uniform(config: AllocationConfig, layers: int, heads: int) -> BudgetPlan:
-    """Equal split of B over the N heads."""
+    """Equal split of B over the N heads, each at least the w floor (one slot for w = 0)."""
     n = layers * heads
-    budget = config.total_budget
-    if budget < n:
+    budget, w = config.total_budget, config.window
+    if w == 0 and budget < n:
         raise InfeasibleBudgetError(f"budget {budget} below one slot per head ({n})")
-    budgets = _split(budget, np.zeros((layers, heads)), 0)
+    budgets = _split(budget, np.zeros((layers, heads)), w)
     return BudgetPlan(budgets, budget, config.window, config.uniform_ratio, "uniform")
 
 

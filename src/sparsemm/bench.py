@@ -302,7 +302,7 @@ def _plan_seed(seed: int, budget: int) -> int:
 
 
 def _scores_for_seed(cfg: ExperimentConfig, seed: int):
-    """Model and head scores for one seed; the corpus is freed on return."""
+    """Model and head scores for one seed; each sample is drawn as the chase reads it."""
     model = build_synthetic_model(cfg.geometry, cfg.planted_for_seed(seed), seed)
     scores, _ = chase_corpus(generate_ocr_samples(model, cfg.corpus_size, seed))
     return model, scores
@@ -335,22 +335,21 @@ def _replay_seed_rows(cfg: ExperimentConfig, seed: int, experiment: str, cells) 
     ]
 
 
-def _grounding_terms(samples, results, planted: PlantedHeadSet):
-    """(head, drawn, uniform) per sample, scored step and planted head, in that order.
+def _grounding_terms(trace, result, planted: PlantedHeadSet):
+    """(head, drawn, uniform) per scored step and planted head of one sample, in that order.
 
-    `results` are the samples' `score_sample` results, which carry each
+    `result` is the sample's `score_sample` result, which carries each
     token's patch positions. `drawn` is the attention mass the head's row
     places on the token's own patch set; `uniform` is the mass an exactly
     uniform (masked) row places there.
     """
     terms = []
-    for (_, trace), result in zip(samples, results):
-        for step, positions in zip(trace.steps, result.positions):
-            if positions is None:
-                continue
-            uniform = float(np.full(positions.size, 1.0 / step.shape[2]).sum())
-            for l, h in planted.heads:
-                terms.append(((l, h), float(step[l, h, positions].sum()), uniform))
+    for step, positions in zip(trace.steps, result.positions):
+        if positions is None:
+            continue
+        uniform = float(np.full(positions.size, 1.0 / step.shape[2]).sum())
+        for l, h in planted.heads:
+            terms.append(((l, h), float(step[l, h, positions].sum()), uniform))
     return terms
 
 
@@ -385,15 +384,18 @@ def _mask_seed_rows(cfg: ExperimentConfig, seed: int) -> list[MaskRow]:
     the seed's summed increment with the masked heads zeroed, aggregated
     again, and its grounding mass reads each masked planted row as uniform.
     Only the decode workload is built again per cell, since the GQA window
-    scores sum a step's query heads together. `tests/mask_oracle.py` holds
-    the regenerate-per-cell reference these rows equal.
+    scores sum a step's query heads together. The corpus is read once: each
+    sample is scored and gives its grounding terms before the next is drawn.
+    `tests/mask_oracle.py` holds the regenerate-per-cell reference these rows
+    equal.
     """
     model = build_synthetic_model(cfg.geometry, cfg.planted_for_seed(seed), seed)
     planted = model.planted
-    samples = generate_ocr_samples(model, cfg.corpus_size, seed)
-    results = [score_sample(sample, trace) for sample, trace in samples]
-    terms = _grounding_terms(samples, results, planted)
-    del samples  # free the corpus before any decode workload is built
+    results, terms = [], []
+    for sample, trace in generate_ocr_samples(model, cfg.corpus_size, seed):
+        result = score_sample(sample, trace)
+        results.append(result)
+        terms += _grounding_terms(trace, result, planted)
     summed = HeadScoreMatrix(
         sum(r.increment.scores for r in results), sum(r.tokens_scored for r in results)
     )

@@ -203,10 +203,12 @@ class DecodeRecord:
 def replay_plans(geometry, workload, plans) -> list[DecodeRecord]:
     """One DecodeRecord per budget plan over one decode workload, ranking its keys once.
 
-    `workload` is a `simmodel.DecodeWorkload`. A plan keeps, per kv head, the
-    window plus its best b - w ranked keys, which is what `compress_prefill`
-    keeps, so every plan cuts the same key order. Each decode step builds one
-    table of cumulative captured mass over the ranked keys,
+    `workload` is a `simmodel.DecodeWorkload`; its `steps` are read once, in
+    order, so a model-built workload has one step's rows in memory at a time.
+    A plan keeps, per kv head, the window plus its best b - w ranked keys,
+    which is what `compress_prefill` keeps, so every plan cuts the same key
+    order. Each decode step builds one table of cumulative captured mass over
+    the ranked keys,
     (layers, query_heads, Lp - w + 1); a plan's captured mass is window mass +
     generated mass + table[b - w]. A head with b >= Lp reads the row total, so
     its recall is exactly 1. Slot counts follow from min(b, Lp) alone.
@@ -226,12 +228,14 @@ def replay_plans(geometry, workload, plans) -> list[DecodeRecord]:
     index = [np.repeat(k - w, group, axis=1)[:, :, None] for k in kept]
     recalls = np.zeros((len(plans), out_len))
     head_acc = np.zeros((len(plans), layers, query_heads))
-    for t, rows in enumerate(workload.decode_rows):
-        if rows.shape != (layers, query_heads, lp + t):
+    # one table for every step: column 0 stays 0, the rest is rewritten per step
+    table = np.zeros((layers, query_heads, n + 1))
+    t = -1
+    for t, rows in enumerate(workload.steps):
+        if t >= out_len or rows.shape != (layers, query_heads, lp + t):
             raise ShapeError(f"decode rows of step {t} do not match the geometry")
         prompt = rows[:, :, :lp].reshape(layers, kv_heads, group, lp)
         ranked = np.take_along_axis(prompt, order, axis=3).reshape(layers, query_heads, n)
-        table = np.zeros((layers, query_heads, n + 1))
         np.cumsum(ranked, axis=2, out=table[:, :, 1:])
         always = rows[:, :, n:lp].sum(axis=2) + rows[:, :, lp:].sum(axis=2)
         total = always + table[:, :, n]
@@ -239,6 +243,8 @@ def replay_plans(geometry, workload, plans) -> list[DecodeRecord]:
             recall = (always + np.take_along_axis(table, idx, axis=2)[:, :, 0]) / total
             recalls[p, t] = recall.mean()
             head_acc[p] += recall
+    if t + 1 != out_len:
+        raise ShapeError(f"workload yields {t + 1} decode steps, expected {out_len}")
 
     steps = np.arange(out_len, dtype=np.int64)
     records = []

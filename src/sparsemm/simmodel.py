@@ -19,6 +19,11 @@ need. Window rows are reduced to per-kv-head key scores as they are drawn;
 only the scores are kept. Masked heads emit exactly uniform rows. Masking is
 applied after all random draws, so masking any subset never perturbs the
 other heads' rows.
+
+Nothing large is held. A corpus draws sample i from its own generator when
+it is read, and a decode workload keeps its generator's state after the
+window rows and draws the decode steps again on each pass over them, so a
+caller that streams holds one sample's trace or one step's rows at a time.
 """
 
 from __future__ import annotations
@@ -26,7 +31,9 @@ from __future__ import annotations
 import hashlib
 import io
 import math
+import operator
 import os
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -38,8 +45,10 @@ from .errors import InvalidInputError, ShapeError
 __all__ = [
     "TEXT_TOKEN",
     "AttentionTrace",
+    "DecodeSteps",
     "DecodeWorkload",
     "ModelGeometry",
+    "OcrCorpus",
     "OcrSample",
     "PlantedHeadSet",
     "SyntheticModel",
@@ -196,35 +205,47 @@ class AttentionTrace:
         return len(self.steps)
 
 
-def _normalize_blocks(draw: np.ndarray, roles) -> np.ndarray:
+def _normalize_blocks(draw: np.ndarray, roles, scratch: np.ndarray) -> np.ndarray:
     """Compose role-wise Dirichlet blocks into rows that sum to one, in place.
 
     `roles` holds (start, stop, mass) ranges that partition the last axis of
     `draw`; each range is rescaled to carry its mass. Ranges with no position
     forfeit their mass to the rest (renormalized). A range's total is summed
-    from a copy that holds the position axis outermost, which fixes the order
-    of its float sum.
+    from a C-order copy that holds the position axis outermost, which fixes
+    the order of its float sum. The copy is written into `scratch`, a flat
+    float64 buffer of at least `draw.size` values that the caller reuses for
+    every block it draws. A fresh copy per block, freed before the next one,
+    lets the allocator return its pages to the OS between blocks, and each
+    block then faults them in again.
     """
     live = [(start, stop, m) for start, stop, m in roles if stop > start]
     z = sum(m for _, _, m in live)
     for start, stop, m in live:
         block = draw[..., start:stop]
-        total = np.moveaxis(block, -1, 0).copy().sum(axis=0)[..., None]
+        outer = np.moveaxis(block, -1, 0)
+        copy = scratch[: block.size].reshape(outer.shape)
+        copy[...] = outer
+        total = copy.sum(axis=0)[..., None]
         block *= m / z
         block /= total
     return draw
 
 
-def _draw_block(rng, geo: ModelGeometry, visible: int, n_pre: int, text_off: int, bg):
-    """One step's (layers, query_heads, visible) background rows.
+def _draw_block(rng, draw: np.ndarray, n_pre: int, text_off: int, bg, scratch) -> np.ndarray:
+    """Fill `draw`, one step's (layers, query_heads, visible) rows, with background rows.
 
     Positions run sinks [0, n_pre) | leak [n_pre, text_off) | text
     [text_off, visible); `bg` holds the (text, sink, leak) masses. A window
     row that does not reach text_off sees only part of the leak range.
+    `scratch` is `_normalize_blocks`'s buffer. Window rows are reduced as
+    soon as they are drawn, so they reuse one `draw`; decode steps are handed
+    to the caller, so each gets a fresh one. `standard_exponential` fills
+    `draw` with the values `rng.exponential(size=draw.shape)` would return.
     """
-    draw = rng.exponential(size=(geo.layers, geo.query_heads, visible))
+    visible = draw.shape[2]
+    rng.standard_exponential(out=draw)
     roles = [(text_off, visible, bg[0]), (0, n_pre, bg[1]), (n_pre, min(text_off, visible), bg[2])]
-    return _normalize_blocks(draw, roles)
+    return _normalize_blocks(draw, roles, scratch)
 
 
 def _draw_count(rng, span: tuple[int, int]) -> int:
@@ -254,7 +275,10 @@ class DecodeWorkload:
 
     `window_scores` is each kv head's mean observation-window attention per
     prompt key left of the window: the query heads of a group are summed, then
-    the w window rows are averaged.
+    the w window rows are averaged. `steps` yields output token t's
+    (layers, query_heads, prompt_len + t) rows, t = 0..out_len-1, on every
+    pass over it. A model-built workload holds a `DecodeSteps`, which draws
+    each step as it is read; a hand-built one may hold a tuple of arrays.
     """
 
     prompt_len: int
@@ -263,7 +287,7 @@ class DecodeWorkload:
     union_positions: np.ndarray = field(repr=False)
     token_regions: tuple[np.ndarray, ...] = field(repr=False)
     window_scores: np.ndarray = field(repr=False)  # (L, H_kv, Lp - w)
-    decode_rows: tuple[np.ndarray, ...] = field(repr=False)  # per t: (L, Hq, Lp + t)
+    steps: Iterable[np.ndarray] = field(repr=False)  # per t: (L, Hq, Lp + t)
 
 
 @dataclass(frozen=True)
@@ -287,22 +311,23 @@ class SyntheticModel:
         for l, h in sorted(self.masked):
             block[l, h] = 1.0 / visible
 
-    def _draw_steps(self, rng, lp: int, regions, n_pre: int, text_off: int, bg) -> list:
-        """Output token t's (layers, query_heads, lp + t) rows, one per region.
+    def _draw_steps(self, rng, lp: int, regions, n_pre: int, text_off: int, bg) -> Iterator:
+        """Yield output token t's (layers, query_heads, lp + t) rows, one per region.
 
         Each step draws its background, then each planted head hits the
         step's region with probability `strength`, then masked rows go uniform.
         """
-        steps = []
+        geo = self.geometry
+        scratch = np.empty(geo.layers * geo.query_heads * (lp + len(regions)))
         for t, region in enumerate(regions):
-            block = _draw_block(rng, self.geometry, lp + t, n_pre, text_off, bg)
+            block = np.empty((geo.layers, geo.query_heads, lp + t))
+            _draw_block(rng, block, n_pre, text_off, bg, scratch)
             for l, h in self.planted.heads:
                 u = rng.random()
                 if region.size and u < self.planted.strength:
                     block[l, h] = _plant_hit_row(rng, block[l, h], region)
             self._mask_rows(block, lp + t)
-            steps.append(block)
-        return steps
+            yield block
 
     def sample_ocr(self, rng) -> tuple[OcrSample, AttentionTrace]:
         """Generate one OCR-style sample and its decode trace."""
@@ -340,24 +365,25 @@ class SyntheticModel:
             pairs.append((int(rng.integers(1, 1_000_000)), bbox))
             regions.append(n_pre + _rect_patches(r0, c0, rh, rw, gc))
 
-        steps = self._draw_steps(rng, lp, regions, n_pre, instr_off, CORPUS_BG)
+        steps = tuple(self._draw_steps(rng, lp, regions, n_pre, instr_off, CORPUS_BG))
         sample = OcrSample(
             (h_px, w_px),
             (gr, gc),
             tuple((tok, tuple(float(v) for v in bbox)) for tok, bbox in pairs),
             tuple(int(v) for v in layout),
         )
-        return sample, AttentionTrace(tuple(steps), lp)
+        return sample, AttentionTrace(steps, lp)
 
     def decode_workload(self, prompt_len: int, out_len: int, window: int) -> DecodeWorkload:
-        """Build the prefill window scores and per-step decode rows.
+        """Build the prefill window scores; the decode rows are drawn when read.
 
         The prompt is laid out as a few leading sink tokens, a large image
         block, and a short instruction tail that the window mostly covers.
         Planted heads aim their window rows at the union of the regions their
         upcoming output tokens will need. Each window row is folded into the
         per-kv-head scores as soon as it is drawn, so no (layers, query_heads,
-        w, Lp) tensor is built.
+        w, Lp) tensor is built. No decode row is drawn here: the workload's
+        `steps` start from the generator's state after the window rows.
         """
         if window < 0:
             raise InvalidInputError("window must be non-negative")
@@ -418,10 +444,15 @@ class SyntheticModel:
 
         n = lp - window
         window_scores = np.zeros((geo.layers, geo.kv_heads, n))
+        rows = np.empty(geo.layers * geo.query_heads * lp)
+        scratch = np.empty(rows.size)
         for i in range(window):
             pos = lp - window + i
             visible = pos + 1
-            block = _draw_block(rng, geo, visible, n_pre, tail_off, DECODE_BG)
+            block = rows[: geo.layers * geo.query_heads * visible].reshape(
+                geo.layers, geo.query_heads, visible
+            )
+            _draw_block(rng, block, n_pre, tail_off, DECODE_BG, scratch)
             union_vis = union_positions[union_positions <= pos]
             if union_vis.size:
                 u_mass = WINDOW_REGION_FACTOR * self.planted.strength
@@ -435,9 +466,35 @@ class SyntheticModel:
         if window:
             window_scores /= window
 
-        decode_rows = self._draw_steps(rng, lp, token_regions, n_pre, tail_off, DECODE_BG)
-        return DecodeWorkload(lp, out_len, window, union_positions, tuple(token_regions),
-                              window_scores, tuple(decode_rows))
+        regions = tuple(token_regions)
+        steps = DecodeSteps(self, rng.bit_generator.state, lp, regions, n_pre, tail_off)
+        return DecodeWorkload(lp, out_len, window, union_positions, regions, window_scores, steps)
+
+
+@dataclass(frozen=True)
+class DecodeSteps:
+    """A model-built workload's decode rows, drawn again on every pass.
+
+    `state` is the workload generator's state after its window rows. Each
+    pass rebuilds that generator and yields output token t's
+    (layers, query_heads, prompt_len + t) rows through `_draw_steps`, so
+    every pass reads the same bits and only the step being read is in
+    memory. `n_pre` and `text_off` are the role offsets of `_draw_block`.
+    """
+
+    model: SyntheticModel
+    state: dict = field(repr=False)
+    prompt_len: int
+    regions: tuple[np.ndarray, ...] = field(repr=False)
+    n_pre: int
+    text_off: int
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        rng = np.random.Generator(getattr(np.random, self.state["bit_generator"])())
+        rng.bit_generator.state = self.state
+        return self.model._draw_steps(
+            rng, self.prompt_len, self.regions, self.n_pre, self.text_off, DECODE_BG
+        )
 
 
 def build_synthetic_model(
@@ -458,17 +515,40 @@ def mask_heads(model: SyntheticModel, heads) -> SyntheticModel:
     return replace(model, masked=model.masked | heads)
 
 
-def generate_ocr_samples(model: SyntheticModel, n: int, seed: int):
-    """n deterministic (OcrSample, AttentionTrace) pairs for the given seed."""
+@dataclass(frozen=True)
+class OcrCorpus:
+    """`size` (OcrSample, AttentionTrace) pairs, each drawn when it is read.
+
+    Sample i comes from its own generator, keyed by (model seed, corpus seed,
+    i), so it has the same bits in any order of access and on every pass.
+    Nothing is cached: a caller that iterates holds one sample's trace at a
+    time, and a caller that reads a sample twice draws it twice.
+    """
+
+    model: SyntheticModel
+    size: int
+    seed: int
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, i: int) -> tuple[OcrSample, AttentionTrace]:
+        i = operator.index(i)
+        if not -self.size <= i < self.size:
+            raise IndexError(f"sample {i} outside a corpus of {self.size}")
+        return self.model.sample_ocr(self.model._rng(_STREAM_CORPUS, self.seed, i % self.size))
+
+    def __iter__(self) -> Iterator[tuple[OcrSample, AttentionTrace]]:
+        return (self[i] for i in range(self.size))
+
+
+def generate_ocr_samples(model: SyntheticModel, n: int, seed: int) -> OcrCorpus:
+    """n deterministic (OcrSample, AttentionTrace) pairs for the given seed, drawn on access."""
     if n < 1:
         raise InvalidInputError("n must be at least 1")
     if seed < 0:
         raise InvalidInputError(f"corpus seed {seed} must be non-negative")
-    out = []
-    for i in range(n):
-        rng = model._rng(_STREAM_CORPUS, int(seed), i)
-        out.append(model.sample_ocr(rng))
-    return out
+    return OcrCorpus(model, int(n), int(seed))
 
 
 CORPUS_KEYS = (
@@ -486,6 +566,9 @@ def _corpus_names(directory) -> list[str]:
 
 def save_corpus(directory, samples) -> None:
     """Write each sample as `sample_NNNNN.json` beside `sample_NNNNN.npy`.
+
+    `samples` is read once, in order, and each sample is written before the
+    next is read, so a lazy corpus is written one trace at a time.
 
     The `.npy` payload is one 1-D float64 array: the trace's steps, each
     raveled, concatenated in step order. The JSON record is canonical and

@@ -18,7 +18,7 @@ def replay_plan(geometry, workload, plan) -> DecodeRecord:
     mask = np.repeat(kept, geometry.group_size, axis=1)
     recalls = np.zeros(out_len)
     head_acc = np.zeros((geometry.layers, geometry.query_heads))
-    for t, rows in enumerate(workload.decode_rows):
+    for t, rows in enumerate(workload.steps):
         prompt = rows[:, :, :lp]
         generated = rows[:, :, lp:].sum(axis=2)
         recall = ((prompt * mask).sum(axis=2) + generated) / (prompt.sum(axis=2) + generated)

@@ -365,6 +365,14 @@ class TestMaskDerivation:
             mapped.append(sample)
             return token_positions(sample, out_len)
 
+        drawn = []
+        sample_ocr = simmodel.SyntheticModel.sample_ocr
+
+        def draw(model, rng):
+            drawn.append(model.seed)
+            return sample_ocr(model, rng)
+
+        monkeypatch.setattr(simmodel.SyntheticModel, "sample_ocr", draw)
         monkeypatch.setattr(bench, "generate_ocr_samples", generate)
         monkeypatch.setattr(bench, "score_sample", score)
         monkeypatch.setattr(chaser, "token_positions", positions)
@@ -376,6 +384,8 @@ class TestMaskDerivation:
             rows = run_masking_study(cfg)
         assert len(rows) == 2 * len(fractions) * len(cfg.seeds)
         assert corpora == [(seed, frozenset()) for seed in cfg.seeds]
+        # the corpus is lazy: each sample is drawn once, as it is scored
+        assert drawn == [seed for seed in cfg.seeds for _ in range(cfg.corpus_size)]
         assert len(scored) == cfg.corpus_size * len(cfg.seeds)
         assert mapped == scored  # one bbox-to-position pass per sample
 
@@ -520,6 +530,39 @@ class TestCli:
         assert code == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "InfeasibleBudgetError"
+
+    @pytest.mark.parametrize("policy", ["sparsemm", "uniform", "pyramid", "random", "ada"])
+    def test_budget_below_window_floor_exits_2(self, tmp_path, capsys, policy):
+        """200 slots cannot give 64 heads a 32-slot window; no policy writes a plan."""
+        scores, plan = tmp_path / "scores.json", tmp_path / "plan.json"
+        save_scores(scores, HeadScoreMatrix(np.random.default_rng(3).random((8, 8))))
+        code = main([
+            "allocate", "--scores", str(scores), "--budget", "200", "--window", "32",
+            "--policy", policy, "--out", str(plan),
+        ])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InfeasibleBudgetError"
+        assert "cannot give" in err["message"]
+        assert not plan.exists()
+
+    def test_prefill_draws_the_window_rows_and_no_decode_step(self, tmp_path, monkeypatch, capsys):
+        visible = []
+        draw_block = simmodel._draw_block
+
+        def counted(rng, draw, *args):
+            visible.append(draw.shape[2])
+            return draw_block(rng, draw, *args)
+
+        monkeypatch.setattr(simmodel, "_draw_block", counted)
+        trace = tmp_path / "trace.json"
+        assert main([
+            "prefill", "--layers", "2", "--query-heads", "4", "--kv-heads", "2",
+            "--planted", "0,1", "--prompt-len", "200", "--out-len", "4", "--window", "32",
+            "--out", str(trace),
+        ]) == 0
+        # window row i sees 200 - 32 + i + 1 positions; a decode step would see 200 + t
+        assert visible == list(range(169, 201))
 
     def test_chase_on_saved_corpus_matches_in_memory_scores(self, tmp_path, capsys):
         model = build_synthetic_model(

@@ -1,6 +1,7 @@
 """Tests for window attention, key ranking, top-k eviction, and decode recall."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -53,12 +54,12 @@ def compress_window(attn, plan, w):
     return compress_prefill(scores, plan, w, attn.shape[-1])
 
 
-def hand_workload(window_scores, decode_rows, w):
+def hand_workload(window_scores, steps, w):
     """A decode workload of given (L, H_kv, Lp - w) window scores and per-step rows."""
     lp = window_scores.shape[-1] + w
     empty = np.empty(0, dtype=np.int64)
-    steps = len(decode_rows)
-    return DecodeWorkload(lp, steps, w, empty, (empty,) * steps, window_scores, tuple(decode_rows))
+    n = len(steps)
+    return DecodeWorkload(lp, n, w, empty, (empty,) * n, window_scores, tuple(steps))
 
 
 class TestWindowAttention:
@@ -370,6 +371,11 @@ class TestDecodeStep:
             replay_plans(geo, hand_workload(scores, [np.zeros((2, 2, lp))], w), [plan])
         with pytest.raises(ShapeError):  # length != prompt_len + step
             replay_plans(geo, hand_workload(scores, [np.zeros((1, 2, lp + 1))], w), [plan])
+        rows = [np.full((1, 2, lp + t), 1.0 / (lp + t)) for t in range(3)]
+        for out_len in (2, 4):  # steps yielded != out_len
+            workload = replace(hand_workload(scores, rows, w), out_len=out_len)
+            with pytest.raises(ShapeError, match="step"):
+                replay_plans(geo, workload, [plan])
 
 
 class TestPoliciesAndReports:

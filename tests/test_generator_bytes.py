@@ -3,7 +3,7 @@
 Every bench CSV and CLI artifact is computed from these rows, so a change to
 the generator that moves a single bit, or draws from its generator in
 another order, shows here first. The digests cover each corpus sample's
-fields and step rows, and each decode workload's window scores, decode rows
+fields and step rows, and each decode workload's window scores, decode steps
 and regions, for three models: MHA 2x4, GQA 2x4 over 2 kv heads with a
 masked planted head, and a prompt too short for an image grid.
 """
@@ -43,7 +43,7 @@ def workload_digest(workload) -> str:
     digest = hashlib.sha256()
     digest.update(repr((workload.prompt_len, workload.out_len, workload.window)).encode())
     _array(digest, workload.window_scores, np.float64)
-    for rows in workload.decode_rows:
+    for rows in workload.steps:
         _array(digest, rows, np.float64)
     _array(digest, workload.union_positions, np.int64)
     for region in workload.token_regions:

@@ -1,5 +1,6 @@
 """Tests for the synthetic attention model: planted structure, determinism, IO."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -148,6 +149,36 @@ def oracle_decode_workload(model, prompt_len, out_len, window):
     return window_stack, decode_rows
 
 
+def eager_corpus(model, n, seed):
+    """The corpus drawn into a list: sample i from its own generator, in index order."""
+    return [model.sample_ocr(model._rng(simmodel._STREAM_CORPUS, seed, i)) for i in range(n)]
+
+
+def assert_same_sample(got, want):
+    (sample, trace), (want_sample, want_trace) = got, want
+    assert sample == want_sample
+    assert trace.prompt_len == want_trace.prompt_len
+    assert [r.shape for r in trace.steps] == [r.shape for r in want_trace.steps]
+    assert [r.tobytes() for r in trace.steps] == [r.tobytes() for r in want_trace.steps]
+
+
+def held_arrays(value, held=None) -> dict:
+    """id -> nbytes of every ndarray reachable through dataclass fields and containers."""
+    held = {} if held is None else held
+    if isinstance(value, np.ndarray):
+        held[id(value)] = value.nbytes
+    elif isinstance(value, (tuple, list, set, frozenset)):
+        for item in value:
+            held_arrays(item, held)
+    elif isinstance(value, dict):
+        for item in value.values():
+            held_arrays(item, held)
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            held_arrays(getattr(value, f.name), held)
+    return held
+
+
 class TestGeometry:
     def test_group_size(self):
         geo = ModelGeometry(2, 8, 2)
@@ -226,7 +257,7 @@ class TestDeterminism:
         wa = m.decode_workload(128, 4, 32)
         wb = m.decode_workload(128, 4, 32)
         assert np.array_equal(wa.window_scores, wb.window_scores)
-        for ra, rb in zip(wa.decode_rows, wb.decode_rows):
+        for ra, rb in zip(wa.steps, wb.steps, strict=True):
             assert np.array_equal(ra, rb)
 
     @pytest.mark.parametrize("seed", [-1, 2**32])
@@ -321,6 +352,45 @@ class TestMasking:
             mask_heads(small_model(), [(5, 0)])
 
 
+class TestLazyCorpus:
+    def _model(self):
+        geometry = ModelGeometry(2, 4, 2)
+        model = small_model(seed=61, strength=0.8, planted=((0, 1), (1, 2)), geometry=geometry)
+        return mask_heads(model, [(1, 3)])
+
+    def test_any_order_and_every_pass_match_the_eager_list(self):
+        model = self._model()
+        corpus = generate_ocr_samples(model, 5, seed=4)
+        want = eager_corpus(model, 5, 4)
+        assert len(corpus) == 5
+        for i in (3, 0, 4, -1, 1, 2, -5, 3):
+            assert_same_sample(corpus[i], want[i])
+        for _ in range(2):
+            got = list(corpus)
+            assert len(got) == 5
+            for sample, want_sample in zip(got, want, strict=True):
+                assert_same_sample(sample, want_sample)
+
+    def test_saved_lazily_as_an_eager_list_saves(self, tmp_path):
+        model = self._model()
+        save_corpus(tmp_path / "lazy", generate_ocr_samples(model, 3, seed=2))
+        save_corpus(tmp_path / "eager", eager_corpus(model, 3, 2))
+        assert corpus_digest(tmp_path / "lazy") == corpus_digest(tmp_path / "eager")
+
+    def test_index_outside_the_corpus_raises(self):
+        corpus = generate_ocr_samples(small_model(), 2, seed=0)
+        for i in (2, -3):
+            with pytest.raises(IndexError):
+                corpus[i]
+        with pytest.raises(TypeError):
+            corpus[0.0]
+
+    def test_frozen(self):
+        corpus = generate_ocr_samples(small_model(), 2, seed=0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            corpus.size = 3
+
+
 class TestCorpusIO:
     def test_round_trip_bitwise(self, tmp_path):
         samples = generate_ocr_samples(small_model(seed=31), 3, seed=1)
@@ -377,7 +447,7 @@ class TestCorpusIO:
         model = build_synthetic_model(
             ModelGeometry.mha(layers, heads), PlantedHeadSet.uniform([(0, 0)], 0.7), seed
         )
-        samples = generate_ocr_samples(model, n, seed)
+        samples = list(generate_ocr_samples(model, n, seed))
         # generated prompts open with text; a hand-built one opens with an image token
         layout = (1, TEXT_TOKEN, 0)
         rng = np.random.default_rng(seed)
@@ -420,7 +490,7 @@ class TestDecodeWorkload:
         for i in range(32):
             assert np.allclose(window_attention[:, :, i, 160 - 32 + i + 1 :], 0.0)
             assert np.allclose(window_attention[:, :, i].sum(axis=-1), 1.0, atol=1e-9)
-        for t, rows in enumerate(wl.decode_rows):
+        for t, rows in enumerate(wl.steps):
             assert rows.shape == (2, 4, 160 + t)
             assert np.allclose(rows.sum(axis=-1), 1.0, atol=1e-9)
 
@@ -454,8 +524,7 @@ class TestDecodeWorkload:
         want = rank_window_keys(window_attention, kv_heads, window).scores
         assert wl.window_scores.shape == (2, kv_heads, prompt_len - window)
         assert np.array_equal(wl.window_scores, want)
-        assert len(wl.decode_rows) == len(decode_rows)
-        for got, rows in zip(wl.decode_rows, decode_rows, strict=True):
+        for got, rows in zip(wl.steps, decode_rows, strict=True):
             assert np.array_equal(got, rows)
 
     def test_holds_no_window_by_prompt_array(self):
@@ -468,6 +537,31 @@ class TestDecodeWorkload:
         assert (2, 4, lp - w) in shapes
         for shape in shapes:
             assert (w, lp) not in zip(shape, shape[1:]), shape
+
+    @pytest.mark.parametrize("kv_heads, prompt_len, window", [(2, 160, 32), (4, 6, 4), (1, 32, 32)])
+    def test_steps_are_the_same_bytes_on_every_pass(self, kv_heads, prompt_len, window):
+        geo = ModelGeometry(2, 4, kv_heads)
+        model = mask_heads(
+            small_model(seed=45, strength=0.8, planted=((0, 1), (1, 2)), geometry=geo), [(1, 3)]
+        )
+        wl = model.decode_workload(prompt_len, 4, window)
+        _, want = oracle_decode_workload(model, prompt_len, 4, window)
+        want = [rows.tobytes() for rows in want]
+        assert len(want) == wl.out_len == 4
+        assert [rows.tobytes() for rows in wl.steps] == want
+        assert [rows.tobytes() for rows in wl.steps] == want
+        # two passes at once do not share a generator
+        for a, b, rows in zip(wl.steps, wl.steps, want, strict=True):
+            assert a.tobytes() == b.tobytes() == rows
+
+    def test_holds_no_more_than_its_scores_and_regions(self):
+        """The decode steps are drawn when read, never stored with the workload."""
+        wl = small_model(seed=46).decode_workload(160, 16, 32)
+        allowed = wl.window_scores.nbytes + wl.union_positions.nbytes
+        allowed += sum(region.nbytes for region in wl.token_regions)
+        assert sum(held_arrays(wl).values()) <= allowed
+        # one stored step alone would break the bound
+        assert next(iter(wl.steps)).nbytes > allowed
 
     def test_prompt_shorter_than_window_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -500,7 +594,8 @@ class TestNormalizeBlocks:
         want = oracle_normalize_blocks(
             draw.copy(), [(np.arange(start, stop), m) for start, stop, m in roles]
         )
-        got = simmodel._normalize_blocks(draw, roles)
+        # a scratch buffer longer than the block, holding stale values
+        got = simmodel._normalize_blocks(draw, roles, np.full(draw.size + 5, np.nan))
         assert got is draw
         assert np.array_equal(got, want)
 
