@@ -134,8 +134,14 @@ def _split(total: int, weights, floor: int, rho: float = 0.0) -> np.ndarray:
     return _largest_remainder(floor + rho * rest / n + share, total)
 
 
+def _check_heads(layers: int, heads: int) -> None:
+    if layers < 1 or heads < 1:
+        raise InvalidInputError(f"layers and heads must be at least 1, got {layers}x{heads}")
+
+
 def allocate_sparsemm(scores: HeadScoreMatrix, config: AllocationConfig) -> BudgetPlan:
     """Three-part split: window floor + uniform share + score-proportional rest."""
+    _check_heads(scores.layers, scores.heads)
     budget, w, rho = config.total_budget, config.window, config.uniform_ratio
     budgets = _split(budget, scores.scores, w, rho)
     if not scores.scores.any():
@@ -145,6 +151,7 @@ def allocate_sparsemm(scores: HeadScoreMatrix, config: AllocationConfig) -> Budg
 
 def allocate_uniform(config: AllocationConfig, layers: int, heads: int) -> BudgetPlan:
     """Equal split of B over the N heads, each at least the w floor (one slot for w = 0)."""
+    _check_heads(layers, heads)
     n = layers * heads
     budget, w = config.total_budget, config.window
     if w == 0 and budget < n:
@@ -160,6 +167,7 @@ def allocate_pyramid(config: AllocationConfig, layers: int, heads: int) -> Budge
     decrease from layer 0 to the last layer; heads within a layer split its
     total equally.
     """
+    _check_heads(layers, heads)
     budget, w = config.total_budget, config.window
     layer_totals = _split(budget, np.arange(layers, 0, -1), heads * w)
     rows = [_split(int(t), np.zeros(heads), w) for t in layer_totals]
@@ -170,6 +178,7 @@ def allocate_random(
     config: AllocationConfig, layers: int, heads: int, seed: int
 ) -> BudgetPlan:
     """Control policy: i.i.d. uniform scores through the flagship split."""
+    _check_heads(layers, heads)
     rng = np.random.default_rng(np.random.SeedSequence([0x5EED, int(seed)]))
     scores = HeadScoreMatrix(rng.random((layers, heads)))
     return replace(allocate_sparsemm(scores, config), allocator="random")
@@ -183,6 +192,7 @@ def allocate_adaptive_layer(
     Every head keeps the w floor; a layer with no score mass falls back to an
     equal split of its post-floor total.
     """
+    _check_heads(scores.layers, scores.heads)
     budget, w = config.total_budget, config.window
     layer_totals = _split(budget, np.zeros(scores.layers), 0)
     rows = [_split(int(t), scores.scores[l], w) for l, t in enumerate(layer_totals)]

@@ -27,9 +27,9 @@ from .artifacts import counts, elements, numbers, read_object, write_json
 from .cache import replay_plans
 from .chaser import (
     HeadScoreMatrix,
-    aggregate_corpus,
     aggregate_gqa_scores,
     chase_corpus,
+    normalize_corpus,
     score_sample,
 )
 from .errors import InvalidInputError
@@ -370,7 +370,7 @@ def _masked_scores(summed: HeadScoreMatrix, masked) -> HeadScoreMatrix:
     """
     inc = summed.scores.copy()
     inc[tuple(np.array(masked, dtype=np.int64).reshape(-1, 2).T)] = 0.0
-    return aggregate_corpus([HeadScoreMatrix(inc)], [summed.corpus_tokens])
+    return normalize_corpus(HeadScoreMatrix(inc, summed.corpus_tokens))
 
 
 def _mask_seed_rows(cfg: ExperimentConfig, seed: int) -> list[MaskRow]:
@@ -381,7 +381,7 @@ def _mask_seed_rows(cfg: ExperimentConfig, seed: int) -> list[MaskRow]:
     1/visible. Such a row's argmax is position 0, which is a text token in
     every sample (`simmodel.PRE_TEXT` starts at 2), so a masked head never
     scores and every skip decision is the same: the masked cell's scores are
-    the seed's summed increment with the masked heads zeroed, aggregated
+    the seed's summed increment with the masked heads zeroed, normalized
     again, and its grounding mass reads each masked planted row as uniform.
     Only the decode workload is built again per cell, since the GQA window
     scores sum a step's query heads together. The corpus is read once: each
@@ -391,14 +391,13 @@ def _mask_seed_rows(cfg: ExperimentConfig, seed: int) -> list[MaskRow]:
     """
     model = build_synthetic_model(cfg.geometry, cfg.planted_for_seed(seed), seed)
     planted = model.planted
-    results, terms = [], []
+    total, tokens, terms = 0, 0, []
     for sample, trace in generate_ocr_samples(model, cfg.corpus_size, seed):
         result = score_sample(sample, trace)
-        results.append(result)
+        total = total + result.increment.scores
+        tokens += result.increment.corpus_tokens
         terms += _grounding_terms(trace, result, planted)
-    summed = HeadScoreMatrix(
-        sum(r.increment.scores for r in results), sum(r.tokens_scored for r in results)
-    )
+    summed = HeadScoreMatrix(total, tokens)
     cells = [("sparsemm", cfg.budgets_per_head[0], cfg.rho)]
 
     def measure(scores: HeadScoreMatrix, chosen) -> tuple[float, float, float]:

@@ -12,22 +12,24 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .artifacts import counts, numeric_array, read_object, write_json
 from .errors import DegenerateBoxError, InvalidInputError, ShapeError
-from .simmodel import AttentionTrace, OcrSample
+
+if TYPE_CHECKING:
+    from .simmodel import AttentionTrace, OcrSample
 
 __all__ = [
     "HeadScoreMatrix",
-    "PatchIndexSet",
     "SampleScore",
-    "aggregate_corpus",
     "aggregate_gqa_scores",
     "chase_corpus",
     "load_scores",
     "match_bbox_to_patches",
+    "normalize_corpus",
     "save_scores",
     "score_file_hash",
     "score_sample",
@@ -69,43 +71,25 @@ class HeadScoreMatrix:
 
 
 @dataclass(frozen=True)
-class PatchIndexSet:
-    """Row-major grid indices of the patches a bounding box overlaps."""
-
-    indices: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "indices", tuple(sorted(int(i) for i in self.indices)))
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def prompt_positions(self, prompt_layout) -> np.ndarray:
-        """Prompt positions whose image-patch label is in this set, ascending."""
-        layout = np.asarray(prompt_layout)
-        wanted = np.isin(layout, np.fromiter(self.indices, dtype=layout.dtype, count=len(self.indices)))
-        return np.flatnonzero(wanted)
-
-
-@dataclass(frozen=True)
 class SampleScore:
     """Unnormalized per-sample increment plus matching diagnostics.
 
-    `positions` is the sample's `token_positions`, one entry per output token.
+    `increment.corpus_tokens` counts the scored tokens. `positions` is the
+    sample's `token_positions`, one entry per output token.
     """
 
     increment: HeadScoreMatrix
-    tokens_scored: int
     tokens_skipped: int
     positions: tuple[np.ndarray | None, ...] = field(repr=False, compare=False)
 
 
-def match_bbox_to_patches(bbox, image_shape, grid) -> PatchIndexSet:
+def match_bbox_to_patches(bbox, image_shape, grid) -> tuple[int, ...]:
     """Map a pixel rectangle onto the patch grid.
 
     The image is tiled uniformly into grid[0] x grid[1] cells; a patch counts
     as covered when its cell intersects the box with positive area, so a
-    boundary touch does not count. Returned indices are row-major.
+    boundary touch does not count. Returns the covered cells' row-major
+    indices, ascending.
     """
     height, width = image_shape
     rows, cols = grid
@@ -131,7 +115,7 @@ def match_bbox_to_patches(bbox, image_shape, grid) -> PatchIndexSet:
         for c in range(c_first, c_last + 1):
             if min(x1, (c + 1) * cell_w) > max(x0, c * cell_w) and min(y1, (r + 1) * cell_h) > max(y0, r * cell_h):
                 covered.append(r * cols + c)
-    return PatchIndexSet(tuple(covered))
+    return tuple(covered)
 
 
 def token_positions(sample: OcrSample, out_len: int) -> list[np.ndarray | None]:
@@ -140,6 +124,7 @@ def token_positions(sample: OcrSample, out_len: int) -> list[np.ndarray | None]:
     A token is skipped, and reads None, when its (text, bbox) pair is
     missing, its box is degenerate, or its patches hold no prompt position.
     """
+    layout = np.asarray(sample.prompt_layout)
     out: list[np.ndarray | None] = []
     for t in range(out_len):
         if t >= len(sample.pairs):
@@ -150,7 +135,7 @@ def token_positions(sample: OcrSample, out_len: int) -> list[np.ndarray | None]:
         except DegenerateBoxError:
             out.append(None)
             continue
-        positions = patches.prompt_positions(sample.prompt_layout)
+        positions = np.flatnonzero(np.isin(layout, patches))
         out.append(positions if positions.size else None)
     return out
 
@@ -173,28 +158,18 @@ def score_sample(sample: OcrSample, trace: AttentionTrace) -> SampleScore:
         top = np.argmax(rows, axis=2)
         inc += (1.0 / positions.size) * np.isin(top, positions)
         scored += 1
-    return SampleScore(HeadScoreMatrix(inc, scored), scored, skipped, token_sets)
+    return SampleScore(HeadScoreMatrix(inc, scored), skipped, token_sets)
 
 
-def aggregate_corpus(increments, token_counts) -> HeadScoreMatrix:
-    """Sum increments, divide by the total token count, min-max normalize.
+def normalize_corpus(total: HeadScoreMatrix) -> HeadScoreMatrix:
+    """Divide a corpus's summed increment by its token count, then min-max normalize.
 
     An all-zero total stays all-zero; an all-equal positive total maps to all
     ones (every head attains the maximum).
     """
-    increments = list(increments)
-    token_counts = [int(c) for c in token_counts]
-    if not increments:
-        raise InvalidInputError("aggregate_corpus requires at least one increment")
-    if len(increments) != len(token_counts):
-        raise ShapeError("increments and token_counts lengths differ")
-    shape = increments[0].scores.shape
-    if any(m.scores.shape != shape for m in increments):
-        raise ShapeError("all increments must share one shape")
-    total_tokens = sum(token_counts)
-    if total_tokens <= 0:
+    if total.corpus_tokens <= 0:
         raise InvalidInputError("zero scored tokens in corpus")
-    mean = sum(m.scores for m in increments) / total_tokens
+    mean = total.scores / total.corpus_tokens
     lo, hi = mean.min(), mean.max()
     if hi > lo:
         normalized = (mean - lo) / (hi - lo)
@@ -202,19 +177,29 @@ def aggregate_corpus(increments, token_counts) -> HeadScoreMatrix:
         normalized = np.ones_like(mean)
     else:
         normalized = np.zeros_like(mean)
-    return HeadScoreMatrix(normalized, total_tokens)
+    return HeadScoreMatrix(normalized, total.corpus_tokens)
 
 
 def chase_corpus(samples) -> tuple[HeadScoreMatrix, int]:
-    """Run score_sample over (sample, trace) pairs and aggregate.
+    """Score (sample, trace) pairs in order, summing as it goes, and normalize the sum.
 
     Returns the normalized score matrix and the number of skipped tokens.
+    Every sample must share the first one's (layers, query_heads).
     """
-    results = [score_sample(sample, trace) for sample, trace in samples]
-    matrix = aggregate_corpus(
-        [r.increment for r in results], [r.tokens_scored for r in results]
-    )
-    return matrix, sum(r.tokens_skipped for r in results)
+    total, tokens, skipped = None, 0, 0
+    for sample, trace in samples:
+        result = score_sample(sample, trace)
+        inc = result.increment.scores
+        if total is None:
+            total = np.zeros_like(inc)
+        if inc.shape != total.shape:
+            raise ShapeError(f"a sample scores {inc.shape} heads, the first one {total.shape}")
+        total += inc
+        tokens += result.increment.corpus_tokens
+        skipped += result.tokens_skipped
+    if total is None:
+        raise InvalidInputError("chase_corpus requires at least one sample")
+    return normalize_corpus(HeadScoreMatrix(total, tokens)), skipped
 
 
 def aggregate_gqa_scores(scores: HeadScoreMatrix, group: int) -> HeadScoreMatrix:

@@ -108,8 +108,7 @@ def cmd_corpus(args: argparse.Namespace) -> dict:
 def cmd_chase(args: argparse.Namespace) -> dict:
     samples = load_corpus(args.corpus)
     scores, skipped = chase_corpus(samples)
-    if args.group > 1:
-        scores = aggregate_gqa_scores(scores, args.group)
+    scores = aggregate_gqa_scores(scores, args.group)
     save_scores(args.out, scores)
     return {
         "command": "chase",
@@ -255,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chase", help="score visual heads over a corpus directory")
     p.add_argument("--corpus", required=True)
     p.add_argument("--group", type=int, default=1,
-                   help="query heads per kv head; >1 sums scores onto kv heads")
+                   help="query heads per kv head (at least 1); >1 sums scores onto kv heads")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_chase)
 

@@ -21,13 +21,14 @@ applied after all random draws, so masking any subset never perturbs the
 other heads' rows.
 
 Nothing large is held. A corpus draws sample i from its own generator when
-it is read, and a decode workload keeps its generator's state after the
-window rows and draws the decode steps again on each pass over them, so a
+it is read, and a decode workload keeps its generator as it stands after
+the window rows and draws the decode steps again on each pass over them, so a
 caller that streams holds one sample's trace or one step's rows at a time.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import io
 import math
@@ -467,7 +468,7 @@ class SyntheticModel:
             window_scores /= window
 
         regions = tuple(token_regions)
-        steps = DecodeSteps(self, rng.bit_generator.state, lp, regions, n_pre, tail_off)
+        steps = DecodeSteps(self, rng, lp, regions, n_pre, tail_off)
         return DecodeWorkload(lp, out_len, window, union_positions, regions, window_scores, steps)
 
 
@@ -475,23 +476,23 @@ class SyntheticModel:
 class DecodeSteps:
     """A model-built workload's decode rows, drawn again on every pass.
 
-    `state` is the workload generator's state after its window rows. Each
-    pass rebuilds that generator and yields output token t's
-    (layers, query_heads, prompt_len + t) rows through `_draw_steps`, so
-    every pass reads the same bits and only the step being read is in
-    memory. `n_pre` and `text_off` are the role offsets of `_draw_block`.
+    `rng` is the workload generator as it stands after its window rows, and
+    it is never advanced. Each pass draws from a deep copy of it and yields
+    output token t's (layers, query_heads, prompt_len + t) rows through
+    `_draw_steps`, so every pass reads the same bits and only the step being
+    read is in memory. `n_pre` and `text_off` are the role offsets of
+    `_draw_block`.
     """
 
     model: SyntheticModel
-    state: dict = field(repr=False)
+    rng: np.random.Generator = field(repr=False)
     prompt_len: int
     regions: tuple[np.ndarray, ...] = field(repr=False)
     n_pre: int
     text_off: int
 
     def __iter__(self) -> Iterator[np.ndarray]:
-        rng = np.random.Generator(getattr(np.random, self.state["bit_generator"])())
-        rng.bit_generator.state = self.state
+        rng = copy.deepcopy(self.rng)
         return self.model._draw_steps(
             rng, self.prompt_len, self.regions, self.n_pre, self.text_off, DECODE_BG
         )
@@ -567,6 +568,9 @@ def _corpus_names(directory) -> list[str]:
 def save_corpus(directory, samples) -> None:
     """Write each sample as `sample_NNNNN.json` beside `sample_NNNNN.npy`.
 
+    A directory that already holds sample files is refused before anything
+    is written, so a corpus never mixes in another corpus's samples.
+
     `samples` is read once, in order, and each sample is written before the
     next is read, so a lazy corpus is written one trace at a time.
 
@@ -576,6 +580,8 @@ def save_corpus(directory, samples) -> None:
     sha256.
     """
     os.makedirs(directory, exist_ok=True)
+    if _corpus_names(directory):
+        raise InvalidInputError(f"{directory} already holds a corpus; give an empty directory")
     for i, (sample, trace) in enumerate(samples):
         stem = os.path.join(directory, f"sample_{i:05d}")
         buf = io.BytesIO()

@@ -29,7 +29,7 @@ def grounding_mass(samples, planted) -> float:
                 patches = match_bbox_to_patches(sample.pairs[t][1], sample.image_shape, sample.grid)
             except DegenerateBoxError:
                 continue
-            positions = np.array([position_of[p] for p in patches.indices])
+            positions = np.array([position_of[p] for p in patches])
             for l, h in pairs:
                 total += float(step[l, h, positions].sum())
                 count += 1

@@ -350,6 +350,12 @@ class TestDispatch:
         with pytest.raises(ShapeError):
             allocate("ada", AllocationConfig(256), 2, 2, scores=HeadScoreMatrix.zeros(3, 2))
 
+    @pytest.mark.parametrize("policy", ["sparsemm", "ada"])
+    @pytest.mark.parametrize("shape", [(0, 4), (2, 0)])
+    def test_empty_score_matrix_rejected(self, policy, shape):
+        with pytest.raises(InvalidInputError, match="at least 1"):
+            allocate(policy, AllocationConfig(64, 0), *shape, scores=HeadScoreMatrix.zeros(*shape))
+
     def test_dispatch_matches_direct_calls(self):
         cfg = AllocationConfig(256, 32, 0.1)
         scores = HeadScoreMatrix(np.random.default_rng(8).random((2, 2)))

@@ -411,7 +411,7 @@ class TestMaskDerivation:
             assert sample.prompt_layout[0] == TEXT_TOKEN
             result = score_sample(sample, masked_trace)
             assert not result.increment.scores.any()
-            assert result.tokens_scored == score_sample(sample, trace).tokens_scored
+            assert result.increment.corpus_tokens == score_sample(sample, trace).increment.corpus_tokens
 
 
 class TestCostModel:
@@ -546,6 +546,24 @@ class TestCli:
         assert "cannot give" in err["message"]
         assert not plan.exists()
 
+    @pytest.mark.parametrize("order", [("2x4", "1x4"), ("1x4", "2x4")])
+    def test_chase_mixed_geometry_corpus_exits_2(self, tmp_path, capsys, order):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for i, name in enumerate(order):
+            layers = int(name[0])
+            model = build_synthetic_model(
+                ModelGeometry.mha(layers, 4), PlantedHeadSet.uniform([(0, 1)], 0.9), 3
+            )
+            save_corpus(tmp_path / name, generate_ocr_samples(model, 1, 3))
+            for suffix in (".json", ".npy"):
+                (tmp_path / name / f"sample_00000{suffix}").rename(corpus / f"sample_{i:05d}{suffix}")
+        scores = tmp_path / "scores.json"
+        assert main(["chase", "--corpus", str(corpus), "--out", str(scores)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ShapeError"
+        assert not scores.exists()
+
     def test_prefill_draws_the_window_rows_and_no_decode_step(self, tmp_path, monkeypatch, capsys):
         visible = []
         draw_block = simmodel._draw_block
@@ -663,6 +681,44 @@ class TestCliInputErrors:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "InvalidInputError"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("policy", ["uniform", "pyramid", "random"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("flag", ["--layers", "--heads"])
+    def test_allocate_non_positive_geometry_exits_2(self, tmp_path, capsys, policy, value, flag):
+        geometry = {"--layers": "2", "--heads": "4", flag: value}
+        plan = tmp_path / "plan.json"
+        argv = ["allocate", "--policy", policy, "--budget", "100", "--window", "0",
+                "--out", str(plan)]
+        assert main(argv + [item for pair in geometry.items() for item in pair]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InvalidInputError"
+        assert "at least 1" in err["message"]
+        assert not plan.exists()
+
+    @pytest.mark.parametrize("group", ["0", "-2"])
+    def test_chase_group_below_one_exits_2(self, tmp_path, capsys, group):
+        model = build_synthetic_model(
+            ModelGeometry.mha(1, 2), PlantedHeadSet.uniform([(0, 1)], 0.9), 3
+        )
+        save_corpus(tmp_path / "corpus", generate_ocr_samples(model, 2, 3))
+        scores = tmp_path / "scores.json"
+        argv = ["chase", "--corpus", str(tmp_path / "corpus"), "--group", group, "--out", str(scores)]
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InvalidInputError"
+        assert not scores.exists()
+
+    def test_corpus_into_a_used_directory_exits_2(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        argv = ["corpus", *self.MODEL, "--out-dir", str(corpus), "--samples"]
+        assert main(argv + ["5"]) == 0
+        digest = json.loads(capsys.readouterr().out)["digest"]
+        assert main(argv + ["2"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InvalidInputError"
+        assert "already holds a corpus" in err["message"]
+        assert simmodel.corpus_digest(corpus) == digest
 
     def test_bench_seed_offset_below_zero_exits_2(self, tmp_path, capsys):
         """A config no run can use is rejected before bench creates --out-dir."""

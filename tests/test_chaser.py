@@ -1,21 +1,26 @@
 """Tests for bbox-to-patch mapping, hit scoring, aggregation, GQA grouping."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sparsemm
 from sparsemm.chaser import (
     HeadScoreMatrix,
-    PatchIndexSet,
-    aggregate_corpus,
     aggregate_gqa_scores,
     chase_corpus,
     load_scores,
     match_bbox_to_patches,
+    normalize_corpus,
     save_scores,
     score_file_hash,
     score_sample,
+    token_positions,
 )
 from sparsemm.errors import DegenerateBoxError, InvalidInputError, ShapeError
 from sparsemm.simmodel import (
@@ -48,18 +53,18 @@ def oracle_rasterize(bbox, image_shape, grid):
 
 class TestMatchBboxToPatches:
     def test_single_cell_containment(self):
-        assert match_bbox_to_patches((0, 0, 49, 49), (100, 100), (2, 2)).indices == (0,)
+        assert match_bbox_to_patches((0, 0, 49, 49), (100, 100), (2, 2)) == (0,)
 
     def test_full_cover(self):
-        assert match_bbox_to_patches((0, 0, 99, 99), (100, 100), (2, 2)).indices == (0, 1, 2, 3)
+        assert match_bbox_to_patches((0, 0, 99, 99), (100, 100), (2, 2)) == (0, 1, 2, 3)
 
     def test_boundary_touch_does_not_count(self):
         # x=50 is the cell boundary of a 2x2 grid on a 100px image
-        assert match_bbox_to_patches((0, 0, 50, 50), (100, 100), (2, 2)).indices == (0,)
+        assert match_bbox_to_patches((0, 0, 50, 50), (100, 100), (2, 2)) == (0,)
 
     def test_rasterization_oracle_case(self):
         got = match_bbox_to_patches((50, 50, 120, 60), (224, 224), (4, 4))
-        assert got.indices == oracle_rasterize((50, 50, 120, 60), (224, 224), (4, 4))
+        assert got == oracle_rasterize((50, 50, 120, 60), (224, 224), (4, 4))
 
     def test_rasterization_oracle_random(self):
         rng = np.random.default_rng(21)
@@ -69,7 +74,7 @@ class TestMatchBboxToPatches:
             x0, y0 = rng.uniform(0, width - 1), rng.uniform(0, height - 1)
             bbox = (x0, y0, rng.uniform(x0 + 0.5, width), rng.uniform(y0 + 0.5, height))
             got = match_bbox_to_patches(bbox, (height, width), (int(rows), int(cols)))
-            assert got.indices == oracle_rasterize(bbox, (height, width), (int(rows), int(cols)))
+            assert got == oracle_rasterize(bbox, (height, width), (int(rows), int(cols)))
 
     def test_zero_area_rejected(self):
         with pytest.raises(DegenerateBoxError):
@@ -86,15 +91,13 @@ class TestMatchBboxToPatches:
             match_bbox_to_patches((0, 0, 10, 10), (100, 100), (0, 2))
 
 
-class TestPatchIndexSet:
-    def test_prompt_positions_respects_layout(self):
+class TestTokenPositions:
+    def test_positions_follow_the_layout(self):
+        # patches 0 and 2 of a 2x2 grid sit at prompt positions 2 and 4
         layout = (TEXT_TOKEN, TEXT_TOKEN, 0, 1, 2, 3, TEXT_TOKEN)
-        assert PatchIndexSet((2, 0)).prompt_positions(layout).tolist() == [2, 4]
-
-    def test_sorted_and_sized(self):
-        s = PatchIndexSet((3, 1, 2))
-        assert s.indices == (1, 2, 3)
-        assert len(s) == 3
+        sample = OcrSample((100, 100), (2, 2), ((7, (10.0, 10.0, 40.0, 90.0)),), layout)
+        (positions,) = token_positions(sample, 1)
+        assert positions.tolist() == [2, 4]
 
 
 def make_sample_and_trace(n_tokens, region_patches, peak_patch, grid=(2, 2)):
@@ -128,7 +131,7 @@ class TestScoreSample:
         sample, trace = make_sample_and_trace(5, [3], 3)
         result = score_sample(sample, trace)
         assert result.increment.scores[0, 0] == pytest.approx(5.0)
-        assert (result.tokens_scored, result.tokens_skipped) == (5, 0)
+        assert (result.increment.corpus_tokens, result.tokens_skipped) == (5, 0)
 
     def test_four_patch_region_quarter_credit(self):
         sample, trace = make_sample_and_trace(4, [0, 1, 2, 3], 2)
@@ -143,7 +146,7 @@ class TestScoreSample:
         sample, trace = make_sample_and_trace(4, [3], 3)
         short = OcrSample(sample.image_shape, sample.grid, sample.pairs[:2], sample.prompt_layout)
         result = score_sample(short, trace)
-        assert (result.tokens_scored, result.tokens_skipped) == (2, 2)
+        assert (result.increment.corpus_tokens, result.tokens_skipped) == (2, 2)
         assert result.increment.scores[0, 0] == pytest.approx(2.0)
 
     def test_degenerate_bbox_skipped(self):
@@ -152,7 +155,7 @@ class TestScoreSample:
         result = score_sample(
             OcrSample(sample.image_shape, sample.grid, broken, sample.prompt_layout), trace
         )
-        assert (result.tokens_scored, result.tokens_skipped) == (2, 1)
+        assert (result.increment.corpus_tokens, result.tokens_skipped) == (2, 1)
 
     def test_brute_force_oracle_on_generated_corpus(self):
         model = build_synthetic_model(
@@ -166,7 +169,7 @@ class TestScoreSample:
             for t, step in enumerate(trace.steps):
                 _, bbox = sample.pairs[t]
                 patches = match_bbox_to_patches(bbox, sample.image_shape, sample.grid)
-                positions = {position_of[p] for p in patches.indices}
+                positions = {position_of[p] for p in patches}
                 scored += 1
                 for l in range(2):
                     for h in range(3):
@@ -177,55 +180,76 @@ class TestScoreSample:
                                 best = j
                         if best in positions:
                             want[l, h] += 1.0 / len(positions)
-            assert got.tokens_scored == scored
+            assert got.increment.corpus_tokens == scored
             assert np.allclose(got.increment.scores, want, atol=1e-12)
 
 
+def corpus_of(layers, heads, n, seed):
+    model = build_synthetic_model(
+        ModelGeometry.mha(layers, heads), PlantedHeadSet.uniform([(0, 1)], 0.8), seed
+    )
+    return list(generate_ocr_samples(model, n, seed))
+
+
 class TestAggregateCorpus:
+    """Corpus aggregation: `chase_corpus` sums the increments, `normalize_corpus` scales the sum."""
+
     def test_normalization_fixed_point(self):
-        inc = HeadScoreMatrix(np.array([[0.5, 0.0], [0.25, 0.0]]))
-        out = aggregate_corpus([inc], [1])
+        out = normalize_corpus(HeadScoreMatrix(np.array([[0.5, 0.0], [0.25, 0.0]]), 1))
         assert out.scores.max() == 1.0
         assert out.corpus_tokens == 1
 
     def test_all_zero_guard(self):
-        out = aggregate_corpus([HeadScoreMatrix.zeros(2, 2)], [3])
+        out = normalize_corpus(HeadScoreMatrix(np.zeros((2, 2)), 3))
         assert (out.scores == 0.0).all()
 
     def test_all_equal_positive_maps_to_ones(self):
-        out = aggregate_corpus([HeadScoreMatrix(np.full((2, 2), 0.5))], [2])
+        out = normalize_corpus(HeadScoreMatrix(np.full((2, 2), 0.5), 2))
         assert (out.scores == 1.0).all()
 
     def test_permutation_equivariance(self):
-        rng = np.random.default_rng(17)
-        incs = [HeadScoreMatrix(rng.random((3, 4))) for _ in range(5)]
-        counts = [2, 3, 1, 4, 2]
-        a = aggregate_corpus(incs, counts)
-        order = [4, 2, 0, 3, 1]
-        b = aggregate_corpus([incs[i] for i in order], [counts[i] for i in order])
+        samples = corpus_of(3, 4, 5, seed=17)
+        a, skipped_a = chase_corpus(samples)
+        b, skipped_b = chase_corpus([samples[i] for i in [4, 2, 0, 3, 1]])
         assert np.allclose(a.scores, b.scores, atol=1e-12)
+        assert (a.corpus_tokens, skipped_a) == (b.corpus_tokens, skipped_b)
 
     def test_precision_weighting(self):
         # equal hit counts; head 0 hit in 1-patch sets, head 1 in 4-patch sets
-        inc = HeadScoreMatrix(np.array([[3 * 1.0, 3 * 0.25]]))
-        out = aggregate_corpus([inc], [3])
+        out = normalize_corpus(HeadScoreMatrix(np.array([[3 * 1.0, 3 * 0.25]]), 3))
         assert out.scores[0, 0] > out.scores[0, 1]
 
     def test_hit_monotonicity(self):
         base = np.array([[1.0, 2.0]])
         more = base.copy()
         more[0, 0] += 0.5  # one extra hit on head 0
-        a = aggregate_corpus([HeadScoreMatrix(base)], [4])
-        b = aggregate_corpus([HeadScoreMatrix(more)], [4])
+        a = normalize_corpus(HeadScoreMatrix(base, 4))
+        b = normalize_corpus(HeadScoreMatrix(more, 4))
         assert b.scores[0, 0] >= a.scores[0, 0]
 
     def test_zero_tokens_rejected(self):
         with pytest.raises(InvalidInputError):
-            aggregate_corpus([HeadScoreMatrix.zeros(1, 1)], [0])
+            normalize_corpus(HeadScoreMatrix.zeros(1, 1))
+        with pytest.raises(InvalidInputError):
+            chase_corpus([])
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
-            aggregate_corpus([HeadScoreMatrix.zeros(1, 2), HeadScoreMatrix.zeros(2, 2)], [1, 1])
+        # a (2, 4) sum plus a (1, 4) increment would broadcast without the check
+        two, one = corpus_of(2, 4, 1, seed=3) + corpus_of(1, 4, 1, seed=3)
+        for samples in ([two, one], [one, two]):
+            with pytest.raises(ShapeError):
+                chase_corpus(samples)
+
+    def test_sum_equals_the_sum_of_sample_increments(self):
+        samples = corpus_of(2, 3, 6, seed=9)
+        results = [score_sample(sample, trace) for sample, trace in samples]
+        total = sum(r.increment.scores for r in results)
+        tokens = sum(r.increment.corpus_tokens for r in results)
+        want = normalize_corpus(HeadScoreMatrix(total, tokens))
+        scores, skipped = chase_corpus(samples)
+        assert scores.scores.tobytes() == want.scores.tobytes()
+        assert scores.corpus_tokens == tokens
+        assert skipped == sum(r.tokens_skipped for r in results)
 
 
 class TestAggregateGqa:
@@ -305,3 +329,16 @@ class TestChaseCorpus:
         rest = scores.scores.copy().ravel()
         rest[1] = -1.0
         assert (scores.scores[0, 1] > rest).all()
+
+
+def test_scoring_and_allocation_load_neither_generator_nor_cache():
+    """`chaser` and `allocator` run on score matrices alone; the generator is a test fixture."""
+    code = (
+        "import sys, sparsemm.allocator, sparsemm.chaser;"
+        "print(sorted(m for m in ('sparsemm.simmodel', 'sparsemm.cache', 'sparsemm.tensor')"
+        " if m in sys.modules))"
+    )
+    src = str(Path(sparsemm.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "[]"

@@ -288,7 +288,7 @@ class TestPlantedBehavior:
             for t, step in enumerate(trace.steps):
                 _, bbox = sample.pairs[t]
                 patches = match_bbox_to_patches(bbox, sample.image_shape, sample.grid)
-                positions = {position_of[p] for p in patches.indices}
+                positions = {position_of[p] for p in patches}
                 assert int(np.argmax(step[0, 1])) in positions
 
     def test_strength_zero_indistinguishable_from_background(self):
@@ -299,7 +299,7 @@ class TestPlantedBehavior:
             for t, step in enumerate(trace.steps):
                 _, bbox = sample.pairs[t]
                 patches = match_bbox_to_patches(bbox, sample.image_shape, sample.grid)
-                positions = {position_of[p] for p in patches.indices}
+                positions = {position_of[p] for p in patches}
                 n_tokens += 1
                 top = np.argmax(step, axis=2)
                 for l in range(2):
@@ -467,6 +467,14 @@ class TestCorpusIO:
                 assert ra.shape == rb.shape
                 assert ra.tobytes() == rb.tobytes()
 
+    def test_directory_with_samples_is_refused(self, tmp_path):
+        save_corpus(tmp_path, generate_ocr_samples(small_model(seed=31), 3, seed=1))
+        before = corpus_digest(tmp_path)
+        with pytest.raises(InvalidInputError, match="already holds a corpus"):
+            save_corpus(tmp_path, generate_ocr_samples(small_model(seed=31), 2, seed=2))
+        assert corpus_digest(tmp_path) == before
+        assert len(list(tmp_path.iterdir())) == 6
+
     def test_flipped_payload_byte_changes_digest_and_fails_load(self, tmp_path):
         save_corpus(tmp_path, generate_ocr_samples(small_model(seed=31), 2, seed=1))
         before = corpus_digest(tmp_path)
@@ -553,6 +561,13 @@ class TestDecodeWorkload:
         # two passes at once do not share a generator
         for a, b, rows in zip(wl.steps, wl.steps, want, strict=True):
             assert a.tobytes() == b.tobytes() == rows
+
+    def test_passes_leave_the_held_generator_unmoved(self):
+        wl = small_model(seed=47).decode_workload(64, 3, 8)
+        before = wl.steps.rng.bit_generator.state
+        first = [rows.tobytes() for rows in wl.steps]
+        assert wl.steps.rng.bit_generator.state == before
+        assert [rows.tobytes() for rows in wl.steps] == first
 
     def test_holds_no_more_than_its_scores_and_regions(self):
         """The decode steps are drawn when read, never stored with the workload."""
