@@ -105,8 +105,10 @@ class ExperimentConfig:
             raise InvalidInputError(
                 f"prompt_len {self.prompt_len} shorter than window {self.window}"
             )
-        if self.corpus_size < 1:
-            raise InvalidInputError("corpus_size must be at least 1")
+        for name in ("corpus_size", "prompt_len", "out_len", "window", "cost_out_len",
+                     "cost_budget_per_head", "budgets_per_head", "cost_lengths"):
+            if np.any(np.asarray(getattr(self, name)) < _CONFIG_COUNTS[name]):
+                raise InvalidInputError(f"{name} must be at least {_CONFIG_COUNTS[name]}")
         if not self.budgets_per_head:
             raise InvalidInputError("config needs at least one per-head budget")
         for b in self.budgets_per_head:

@@ -95,7 +95,6 @@ def cmd_corpus(args: argparse.Namespace) -> dict:
     model = _build_model(args)
     samples = generate_ocr_samples(model, args.samples, args.seed)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     save_corpus(out_dir, samples)
     return {
         "command": "corpus",

@@ -20,10 +20,10 @@ only the scores are kept. Masked heads emit exactly uniform rows. Masking is
 applied after all random draws, so masking any subset never perturbs the
 other heads' rows.
 
-Nothing large is held. A corpus draws sample i from its own generator when
-it is read, and a decode workload keeps its generator as it stands after
-the window rows and draws the decode steps again on each pass over them, so a
-caller that streams holds one sample's trace or one step's rows at a time.
+Nothing large is held. A corpus makes sample i when it is read, drawn from its
+own generator or read and checked from its files, and a decode workload draws
+its steps again on each pass from its generator as it stood after the window
+rows, so a caller that streams holds one sample's trace or one step's rows.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import io
 import math
 import operator
 import os
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -301,6 +301,11 @@ class SyntheticModel:
     masked: frozenset = frozenset()
 
     def __post_init__(self) -> None:
+        geo = self.geometry
+        for kind, heads in (("planted", self.planted.heads), ("masked", sorted(self.masked))):
+            for l, h in heads:
+                if not (0 <= l < geo.layers and 0 <= h < geo.query_heads):
+                    raise InvalidInputError(f"{kind} head ({l}, {h}) outside geometry")
         if not 0 <= self.seed < 2**32:
             raise InvalidInputError(f"model seed {self.seed} outside [0, 2**32)")
 
@@ -501,34 +506,26 @@ class DecodeSteps:
 def build_synthetic_model(
     geometry: ModelGeometry, planted: PlantedHeadSet, seed: int
 ) -> SyntheticModel:
-    for l, h in planted.heads:
-        if not (0 <= l < geometry.layers and 0 <= h < geometry.query_heads):
-            raise InvalidInputError(f"planted head ({l}, {h}) outside geometry")
     return SyntheticModel(geometry, planted, int(seed))
 
 
 def mask_heads(model: SyntheticModel, heads) -> SyntheticModel:
     """Return a model whose given heads emit exactly uniform attention."""
     heads = frozenset((int(l), int(h)) for l, h in heads)
-    for l, h in heads:
-        if not (0 <= l < model.geometry.layers and 0 <= h < model.geometry.query_heads):
-            raise InvalidInputError(f"masked head ({l}, {h}) outside geometry")
     return replace(model, masked=model.masked | heads)
 
 
 @dataclass(frozen=True)
 class OcrCorpus:
-    """`size` (OcrSample, AttentionTrace) pairs, each drawn when it is read.
+    """`size` (OcrSample, AttentionTrace) pairs; `read(i)` makes sample i when it is read.
 
-    Sample i comes from its own generator, keyed by (model seed, corpus seed,
-    i), so it has the same bits in any order of access and on every pass.
-    Nothing is cached: a caller that iterates holds one sample's trace at a
-    time, and a caller that reads a sample twice draws it twice.
+    `read` must give the same bits for i in any order of access and on every
+    pass. Nothing is cached: a caller that iterates holds one sample's trace
+    at a time, and a caller that reads a sample twice makes it twice.
     """
 
-    model: SyntheticModel
     size: int
-    seed: int
+    read: Callable[[int], tuple[OcrSample, AttentionTrace]] = field(repr=False)
 
     def __len__(self) -> int:
         return self.size
@@ -537,19 +534,19 @@ class OcrCorpus:
         i = operator.index(i)
         if not -self.size <= i < self.size:
             raise IndexError(f"sample {i} outside a corpus of {self.size}")
-        return self.model.sample_ocr(self.model._rng(_STREAM_CORPUS, self.seed, i % self.size))
+        return self.read(i % self.size)
 
     def __iter__(self) -> Iterator[tuple[OcrSample, AttentionTrace]]:
         return (self[i] for i in range(self.size))
 
 
 def generate_ocr_samples(model: SyntheticModel, n: int, seed: int) -> OcrCorpus:
-    """n deterministic (OcrSample, AttentionTrace) pairs for the given seed, drawn on access."""
+    """n (OcrSample, AttentionTrace) pairs; sample i is drawn on access from its own generator."""
     if n < 1:
         raise InvalidInputError("n must be at least 1")
     if seed < 0:
         raise InvalidInputError(f"corpus seed {seed} must be non-negative")
-    return OcrCorpus(model, int(n), int(seed))
+    return OcrCorpus(int(n), lambda i: model.sample_ocr(model._rng(_STREAM_CORPUS, int(seed), i)))
 
 
 CORPUS_KEYS = (
@@ -622,8 +619,8 @@ def _load_record(path) -> tuple[OcrSample, dict]:
     return sample, record
 
 
-def _load_payload(path, record: dict, prompt_len: int) -> tuple[np.ndarray, ...]:
-    """The trace steps stored in a `.npy` payload, checked against its record."""
+def _load_payload(path, record: dict, prompt_len: int) -> AttentionTrace:
+    """The trace stored in a `.npy` payload, checked against its record."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -650,24 +647,25 @@ def _load_payload(path, record: dict, prompt_len: int) -> tuple[np.ndarray, ...]
         stop = start + layers * heads * (prompt_len + t)
         steps.append(flat[start:stop].reshape(layers, heads, prompt_len + t))
         start = stop
-    return tuple(steps)
+    return AttentionTrace(tuple(steps), prompt_len)
 
 
-def load_corpus(directory):
+def load_corpus(directory) -> OcrCorpus:
     """The (OcrSample, AttentionTrace) pairs of a `save_corpus` directory, in name order.
 
-    Every record and payload is checked; any unreadable, malformed or
-    mismatched file raises InvalidInputError.
+    A missing or record-less directory fails at once. Sample i's files are read and checked
+    each time it is read; an unreadable, malformed or mismatched file raises InvalidInputError.
     """
     stems = [n[: -len(".json")] for n in _corpus_names(directory) if n.endswith(".json")]
     if not stems:
         raise InvalidInputError(f"no sample records in {directory}")
-    out = []
-    for stem in stems:
-        sample, record = _load_record(os.path.join(directory, stem + ".json"))
-        steps = _load_payload(os.path.join(directory, stem + ".npy"), record, sample.prompt_len)
-        out.append((sample, AttentionTrace(steps, sample.prompt_len)))
-    return out
+
+    def read(i: int) -> tuple[OcrSample, AttentionTrace]:
+        stem = os.path.join(directory, stems[i])
+        sample, record = _load_record(stem + ".json")
+        return sample, _load_payload(stem + ".npy", record, sample.prompt_len)
+
+    return OcrCorpus(len(stems), read)
 
 
 def corpus_digest(directory) -> str:

@@ -167,7 +167,7 @@ def _load(artifact: str, blob: dict):
         if artifact == "record":
             (d / "sample_00000.npy").write_bytes(payload)
             write_json(d / "sample_00000.json", blob)
-            return load_corpus(d)
+            return list(load_corpus(d))
         write_json(d / f"{artifact}.json", blob)
         return LOADERS[artifact](d / f"{artifact}.json")
 

@@ -95,6 +95,11 @@ class TestConfig:
     def test_budget_below_window_rejected(self):
         with pytest.raises(InvalidInputError):
             small_config(budgets_per_head=(16,))
+        # with no window, the counts' own floors still hold
+        with pytest.raises(InvalidInputError, match="budgets_per_head must be at least 1"):
+            small_config(window=0, budgets_per_head=(0,))
+        with pytest.raises(InvalidInputError, match="prompt_len must be at least 1"):
+            small_config(window=0, prompt_len=0)
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -114,15 +119,25 @@ class TestConfig:
         assert len(a) == round(0.25 * 16)
         assert cfg.planted_for_seed(4).heads != a.heads
 
-    @pytest.mark.parametrize("field, value", [
-        ("seeds", (1, 0, 1)),
-        ("budgets_per_head", (48, 64, 48)),
-        ("policies", ("uniform", "sparsemm", "uniform")),
-        ("rhos", (0.1, 0.10)),
-        ("mask_fractions", (0.0, 0.0)),
+    @pytest.mark.parametrize("field, value, fragment", [
+        pytest.param("seeds", (1, 0, 1), "repeats an entry", id="seeds-value0"),
+        pytest.param("budgets_per_head", (48, 64, 48), "repeats an entry",
+                     id="budgets_per_head-value1"),
+        pytest.param("policies", ("uniform", "sparsemm", "uniform"), "repeats an entry",
+                     id="policies-value2"),
+        pytest.param("rhos", (0.1, 0.10), "repeats an entry", id="rhos-value3"),
+        pytest.param("mask_fractions", (0.0, 0.0), "repeats an entry", id="mask_fractions-value4"),
+        # counts that only load_config used to check, each below its minimum
+        ("corpus_size", 0, "must be at least 1"),
+        ("out_len", 0, "must be at least 1"),
+        ("window", -1, "must be at least 0"),
+        ("cost_out_len", 0, "must be at least 1"),
+        ("cost_budget_per_head", 0, "must be at least 1"),
+        ("cost_lengths", (2048, 0), "must be at least 1"),
     ])
-    def test_repeated_entries_rejected(self, field, value):
-        with pytest.raises(InvalidInputError, match=f"{field} repeats an entry"):
+    def test_repeated_entries_rejected(self, field, value, fragment):
+        """A repeated list entry, or a count below its minimum, fails when the config is built."""
+        with pytest.raises(InvalidInputError, match=f"{field} {fragment}"):
             small_config(**{field: value})
 
     def test_negative_seed_rejected(self):
@@ -852,7 +867,7 @@ class TestCorpusLoaderErrors:
 
     def _rejects(self, directory, tmp_path, capsys, fragment):
         with pytest.raises(InvalidInputError, match=fragment):
-            load_corpus(directory)
+            list(load_corpus(directory))
         capsys.readouterr()
         assert main(["chase", "--corpus", str(directory), "--out", str(tmp_path / "s.json")]) == 2
         err = json.loads(capsys.readouterr().err)

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import tempfile
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -209,10 +210,11 @@ class TestPlantedHeadSet:
             PlantedHeadSet.uniform([(0, 1)], 1.5)
 
     def test_out_of_geometry_rejected_at_build(self):
-        with pytest.raises(InvalidInputError):
-            build_synthetic_model(
-                ModelGeometry.mha(2, 4), PlantedHeadSet.uniform([(2, 0)], 0.5), 0
-            )
+        planted = PlantedHeadSet.uniform([(2, 0)], 0.5)
+        with pytest.raises(InvalidInputError, match=r"planted head \(2, 0\) outside geometry"):
+            build_synthetic_model(ModelGeometry.mha(2, 4), planted, 0)
+        with pytest.raises(InvalidInputError, match="planted head"):
+            SyntheticModel(ModelGeometry.mha(2, 4), planted, 0)
 
 
 class TestTraceValidation:
@@ -348,8 +350,22 @@ class TestMasking:
                 assert np.allclose(step, 1.0 / step.shape[2], atol=1e-15)
 
     def test_mask_out_of_range_rejected(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match=r"masked head \(5, 0\) outside geometry"):
             mask_heads(small_model(), [(5, 0)])
+        with pytest.raises(InvalidInputError, match="masked head"):
+            replace(small_model(), masked=frozenset({(0, 4)}))
+
+
+@pytest.fixture(params=["drawn", "stored"])
+def make_corpus(request, tmp_path):
+    """generate_ocr_samples, or the same corpus saved and read back by load_corpus."""
+    def make(model, n, seed):
+        corpus = generate_ocr_samples(model, n, seed)
+        if request.param == "drawn":
+            return corpus
+        save_corpus(tmp_path / "corpus", corpus)
+        return load_corpus(tmp_path / "corpus")
+    return make
 
 
 class TestLazyCorpus:
@@ -358,10 +374,11 @@ class TestLazyCorpus:
         model = small_model(seed=61, strength=0.8, planted=((0, 1), (1, 2)), geometry=geometry)
         return mask_heads(model, [(1, 3)])
 
-    def test_any_order_and_every_pass_match_the_eager_list(self):
+    def test_any_order_and_every_pass_match_the_eager_list(self, make_corpus):
         model = self._model()
-        corpus = generate_ocr_samples(model, 5, seed=4)
+        corpus = make_corpus(model, 5, 4)
         want = eager_corpus(model, 5, 4)
+        assert isinstance(corpus, simmodel.OcrCorpus)
         assert len(corpus) == 5
         for i in (3, 0, 4, -1, 1, 2, -5, 3):
             assert_same_sample(corpus[i], want[i])
@@ -377,16 +394,16 @@ class TestLazyCorpus:
         save_corpus(tmp_path / "eager", eager_corpus(model, 3, 2))
         assert corpus_digest(tmp_path / "lazy") == corpus_digest(tmp_path / "eager")
 
-    def test_index_outside_the_corpus_raises(self):
-        corpus = generate_ocr_samples(small_model(), 2, seed=0)
+    def test_index_outside_the_corpus_raises(self, make_corpus):
+        corpus = make_corpus(small_model(), 2, 0)
         for i in (2, -3):
             with pytest.raises(IndexError):
                 corpus[i]
         with pytest.raises(TypeError):
             corpus[0.0]
 
-    def test_frozen(self):
-        corpus = generate_ocr_samples(small_model(), 2, seed=0)
+    def test_frozen(self, make_corpus):
+        corpus = make_corpus(small_model(), 2, 0)
         with pytest.raises(dataclasses.FrozenInstanceError):
             corpus.size = 3
 
@@ -458,7 +475,7 @@ class TestCorpusIO:
         samples.append((hand, AttentionTrace(rows, len(layout))))
         with tempfile.TemporaryDirectory() as directory:
             save_corpus(directory, samples)
-            back = load_corpus(directory)
+            back = list(load_corpus(directory))
         assert len(back) == n + 1
         for (sa, ta), (sb, tb) in zip(samples, back):
             assert sa == sb
@@ -475,16 +492,40 @@ class TestCorpusIO:
         assert corpus_digest(tmp_path) == before
         assert len(list(tmp_path.iterdir())) == 6
 
-    def test_flipped_payload_byte_changes_digest_and_fails_load(self, tmp_path):
-        save_corpus(tmp_path, generate_ocr_samples(small_model(seed=31), 2, seed=1))
-        before = corpus_digest(tmp_path)
-        payload = tmp_path / "sample_00001.npy"
+    def _flip_second_payload_byte(self, directory):
+        payload = directory / "sample_00001.npy"
         data = bytearray(payload.read_bytes())
         data[-3] ^= 0x01
         payload.write_bytes(bytes(data))
+
+    def test_flipped_payload_byte_changes_digest_and_fails_load(self, tmp_path):
+        save_corpus(tmp_path, generate_ocr_samples(small_model(seed=31), 2, seed=1))
+        before = corpus_digest(tmp_path)
+        self._flip_second_payload_byte(tmp_path)
         assert corpus_digest(tmp_path) != before
         with pytest.raises(InvalidInputError, match="sha256"):
-            load_corpus(tmp_path)
+            list(load_corpus(tmp_path))
+
+    def test_flipped_payload_byte_fails_only_its_sample(self, tmp_path):
+        save_corpus(tmp_path, generate_ocr_samples(small_model(seed=31), 2, seed=1))
+        self._flip_second_payload_byte(tmp_path)
+        corpus = load_corpus(tmp_path)
+        corpus[0]
+        with pytest.raises(InvalidInputError, match="sha256"):
+            corpus[1]
+
+    def test_chasing_a_stored_corpus_holds_one_trace_at_a_time(self, tmp_path):
+        save_corpus(tmp_path, generate_ocr_samples(small_model(seed=31), 20, seed=1))
+        largest = max(p.stat().st_size for p in tmp_path.glob("*.npy"))
+        tracemalloc.start()
+        try:
+            chase_corpus(load_corpus(tmp_path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # streaming peaks near 3.7x (the last trace, the next payload and its
+        # frozen copy); the 20 traces of an eager list reach about 13.6x
+        assert peak < 6 * largest
 
 
 class TestDecodeWorkload:
