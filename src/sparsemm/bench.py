@@ -5,7 +5,9 @@ dataclasses plus canonical CSV (and a JSON mirror). Rows are computed per
 seed — all cells of a seed share the same corpus, score matrix and decode
 workload, so comparisons are paired — and merged cell by cell, each cell's
 rows in the config's seed order, which makes output bytes independent of
-worker count.
+worker count. The masking study derives each masked cell's scores and decode
+rows from the seed's one corpus and one decode workload instead of building
+the masked model's own.
 
 Seeding is hierarchical: the model seed is the cell seed, the random-plan
 seed derives from (seed, budget), and fraction-specified planted heads derive
@@ -24,7 +26,7 @@ import numpy as np
 
 from .allocator import AllocationConfig, POLICY_NAMES, allocate
 from .artifacts import counts, elements, numbers, read_object, write_json
-from .cache import replay_plans
+from .cache import replay_masked, replay_plans
 from .chaser import (
     HeadScoreMatrix,
     aggregate_gqa_scores,
@@ -36,10 +38,8 @@ from .errors import InvalidInputError
 from .simmodel import (
     ModelGeometry,
     PlantedHeadSet,
-    SyntheticModel,
     build_synthetic_model,
     generate_ocr_samples,
-    mask_heads,
 )
 
 __all__ = [
@@ -310,25 +310,23 @@ def _scores_for_seed(cfg: ExperimentConfig, seed: int):
     return model, scores
 
 
-def _decode_records(cfg: ExperimentConfig, model: SyntheticModel, scores: HeadScoreMatrix,
-                    seed: int, cells):
-    """One DecodeRecord per (policy, budget_per_head, rho) cell, all replayed over one workload."""
+def _plans(cfg: ExperimentConfig, scores: HeadScoreMatrix, seed: int, cells):
+    """One budget plan per (policy, budget_per_head, rho) cell, all from one score matrix."""
     kv_scores = aggregate_gqa_scores(scores, cfg.geometry.group_size)
     n_kv = cfg.layers * cfg.kv_heads
-    plans = [
+    return [
         allocate(policy, AllocationConfig(budget * n_kv, cfg.window, rho), cfg.layers,
                  cfg.kv_heads, scores=kv_scores, seed=_plan_seed(seed, budget))
         for policy, budget, rho in cells
     ]
-    workload = model.decode_workload(cfg.prompt_len, cfg.out_len, cfg.window)
-    return replay_plans(model.geometry, workload, plans)
 
 
 def _replay_seed_rows(cfg: ExperimentConfig, seed: int, experiment: str, cells) -> list[ResultRow]:
     """One row per (policy, budget_per_head, rho) cell."""
     model, scores = _scores_for_seed(cfg, seed)
     precision, recall = recovery_stats(scores, model.planted)
-    records = _decode_records(cfg, model, scores, seed, cells)
+    workload = model.decode_workload(cfg.prompt_len, cfg.out_len, cfg.window)
+    records = replay_plans(model.geometry, workload, _plans(cfg, scores, seed, cells))
     n_kv = cfg.layers * cfg.kv_heads
     return [
         ResultRow(experiment, policy, budget, budget * n_kv, rho, seed, record.mean_recall,
@@ -376,7 +374,7 @@ def _masked_scores(summed: HeadScoreMatrix, masked) -> HeadScoreMatrix:
 
 
 def _mask_seed_rows(cfg: ExperimentConfig, seed: int) -> list[MaskRow]:
-    """One MaskRow per (fraction, mode) cell, every cell derived from one corpus.
+    """One MaskRow per (fraction, mode) cell, every cell derived from one corpus and one workload.
 
     Masking overwrites rows after every random draw, so a masked model's
     corpus is this seed's corpus with the masked rows set to exactly
@@ -385,11 +383,13 @@ def _mask_seed_rows(cfg: ExperimentConfig, seed: int) -> list[MaskRow]:
     scores and every skip decision is the same: the masked cell's scores are
     the seed's summed increment with the masked heads zeroed, normalized
     again, and its grounding mass reads each masked planted row as uniform.
-    Only the decode workload is built again per cell, since the GQA window
-    scores sum a step's query heads together. The corpus is read once: each
-    sample is scored and gives its grounding terms before the next is drawn.
-    `tests/mask_oracle.py` holds the regenerate-per-cell reference these rows
-    equal.
+    The corpus is read once: each sample is scored and gives its grounding
+    terms before the next is drawn. The decode half follows the same
+    premise: one `decode_workload` call draws the window rows once and
+    re-sums, per masked cell, only the kv groups that hold a masked head, and
+    `replay_masked` reads the decode steps once for the base plan and every
+    cell. `tests/mask_oracle.py` holds the regenerate-per-cell reference
+    these rows equal.
     """
     model = build_synthetic_model(cfg.geometry, cfg.planted_for_seed(seed), seed)
     planted = model.planted
@@ -400,19 +400,12 @@ def _mask_seed_rows(cfg: ExperimentConfig, seed: int) -> list[MaskRow]:
         tokens += result.increment.corpus_tokens
         terms += _grounding_terms(trace, result, planted)
     summed = HeadScoreMatrix(total, tokens)
-    cells = [("sparsemm", cfg.budgets_per_head[0], cfg.rho)]
-
-    def measure(scores: HeadScoreMatrix, chosen) -> tuple[float, float, float]:
-        _, recovery = recovery_stats(scores, planted)
-        records = _decode_records(cfg, mask_heads(model, chosen), scores, seed, cells)
-        return recovery, _grounding_mass(terms, set(chosen)), records[0].mean_recall
-
     base_scores = _masked_scores(summed, [])
-    base_recovery, base_grounding, base_decode = measure(base_scores, [])
-    total = cfg.layers * cfg.query_heads
-    rows = []
+
+    n_heads = cfg.layers * cfg.query_heads
+    cells = []  # (fraction, mode, n_mask, chosen heads)
     for fraction in cfg.mask_fractions:
-        n_mask = round(fraction * total)
+        n_mask = round(fraction * n_heads)
         for mode in ("random", "top"):
             if n_mask == 0:
                 chosen: list[tuple[int, int]] = []
@@ -422,28 +415,42 @@ def _mask_seed_rows(cfg: ExperimentConfig, seed: int) -> list[MaskRow]:
                 rng = np.random.default_rng(
                     np.random.SeedSequence([int(seed) + 1000, n_mask])
                 )
-                flat = rng.choice(total, size=n_mask, replace=False)
+                flat = rng.choice(n_heads, size=n_mask, replace=False)
                 chosen = [
                     (int(i) // cfg.query_heads, int(i) % cfg.query_heads) for i in flat
                 ]
-            if chosen:
-                recovery, grounding, decode = measure(_masked_scores(summed, chosen), chosen)
-            else:
-                recovery, grounding, decode = base_recovery, base_grounding, base_decode
-            rows.append(
-                MaskRow(
-                    seed,
-                    float(fraction),
-                    mode,
-                    n_mask,
-                    recovery,
-                    base_recovery - recovery,
-                    grounding,
-                    base_grounding - grounding,
-                    decode,
-                    base_decode - decode,
-                )
+            cells.append((float(fraction), mode, n_mask, chosen))
+
+    # the base model first, then every cell that masks a head
+    masks = [[]] + [chosen for *_, chosen in cells if chosen]
+    scores = [_masked_scores(summed, chosen) if chosen else base_scores for chosen in masks]
+    plan_cell = [("sparsemm", cfg.budgets_per_head[0], cfg.rho)]
+    plans = [_plans(cfg, s, seed, plan_cell)[0] for s in scores]
+    workload = model.decode_workload(cfg.prompt_len, cfg.out_len, cfg.window, masks[1:])
+    records = replay_masked(model.geometry, workload, plans)
+    measured = [
+        (recovery_stats(s, planted)[1], _grounding_mass(terms, set(chosen)), record.mean_recall)
+        for s, chosen, record in zip(scores, masks, records, strict=True)
+    ]
+    base_recovery, base_grounding, base_decode = measured[0]
+    derived = iter(measured[1:])
+    rows = []
+    for fraction, mode, n_mask, chosen in cells:
+        recovery, grounding, decode = next(derived) if chosen else measured[0]
+        rows.append(
+            MaskRow(
+                seed,
+                fraction,
+                mode,
+                n_mask,
+                recovery,
+                base_recovery - recovery,
+                grounding,
+                base_grounding - grounding,
+                decode,
+                base_decode - decode,
             )
+        )
     return rows
 
 

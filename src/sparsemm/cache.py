@@ -14,6 +14,8 @@ Eviction itself takes those per-kv-head window scores, shape
 
 `replay_plans` reads decode recall for many plans over one synthetic decode
 workload. It keeps what `compress_prefill` keeps, by the same tie rule.
+`replay_masked` reads it, in the same pass over the decode steps, for the
+workload's model and for each masked model the workload derived.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ __all__ = [
     "HeadEviction",
     "TopKSelection",
     "compress_prefill",
+    "replay_masked",
     "replay_plans",
     "report_to_csv",
     "report_to_json",
@@ -213,6 +216,54 @@ def replay_plans(geometry, workload, plans) -> list[DecodeRecord]:
     generated mass + table[b - w]. A head with b >= Lp reads the row total, so
     its recall is exactly 1. Slot counts follow from min(b, Lp) alone.
     """
+    return _replay(geometry, workload, plans, [None] * len(plans))
+
+
+def replay_masked(geometry, workload, plans) -> list[DecodeRecord]:
+    """One DecodeRecord over the workload's rows and one per masked head set, one pass.
+
+    plans[0] is replayed over the workload's own rows, as `replay_plans`
+    replays it, and plans[1 + i] over the rows of the workload's model with
+    `workload.masked[i].heads` masked. Those rows are the workload's with
+    each masked row set to exactly 1/(Lp + t), and their window scores
+    differ only in the masked set's kv groups. So each step is read once:
+    the table and the window and generated mass are built for every head,
+    then, per masked set, again for its groups' rows alone, and spliced in.
+    A record equals `replay_plans` on the masked model's own workload bit for
+    bit, since each head's values come from the same rows by the same sums.
+    """
+    if len(plans) != 1 + len(workload.masked):
+        raise InvalidInputError(
+            f"{len(plans)} plans for 1 + {len(workload.masked)} masked head sets"
+        )
+    return _replay(geometry, workload, plans, [None, *workload.masked])
+
+
+def _step_mass(rows: np.ndarray, order: np.ndarray, lp: int, table: np.ndarray):
+    """Fill one step's captured-mass table; return the always-kept and total mass.
+
+    `rows` is (groups, group_size, lp + t), each kv group's query rows, and
+    `order` (groups, 1, n) the group's keys left of the window, best first.
+    table[..., 1:] receives the prompt mass summed in that order (column 0
+    stays 0), so keeping the best k keys captures table[..., k]. The window
+    and generated mass is kept by every plan. Both returns are
+    (groups, group_size).
+    """
+    n = order.shape[2]
+    ranked = np.take_along_axis(rows[:, :, :lp], order, axis=2)
+    np.cumsum(ranked, axis=2, out=table[:, :, 1:])
+    always = rows[:, :, n:lp].sum(axis=2) + rows[:, :, lp:].sum(axis=2)
+    return always, always + table[:, :, n]
+
+
+def _replay(geometry, workload, plans, cells) -> list[DecodeRecord]:
+    """`replay_plans` and `replay_masked`: plan p over the rows of `cells[p]`.
+
+    A cell of None reads the workload's own rows; a `MaskedWindow` reads them
+    with its heads masked, re-ranked and re-summed for its groups only.
+    Arrays are held per kv group, (layers * kv_heads, group_size, ...), so a
+    group's rows, table and masses are one index of the first axis.
+    """
     layers, query_heads, kv_heads = geometry.layers, geometry.query_heads, geometry.kv_heads
     lp, w, out_len = workload.prompt_len, workload.window, workload.out_len
     for plan in plans:
@@ -221,26 +272,47 @@ def replay_plans(geometry, workload, plans) -> list[DecodeRecord]:
         raise ShapeError("workload window scores do not match the geometry")
 
     group = geometry.group_size
+    n_groups = layers * kv_heads
     n = lp - w
-    order = _descending_order(workload.window_scores)[:, :, None, :]
+    order = _descending_order(workload.window_scores).reshape(n_groups, 1, n)
     kept = [np.minimum(plan.budgets, lp) for plan in plans]
     # table index per query head: 0 keeps the window only, n keeps the prompt
-    index = [np.repeat(k - w, group, axis=1)[:, :, None] for k in kept]
+    index = [np.repeat(k - w, group, axis=1).reshape(n_groups, group, 1) for k in kept]
+    # per masked set: its groups' key order and a table for their rows alone
+    masked = []
+    for cell in cells:
+        if cell is None:
+            masked.append(None)
+            continue
+        if cell.scores.shape != (cell.groups.size, n):
+            raise ShapeError("masked window scores do not match the workload")
+        masked.append((cell, _descending_order(cell.scores)[:, None, :],
+                       np.zeros((cell.groups.size, group, n + 1))))
     recalls = np.zeros((len(plans), out_len))
     head_acc = np.zeros((len(plans), layers, query_heads))
     # one table for every step: column 0 stays 0, the rest is rewritten per step
-    table = np.zeros((layers, query_heads, n + 1))
+    table = np.zeros((n_groups, group, n + 1))
     t = -1
     for t, rows in enumerate(workload.steps):
         if t >= out_len or rows.shape != (layers, query_heads, lp + t):
             raise ShapeError(f"decode rows of step {t} do not match the geometry")
-        prompt = rows[:, :, :lp].reshape(layers, kv_heads, group, lp)
-        ranked = np.take_along_axis(prompt, order, axis=3).reshape(layers, query_heads, n)
-        np.cumsum(ranked, axis=2, out=table[:, :, 1:])
-        always = rows[:, :, n:lp].sum(axis=2) + rows[:, :, lp:].sum(axis=2)
-        total = always + table[:, :, n]
+        grouped = rows.reshape(n_groups, group, lp + t)
+        always, total = _step_mass(grouped, order, lp, table)
         for p, idx in enumerate(index):
-            recall = (always + np.take_along_axis(table, idx, axis=2)[:, :, 0]) / total
+            captured = np.take_along_axis(table, idx, axis=2)[:, :, 0]
+            kept_mass, row_mass = always, total
+            if masked[p] is not None:
+                cell, cell_order, cell_table = masked[p]
+                rows_of = grouped[cell.groups]
+                rows_of[cell.rows] = 1.0 / (lp + t)
+                kept_mass, row_mass = always.copy(), total.copy()
+                kept_mass[cell.groups], row_mass[cell.groups] = _step_mass(
+                    rows_of, cell_order, lp, cell_table
+                )
+                captured[cell.groups] = np.take_along_axis(
+                    cell_table, idx[cell.groups], axis=2
+                )[:, :, 0]
+            recall = ((kept_mass + captured) / row_mass).reshape(layers, query_heads)
             recalls[p, t] = recall.mean()
             head_acc[p] += recall
     if t + 1 != out_len:

@@ -215,6 +215,8 @@ def cmd_bench(args: argparse.Namespace) -> dict:
     cfg = bench.load_config(args.config)
     if args.seed:
         cfg = replace(cfg, seeds=tuple(s + args.seed for s in cfg.seeds))
+    if args.jobs < 1:
+        raise InvalidInputError(f"--jobs {args.jobs} must be at least 1")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.experiment == "sweep":

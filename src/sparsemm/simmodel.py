@@ -18,7 +18,8 @@ cache policy that reads the window correctly can keep what those heads will
 need. Window rows are reduced to per-kv-head key scores as they are drawn;
 only the scores are kept. Masked heads emit exactly uniform rows. Masking is
 applied after all random draws, so masking any subset never perturbs the
-other heads' rows.
+other heads' rows; one window pass therefore also gives the window scores of
+any number of masked models, re-summed for the kv groups their masks touch.
 
 Nothing large is held. A corpus makes sample i when it is read, drawn from its
 own generator or read and checked from its files, and a decode workload draws
@@ -48,6 +49,7 @@ __all__ = [
     "AttentionTrace",
     "DecodeSteps",
     "DecodeWorkload",
+    "MaskedWindow",
     "ModelGeometry",
     "OcrCorpus",
     "OcrSample",
@@ -271,6 +273,24 @@ def _plant_hit_row(rng, row: np.ndarray, region: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class MaskedWindow:
+    """The window scores of the workload's model with `heads` masked, where they differ.
+
+    `groups` holds the flat indices layer * kv_heads + kv_head of the kv
+    groups that contain one of `heads`, ascending, and `rows[i, k]` is True
+    where query head k of group i is one of them. `scores[i]` is group i's
+    row of the masked model's `window_scores`; every other group's row is
+    the workload's own. The masked model's decode rows are the workload's
+    with each row of `heads` set to exactly 1/visible.
+    """
+
+    heads: frozenset
+    groups: np.ndarray = field(repr=False)  # (k,)
+    rows: np.ndarray = field(repr=False)  # (k, group_size) bool
+    scores: np.ndarray = field(repr=False)  # (k, Lp - w)
+
+
+@dataclass(frozen=True)
 class DecodeWorkload:
     """Deterministic decode scenario: prefill window scores plus per-step rows.
 
@@ -280,6 +300,8 @@ class DecodeWorkload:
     (layers, query_heads, prompt_len + t) rows, t = 0..out_len-1, on every
     pass over it. A model-built workload holds a `DecodeSteps`, which draws
     each step as it is read; a hand-built one may hold a tuple of arrays.
+    `masked` holds one `MaskedWindow` per head set the workload was asked to
+    derive, in the order asked.
     """
 
     prompt_len: int
@@ -289,6 +311,7 @@ class DecodeWorkload:
     token_regions: tuple[np.ndarray, ...] = field(repr=False)
     window_scores: np.ndarray = field(repr=False)  # (L, H_kv, Lp - w)
     steps: Iterable[np.ndarray] = field(repr=False)  # per t: (L, Hq, Lp + t)
+    masked: tuple[MaskedWindow, ...] = field(default=(), repr=False)
 
 
 @dataclass(frozen=True)
@@ -380,7 +403,9 @@ class SyntheticModel:
         )
         return sample, AttentionTrace(steps, lp)
 
-    def decode_workload(self, prompt_len: int, out_len: int, window: int) -> DecodeWorkload:
+    def decode_workload(
+        self, prompt_len: int, out_len: int, window: int, masks: Iterable = ()
+    ) -> DecodeWorkload:
         """Build the prefill window scores; the decode rows are drawn when read.
 
         The prompt is laid out as a few leading sink tokens, a large image
@@ -390,6 +415,15 @@ class SyntheticModel:
         per-kv-head scores as soon as it is drawn, so no (layers, query_heads,
         w, Lp) tensor is built. No decode row is drawn here: the workload's
         `steps` start from the generator's state after the window rows.
+
+        Each entry of `masks` is a set of (layer, query_head) pairs; the
+        workload's `masked` gives, for each, the window scores that
+        `mask_heads(self, heads).decode_workload(...)` would hold. Masking
+        draws nothing, so that model draws this window block; the same pass
+        copies the groups holding a masked head, sets those rows to
+        1/visible and sums them onto their kv head in query-head order, as
+        `sum_onto_kv_heads` sums the whole block. Every score is then the
+        same float sum, in the same order, as the masked model's.
         """
         if window < 0:
             raise InvalidInputError("window must be non-negative")
@@ -398,6 +432,7 @@ class SyntheticModel:
         if out_len < 1:
             raise InvalidInputError("out_len must be positive")
         geo = self.geometry
+        masked = tuple(self._masked_window(heads, prompt_len - window) for heads in masks)
         rng = self._rng(_STREAM_DECODE, prompt_len, out_len, window)
 
         # sinks | header filler | image block | instruction tail; the tail is
@@ -469,12 +504,32 @@ class SyntheticModel:
                     block[l, h] = row
             self._mask_rows(block, visible)
             window_scores += sum_onto_kv_heads(block[:, :, :n], geo.kv_heads)
+            grouped = block.reshape(-1, geo.group_size, visible)
+            for cell in masked:
+                rows_of = grouped[cell.groups, :, :n]
+                rows_of[cell.rows] = 1.0 / visible
+                cell.scores[...] += sum_onto_kv_heads(rows_of, 1)[:, 0]
         if window:
             window_scores /= window
+            for cell in masked:
+                cell.scores[...] /= window
 
         regions = tuple(token_regions)
         steps = DecodeSteps(self, rng, lp, regions, n_pre, tail_off)
-        return DecodeWorkload(lp, out_len, window, union_positions, regions, window_scores, steps)
+        return DecodeWorkload(
+            lp, out_len, window, union_positions, regions, window_scores, steps, masked
+        )
+
+    def _masked_window(self, heads, n: int) -> MaskedWindow:
+        """A `MaskedWindow` for the heads this model does not mask yet, its n-key scores at 0."""
+        geo = self.geometry
+        g = geo.group_size
+        heads = mask_heads(self, heads).masked - self.masked
+        groups = np.array(sorted({l * geo.kv_heads + h // g for l, h in heads}), dtype=np.int64)
+        rows = np.zeros((groups.size, g), dtype=bool)
+        for l, h in heads:
+            rows[np.searchsorted(groups, l * geo.kv_heads + h // g), h % g] = True
+        return MaskedWindow(heads, groups, rows, np.zeros((groups.size, n)))
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,18 @@
 """Regenerate-per-cell masking study: the reference `bench.run_masking_study` must equal.
 
 For every masked cell it builds the masked model, generates and chases that
-model's corpus again and sums grounding mass over the regenerated traces, so
-it relies on none of the facts the derived study rests on. Rows come out as
-`run_masking_study` emits them: cell-major, each cell's seeds in config order.
+model's corpus again, sums grounding mass over the regenerated traces, and
+builds and replays that model's own decode workload, so it relies on none of
+the facts the derived study rests on. Rows come out as `run_masking_study`
+emits them: cell-major, each cell's seeds in config order.
 """
 
 import numpy as np
 
-from sparsemm.bench import MaskRow, _decode_records, recovery_stats, top_scored_heads
-from sparsemm.chaser import chase_corpus, match_bbox_to_patches
+from sparsemm.allocator import AllocationConfig, allocate
+from sparsemm.bench import MaskRow, recovery_stats, top_scored_heads
+from sparsemm.cache import replay_plans
+from sparsemm.chaser import aggregate_gqa_scores, chase_corpus, match_bbox_to_patches
 from sparsemm.errors import DegenerateBoxError
 from sparsemm.simmodel import build_synthetic_model, generate_ocr_samples, mask_heads
 
@@ -36,6 +39,16 @@ def grounding_mass(samples, planted) -> float:
     return total / count if count else 0.0
 
 
+def decode_recall(cfg, model, scores) -> float:
+    """Mean recall of the sparsemm plan for `scores` over `model`'s own decode workload."""
+    budget = cfg.budgets_per_head[0] * cfg.layers * cfg.kv_heads
+    plan = allocate("sparsemm", AllocationConfig(budget, cfg.window, cfg.rho), cfg.layers,
+                    cfg.kv_heads, scores=aggregate_gqa_scores(scores, cfg.geometry.group_size))
+    workload = model.decode_workload(cfg.prompt_len, cfg.out_len, cfg.window)
+    (record,) = replay_plans(model.geometry, workload, [plan])
+    return record.mean_recall
+
+
 def mask_seed_rows(cfg, seed) -> list[MaskRow]:
     base_model = build_synthetic_model(cfg.geometry, cfg.planted_for_seed(seed), seed)
     base_samples = generate_ocr_samples(base_model, cfg.corpus_size, seed)
@@ -43,8 +56,7 @@ def mask_seed_rows(cfg, seed) -> list[MaskRow]:
     planted = base_model.planted
     _, base_recovery = recovery_stats(base_scores, planted)
     base_grounding = grounding_mass(base_samples, planted)
-    cells = [("sparsemm", cfg.budgets_per_head[0], cfg.rho)]
-    base_decode = _decode_records(cfg, base_model, base_scores, seed, cells)[0].mean_recall
+    base_decode = decode_recall(cfg, base_model, base_scores)
     total = cfg.layers * cfg.query_heads
     rows = []
     for fraction in cfg.mask_fractions:
@@ -64,7 +76,7 @@ def mask_seed_rows(cfg, seed) -> list[MaskRow]:
                 scores, _ = chase_corpus(samples)
                 _, recovery = recovery_stats(scores, planted)
                 grounding = grounding_mass(samples, planted)
-                decode = _decode_records(cfg, model, scores, seed, cells)[0].mean_recall
+                decode = decode_recall(cfg, model, scores)
             else:
                 recovery, grounding, decode = base_recovery, base_grounding, base_decode
             rows.append(MaskRow(

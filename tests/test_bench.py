@@ -300,6 +300,13 @@ class TestMaskingStudy:
             (f, m, s) for f in cfg.mask_fractions for m in ("random", "top") for s in cfg.seeds
         ]
 
+    def test_parallel_rows_equal_serial(self):
+        cfg = small_config(kv_heads=2, mask_fractions=(0.0, 0.1, 0.25), seeds=(0, 1, 2),
+                           corpus_size=3, out_len=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert run_masking_study(cfg, jobs=2) == run_masking_study(cfg, jobs=1)
+
     def test_top_masking_hurts_more_than_random(self):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -403,6 +410,37 @@ class TestMaskDerivation:
         assert drawn == [seed for seed in cfg.seeds for _ in range(cfg.corpus_size)]
         assert len(scored) == cfg.corpus_size * len(cfg.seeds)
         assert mapped == scored  # one bbox-to-position pass per sample
+
+    def test_one_workload_and_one_step_stream_per_seed(self, monkeypatch):
+        """Every cell's decode rows come from the seed's one window pass and one step pass."""
+        cfg = small_config(kv_heads=2, mask_fractions=(0.0, 0.1, 0.25), corpus_size=3, out_len=3)
+        corpus_steps = {
+            seed: sum(trace.out_len for _, trace in generate_ocr_samples(
+                build_synthetic_model(cfg.geometry, cfg.planted_for_seed(seed), seed),
+                cfg.corpus_size, seed))
+            for seed in cfg.seeds
+        }
+        workloads, blocks = [], []
+        decode_workload = simmodel.SyntheticModel.decode_workload
+        draw_block = simmodel._draw_block
+
+        def workload(model, *args, **kwargs):
+            workloads.append(model.seed)
+            return decode_workload(model, *args, **kwargs)
+
+        def block(*args, **kwargs):
+            blocks.append(None)
+            return draw_block(*args, **kwargs)
+
+        monkeypatch.setattr(simmodel.SyntheticModel, "decode_workload", workload)
+        monkeypatch.setattr(simmodel, "_draw_block", block)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for seed in cfg.seeds:
+                blocks.clear()
+                bench._mask_seed_rows(cfg, seed)
+                assert len(blocks) == corpus_steps[seed] + cfg.window + cfg.out_len
+        assert workloads == list(cfg.seeds)
 
     def test_bench_imports_no_private_chaser_name(self):
         tree = ast.parse(open(bench.__file__, encoding="utf-8").read())
@@ -761,6 +799,20 @@ class TestCliInputErrors:
             assert err["error"] == "InvalidInputError"
             assert fragment in err["message"], (config, err["message"])
             assert not out_dir.exists()
+
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_bench_jobs_below_one_exits_2(self, tmp_path, capsys, jobs):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"seeds": [0]}))
+        out_dir = tmp_path / "out"
+        argv = ["bench", "mask", "--config", str(cfg_path), "--out-dir", str(out_dir),
+                "--jobs", jobs]
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InvalidInputError"
+        assert f"--jobs {jobs} must be at least 1" in err["message"]
+        assert not out_dir.exists()
 
 
 class TestLoaderErrors:

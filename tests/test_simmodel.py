@@ -16,7 +16,7 @@ from scipy.stats import binomtest
 
 from sparsemm import simmodel
 from sparsemm.allocator import POLICY_NAMES, AllocationConfig, BudgetPlan, allocate, allocate_uniform
-from sparsemm.cache import compress_prefill, replay_plans
+from sparsemm.cache import compress_prefill, replay_masked, replay_plans
 from sparsemm.chaser import HeadScoreMatrix, chase_corpus, match_bbox_to_patches
 from sparsemm.errors import InvalidInputError, ShapeError
 from sparsemm.simmodel import (
@@ -804,3 +804,98 @@ class TestReplayPlans:
         plan = BudgetPlan(budgets, int(budgets.sum()), window=8)
         with pytest.raises(InvalidInputError):
             replay_plans(geo, workload, [plan])
+
+
+class TestReplayMasked:
+    """One window pass and one step stream against each masked model's own workload.
+
+    `decode_workload(..., masks)` with `replay_masked` must give every masked
+    cell the bits that `mask_heads(model, heads).decode_workload(...)` replayed
+    by `replay_plans` gives: `==`, no tolerance.
+    """
+
+    GEOMETRIES = [(2, 4, 4), (2, 4, 2), (1, 4, 1), (2, 8, 2)]  # group sizes 1, 2, 4, 4
+
+    @staticmethod
+    def _fixed_masks(geo, planted):
+        g = geo.group_size
+        every = [(l, h) for l in range(geo.layers) for h in range(geo.query_heads)]
+        return [
+            [(0, 0), (0, 1)],  # two heads of one group once g >= 2
+            [(geo.layers - 1, h) for h in range(geo.query_heads - g, geo.query_heads)],  # a group
+            every,
+            [head for head in every if head not in planted][:3],  # no planted head
+        ]
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        shape=st.sampled_from(GEOMETRIES),
+        window=st.integers(0, 8),
+        extra=st.integers(0, 40),
+        out_len=st.integers(1, 3),
+        premasked=st.booleans(),
+        picks=st.lists(st.lists(st.integers(0, 15), max_size=5), max_size=2),
+        seed=st.integers(0, 2**16),
+    )
+    def test_cells_equal_masked_models(
+        self, shape, window, extra, out_len, premasked, picks, seed
+    ):
+        geo = ModelGeometry(*shape)
+        planted = ((0, 1), (geo.layers - 1, geo.query_heads - 1))
+        model = small_model(seed=seed, strength=0.8, planted=planted, geometry=geo)
+        if premasked:  # a head the model masks already, inside a group the cells re-sum
+            model = mask_heads(model, [(0, 0)])
+        lp = max(window + extra, 1)
+        heads = [(l, h) for l in range(geo.layers) for h in range(geo.query_heads)]
+        masks = self._fixed_masks(geo, planted) + [
+            [heads[i % len(heads)] for i in pick] for pick in picks
+        ]
+        masks += masks  # each set twice: under mixed budgets, then cut inside the ranked keys
+        workload = model.decode_workload(lp, out_len, window, masks)
+        assert len(workload.masked) == len(masks)
+
+        rng = np.random.default_rng(seed)
+        middle = window + (lp - window + 1) // 2
+        levels = np.array([window, middle, lp, lp + 3])
+        shape_kv = (geo.layers, geo.kv_heads)
+        budgets = rng.choice(levels, size=(1 + len(masks), *shape_kv))
+        budgets[1 + len(masks) // 2 :] = middle
+        plans = [BudgetPlan(b, int(b.sum()), window=window) for b in budgets]
+        fast = replay_masked(geo, workload, plans)
+        assert len(fast) == 1 + len(masks)
+        (base,) = replay_plans(geo, workload, plans[:1])
+        assert np.array_equal(fast[0].recall_per_step, base.recall_per_step)
+        assert np.array_equal(fast[0].head_mean_recall, base.head_mean_recall)
+
+        n_groups = geo.layers * geo.kv_heads
+        for mask, cell, plan, got in zip(masks, workload.masked, plans[1:], fast[1:], strict=True):
+            masked_model = mask_heads(model, mask)
+            assert cell.heads == masked_model.masked - model.masked
+            own = masked_model.decode_workload(lp, out_len, window)
+            spliced = workload.window_scores.reshape(n_groups, lp - window).copy()
+            spliced[cell.groups] = cell.scores
+            assert np.array_equal(spliced.reshape(own.window_scores.shape), own.window_scores)
+            (want,) = replay_plans(geo, own, [plan])
+            assert np.array_equal(got.recall_per_step, want.recall_per_step)
+            assert np.array_equal(got.head_mean_recall, want.head_mean_recall)
+            assert np.array_equal(got.slots_per_step, want.slots_per_step)
+            assert got.peak_slots == want.peak_slots
+
+    def test_masked_window_holds_only_the_touched_groups(self):
+        geo = ModelGeometry(2, 8, 2)
+        workload = small_model(seed=3, geometry=geo).decode_workload(64, 2, 8, [[(1, 5), (1, 6)]])
+        (cell,) = workload.masked
+        assert cell.groups.tolist() == [3]
+        assert cell.rows.tolist() == [[False, True, True, False]]
+        assert cell.scores.shape == (1, 64 - 8)
+
+    def test_plan_count_must_match_the_masked_sets(self):
+        geo = ModelGeometry.mha(2, 4)
+        workload = small_model(seed=4).decode_workload(64, 2, 8, [[(0, 0)]])
+        plan = allocate_uniform(AllocationConfig(2 * 4 * 16, window=8), 2, 4)
+        with pytest.raises(InvalidInputError, match="2 masked|1 masked"):
+            replay_masked(geo, workload, [plan])
+
+    def test_mask_outside_geometry_rejected(self):
+        with pytest.raises(InvalidInputError, match="masked head \\(2, 0\\) outside geometry"):
+            small_model().decode_workload(64, 2, 8, [[(2, 0)]])
