@@ -1,15 +1,17 @@
-"""The JSON format of every artifact, and the checks its readers share.
+"""The file formats of every artifact, and the checks their readers share.
 
-Score files, plans, prefill traces, eviction reports, corpus records and the
-bench JSON mirror are all written by `write_json` in one canonical form, so
-equal objects give equal bytes. Readers open a file with `read_object` and
-check its fields with `counts`, `numbers` and `numeric_array`; `elements`
-names the items of a list for the first two. Every malformed file raises
-InvalidInputError naming the file, never a builtin exception.
+Score files, plans, trace and corpus records, eviction reports and the bench
+JSON mirror are written by `write_json` in one canonical form, so equal
+objects give equal bytes. Readers open one with `read_object` and check its
+fields with `counts` and `numbers`; `elements` names a list's items for both.
+An array goes to a `.npy` payload by `write_array`, whose sha256 its record
+keeps for `read_array`. A malformed file raises InvalidInputError naming it.
 """
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import math
 from pathlib import Path
@@ -18,23 +20,22 @@ import numpy as np
 
 from .errors import InvalidInputError
 
-__all__ = ["counts", "elements", "numbers", "numeric_array", "read_object", "write_json"]
+__all__ = ["counts", "elements", "numbers", "read_array", "read_object", "write_array",
+           "write_json"]
 
 
 def write_json(path, obj) -> None:
     """Write obj with sorted keys, compact separators, UTF-8 and a trailing newline."""
     text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.write("\n")
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def read_object(path, what: str, required=(), old_format=None) -> dict:
     """The JSON object in `path`, which must hold every key of `required`.
 
-    `what` names the artifact in errors. With `old_format` = (key, command), a
-    file that lacks a required key but holds `key` is reported as the retired
-    format, to be regenerated with `sparsemm <command>`.
+    `what` names the artifact in errors. With `old_format` = (keys, command), a
+    file that lacks a required key but holds one of the retired `keys` is
+    reported as the old format, to be regenerated with `sparsemm <command>`.
     """
     try:
         data = Path(path).read_bytes()
@@ -47,9 +48,10 @@ def read_object(path, what: str, required=(), old_format=None) -> dict:
     if not isinstance(obj, dict):
         raise InvalidInputError(f"{what} {path} must hold a JSON object")
     missing = [key for key in required if key not in obj]
-    if missing and old_format and old_format[0] in obj:
+    retired = [key for key in old_format[0] if key in obj] if missing and old_format else []
+    if retired:
         raise InvalidInputError(
-            f"{what} {path} holds {old_format[0]}, the old format; "
+            f"{what} {path} holds {retired[0]}, the old format; "
             f"regenerate it with `sparsemm {old_format[1]}`"
         )
     if missing:
@@ -94,12 +96,35 @@ def numbers(named: dict, where: str) -> list:
     return list(named.values())
 
 
-def numeric_array(value, where: str) -> np.ndarray:
-    """`value`, a number or rectangular nested list of numbers, as a float64 array."""
+def write_array(path, array: np.ndarray) -> str:
+    """Write `array` to `path` with `np.save`; return the hex sha256 of the bytes written."""
+    buf = io.BytesIO()
+    np.save(buf, array)
+    Path(path).write_bytes(buf.getvalue())
+    return hashlib.sha256(buf.getvalue()).hexdigest()
+
+
+def read_array(path, sha256: str, shape: tuple, what: str) -> np.ndarray:
+    """The float64 array of `shape` that `write_array` wrote to `path` with digest `sha256`.
+
+    Unreadable or altered bytes, anything but one `.npy` array (pickles are
+    refused), or another dtype or shape raise InvalidInputError naming `what`.
+    """
     try:
-        arr = np.asarray(value)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"{where} is not a numeric array") from exc
-    if arr.dtype.kind not in "iuf":
-        raise InvalidInputError(f"{where} is not a numeric array")
-    return arr.astype(np.float64)
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise InvalidInputError(f"cannot read {what} {path}: {exc.strerror}") from exc
+    if hashlib.sha256(data).hexdigest() != sha256:
+        raise InvalidInputError(f"{what} {path} does not match its record's sha256")
+    try:
+        arr = np.load(io.BytesIO(data), allow_pickle=False)
+    except (OSError, ValueError, EOFError) as exc:
+        raise InvalidInputError(f"{what} {path} is not a readable .npy: {exc}") from exc
+    if not isinstance(arr, np.ndarray):  # np.load opens an .npz archive as a mapping
+        raise InvalidInputError(f"{what} {path} is an .npz archive, not one .npy array")
+    if arr.dtype != np.float64:
+        raise InvalidInputError(f"{what} {path} has dtype {arr.dtype}, expected float64")
+    if arr.shape != shape:
+        raise InvalidInputError(f"{what} {path} holds a {arr.ndim}-D array of {arr.size} values, "
+                                f"its record implies shape {shape}")
+    return arr

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .artifacts import counts, numeric_array, read_object, write_json
+from .artifacts import counts, elements, numbers, read_object, write_json
 from .errors import DegenerateBoxError, InvalidInputError, ShapeError
 
 if TYPE_CHECKING:
@@ -234,8 +234,8 @@ def load_scores(path) -> HeadScoreMatrix:
     where = f"score file {path}"
     payload = read_object(path, "score file", ("layers", "heads", "scores"))
     layers, heads = counts({"layers": payload["layers"], "heads": payload["heads"]}, where, 1)
-    flat = numeric_array(payload["scores"], f"{where}: scores")
-    if flat.ndim != 1 or flat.size != layers * heads:
+    flat = np.array(numbers(elements(payload["scores"], "scores", where), where), dtype=np.float64)
+    if flat.size != layers * heads:
         raise ShapeError(f"{where}: scores length does not match layers*heads")
     (corpus_tokens,) = counts({"corpus_tokens": payload.get("corpus_tokens", 0)}, where)
     return HeadScoreMatrix(flat.reshape(layers, heads), corpus_tokens)

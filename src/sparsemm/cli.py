@@ -1,8 +1,8 @@
 """Command-line front end for the pipeline.
 
 Subcommands cover the full artifact flow: `corpus` and `prefill` generate
-synthetic inputs (`prefill` writes each kv head's window scores, not the
-window rows), `chase` turns a corpus into a score file, `allocate` turns
+synthetic inputs (`prefill` keeps window scores, not rows, in a `.npy` beside
+its record), `chase` turns a corpus into a score file, `allocate` turns
 scores into a budget plan, `compress` applies a plan to a prefill trace, and
 `bench sweep|rho|mask|cost` runs the packaged experiments from a JSON config.
 
@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench
-from .artifacts import counts, numeric_array, read_object, write_json
+from .artifacts import counts, read_array, read_object, write_array, write_json
 from .allocator import (
     AllocationConfig,
     DEFAULT_RHO,
@@ -125,6 +125,9 @@ def cmd_allocate(args: argparse.Namespace) -> dict:
     layers, heads = args.layers, args.heads
     if args.scores:
         scores = load_scores(args.scores)
+        for flag, given, stored in (("layers", layers, scores.layers), ("heads", heads, scores.heads)):
+            if given not in (None, stored):
+                raise InvalidInputError(f"--{flag} {given} disagrees with {stored} in {args.scores}")
         layers, heads = scores.layers, scores.heads
     if layers is None or heads is None:
         raise InvalidInputError(
@@ -148,6 +151,9 @@ def cmd_prefill(args: argparse.Namespace) -> dict:
     geo = model.geometry
     if args.prompt_len < 1 or args.out_len < 1:
         raise InvalidInputError("prompt_len and out_len must be positive")
+    out = Path(args.out)
+    if not out.name or out.suffix == ".npy":
+        raise InvalidInputError(f"--out {args.out!r} must name a trace file beside its .npy payload")
     if args.prompt_len < args.window:
         # the whole prompt sits inside the window: there is no key to score,
         # and compress keeps every position
@@ -162,7 +168,7 @@ def cmd_prefill(args: argparse.Namespace) -> dict:
         "kv_heads": geo.kv_heads,
         "prompt_len": args.prompt_len,
         "window": args.window,
-        "window_scores": window_scores.tolist(),
+        "sha256": write_array(out.with_suffix(".npy"), window_scores),
     })
     return {
         "command": "prefill",
@@ -172,25 +178,25 @@ def cmd_prefill(args: argparse.Namespace) -> dict:
     }
 
 
-TRACE_KEYS = ("window_scores", "layers", "query_heads", "kv_heads", "prompt_len", "window")
+TRACE_KEYS = ("layers", "query_heads", "kv_heads", "prompt_len", "window", "sha256")
 
 
 def _load_trace(path) -> tuple[np.ndarray, int, int]:
-    """(window_scores, prompt_len, window) from a `prefill` trace file.
+    """(window_scores, prompt_len, window) from a `prefill` trace and its `.npy` payload.
 
     The scores must be (layers, kv_heads, max(prompt_len - window, 0)) and
     kv_heads must divide query_heads.
     """
-    blob = read_object(path, "trace", TRACE_KEYS, old_format=("window_attention", "prefill"))
+    blob = read_object(
+        path, "trace", TRACE_KEYS, old_format=(("window_scores", "window_attention"), "prefill")
+    )
     where = f"trace {path}"
-    layers, query_heads, kv_heads = counts({key: blob[key] for key in TRACE_KEYS[1:4]}, where, 1)
-    prompt_len, window = counts({key: blob[key] for key in TRACE_KEYS[4:]}, where)
+    layers, query_heads, kv_heads = counts({key: blob[key] for key in TRACE_KEYS[:3]}, where, 1)
+    prompt_len, window = counts({key: blob[key] for key in TRACE_KEYS[3:5]}, where)
     if query_heads % kv_heads:
         raise ShapeError(f"{where}: {query_heads} query heads not divisible by {kv_heads} kv heads")
-    scores = numeric_array(blob["window_scores"], f"{where}: window_scores")
     shape = (layers, kv_heads, max(prompt_len - window, 0))
-    if scores.shape != shape:
-        raise ShapeError(f"{where}: window_scores are {scores.shape}, expected {shape}")
+    scores = read_array(Path(path).with_suffix(".npy"), blob["sha256"], shape, "trace payload")
     return scores, prompt_len, window
 
 

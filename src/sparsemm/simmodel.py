@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import copy
 import hashlib
-import io
 import math
 import operator
 import os
@@ -40,7 +39,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .artifacts import counts, elements, numbers, read_object, write_json
+from .artifacts import counts, elements, numbers, read_array, read_object, write_array, write_json
 from .cache import sum_onto_kv_heads
 from .errors import InvalidInputError, ShapeError
 
@@ -636,11 +635,7 @@ def save_corpus(directory, samples) -> None:
         raise InvalidInputError(f"{directory} already holds a corpus; give an empty directory")
     for i, (sample, trace) in enumerate(samples):
         stem = os.path.join(directory, f"sample_{i:05d}")
-        buf = io.BytesIO()
-        np.save(buf, np.concatenate([step.ravel() for step in trace.steps]))
-        data = buf.getvalue()
-        with open(stem + ".npy", "wb") as fh:
-            fh.write(data)
+        sha256 = write_array(stem + ".npy", np.concatenate([step.ravel() for step in trace.steps]))
         record = {
             "image_shape": list(sample.image_shape),
             "grid": list(sample.grid),
@@ -649,14 +644,14 @@ def save_corpus(directory, samples) -> None:
             "layers": trace.layers,
             "query_heads": trace.query_heads,
             "steps": trace.out_len,
-            "sha256": hashlib.sha256(data).hexdigest(),
+            "sha256": sha256,
         }
         write_json(stem + ".json", record)
 
 
 def _load_record(path) -> tuple[OcrSample, dict]:
     """The sample and the checked geometry of one corpus record."""
-    record = read_object(path, "corpus record", CORPUS_KEYS, old_format=("rows", "corpus"))
+    record = read_object(path, "corpus record", CORPUS_KEYS, old_format=(("rows",), "corpus"))
     where = f"corpus record {path}"
     counts({key: record[key] for key in ("layers", "query_heads", "steps")}, where, 1)
     pairs = []
@@ -676,33 +671,11 @@ def _load_record(path) -> tuple[OcrSample, dict]:
 
 def _load_payload(path, record: dict, prompt_len: int) -> AttentionTrace:
     """The trace stored in a `.npy` payload, checked against its record."""
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise InvalidInputError(f"cannot read corpus payload {path}: {exc.strerror}") from exc
-    if hashlib.sha256(data).hexdigest() != record["sha256"]:
-        raise InvalidInputError(f"corpus payload {path} does not match its record's sha256")
-    try:
-        flat = np.load(io.BytesIO(data), allow_pickle=False)
-    except (OSError, ValueError, EOFError) as exc:
-        raise InvalidInputError(f"corpus payload {path} is not a readable .npy: {exc}") from exc
-    if flat.dtype != np.float64:
-        raise InvalidInputError(f"corpus payload {path} has dtype {flat.dtype}, expected float64")
-    if flat.ndim != 1:
-        raise InvalidInputError(f"corpus payload {path} is {flat.ndim}-D, expected 1-D")
     layers, heads, n_steps = record["layers"], record["query_heads"], record["steps"]
     expected = layers * heads * (n_steps * prompt_len + n_steps * (n_steps - 1) // 2)
-    if flat.size != expected:
-        raise InvalidInputError(
-            f"corpus payload {path} holds {flat.size} values, its record implies {expected}"
-        )
-    steps, start = [], 0
-    for t in range(n_steps):
-        stop = start + layers * heads * (prompt_len + t)
-        steps.append(flat[start:stop].reshape(layers, heads, prompt_len + t))
-        start = stop
-    return AttentionTrace(tuple(steps), prompt_len)
+    flat = read_array(path, record["sha256"], (expected,), "corpus payload")
+    steps = np.split(flat, np.cumsum(layers * heads * (prompt_len + np.arange(n_steps)))[:-1])
+    return AttentionTrace(tuple(step.reshape(layers, heads, -1) for step in steps), prompt_len)
 
 
 def load_corpus(directory) -> OcrCorpus:

@@ -22,11 +22,6 @@ __all__ = [
 ]
 
 
-def _as_float64(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    return arr
-
-
 @dataclass(frozen=True)
 class Matrix:
     """Immutable 2-D float64 matrix.
@@ -38,7 +33,7 @@ class Matrix:
     array: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        arr = _as_float64(self.array)
+        arr = np.asarray(self.array, dtype=np.float64)
         if arr.ndim != 2:
             raise ShapeError(f"Matrix requires a 2-D array, got ndim={arr.ndim}")
         if arr.size and not np.isfinite(arr).all():

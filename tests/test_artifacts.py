@@ -1,6 +1,7 @@
-"""Tests for the artifact format: one canonical writer, validating readers."""
+"""Tests for the artifact formats: one canonical JSON writer, one array payload, validating readers."""
 
 import ast
+import hashlib
 import json
 import tempfile
 from functools import lru_cache
@@ -13,7 +14,9 @@ from hypothesis import strategies as st
 
 import sparsemm
 from sparsemm.allocator import AllocationConfig, allocate_uniform, load_plan, save_plan
-from sparsemm.artifacts import counts, elements, numbers, numeric_array, read_object, write_json
+from sparsemm.artifacts import (
+    counts, elements, numbers, read_array, read_object, write_array, write_json,
+)
 from sparsemm.bench import load_config
 from sparsemm.chaser import HeadScoreMatrix, load_scores, save_scores
 from sparsemm.cli import _load_trace, main
@@ -84,9 +87,20 @@ class TestReadObject:
         path = tmp_path / "x.json"
         path.write_text('{"rows": 1}')
         with pytest.raises(InvalidInputError, match="holds rows, the old format; regenerate it"):
-            read_object(path, "thing", ("a",), old_format=("rows", "corpus"))
+            read_object(path, "thing", ("a",), old_format=(("rows",), "corpus"))
         path.write_text('{"rows": 1, "a": 2}')
-        assert read_object(path, "thing", ("a",), old_format=("rows", "corpus")) == {"rows": 1, "a": 2}
+        assert read_object(path, "thing", ("a",), old_format=(("rows",), "corpus")) == {"rows": 1, "a": 2}
+
+    @pytest.mark.parametrize("key", ["old", "older"])
+    def test_old_format_takes_every_retired_key(self, tmp_path, key):
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps({key: 1}))
+        with pytest.raises(InvalidInputError, match=f"holds {key}, the old format; regenerate it "
+                                                    "with `sparsemm prefill`"):
+            read_object(path, "thing", ("a",), old_format=(("old", "older"), "prefill"))
+        path.write_text('{"other": 1}')
+        with pytest.raises(InvalidInputError, match="lacks a"):
+            read_object(path, "thing", ("a",), old_format=(("old", "older"), "prefill"))
 
 
 class TestFieldCheckers:
@@ -113,11 +127,62 @@ class TestFieldCheckers:
             with pytest.raises(InvalidInputError, match="g is malformed"):
                 elements(bad, "g", "f", 2)
 
-    def test_numeric_array(self):
-        assert numeric_array([[1, 2.5]], "f").dtype == np.float64
-        for bad in ([[1.0], [1.0, 2.0]], ["1.0"], [True, False], [None], [10**30], {"a": 1}):
-            with pytest.raises(InvalidInputError, match="numeric"):
-                numeric_array(bad, "f")
+
+
+class TestArrayPayload:
+    def test_round_trip_and_digest(self, tmp_path):
+        path = tmp_path / "a.npy"
+        array = np.arange(12.0).reshape(2, 3, 2) / 7
+        digest = write_array(path, array)
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert np.load(path, allow_pickle=False).tobytes() == array.tobytes()
+        loaded = read_array(path, digest, (2, 3, 2), "thing")
+        assert loaded.dtype == np.float64 and np.array_equal(loaded, array)
+
+    def test_same_bytes_as_np_save(self, tmp_path):
+        array = np.linspace(0.0, 1.0, 9)
+        write_array(tmp_path / "a.npy", array)
+        np.save(tmp_path / "b.npy", array)
+        assert (tmp_path / "a.npy").read_bytes() == (tmp_path / "b.npy").read_bytes()
+
+    def _write(self, path, array):
+        """Write `array` as `np.save` would and return the digest of its bytes."""
+        np.save(path, array, allow_pickle=True)
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("case, fragment", [
+        ("missing", "cannot read thing"),
+        ("flipped", "does not match its record's sha256"),
+        ("truncated", "not a readable .npy"),
+        ("pickled", "not a readable .npy"),
+        ("npz", "an .npz archive"),
+        ("float32", "dtype float32"),
+        ("shape", r"holds a 2-D array of 6 values, its record implies shape \(3, 2, 1\)"),
+    ])
+    def test_rejects(self, tmp_path, case, fragment):
+        path = tmp_path / "a.npy"
+        digest = self._write(path, np.ones((3, 2)))
+        if case == "missing":
+            path.unlink()
+        elif case == "flipped":
+            data = bytearray(path.read_bytes())
+            data[-1] ^= 1
+            path.write_bytes(bytes(data))
+        elif case == "truncated":
+            digest = hashlib.sha256(path.read_bytes()[:-8]).hexdigest()
+            path.write_bytes(path.read_bytes()[:-8])
+        elif case == "pickled":
+            digest = self._write(path, np.array([{"a": 1}], dtype=object))
+        elif case == "npz":
+            with open(path, "wb") as fh:
+                np.savez(fh, a=np.ones((3, 2)))
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        elif case == "float32":
+            digest = self._write(path, np.ones((3, 2), dtype=np.float32))
+        shape = (3, 2, 1) if case == "shape" else (3, 2)
+        with pytest.raises(InvalidInputError, match=fragment) as info:
+            read_array(path, digest, shape, "thing")
+        assert str(path) in str(info.value)
 
 
 # -- every loader returns or raises a SparseMMError, whatever one field holds
@@ -132,7 +197,7 @@ JSON_VALUES = st.recursive(
 
 @lru_cache(maxsize=None)
 def _valid_files():
-    """A parsed valid file of every JSON artifact, and the corpus record's payload bytes."""
+    """A parsed valid file of every JSON artifact, and the trace's and corpus record's payloads."""
     with tempfile.TemporaryDirectory() as directory:
         d = Path(directory)
         save_scores(d / "scores.json", HeadScoreMatrix(np.arange(6.0).reshape(2, 3) / 5, 7))
@@ -151,23 +216,28 @@ def _valid_files():
             for name in ("scores", "plan", "trace")
         }
         blobs["record"] = json.loads((d / "corpus" / "sample_00000.json").read_text())
-        payload = (d / "corpus" / "sample_00000.npy").read_bytes()
+        payloads = {
+            "trace": (d / "trace.npy").read_bytes(),
+            "record": (d / "corpus" / "sample_00000.npy").read_bytes(),
+        }
     blobs["config"] = CONFIG
-    return blobs, payload
+    return blobs, payloads
 
 
 LOADERS = {"scores": load_scores, "plan": load_plan, "config": load_config, "trace": _load_trace}
 
 
 def _load(artifact: str, blob: dict):
-    """Write `blob` as the artifact's file (a corpus record beside its payload) and load it."""
-    _, payload = _valid_files()
+    """Write `blob` as the artifact's file (a trace or corpus record beside its payload) and load it."""
+    payloads = _valid_files()[1]
     with tempfile.TemporaryDirectory() as directory:
         d = Path(directory)
         if artifact == "record":
-            (d / "sample_00000.npy").write_bytes(payload)
+            (d / "sample_00000.npy").write_bytes(payloads["record"])
             write_json(d / "sample_00000.json", blob)
             return list(load_corpus(d))
+        if artifact == "trace":
+            (d / "trace.npy").write_bytes(payloads["trace"])
         write_json(d / f"{artifact}.json", blob)
         return LOADERS[artifact](d / f"{artifact}.json")
 
@@ -283,7 +353,7 @@ def flow(tmp_path, capsys):
         ["prefill", *MODEL, "--prompt-len", "40", "--out-len", "2", "--window", "8",
          "--out", str(tmp_path / "trace.json")],
         ["compress", "--trace", str(tmp_path / "trace.json"), "--plan", str(tmp_path / "plan.json"),
-         "--out-json", str(tmp_path / "report.json")],
+         "--out-json", str(tmp_path / "report.json"), "--out-csv", str(tmp_path / "report.csv")],
     ]
     for argv in commands:
         assert main(argv) == 0
@@ -296,7 +366,29 @@ def flow(tmp_path, capsys):
     return tmp_path, {s["command"]: s for s in summaries}
 
 
+# sha256 of what the flow writes, recorded before the corpus payload code moved
+# into artifacts.py and the trace's window scores moved to a .npy
+FLOW_DIGESTS = {
+    "corpus": "c1877857a97b1b84bcbf1ef0444ad22c57569ef784a9efd6ea1d9a0517647530",
+    "scores.json": "4c07ce7cfae3c30466f490993ea59c8336dae62ed5f891c1136491024b0c429d",
+    "plan.json": "99dcfae088a14549d15f62e0af0ff6845af5b49e2215459f3267de6de9c136f7",
+    "report.json": "5dc2181550fc3104b1de39421dc65a6028fcabb9cd2aead04082d70540c1afbb",
+    "report.csv": "89b3950f72aea5b1c8335532a9a2ebd7f2163b892ff3d0eb1d51f7f6140503f1",
+}
+
+
 class TestCliArtifacts:
+    def test_flow_bytes_are_pinned(self, flow):
+        """corpus -> chase -> allocate -> prefill -> compress writes the recorded bytes."""
+        directory, summaries = flow
+        assert summaries["corpus"]["digest"] == FLOW_DIGESTS["corpus"]
+        assert summaries["chase"]["hash"] == FLOW_DIGESTS["scores.json"]
+        written = {
+            name: hashlib.sha256((directory / name).read_bytes()).hexdigest()
+            for name in ("scores.json", "plan.json", "report.json", "report.csv")
+        }
+        assert written == {name: FLOW_DIGESTS[name] for name in written}
+
     def test_plan_file_round_trips_byte_for_byte(self, flow):
         directory, _ = flow
         plan = load_plan(directory / "plan.json")

@@ -656,7 +656,7 @@ class TestCli:
         ]) == 0
         blob = json.loads(trace.read_text())
         assert (blob["prompt_len"], blob["window"]) == (20, 32)
-        assert np.asarray(blob["window_scores"]).shape == (2, 2, 0)
+        assert np.load(tmp_path / "trace.npy", allow_pickle=False).shape == (2, 2, 0)
         assert main([
             "allocate", "--layers", "2", "--heads", "2", "--budget", str(4 * 48),
             "--window", "32", "--policy", "uniform", "--out", str(plan),
@@ -726,8 +726,11 @@ class TestCliInputErrors:
         ["prefill", *MODEL, "--prompt-len", "40", "--window", "-1", "--out", "t.json"],
         ["prefill", *MODEL, "--prompt-len", "40", "--seed", "-1", "--out", "t.json"],
         ["prefill", *MODEL, "--prompt-len", "40", "--seed", str(2**32), "--out", "t.json"],
+        ["prefill", *MODEL, "--prompt-len", "40", "--out", "t.npy"],
+        ["prefill", *MODEL, "--prompt-len", "40", "--out", ""],
     ], ids=["planted-not-an-integer", "planted-not-a-pair", "corpus-seed", "prefill-window",
-            "prefill-seed-negative", "prefill-seed-33-bits"])
+            "prefill-seed-negative", "prefill-seed-33-bits", "prefill-out-is-its-payload",
+            "prefill-out-empty"])
     def test_bad_argument_exits_2(self, tmp_path, capsys, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
         assert main(argv) == 2
@@ -748,6 +751,23 @@ class TestCliInputErrors:
         assert err["error"] == "InvalidInputError"
         assert "at least 1" in err["message"]
         assert not plan.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--layers", "4", "--heads", "4"], ["--layers", "4"], ["--heads", "3"],
+        ["--layers", "1", "--heads", "3"],
+    ], ids=["both", "layers", "heads", "heads-of-two"])
+    def test_allocate_shape_flags_must_match_the_scores(self, tmp_path, capsys, flags):
+        scores, plan = tmp_path / "scores.json", tmp_path / "plan.json"
+        save_scores(scores, HeadScoreMatrix(np.array([[0.2, 1.0]])))
+        argv = ["allocate", "--scores", str(scores), "--budget", "16", "--window", "0",
+                "--out", str(plan)]
+        assert main(argv + flags) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InvalidInputError"
+        assert "disagrees with" in err["message"] and str(scores) in err["message"]
+        assert not plan.exists()
+        assert main(argv + ["--layers", "1", "--heads", "2"]) == 0
+        assert load_plan(plan).budgets.shape == (1, 2)
 
     @pytest.mark.parametrize("group", ["0", "-2"])
     def test_chase_group_below_one_exits_2(self, tmp_path, capsys, group):
@@ -891,6 +911,31 @@ class TestLoaderErrors:
             load_scores(bad)
         argv = ["allocate", "--scores", str(bad), "--budget", "64", "--out", str(tmp_path / "p.json")]
         self._rejects(argv, capsys)
+
+    @pytest.mark.parametrize("text, fragment", [
+        ("[true, 0.5]", r"scores\[0\] must be finite numbers"),
+        ("[0.5, false]", r"scores\[1\] must be finite numbers"),
+        ("[1e400, 0.5]", r"scores\[0\] must be finite numbers"),
+        ('["1.0", 0.5]', r"scores\[0\] must be finite numbers"),
+        ("[null, 0.5]", r"scores\[0\] must be finite numbers"),
+        ("[[1.0], [1.0, 2.0]]", r"scores\[0\], scores\[1\] must be finite numbers"),
+        ('{"a": 1}', "scores is malformed"),
+    ], ids=["true", "false", "overflow", "string", "null", "ragged", "object"])
+    def test_score_values_of_wrong_type(self, tmp_path, capsys, text, fragment):
+        """A score is a finite JSON number: a bool is not 1.0, and the error names the file."""
+        bad = tmp_path / "scores.json"
+        bad.write_text(f'{{"layers": 1, "heads": 2, "scores": {text}}}')
+        with pytest.raises(InvalidInputError, match=fragment) as info:
+            load_scores(bad)
+        assert f"score file {bad}" in str(info.value)
+        plan = tmp_path / "p.json"
+        self._rejects(["allocate", "--scores", str(bad), "--budget", "64", "--out", str(plan)], capsys)
+        assert not plan.exists()
+
+    def test_large_integer_scores_load_as_numbers(self, tmp_path):
+        path = tmp_path / "scores.json"
+        path.write_text(f'{{"layers": 1, "heads": 2, "scores": [{10**30}, 0]}}')
+        assert load_scores(path).scores.tolist() == [[1e30, 0.0]]
 
     def test_loader_errors_pass_through(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -1036,7 +1081,7 @@ class TestCorpusLoaderErrors:
 
 
 class TestCompressTraceValidation:
-    """`compress` rejects a malformed trace with exit 2 and a structured error."""
+    """`compress` rejects a malformed trace record or payload with exit 2 and a structured error."""
 
     @pytest.fixture
     def files(self, tmp_path, capsys):
@@ -1071,11 +1116,23 @@ class TestCompressTraceValidation:
         edit(blob)
         trace.write_text(json.dumps(blob))
 
+    def _payload(self, trace):
+        return np.load(trace.with_suffix(".npy"), allow_pickle=False)
+
+    def _replace_payload(self, trace, array):
+        """Write `array` as the trace's payload and point the record's sha256 at it."""
+        np.save(trace.with_suffix(".npy"), array)
+        digest = hashlib.sha256(trace.with_suffix(".npy").read_bytes()).hexdigest()
+        self._rewrite(trace, lambda blob: blob.update(sha256=digest))
+
     def test_valid_trace_holds_scores(self, files, capsys):
         trace, plan = files
         blob = json.loads(trace.read_text())
-        assert "window_attention" not in blob
-        assert np.asarray(blob["window_scores"]).shape == (2, 2, 40 - 8)
+        assert sorted(blob) == ["kv_heads", "layers", "prompt_len", "query_heads", "sha256", "window"]
+        payload = trace.with_suffix(".npy")
+        assert blob["sha256"] == hashlib.sha256(payload.read_bytes()).hexdigest()
+        scores = self._payload(trace)
+        assert scores.shape == (2, 2, 40 - 8) and scores.dtype == np.float64
         assert blob["kv_heads"] == 2
         code, captured = self._compress(trace, plan, capsys)
         assert code == 0
@@ -1094,7 +1151,7 @@ class TestCompressTraceValidation:
         assert "cannot read" in self._rejects(trace, plan, capsys)
 
     @pytest.mark.parametrize(
-        "key", ["window_scores", "layers", "query_heads", "kv_heads", "prompt_len", "window"]
+        "key", ["sha256", "layers", "query_heads", "kv_heads", "prompt_len", "window"]
     )
     def test_missing_key(self, files, capsys, key):
         trace, plan = files
@@ -1105,10 +1162,9 @@ class TestCompressTraceValidation:
         trace, plan = files
         self._rewrite(trace, lambda blob: blob.update(prompt_len="40"))
         assert "counts" in self._rejects(trace, plan, capsys)
-        ragged = [[1.0], [1.0, 2.0]]
-        self._rewrite(trace, lambda blob: blob.update(prompt_len=40, window_scores=ragged))
-        assert "numeric" in self._rejects(trace, plan, capsys)
-        self._rewrite(trace, lambda blob: blob.update(window_scores=[], kv_heads=0))
+        self._rewrite(trace, lambda blob: blob.update(prompt_len=40, sha256=[1]))
+        assert "sha256" in self._rejects(trace, plan, capsys)
+        self._rewrite(trace, lambda blob: blob.update(kv_heads=0))
         assert "positive counts" in self._rejects(trace, plan, capsys)
         trace.write_text("[1, 2]")
         assert "JSON object" in self._rejects(trace, plan, capsys)
@@ -1117,31 +1173,64 @@ class TestCompressTraceValidation:
         trace, plan = files
 
         def to_old_format(blob):
-            blob.pop("window_scores")
+            blob.pop("sha256")
             blob["window_attention"] = np.full((2, 4, 8, 40), 1.0 / 40).tolist()
 
         self._rewrite(trace, to_old_format)
-        assert "old format" in self._rejects(trace, plan, capsys)
+        trace.with_suffix(".npy").unlink()
+        assert "old format; regenerate it with `sparsemm prefill`" in self._rejects(trace, plan, capsys)
+
+    def test_old_window_scores_trace(self, files, capsys):
+        """The format that held the window scores as JSON lists is retired too."""
+        trace, plan = files
+        scores = self._payload(trace).tolist()
+
+        def to_old_format(blob):
+            blob.pop("sha256")
+            blob["window_scores"] = scores
+
+        self._rewrite(trace, to_old_format)
+        trace.with_suffix(".npy").unlink()
+        message = self._rejects(trace, plan, capsys)
+        assert "holds window_scores, the old format; regenerate it with `sparsemm prefill`" in message
+
+    def test_flipped_payload_byte(self, files, capsys):
+        trace, plan = files
+        payload = trace.with_suffix(".npy")
+        data = bytearray(payload.read_bytes())
+        data[-3] ^= 0x10
+        payload.write_bytes(bytes(data))
+        message = self._rejects(trace, plan, capsys)
+        assert f"trace payload {payload} does not match its record's sha256" in message
+
+    def test_missing_payload(self, files, capsys):
+        trace, plan = files
+        trace.with_suffix(".npy").unlink()
+        assert f"cannot read trace payload {trace.with_suffix('.npy')}" in self._rejects(trace, plan, capsys)
+
+    def test_payload_of_wrong_dtype(self, files, capsys):
+        trace, plan = files
+        self._replace_payload(trace, self._payload(trace).astype(np.float32))
+        assert "dtype float32, expected float64" in self._rejects(trace, plan, capsys)
 
     def test_scores_of_wrong_shape(self, files, capsys):
         trace, plan = files
-        self._rewrite(trace, lambda blob: blob.update(window_scores=np.zeros((2, 2, 31)).tolist()))
-        self._rejects(trace, plan, capsys, error="ShapeError")
-        self._rewrite(trace, lambda blob: blob.update(window_scores=np.zeros((2, 4, 32)).tolist()))
-        self._rejects(trace, plan, capsys, error="ShapeError")
+        self._replace_payload(trace, np.zeros((2, 2, 31)))
+        assert "implies shape (2, 2, 32)" in self._rejects(trace, plan, capsys)
+        self._replace_payload(trace, np.zeros((2, 4, 32)))
+        assert "implies shape (2, 2, 32)" in self._rejects(trace, plan, capsys)
+        self._replace_payload(trace, np.zeros(2 * 2 * 32))
+        assert "1-D array of 128 values" in self._rejects(trace, plan, capsys)
         # the declared geometry must fit the scores
-        self._rewrite(trace, lambda blob: blob.update(window_scores=np.zeros((2, 2, 32)).tolist(),
-                                                      layers=7))
-        assert "expected (7, 2, 32)" in self._rejects(trace, plan, capsys, error="ShapeError")
+        self._replace_payload(trace, np.zeros((2, 2, 32)))
+        self._rewrite(trace, lambda blob: blob.update(layers=7))
+        assert "implies shape (7, 2, 32)" in self._rejects(trace, plan, capsys)
         self._rewrite(trace, lambda blob: blob.update(layers=2, query_heads=3))
         assert "not divisible" in self._rejects(trace, plan, capsys, error="ShapeError")
 
     def test_non_finite_scores(self, files, capsys):
         trace, plan = files
-
-        def poison(blob):
-            blob["window_scores"][1][0][5] = float("nan")
-
-        self._rewrite(trace, poison)
+        scores = self._payload(trace).copy()
+        scores[1, 0, 5] = np.nan
+        self._replace_payload(trace, scores)
         assert "finite" in self._rejects(trace, plan, capsys)
-
