@@ -1,33 +1,89 @@
-"""The file formats of every artifact, and the checks their readers share.
+"""The one file boundary: every artifact byte is read and written here.
 
-Score files, plans, trace and corpus records, eviction reports and the bench
-JSON mirror are written by `write_json` in one canonical form, so equal
-objects give equal bytes. Readers open one with `read_object` and check its
-fields with `counts` and `numbers`; `elements` names a list's items for both.
-An array goes to a `.npy` payload by `write_array`, whose sha256 its record
-keeps for `read_array`. A malformed file raises InvalidInputError naming it.
+`read_bytes`, `write_bytes`, `make_dir` and `list_dir` are the only calls in
+the package that touch the file system; each turns an OSError into an
+InvalidInputError naming the path, and `write_bytes` returns the hex sha256
+of what it wrote. The formats are built on them. Score files, plans, trace
+and corpus records, eviction reports and the bench JSON mirror are written by
+`write_json` in one canonical form, so equal objects give equal bytes; the
+CSV tables by `write_csv`. Readers open a JSON file with `read_object` and
+check its fields with `counts` and `numbers`; `elements` names a list's items
+for both. An array goes to a `.npy` payload by `write_array`, whose sha256
+its record keeps for `read_array`. A malformed file raises InvalidInputError
+naming it.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import io
 import json
 import math
+import os
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InvalidInputError
 
-__all__ = ["counts", "elements", "numbers", "read_array", "read_object", "write_array",
-           "write_json"]
+__all__ = ["counts", "elements", "encode_array", "encode_json", "list_dir", "make_dir",
+           "numbers", "read_array", "read_bytes", "read_object", "write_array", "write_bytes",
+           "write_csv", "write_json"]
 
 
-def write_json(path, obj) -> None:
-    """Write obj with sorted keys, compact separators, UTF-8 and a trailing newline."""
-    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    Path(path).write_text(text + "\n", encoding="utf-8")
+@contextmanager
+def _os_errors(failure: str):
+    """Re-raise an OSError inside the block as InvalidInputError: "<failure>: <reason>"."""
+    try:
+        yield
+    except OSError as exc:
+        raise InvalidInputError(f"{failure}: {exc.strerror}") from exc
+
+
+def read_bytes(path, what: str) -> bytes:
+    """The bytes of `path`; `what` names the artifact if it cannot be read."""
+    with _os_errors(f"cannot read {what} {path}"):
+        return Path(path).read_bytes()
+
+
+def write_bytes(path, data) -> str:
+    """Write `data` to `path`; return the hex sha256 of the bytes written."""
+    with _os_errors(f"cannot write {path}"):
+        Path(path).write_bytes(data)
+    return hashlib.sha256(data).hexdigest()
+
+
+def make_dir(path) -> None:
+    """Create directory `path` and its parents, unless it is one already."""
+    with _os_errors(f"cannot create directory {path}"):
+        os.makedirs(path, exist_ok=True)
+
+
+def list_dir(path, what: str) -> list[str]:
+    """The entry names of directory `path`, in no set order."""
+    with _os_errors(f"cannot read {what} {path}"):
+        return os.listdir(path)
+
+
+def encode_json(obj) -> bytes:
+    """obj with sorted keys, compact separators, UTF-8 and a trailing newline."""
+    return (json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n").encode()
+
+
+def write_json(path, obj) -> str:
+    """Write `encode_json(obj)` to `path`; return its hex sha256."""
+    return write_bytes(path, encode_json(obj))
+
+
+def write_csv(path, header, rows) -> str:
+    """Write a header and rows as UTF-8 CSV with newline rows; return its hex sha256."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return write_bytes(path, buf.getvalue().encode())
 
 
 def read_object(path, what: str, required=(), old_format=None) -> dict:
@@ -37,10 +93,7 @@ def read_object(path, what: str, required=(), old_format=None) -> dict:
     file that lacks a required key but holds one of the retired `keys` is
     reported as the old format, to be regenerated with `sparsemm <command>`.
     """
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise InvalidInputError(f"cannot read {what} {path}: {exc.strerror}") from exc
+    data = read_bytes(path, what)
     try:
         obj = json.loads(data)
     except (ValueError, RecursionError) as exc:
@@ -90,18 +143,26 @@ def _finite(value) -> bool:
         return False
 
 
-def numbers(named: dict, where: str) -> list:
-    """The values of `named` (name -> value), each a finite JSON number (not a bool)."""
-    _reject([name for name, value in named.items() if not _finite(value)], where, "finite numbers")
+def numbers(named: dict, where: str, minimum=None) -> list:
+    """The values of `named` (name -> value), each a finite JSON number (not a bool) >= minimum."""
+    bad = [
+        name for name, value in named.items()
+        if not _finite(value) or (minimum is not None and value < minimum)
+    ]
+    _reject(bad, where, "finite numbers" if minimum is None else f"finite numbers >= {minimum}")
     return list(named.values())
 
 
-def write_array(path, array: np.ndarray) -> str:
-    """Write `array` to `path` with `np.save`; return the hex sha256 of the bytes written."""
+def encode_array(array: np.ndarray) -> bytes:
+    """The bytes `np.save` writes for `array`."""
     buf = io.BytesIO()
     np.save(buf, array)
-    Path(path).write_bytes(buf.getvalue())
-    return hashlib.sha256(buf.getvalue()).hexdigest()
+    return buf.getvalue()
+
+
+def write_array(path, array: np.ndarray) -> str:
+    """Write `encode_array(array)` to `path`; return its hex sha256."""
+    return write_bytes(path, encode_array(array))
 
 
 def read_array(path, sha256: str, shape: tuple, what: str) -> np.ndarray:
@@ -110,10 +171,7 @@ def read_array(path, sha256: str, shape: tuple, what: str) -> np.ndarray:
     Unreadable or altered bytes, anything but one `.npy` array (pickles are
     refused), or another dtype or shape raise InvalidInputError naming `what`.
     """
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise InvalidInputError(f"cannot read {what} {path}: {exc.strerror}") from exc
+    data = read_bytes(path, what)
     if hashlib.sha256(data).hexdigest() != sha256:
         raise InvalidInputError(f"{what} {path} does not match its record's sha256")
     try:

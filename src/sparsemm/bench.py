@@ -17,7 +17,6 @@ rows of existing cells.
 
 from __future__ import annotations
 
-import csv
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from functools import partial
@@ -25,7 +24,7 @@ from functools import partial
 import numpy as np
 
 from .allocator import AllocationConfig, POLICY_NAMES, allocate
-from .artifacts import counts, elements, numbers, read_object, write_json
+from .artifacts import counts, elements, numbers, read_object, write_csv, write_json
 from .cache import replay_masked, replay_plans
 from .chaser import (
     HeadScoreMatrix,
@@ -527,11 +526,9 @@ def write_rows_csv(path, rows) -> None:
     if not rows:
         raise InvalidInputError("refusing to write an empty result table")
     names = [f.name for f in fields(rows[0])]
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=names, lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: repr(v) if isinstance(v, float) else v for k, v in asdict(row).items()})
+    write_csv(path, names, (
+        [repr(v) if isinstance(v, float) else v for v in asdict(row).values()] for row in rows
+    ))
 
 
 def write_rows_json(path, rows) -> None:

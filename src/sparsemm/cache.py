@@ -20,14 +20,13 @@ workload's model and for each masked model the workload derived.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .artifacts import write_json
+from .artifacts import write_csv, write_json
 from .errors import InvalidInputError, ShapeError
 from .tensor import CausalMask, Matrix, matmul_scaled, softmax_row_masked
 
@@ -355,10 +354,9 @@ def report_to_json(report: EvictionReport, path) -> None:
 
 
 def report_to_csv(report: EvictionReport, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["layer", "kv_head", "budget", "kept_count", "clamped", "kept_positions"])
-        for h in report.heads:
-            writer.writerow(
-                [h.layer, h.kv_head, h.budget, len(h.kept), int(h.clamped), ";".join(map(str, h.kept))]
-            )
+    write_csv(
+        path,
+        ["layer", "kv_head", "budget", "kept_count", "clamped", "kept_positions"],
+        ([h.layer, h.kv_head, h.budget, len(h.kept), int(h.clamped), ";".join(map(str, h.kept))]
+         for h in report.heads),
+    )

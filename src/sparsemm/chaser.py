@@ -10,7 +10,6 @@ token count, and min-max normalized into [0, 1].
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -31,7 +30,6 @@ __all__ = [
     "match_bbox_to_patches",
     "normalize_corpus",
     "save_scores",
-    "score_file_hash",
     "score_sample",
     "token_positions",
 ]
@@ -215,9 +213,12 @@ def aggregate_gqa_scores(scores: HeadScoreMatrix, group: int) -> HeadScoreMatrix
     return HeadScoreMatrix(kv, scores.corpus_tokens)
 
 
-def save_scores(path, matrix: HeadScoreMatrix) -> None:
-    """Write the score-file JSON: layers, heads, row-major scores, corpus tokens."""
-    write_json(path, {
+def save_scores(path, matrix: HeadScoreMatrix) -> str:
+    """Write the score-file JSON: layers, heads, row-major scores, corpus tokens.
+
+    Returns the hex sha256 of the file's bytes, which `sparsemm chase` prints.
+    """
+    return write_json(path, {
         "layers": matrix.layers,
         "heads": matrix.heads,
         "scores": [float(v) for v in matrix.scores.ravel()],
@@ -228,20 +229,15 @@ def save_scores(path, matrix: HeadScoreMatrix) -> None:
 def load_scores(path) -> HeadScoreMatrix:
     """The score matrix of a `save_scores` file; a malformed file raises InvalidInputError.
 
-    Keys outside the matrix's fields, such as the `normalization` that older
-    score files hold, are ignored.
+    Scores must be finite, non-negative JSON numbers. Keys outside the matrix's
+    fields, such as the `normalization` that older score files hold, are ignored.
     """
     where = f"score file {path}"
     payload = read_object(path, "score file", ("layers", "heads", "scores"))
     layers, heads = counts({"layers": payload["layers"], "heads": payload["heads"]}, where, 1)
-    flat = np.array(numbers(elements(payload["scores"], "scores", where), where), dtype=np.float64)
+    named = elements(payload["scores"], "scores", where)
+    flat = np.array(numbers(named, where, 0), dtype=np.float64)
     if flat.size != layers * heads:
         raise ShapeError(f"{where}: scores length does not match layers*heads")
     (corpus_tokens,) = counts({"corpus_tokens": payload.get("corpus_tokens", 0)}, where)
     return HeadScoreMatrix(flat.reshape(layers, heads), corpus_tokens)
-
-
-def score_file_hash(path) -> str:
-    """Hex sha256 of the score file bytes, printed by `sparsemm chase`."""
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()

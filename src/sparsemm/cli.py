@@ -6,8 +6,10 @@ its record), `chase` turns a corpus into a score file, `allocate` turns
 scores into a budget plan, `compress` applies a plan to a prefill trace, and
 `bench sweep|rho|mask|cost` runs the packaged experiments from a JSON config.
 
-Every command prints one JSON summary line on success. Contract violations
-exit nonzero with a structured {"error", "message"} object on stderr.
+Every command prints one JSON summary line on success. Usage errors and
+contract violations, an output path that cannot be written included, exit 2
+with a structured {"error", "message"} object on stderr. Files are read and
+written only through `artifacts`.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench
-from .artifacts import counts, read_array, read_object, write_array, write_json
+from .artifacts import counts, make_dir, read_array, read_object, write_array, write_json
 from .allocator import (
     AllocationConfig,
     DEFAULT_RHO,
@@ -37,14 +39,12 @@ from .chaser import (
     chase_corpus,
     load_scores,
     save_scores,
-    score_file_hash,
 )
 from .errors import InvalidInputError, ShapeError, SparseMMError
 from .simmodel import (
     ModelGeometry,
     PlantedHeadSet,
     build_synthetic_model,
-    corpus_digest,
     generate_ocr_samples,
     load_corpus,
     save_corpus,
@@ -94,13 +94,11 @@ def _build_model(args: argparse.Namespace):
 def cmd_corpus(args: argparse.Namespace) -> dict:
     model = _build_model(args)
     samples = generate_ocr_samples(model, args.samples, args.seed)
-    out_dir = Path(args.out_dir)
-    save_corpus(out_dir, samples)
     return {
         "command": "corpus",
-        "out_dir": str(out_dir),
+        "out_dir": str(Path(args.out_dir)),
         "samples": len(samples),
-        "digest": corpus_digest(out_dir),
+        "digest": save_corpus(args.out_dir, samples),
     }
 
 
@@ -108,7 +106,7 @@ def cmd_chase(args: argparse.Namespace) -> dict:
     samples = load_corpus(args.corpus)
     scores, skipped = chase_corpus(samples)
     scores = aggregate_gqa_scores(scores, args.group)
-    save_scores(args.out, scores)
+    digest = save_scores(args.out, scores)
     return {
         "command": "chase",
         "out": str(args.out),
@@ -116,7 +114,7 @@ def cmd_chase(args: argparse.Namespace) -> dict:
         "heads": scores.heads,
         "corpus_tokens": scores.corpus_tokens,
         "tokens_skipped": skipped,
-        "hash": score_file_hash(args.out),
+        "hash": digest,
     }
 
 
@@ -224,7 +222,7 @@ def cmd_bench(args: argparse.Namespace) -> dict:
     if args.jobs < 1:
         raise InvalidInputError(f"--jobs {args.jobs} must be at least 1")
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    make_dir(out_dir)
     if args.experiment == "sweep":
         rows = bench.run_budget_sweep(cfg, jobs=args.jobs)
     elif args.experiment == "rho":
@@ -245,8 +243,15 @@ def cmd_bench(args: argparse.Namespace) -> dict:
     }
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors raise InvalidInputError, so `main` reports them as JSON."""
+
+    def error(self, message):
+        raise InvalidInputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sparsemm",
         description="Visual-head scoring, per-head KV budgets, and cache eviction.",
     )
@@ -305,8 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         summary = args.fn(args)
     except SparseMMError as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)

@@ -39,7 +39,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .artifacts import counts, elements, numbers, read_array, read_object, write_array, write_json
+from .artifacts import (
+    counts, elements, encode_array, encode_json, list_dir, make_dir, numbers, read_array,
+    read_bytes, read_object, write_bytes,
+)
 from .cache import sum_onto_kv_heads
 from .errors import InvalidInputError, ShapeError
 
@@ -609,14 +612,33 @@ CORPUS_KEYS = (
 
 
 def _corpus_names(directory) -> list[str]:
-    try:
-        names = os.listdir(directory)
-    except OSError as exc:
-        raise InvalidInputError(f"cannot read corpus {directory}: {exc.strerror}") from exc
+    names = list_dir(directory, "corpus")
     return sorted(n for n in names if n.startswith("sample_") and n.endswith((".json", ".npy")))
 
 
-def save_corpus(directory, samples) -> None:
+def _save_sample(directory, stem: str, sample: OcrSample, trace: AttentionTrace, digest) -> None:
+    """Write one sample's payload, then its record; feed both to `digest` in name order.
+
+    Their bytes are freed on return, so a corpus holds one sample's at a time.
+    """
+    payload = encode_array(np.concatenate([step.ravel() for step in trace.steps]))
+    record = encode_json({
+        "image_shape": list(sample.image_shape),
+        "grid": list(sample.grid),
+        "pairs": [[tok, list(bbox)] for tok, bbox in sample.pairs],
+        "prompt_layout": list(sample.prompt_layout),
+        "layers": trace.layers,
+        "query_heads": trace.query_heads,
+        "steps": trace.out_len,
+        "sha256": write_bytes(os.path.join(directory, stem + ".npy"), payload),
+    })
+    write_bytes(os.path.join(directory, stem + ".json"), record)
+    for name, data in ((stem + ".json", record), (stem + ".npy", payload)):
+        digest.update(name.encode())
+        digest.update(data)
+
+
+def save_corpus(directory, samples) -> str:
     """Write each sample as `sample_NNNNN.json` beside `sample_NNNNN.npy`.
 
     A directory that already holds sample files is refused before anything
@@ -629,24 +651,17 @@ def save_corpus(directory, samples) -> None:
     raveled, concatenated in step order. The JSON record is canonical and
     holds the sample, the trace's geometry and step count, and the payload's
     sha256.
+
+    Returns `corpus_digest` of the directory, computed from the bytes as they
+    are written, so nothing is read back.
     """
-    os.makedirs(directory, exist_ok=True)
+    make_dir(directory)
     if _corpus_names(directory):
         raise InvalidInputError(f"{directory} already holds a corpus; give an empty directory")
+    digest = hashlib.sha256()
     for i, (sample, trace) in enumerate(samples):
-        stem = os.path.join(directory, f"sample_{i:05d}")
-        sha256 = write_array(stem + ".npy", np.concatenate([step.ravel() for step in trace.steps]))
-        record = {
-            "image_shape": list(sample.image_shape),
-            "grid": list(sample.grid),
-            "pairs": [[tok, list(bbox)] for tok, bbox in sample.pairs],
-            "prompt_layout": list(sample.prompt_layout),
-            "layers": trace.layers,
-            "query_heads": trace.query_heads,
-            "steps": trace.out_len,
-            "sha256": sha256,
-        }
-        write_json(stem + ".json", record)
+        _save_sample(directory, f"sample_{i:05d}", sample, trace, digest)
+    return digest.hexdigest()
 
 
 def _load_record(path) -> tuple[OcrSample, dict]:
@@ -701,6 +716,5 @@ def corpus_digest(directory) -> str:
     digest = hashlib.sha256()
     for name in _corpus_names(directory):
         digest.update(name.encode())
-        with open(os.path.join(directory, name), "rb") as fh:
-            digest.update(fh.read())
+        digest.update(read_bytes(os.path.join(directory, name), "corpus file"))
     return digest.hexdigest()

@@ -3,6 +3,7 @@
 import ast
 import hashlib
 import json
+import re
 import tempfile
 from functools import lru_cache
 from pathlib import Path
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 import sparsemm
 from sparsemm.allocator import AllocationConfig, allocate_uniform, load_plan, save_plan
 from sparsemm.artifacts import (
-    counts, elements, numbers, read_array, read_object, write_array, write_json,
+    counts, elements, list_dir, make_dir, numbers, read_array, read_bytes, read_object, write_array,
+    write_bytes, write_csv, write_json,
 )
 from sparsemm.bench import load_config
 from sparsemm.chaser import HeadScoreMatrix, load_scores, save_scores
@@ -52,11 +54,60 @@ CONFIG = {
 }
 
 
+class TestFileBoundary:
+    """Every file operation names its path in an InvalidInputError, and writers hash what they wrote."""
+
+    def test_write_bytes_returns_the_sha256_of_the_bytes(self, tmp_path):
+        path = tmp_path / "a.bin"
+        assert write_bytes(path, b"abc") == hashlib.sha256(b"abc").hexdigest()
+        assert read_bytes(path, "thing") == b"abc"
+
+    def test_write_csv(self, tmp_path):
+        path = tmp_path / "a.csv"
+        digest = write_csv(path, ["a", "b"], iter([[1, "x,y"], [0.5, True]]))
+        assert path.read_bytes() == b'a,b\n1,"x,y"\n0.5,True\n'
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_make_dir_creates_parents_and_accepts_a_directory(self, tmp_path):
+        make_dir(tmp_path / "a" / "b")
+        make_dir(tmp_path / "a" / "b")
+        assert (tmp_path / "a" / "b").is_dir()
+        assert list_dir(tmp_path / "a", "thing") == ["b"]
+
+    @pytest.mark.parametrize("where", ["in-a-missing-directory", "under-a-file", "on-a-directory"])
+    @pytest.mark.parametrize("operation, fragment", [
+        (lambda path: read_bytes(path, "thing"), "cannot read thing"),
+        (lambda path: write_bytes(path, b"x"), "cannot write"),
+        (lambda path: write_json(path, {}), "cannot write"),
+        (lambda path: write_csv(path, ["a"], []), "cannot write"),
+        (lambda path: write_array(path, np.zeros(2)), "cannot write"),
+    ], ids=["read_bytes", "write_bytes", "write_json", "write_csv", "write_array"])
+    def test_file_operation_errors_name_the_path(self, tmp_path, operation, fragment, where):
+        (tmp_path / "blocker").write_text("a file")
+        (tmp_path / "adir").mkdir()
+        path = tmp_path / {"in-a-missing-directory": "nodir/x", "under-a-file": "blocker/x",
+                           "on-a-directory": "adir"}[where]
+        with pytest.raises(InvalidInputError, match=fragment) as info:
+            operation(path)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("where", ["on-a-file", "under-a-file"])
+    def test_directory_operation_errors_name_the_path(self, tmp_path, where):
+        (tmp_path / "blocker").write_text("a file")
+        path = tmp_path / {"on-a-file": "blocker", "under-a-file": "blocker/x"}[where]
+        with pytest.raises(InvalidInputError, match=re.escape(f"cannot create directory {path}")):
+            make_dir(path)
+        with pytest.raises(InvalidInputError, match=re.escape(f"cannot read thing {path}")):
+            list_dir(path, "thing")
+        assert (tmp_path / "blocker").read_text() == "a file"
+
+
 class TestWriteJson:
     def test_canonical_form(self, tmp_path):
         path = tmp_path / "a.json"
-        write_json(path, {"b": [1, 2.5], "a": {"d": None, "c": True}})
+        digest = write_json(path, {"b": [1, 2.5], "a": {"d": None, "c": True}})
         assert path.read_bytes() == b'{"a":{"c":true,"d":null},"b":[1,2.5]}\n'
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
     def test_equal_objects_give_equal_bytes(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -120,6 +171,13 @@ class TestFieldCheckers:
         for bad in (True, "1", float("nan"), float("inf"), 10**400, None):
             with pytest.raises(InvalidInputError, match="finite numbers"):
                 numbers({"a": bad}, "f")
+
+    def test_numbers_minimum(self):
+        assert numbers({"a": 0, "b": -0.0, "c": 2.5}, "f", 0) == [0, -0.0, 2.5]
+        with pytest.raises(InvalidInputError, match="f: b must be finite numbers >= 0"):
+            numbers({"a": 0.5, "b": -1e-300}, "f", 0)
+        with pytest.raises(InvalidInputError, match="f: a must be finite numbers >= 0"):
+            numbers({"a": float("nan")}, "f", 0)
 
     def test_elements(self):
         assert elements([4, 5], "g", "f", 2) == {"g[0]": 4, "g[1]": 5}
@@ -488,6 +546,62 @@ def test_guard_catches_a_hand_rolled_writer():
     assert len(_offenders("cache.py", tree)) == 4
     assert _offenders("x.py", ast.parse("from json import loads\nimport json as j\n")) == [
         "x.py:1 from json import", "x.py:2 json imported under another name",
+    ]
+
+
+# -- only artifacts.py touches a file
+
+# method names that open, read, write, list or create a file or directory
+FILE_METHODS = {
+    "open", "read_text", "read_bytes", "write_text", "write_bytes", "mkdir", "makedirs",
+    "listdir", "scandir", "tofile", "fromfile",
+}
+NUMPY_FILE_CALLS = {"load", "save", "savez", "savez_compressed", "loadtxt", "savetxt", "genfromtxt"}
+
+
+def _file_access(name: str, tree: ast.AST) -> list[str]:
+    """Calls in module `name` that reach the file system without artifacts.py."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "open":
+            found.append((node.lineno, "open"))
+        elif isinstance(func, ast.Attribute) and (
+            func.attr in FILE_METHODS
+            or (isinstance(func.value, ast.Name) and func.value.id == "np"
+                and func.attr in NUMPY_FILE_CALLS)
+        ):
+            found.append((node.lineno, f".{func.attr}"))
+    return [f"{name}:{line} {what}" for line, what in sorted(found)]
+
+
+def test_files_are_touched_only_in_artifacts():
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "artifacts.py":
+            offenders += _file_access(path.name, ast.parse(path.read_text(), str(path)))
+    assert not offenders, offenders
+
+
+def test_file_guard_catches_every_kind_of_access():
+    source = (
+        "def save(path, data):\n"
+        "    with open(path, 'w') as fh:\n"
+        "        fh.write(data)\n"
+        "    Path(path).write_text(data)\n"
+        "    Path(path).read_bytes()\n"
+        "    os.makedirs(path)\n"
+        "    Path(path).mkdir()\n"
+        "    os.listdir(path)\n"
+        "    np.save(path, data)\n"
+        "    np.load(path)\n"
+        "    Path(path).with_suffix('.npy')\n"
+    )
+    assert _file_access("x.py", ast.parse(source)) == [
+        "x.py:2 open", "x.py:4 .write_text", "x.py:5 .read_bytes", "x.py:6 .makedirs",
+        "x.py:7 .mkdir", "x.py:8 .listdir", "x.py:9 .save", "x.py:10 .load",
     ]
 
 

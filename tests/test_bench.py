@@ -1,6 +1,7 @@
 """Tests for the experiment harness and the CLI wiring."""
 
 import ast
+import contextlib
 import hashlib
 import io
 import json
@@ -738,6 +739,34 @@ class TestCliInputErrors:
         assert err["error"] == "InvalidInputError"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, fragment", [
+        (["allocate", "--layers", "1", "--heads", "2", "--budget", "x", "--out", "p.json"],
+         "argument --budget: invalid int value: 'x'"),
+        (["chase", "--corpus", "c", "--out", "s.json", "--bogus"], "unrecognized arguments: --bogus"),
+        (["compress", "--trace", "t.json", "--plan", "p.json", "--out", "r.json"],
+         "ambiguous option: --out could match --out-json, --out-csv"),
+        (["allocate", "--layers", "1", "--heads", "2", "--out", "p.json"],
+         "the following arguments are required: --budget"),
+        ([], "the following arguments are required: command"),
+    ], ids=["invalid-value", "unknown-flag", "ambiguous-flag", "missing-flag", "no-command"])
+    def test_usage_error_exits_2(self, tmp_path, capsys, monkeypatch, argv, fragment):
+        """argparse's errors take the same path as every other input error."""
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)
+        assert set(err) == {"error", "message"}
+        assert err["error"] == "InvalidInputError"
+        assert fragment in err["message"]
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["allocate", "-h"])
+        assert info.value.code == 0
+        assert "--budget" in capsys.readouterr().out
+
     @pytest.mark.parametrize("policy", ["uniform", "pyramid", "random"])
     @pytest.mark.parametrize("value", ["0", "-1"])
     @pytest.mark.parametrize("flag", ["--layers", "--heads"])
@@ -835,6 +864,73 @@ class TestCliInputErrors:
         assert not out_dir.exists()
 
 
+class TestCliOutputPaths:
+    """An output that cannot be written exits 2 with InvalidInputError naming its path."""
+
+    MODEL = ["--layers", "1", "--query-heads", "2", "--planted", "0,1"]
+    # output: (argv up to the output flag, "{in}" standing for the inputs; is it a directory)
+    OUTPUTS = {
+        "corpus-out-dir": (["corpus", *MODEL, "--samples", "1", "--out-dir"], True),
+        "chase-out": (["chase", "--corpus", "{in}/corpus", "--out"], False),
+        "allocate-out": (["allocate", "--scores", "{in}/scores.json", "--budget", "20",
+                            "--window", "8", "--out"], False),
+        "prefill-out": (["prefill", *MODEL, "--prompt-len", "40", "--window", "8", "--out"], False),
+        "compress-out-json": (["compress", "--trace", "{in}/trace.json", "--plan", "{in}/plan.json",
+                                 "--out-json"], False),
+        "compress-out-csv": (["compress", "--trace", "{in}/trace.json", "--plan", "{in}/plan.json",
+                                "--out-csv"], False),
+        "bench-out-dir": (["bench", "cost", "--config", "{in}/config.json", "--out-dir"], True),
+    }
+    # where: (the output path, the path the message must name), under the test's directory
+    WHERE = {
+        "in-a-missing-directory": ("nodir/out", "nodir"),
+        "under-a-file": ("blocker/out", "blocker"),
+        "on-a-file": ("blocker", "blocker"),  # a file where the output directory belongs
+        "on-a-directory": ("adir", "adir"),  # a directory where the output file belongs
+    }
+    CASES = [
+        (output, where) for output, (_, is_dir) in OUTPUTS.items()
+        for where in (("on-a-file", "under-a-file") if is_dir else
+                      ("in-a-missing-directory", "under-a-file", "on-a-directory"))
+    ]
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        """One corpus, score file, plan, trace and bench config for every case to read."""
+        d = tmp_path_factory.mktemp("inputs")
+        for argv in (
+            ["corpus", *self.MODEL, "--samples", "2", "--out-dir", str(d / "corpus")],
+            ["chase", "--corpus", str(d / "corpus"), "--out", str(d / "scores.json")],
+            ["allocate", "--scores", str(d / "scores.json"), "--budget", "20", "--window", "8",
+             "--out", str(d / "plan.json")],
+            ["prefill", *self.MODEL, "--prompt-len", "40", "--window", "8",
+             "--out", str(d / "trace.json")],
+        ):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+        (d / "config.json").write_text(json.dumps({
+            "geometry": {"layers": 1, "query_heads": 2}, "planted": {"pairs": [[0, 1]]},
+            "seeds": [0],
+        }))
+        return d
+
+    @pytest.mark.parametrize("output, where", CASES, ids=[f"{o}-{w}" for o, w in CASES])
+    def test_unwritable_output_exits_2(self, inputs, tmp_path, capsys, output, where):
+        argv = [arg.replace("{in}", str(inputs)) for arg in self.OUTPUTS[output][0]]
+        (tmp_path / "blocker").write_text("not a directory")
+        (tmp_path / "adir").mkdir()
+        path, named = self.WHERE[where]
+        assert main(argv + [str(tmp_path / path)]) == 2
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)
+        assert set(err) == {"error", "message"}
+        assert err["error"] == "InvalidInputError"
+        assert str(tmp_path / named) in err["message"]
+        assert captured.out == ""
+        assert not (tmp_path / "nodir").exists()
+        assert (tmp_path / "blocker").read_text() == "not a directory"
+
+
 class TestLoaderErrors:
     """A missing or malformed score, plan or config file exits 2 with a structured error."""
 
@@ -920,9 +1016,10 @@ class TestLoaderErrors:
         ("[null, 0.5]", r"scores\[0\] must be finite numbers"),
         ("[[1.0], [1.0, 2.0]]", r"scores\[0\], scores\[1\] must be finite numbers"),
         ('{"a": 1}', "scores is malformed"),
-    ], ids=["true", "false", "overflow", "string", "null", "ragged", "object"])
+        ("[0.5, -1]", r"scores\[1\] must be finite numbers >= 0"),
+    ], ids=["true", "false", "overflow", "string", "null", "ragged", "object", "negative"])
     def test_score_values_of_wrong_type(self, tmp_path, capsys, text, fragment):
-        """A score is a finite JSON number: a bool is not 1.0, and the error names the file."""
+        """A score is a finite, non-negative JSON number: a bool is not 1.0; errors name the file."""
         bad = tmp_path / "scores.json"
         bad.write_text(f'{{"layers": 1, "heads": 2, "scores": {text}}}')
         with pytest.raises(InvalidInputError, match=fragment) as info:

@@ -1,5 +1,6 @@
 """Tests for bbox-to-patch mapping, hit scoring, aggregation, GQA grouping."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -18,7 +19,6 @@ from sparsemm.chaser import (
     match_bbox_to_patches,
     normalize_corpus,
     save_scores,
-    score_file_hash,
     score_sample,
     token_positions,
 )
@@ -298,9 +298,9 @@ class TestScoreFileIO:
     def test_hash_stable(self, tmp_path):
         m = HeadScoreMatrix(np.ones((2, 2)), 1)
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        save_scores(p1, m)
-        save_scores(p2, m)
-        assert score_file_hash(p1) == score_file_hash(p2)
+        digest = save_scores(p1, m)
+        assert save_scores(p2, m) == digest
+        assert hashlib.sha256(p1.read_bytes()).hexdigest() == digest
 
     def test_file_with_retired_normalization_loads(self, tmp_path):
         path = tmp_path / "scores.json"

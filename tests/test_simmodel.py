@@ -428,6 +428,12 @@ class TestCorpusIO:
         save_corpus(d2, samples)
         assert corpus_digest(d1) == corpus_digest(d2)
 
+    @pytest.mark.parametrize("n, seed", [(1, 0), (3, 1), (12, 5)])
+    def test_save_returns_the_digest_of_what_it_wrote(self, tmp_path, n, seed):
+        """save_corpus hashes the bytes as it writes them; corpus_digest reads them back."""
+        digest = save_corpus(tmp_path, generate_ocr_samples(small_model(seed=31), n, seed))
+        assert digest == corpus_digest(tmp_path)
+
     def test_digest_sensitive_to_content(self, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"
         d1.mkdir()
