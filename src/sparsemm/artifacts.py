@@ -3,24 +3,28 @@
 `read_bytes`, `write_bytes`, `make_dir` and `list_dir` are the only calls in
 the package that touch the file system; each turns an OSError into an
 InvalidInputError naming the path, and `write_bytes` returns the hex sha256
-of what it wrote. The formats are built on them. Score files, plans, trace
-and corpus records, eviction reports and the bench JSON mirror are written by
-`write_json` in one canonical form, so equal objects give equal bytes; the
-CSV tables by `write_csv`. Readers open a JSON file with `read_object` and
-check its fields with `counts` and `numbers`; `elements` names a list's items
-for both. An array goes to a `.npy` payload by `write_array`, whose sha256
-its record keeps for `read_array`. A malformed file raises InvalidInputError
-naming it.
+of what it wrote. `check_writable` raises beforehand, and creates nothing,
+the error that writing a file or making a directory would raise, so a command
+can refuse an output before it does any work. The formats are built on them.
+Score files, plans, trace and corpus records, eviction reports and the bench
+JSON mirror are written by `write_json` in one canonical form, so equal
+objects give equal bytes; the CSV tables by `write_csv`. Readers open a JSON
+file with `read_object` and check its fields with `counts` and `numbers`;
+`elements` names a list's items for both. An array goes to a `.npy` payload
+by `write_array`, whose sha256 its record keeps for `read_array`. A malformed
+file raises InvalidInputError naming it.
 """
 
 from __future__ import annotations
 
 import csv
+import errno
 import hashlib
 import io
 import json
 import math
 import os
+import stat
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -28,9 +32,9 @@ import numpy as np
 
 from .errors import InvalidInputError
 
-__all__ = ["counts", "elements", "encode_array", "encode_json", "list_dir", "make_dir",
-           "numbers", "read_array", "read_bytes", "read_object", "write_array", "write_bytes",
-           "write_csv", "write_json"]
+__all__ = ["check_writable", "counts", "elements", "encode_array", "encode_json", "list_dir",
+           "make_dir", "numbers", "read_array", "read_bytes", "read_object", "write_array",
+           "write_bytes", "write_csv", "write_json"]
 
 
 @contextmanager
@@ -59,6 +63,31 @@ def make_dir(path) -> None:
     """Create directory `path` and its parents, unless it is one already."""
     with _os_errors(f"cannot create directory {path}"):
         os.makedirs(path, exist_ok=True)
+
+
+def check_writable(path, directory: bool = False) -> None:
+    """Raise now the InvalidInputError that writing file `path` would raise; create nothing.
+
+    The file's directory must exist and the file must not be a directory. With
+    `directory`, `path` is one that `make_dir` creates: it, or else its nearest
+    existing ancestor, must be a directory. The directory must be writable.
+    """
+    failure = f"cannot create directory {path}" if directory else f"cannot write {path}"
+    path = Path(path)
+    with _os_errors(failure):
+        if directory:
+            nearest = path
+            while not nearest.exists() and nearest != nearest.parent:
+                nearest = nearest.parent
+        elif path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        else:
+            nearest = path.parent
+        if not stat.S_ISDIR(os.stat(nearest).st_mode):
+            code = errno.EEXIST if nearest == path else errno.ENOTDIR
+            raise OSError(code, os.strerror(code))
+        if not os.access(nearest, os.W_OK | os.X_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
 
 
 def list_dir(path, what: str) -> list[str]:

@@ -17,7 +17,6 @@ rows of existing cells.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from functools import partial
 
@@ -457,6 +456,8 @@ def _merge_seed_lists(cfg: ExperimentConfig, fn, jobs: int):
     """fn's per-seed row lists, one per cell in order, merged cell-major."""
     runner = partial(fn, cfg)
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loaded only for a pool
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             per_seed = list(pool.map(runner, cfg.seeds))
     else:

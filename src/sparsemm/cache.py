@@ -22,13 +22,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .artifacts import write_csv, write_json
 from .errors import InvalidInputError, ShapeError
-from .tensor import CausalMask, Matrix, matmul_scaled, softmax_row_masked
+
+if TYPE_CHECKING:
+    from .tensor import Matrix
 
 __all__ = [
     "DecodeRecord",
@@ -50,8 +52,11 @@ def window_attention(q_local: Matrix, k_all: Matrix) -> Matrix:
     """Attention of the last-w prompt queries over all Lp prompt keys.
 
     Equals the final w rows of full causal attention over the prompt; only
-    those rows are ever computed.
+    those rows are ever computed. No pipeline path calls it, so `tensor` is
+    imported only here.
     """
+    from .tensor import CausalMask, matmul_scaled, softmax_row_masked
+
     w, lp = q_local.rows, k_all.rows
     if w > lp:
         raise InvalidInputError(f"window {w} exceeds prompt length {lp}")

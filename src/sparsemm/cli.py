@@ -8,8 +8,10 @@ scores into a budget plan, `compress` applies a plan to a prefill trace, and
 
 Every command prints one JSON summary line on success. Usage errors and
 contract violations, an output path that cannot be written included, exit 2
-with a structured {"error", "message"} object on stderr. Files are read and
-written only through `artifacts`.
+with a structured {"error", "message"} object on stderr; every output path is
+checked before the command reads an input or does any work. Files are read
+and written only through `artifacts`. `bench` is imported by `cmd_bench`
+alone, so the other commands do not load it.
 """
 
 from __future__ import annotations
@@ -22,8 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bench
-from .artifacts import counts, make_dir, read_array, read_object, write_array, write_json
+from .artifacts import (
+    check_writable, counts, make_dir, read_array, read_object, write_array, write_json,
+)
 from .allocator import (
     AllocationConfig,
     DEFAULT_RHO,
@@ -92,6 +95,7 @@ def _build_model(args: argparse.Namespace):
 
 
 def cmd_corpus(args: argparse.Namespace) -> dict:
+    check_writable(args.out_dir, directory=True)
     model = _build_model(args)
     samples = generate_ocr_samples(model, args.samples, args.seed)
     return {
@@ -103,6 +107,7 @@ def cmd_corpus(args: argparse.Namespace) -> dict:
 
 
 def cmd_chase(args: argparse.Namespace) -> dict:
+    check_writable(args.out)
     samples = load_corpus(args.corpus)
     scores, skipped = chase_corpus(samples)
     scores = aggregate_gqa_scores(scores, args.group)
@@ -119,6 +124,7 @@ def cmd_chase(args: argparse.Namespace) -> dict:
 
 
 def cmd_allocate(args: argparse.Namespace) -> dict:
+    check_writable(args.out)
     scores = None
     layers, heads = args.layers, args.heads
     if args.scores:
@@ -145,13 +151,15 @@ def cmd_allocate(args: argparse.Namespace) -> dict:
 
 
 def cmd_prefill(args: argparse.Namespace) -> dict:
+    out = Path(args.out)
+    if not out.name or out.suffix == ".npy":
+        raise InvalidInputError(f"--out {args.out!r} must name a trace file beside its .npy payload")
+    check_writable(out.with_suffix(".npy"))
+    check_writable(args.out)
     model = _build_model(args)
     geo = model.geometry
     if args.prompt_len < 1 or args.out_len < 1:
         raise InvalidInputError("prompt_len and out_len must be positive")
-    out = Path(args.out)
-    if not out.name or out.suffix == ".npy":
-        raise InvalidInputError(f"--out {args.out!r} must name a trace file beside its .npy payload")
     if args.prompt_len < args.window:
         # the whole prompt sits inside the window: there is no key to score,
         # and compress keeps every position
@@ -199,6 +207,9 @@ def _load_trace(path) -> tuple[np.ndarray, int, int]:
 
 
 def cmd_compress(args: argparse.Namespace) -> dict:
+    for out in (args.out_json, args.out_csv):
+        if out:
+            check_writable(out)
     scores, prompt_len, window = _load_trace(args.trace)
     plan = load_plan(args.plan)
     kept, report = compress_prefill(scores, plan, window, prompt_len)
@@ -216,6 +227,9 @@ def cmd_compress(args: argparse.Namespace) -> dict:
 
 
 def cmd_bench(args: argparse.Namespace) -> dict:
+    from . import bench
+
+    check_writable(args.out_dir, directory=True)
     cfg = bench.load_config(args.config)
     if args.seed:
         cfg = replace(cfg, seeds=tuple(s + args.seed for s in cfg.seeds))

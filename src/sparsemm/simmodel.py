@@ -696,10 +696,17 @@ def _load_payload(path, record: dict, prompt_len: int) -> AttentionTrace:
 def load_corpus(directory) -> OcrCorpus:
     """The (OcrSample, AttentionTrace) pairs of a `save_corpus` directory, in name order.
 
-    A missing or record-less directory fails at once. Sample i's files are read and checked
-    each time it is read; an unreadable, malformed or mismatched file raises InvalidInputError.
+    A missing or record-less directory, or a payload without its record (left by a
+    `save_corpus` cut short), fails at once. Sample i's files are read and checked each
+    time it is read; an unreadable, malformed or mismatched file raises InvalidInputError.
     """
-    stems = [n[: -len(".json")] for n in _corpus_names(directory) if n.endswith(".json")]
+    names = _corpus_names(directory)
+    stems = [n[: -len(".json")] for n in names if n.endswith(".json")]
+    orphans = sorted({n[: -len(".npy")] for n in names if n.endswith(".npy")} - set(stems))
+    if orphans:
+        raise InvalidInputError(
+            f"corpus payload {os.path.join(directory, orphans[0] + '.npy')} has no record"
+        )
     if not stems:
         raise InvalidInputError(f"no sample records in {directory}")
 

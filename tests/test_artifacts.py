@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 import sparsemm
 from sparsemm.allocator import AllocationConfig, allocate_uniform, load_plan, save_plan
 from sparsemm.artifacts import (
-    counts, elements, list_dir, make_dir, numbers, read_array, read_bytes, read_object, write_array,
-    write_bytes, write_csv, write_json,
+    check_writable, counts, elements, list_dir, make_dir, numbers, read_array, read_bytes,
+    read_object, write_array, write_bytes, write_csv, write_json,
 )
 from sparsemm.bench import load_config
 from sparsemm.chaser import HeadScoreMatrix, load_scores, save_scores
@@ -100,6 +100,28 @@ class TestFileBoundary:
         with pytest.raises(InvalidInputError, match=re.escape(f"cannot read thing {path}")):
             list_dir(path, "thing")
         assert (tmp_path / "blocker").read_text() == "a file"
+
+    @pytest.mark.parametrize("directory, name", [
+        (False, "nodir/x"), (False, "blocker/x"), (False, "adir"), (False, "blocker"), (False, "x"),
+        (True, "blocker"), (True, "blocker/x"), (True, "adir"), (True, "nodir/x"),
+    ])
+    def test_check_writable_raises_what_the_write_would(self, tmp_path, directory, name):
+        """The same error, or none, as `write_bytes` or `make_dir` on the path; nothing created."""
+        (tmp_path / "blocker").write_text("a file")
+        (tmp_path / "adir").mkdir()
+        path = tmp_path / name
+
+        def outcome(operation):
+            try:
+                operation(path)
+            except InvalidInputError as exc:
+                return str(exc)
+            return None
+
+        before = sorted(tmp_path.rglob("*"))
+        checked = outcome(lambda p: check_writable(p, directory=directory))
+        assert sorted(tmp_path.rglob("*")) == before
+        assert checked == outcome(make_dir if directory else lambda p: write_bytes(p, b"x"))
 
 
 class TestWriteJson:

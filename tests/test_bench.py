@@ -5,14 +5,20 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsemm import bench, chaser, simmodel
+from sparsemm import bench, chaser, cli, simmodel
 from sparsemm.bench import (
     ExperimentConfig,
     load_config,
@@ -35,7 +41,7 @@ from sparsemm.chaser import (
     token_positions,
 )
 from sparsemm.cli import main
-from sparsemm.errors import InvalidInputError
+from sparsemm.errors import InvalidInputError, SparseMMError
 from sparsemm.simmodel import (
     TEXT_TOKEN,
     ModelGeometry,
@@ -864,10 +870,34 @@ class TestCliInputErrors:
         assert not out_dir.exists()
 
 
+TINY_MODEL = ["--layers", "1", "--query-heads", "2", "--planted", "0,1"]
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """One corpus, score file, plan, trace and bench config for CLI cases to read."""
+    d = tmp_path_factory.mktemp("inputs")
+    for argv in (
+        ["corpus", *TINY_MODEL, "--samples", "2", "--out-dir", str(d / "corpus")],
+        ["chase", "--corpus", str(d / "corpus"), "--out", str(d / "scores.json")],
+        ["allocate", "--scores", str(d / "scores.json"), "--budget", "20", "--window", "8",
+         "--out", str(d / "plan.json")],
+        ["prefill", *TINY_MODEL, "--prompt-len", "40", "--window", "8",
+         "--out", str(d / "trace.json")],
+    ):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+    (d / "config.json").write_text(json.dumps({
+        "geometry": {"layers": 1, "query_heads": 2}, "planted": {"pairs": [[0, 1]]},
+        "seeds": [0],
+    }))
+    return d
+
+
 class TestCliOutputPaths:
     """An output that cannot be written exits 2 with InvalidInputError naming its path."""
 
-    MODEL = ["--layers", "1", "--query-heads", "2", "--planted", "0,1"]
+    MODEL = TINY_MODEL
     # output: (argv up to the output flag, "{in}" standing for the inputs; is it a directory)
     OUTPUTS = {
         "corpus-out-dir": (["corpus", *MODEL, "--samples", "1", "--out-dir"], True),
@@ -894,29 +924,9 @@ class TestCliOutputPaths:
                       ("in-a-missing-directory", "under-a-file", "on-a-directory"))
     ]
 
-    @pytest.fixture(scope="class")
-    def inputs(self, tmp_path_factory):
-        """One corpus, score file, plan, trace and bench config for every case to read."""
-        d = tmp_path_factory.mktemp("inputs")
-        for argv in (
-            ["corpus", *self.MODEL, "--samples", "2", "--out-dir", str(d / "corpus")],
-            ["chase", "--corpus", str(d / "corpus"), "--out", str(d / "scores.json")],
-            ["allocate", "--scores", str(d / "scores.json"), "--budget", "20", "--window", "8",
-             "--out", str(d / "plan.json")],
-            ["prefill", *self.MODEL, "--prompt-len", "40", "--window", "8",
-             "--out", str(d / "trace.json")],
-        ):
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert main(argv) == 0
-        (d / "config.json").write_text(json.dumps({
-            "geometry": {"layers": 1, "query_heads": 2}, "planted": {"pairs": [[0, 1]]},
-            "seeds": [0],
-        }))
-        return d
-
     @pytest.mark.parametrize("output, where", CASES, ids=[f"{o}-{w}" for o, w in CASES])
-    def test_unwritable_output_exits_2(self, inputs, tmp_path, capsys, output, where):
-        argv = [arg.replace("{in}", str(inputs)) for arg in self.OUTPUTS[output][0]]
+    def test_unwritable_output_exits_2(self, cli_inputs, tmp_path, capsys, output, where):
+        argv = [arg.replace("{in}", str(cli_inputs)) for arg in self.OUTPUTS[output][0]]
         (tmp_path / "blocker").write_text("not a directory")
         (tmp_path / "adir").mkdir()
         path, named = self.WHERE[where]
@@ -929,6 +939,152 @@ class TestCliOutputPaths:
         assert captured.out == ""
         assert not (tmp_path / "nodir").exists()
         assert (tmp_path / "blocker").read_text() == "not a directory"
+
+    def test_prefill_refuses_its_output_before_the_window_pass(self, tmp_path, capsys,
+                                                              monkeypatch):
+        """The output is checked first, so a bad `--out` costs no decode workload."""
+        calls = []
+        monkeypatch.setattr(simmodel.SyntheticModel, "decode_workload",
+                            lambda *args, **kwargs: calls.append(args))
+        out = tmp_path / "nodir" / "t.json"
+        assert main(["prefill", *self.MODEL, "--prompt-len", "40", "--window", "8",
+                     "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InvalidInputError"
+        assert str(tmp_path / "nodir") in err["message"]
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
+
+
+def _error_names(cls=SparseMMError) -> set[str]:
+    """The names of `cls` and of every subclass of it."""
+    return {cls.__name__}.union(*(_error_names(sub) for sub in cls.__subclasses__()))
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("an input was read or a model built before the outputs were checked")
+
+
+@st.composite
+def mutated_argvs(draw):
+    """(argv, mutation, flag): a valid argv of TestCliArgvMutations.ARGVS changed in one way.
+
+    "{in}" in the argv stands for the inputs' directory and "{out}" for a fresh
+    output directory holding an empty `adir`.
+    """
+    command = draw(st.sampled_from(sorted(TestCliArgvMutations.ARGVS)))
+    argv = list(TestCliArgvMutations.ARGVS[command])
+    mutation = draw(st.sampled_from(TestCliArgvMutations.MUTATIONS))
+    paths = TestCliArgvMutations.PATH_FLAGS
+    flags = [i for i, a in enumerate(argv)
+             if a.startswith("--") and (mutation not in ("missing-dir", "on-a-dir") or a in paths)]
+    i = draw(st.sampled_from(flags))
+    flag = argv[i]
+    if mutation == "drop":
+        del argv[i:i + 2]
+    elif mutation == "repeat":
+        argv += argv[i:i + 2]
+    elif mutation == "garble-flag":
+        argv[i] = draw(st.sampled_from([
+            flag.upper(), flag[:-1], flag[1:], flag + "x", flag.replace("-", "_"), "--", "-",
+        ]))
+    elif mutation == "garble-value":
+        argv[i + 1] = draw(st.sampled_from([
+            "", "x", "0", "-1", "1", "3", "1.5", "nan", "inf", "1e9", "0,1;0,1", ";", "--", "-",
+        ]))
+    elif mutation == "missing-dir":
+        argv[i + 1] = "{out}/nodir/" + argv[i + 1].rsplit("/", 1)[-1]
+    else:
+        argv[i + 1] = "{out}/adir"
+    return argv, mutation, flag
+
+
+class TestCliArgvMutations:
+    """A mutated argv exits 0, or exits 2 with a structured SparseMMError; it never raises."""
+
+    ARGVS = {
+        "corpus": ["corpus", *TINY_MODEL, "--samples", "1", "--out-dir", "{out}/corpus"],
+        "chase": ["chase", "--corpus", "{in}/corpus", "--out", "{out}/scores.json"],
+        "allocate": ["allocate", "--scores", "{in}/scores.json", "--budget", "20",
+                     "--window", "8", "--out", "{out}/plan.json"],
+        "prefill": ["prefill", *TINY_MODEL, "--prompt-len", "40", "--window", "8",
+                    "--out", "{out}/trace.json"],
+        "compress": ["compress", "--trace", "{in}/trace.json", "--plan", "{in}/plan.json",
+                     "--out-json", "{out}/report.json", "--out-csv", "{out}/report.csv"],
+        "bench": ["bench", "cost", "--config", "{in}/config.json", "--out-dir", "{out}/bench"],
+    }
+    MUTATIONS = ("drop", "repeat", "garble-flag", "garble-value", "missing-dir", "on-a-dir")
+    OUTPUT_FILES = ("--out", "--out-json", "--out-csv")
+    PATH_FLAGS = ("--corpus", "--scores", "--trace", "--plan", "--config", "--out-dir",
+                  *OUTPUT_FILES)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=mutated_argvs())
+    def test_mutated_argv_exits_0_or_2(self, cli_inputs, case):
+        argv, mutation, flag = case
+        bad_output = mutation in ("missing-dir", "on-a-dir") and flag in self.OUTPUT_FILES
+        with tempfile.TemporaryDirectory() as out:
+            (Path(out) / "adir").mkdir()
+            argv = [a.replace("{in}", str(cli_inputs)).replace("{out}", out) for a in argv]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            # an unwritable output must be refused before any input is read or model built
+            guard = (mock.patch.multiple(cli, load_corpus=_no_work, load_scores=_no_work,
+                                         load_plan=_no_work, _load_trace=_no_work,
+                                         _build_model=_no_work)
+                     if bad_output else contextlib.nullcontext())
+            # a garbled value may name a relative output; it lands in the example's directory
+            cwd = os.getcwd()
+            os.chdir(out)
+            try:
+                with guard, contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+                        warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    code = main(argv)
+            finally:
+                os.chdir(cwd)
+            assert code in (0, 2), argv
+            if code == 2:
+                err = json.loads(stderr.getvalue())
+                assert set(err) == {"error", "message"}
+                assert err["error"] in _error_names()
+                assert stdout.getvalue() == ""
+            if bad_output:
+                assert code == 2 and err["error"] == "InvalidInputError"
+                assert str(Path(out) / ("nodir" if mutation == "missing-dir" else "adir")) \
+                    in err["message"]
+
+
+def test_only_bench_loads_bench_and_only_jobs_above_1_load_the_pool(cli_inputs, tmp_path):
+    """`import sparsemm.cli` and the file flow load neither `bench`, `tensor` nor the
+    process pool; `bench cost --jobs 1` loads `bench`, and still no pool."""
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from sparsemm.cli import main\n"
+        "lazy = ('sparsemm.bench', 'sparsemm.tensor', 'concurrent.futures')\n"
+        "seen = [sorted(m for m in lazy if m in sys.modules)]\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "    seen.append(sorted(m for m in lazy if m in sys.modules))\n"
+        "print(json.dumps(seen))\n"
+    )
+    d, out = str(cli_inputs), str(tmp_path)
+    argvs = [
+        ["corpus", *TINY_MODEL, "--samples", "1", "--out-dir", f"{out}/corpus"],
+        ["chase", "--corpus", f"{d}/corpus", "--out", f"{out}/scores.json"],
+        ["allocate", "--scores", f"{d}/scores.json", "--budget", "20", "--window", "8",
+         "--out", f"{out}/plan.json"],
+        ["prefill", *TINY_MODEL, "--prompt-len", "40", "--window", "8",
+         "--out", f"{out}/trace.json"],
+        ["compress", "--trace", f"{d}/trace.json", "--plan", f"{d}/plan.json",
+         "--out-json", f"{out}/report.json"],
+        ["bench", "cost", "--config", f"{d}/config.json", "--out-dir", f"{out}/bench",
+         "--jobs", "1"],
+    ]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], capture_output=True,
+                            text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert json.loads(result.stdout) == [[]] * 6 + [["sparsemm.bench"]]
 
 
 class TestLoaderErrors:

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import tempfile
 import tracemalloc
 from dataclasses import replace
@@ -519,6 +520,14 @@ class TestCorpusIO:
         corpus[0]
         with pytest.raises(InvalidInputError, match="sha256"):
             corpus[1]
+
+    def test_payload_without_its_record_is_refused(self, tmp_path):
+        """A corpus cut short between a payload and its record does not read as a smaller one."""
+        save_corpus(tmp_path, generate_ocr_samples(small_model(seed=31), 3, seed=1))
+        (tmp_path / "sample_00002.json").unlink()
+        orphan = tmp_path / "sample_00002.npy"
+        with pytest.raises(InvalidInputError, match=f"{re.escape(str(orphan))} has no record"):
+            load_corpus(tmp_path)
 
     def test_chasing_a_stored_corpus_holds_one_trace_at_a_time(self, tmp_path):
         save_corpus(tmp_path, generate_ocr_samples(small_model(seed=31), 20, seed=1))
