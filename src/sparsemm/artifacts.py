@@ -71,7 +71,12 @@ def check_writable(path, directory: bool = False) -> None:
     The file's directory must exist and the file must not be a directory. With
     `directory`, `path` is one that `make_dir` creates: it, or else its nearest
     existing ancestor, must be a directory. The directory must be writable.
+    An empty path is refused: `Path("")` is the current directory.
     """
+    if not os.fspath(path):
+        raise InvalidInputError(
+            f"cannot {'create directory' if directory else 'write'}: the path is empty"
+        )
     failure = f"cannot create directory {path}" if directory else f"cannot write {path}"
     path = Path(path)
     with _os_errors(failure):

@@ -243,19 +243,30 @@ def replay_masked(geometry, workload, plans) -> list[DecodeRecord]:
     return _replay(geometry, workload, plans, [None, *workload.masked])
 
 
+# values in one chunk of ranked keys: `_step_mass` gathers this many at a time
+RANK_CHUNK_VALUES = 1 << 16
+
+
 def _step_mass(rows: np.ndarray, order: np.ndarray, lp: int, table: np.ndarray):
     """Fill one step's captured-mass table; return the always-kept and total mass.
 
     `rows` is (groups, group_size, lp + t), each kv group's query rows, and
     `order` (groups, 1, n) the group's keys left of the window, best first.
     table[..., 1:] receives the prompt mass summed in that order (column 0
-    stays 0), so keeping the best k keys captures table[..., k]. The window
-    and generated mass is kept by every plan. Both returns are
-    (groups, group_size).
+    stays 0), so keeping the best k keys captures table[..., k]. The keys are
+    gathered in ranked order a chunk of whole groups at a time, about
+    RANK_CHUNK_VALUES values, and each chunk is summed straight into its rows
+    of the table; a cumulative sum runs along each row, so the chunking moves
+    no bit. The window and generated mass is kept by every plan. Both returns
+    are (groups, group_size).
     """
+    groups, group_size, _ = rows.shape
     n = order.shape[2]
-    ranked = np.take_along_axis(rows[:, :, :lp], order, axis=2)
-    np.cumsum(ranked, axis=2, out=table[:, :, 1:])
+    chunk = max(1, RANK_CHUNK_VALUES // max(group_size * n, 1))
+    for start in range(0, groups, chunk):
+        part = slice(start, start + chunk)
+        ranked = np.take_along_axis(rows[part, :, :lp], order[part], axis=2)
+        np.cumsum(ranked, axis=2, out=table[part, :, 1:])
     always = rows[:, :, n:lp].sum(axis=2) + rows[:, :, lp:].sum(axis=2)
     return always, always + table[:, :, n]
 
@@ -296,8 +307,10 @@ def _replay(geometry, workload, plans, cells) -> list[DecodeRecord]:
     head_acc = np.zeros((len(plans), layers, query_heads))
     # one table for every step: column 0 stays 0, the rest is rewritten per step
     table = np.zeros((n_groups, group, n + 1))
-    t = -1
-    for t, rows in enumerate(workload.steps):
+    # steps are counted by hand and dropped at the end of the body, so no
+    # reference to step t outlives it while step t + 1 is drawn
+    t = 0
+    for rows in workload.steps:
         if t >= out_len or rows.shape != (layers, query_heads, lp + t):
             raise ShapeError(f"decode rows of step {t} do not match the geometry")
         grouped = rows.reshape(n_groups, group, lp + t)
@@ -319,8 +332,10 @@ def _replay(geometry, workload, plans, cells) -> list[DecodeRecord]:
             recall = ((kept_mass + captured) / row_mass).reshape(layers, query_heads)
             recalls[p, t] = recall.mean()
             head_acc[p] += recall
-    if t + 1 != out_len:
-        raise ShapeError(f"workload yields {t + 1} decode steps, expected {out_len}")
+        del rows, grouped
+        t += 1
+    if t != out_len:
+        raise ShapeError(f"workload yields {t} decode steps, expected {out_len}")
 
     steps = np.arange(out_len, dtype=np.int64)
     records = []

@@ -210,6 +210,37 @@ class AttentionTrace:
         return len(self.steps)
 
 
+# values in one row tile of a drawn block: `_draw_block` fills and normalizes a
+# block this many values at a time, so its scratch never needs a whole block
+TILE_VALUES = 1 << 16
+
+
+def _row_tiles(rows: int, visible: int) -> Iterator[tuple[int, int]]:
+    """The (start, stop) ranges of consecutive rows that `_draw_block` takes at a time.
+
+    A tile holds about TILE_VALUES values, and at least two rows: a tile of
+    one row occurs only when the block has one row, and a one-row remainder
+    joins the tile before it. That keeps each range total the same float sum
+    as the whole block's: numpy sums an (n, 1) copy pairwise, but an (n, T)
+    copy with T >= 2 position by position.
+    """
+    size = max(2, TILE_VALUES // max(visible, 1))
+    start = 0
+    while start < rows:
+        stop = rows if rows - start - size <= 1 else start + size
+        yield start, stop
+        start = stop
+
+
+def _tile_scratch(rows: int, visible: int) -> np.ndarray:
+    """A `_draw_block` scratch buffer for blocks of `rows` rows of up to `visible` values.
+
+    A tile of v-value rows holds at most min(rows, max(2, TILE_VALUES // v) + 1)
+    rows: at most TILE_VALUES + v values, or 3 * v where tiles are two rows.
+    """
+    return np.empty(min(rows * visible, max(TILE_VALUES + visible, 3 * visible)))
+
+
 def _normalize_blocks(draw: np.ndarray, roles, scratch: np.ndarray) -> np.ndarray:
     """Compose role-wise Dirichlet blocks into rows that sum to one, in place.
 
@@ -218,10 +249,8 @@ def _normalize_blocks(draw: np.ndarray, roles, scratch: np.ndarray) -> np.ndarra
     forfeit their mass to the rest (renormalized). A range's total is summed
     from a C-order copy that holds the position axis outermost, which fixes
     the order of its float sum. The copy is written into `scratch`, a flat
-    float64 buffer of at least `draw.size` values that the caller reuses for
-    every block it draws. A fresh copy per block, freed before the next one,
-    lets the allocator return its pages to the OS between blocks, and each
-    block then faults them in again.
+    float64 buffer of at least `draw.size` values; `_draw_block` passes one
+    row tile at a time, so the buffer is one tile, reused for every tile.
     """
     live = [(start, stop, m) for start, stop, m in roles if stop > start]
     z = sum(m for _, _, m in live)
@@ -242,15 +271,21 @@ def _draw_block(rng, draw: np.ndarray, n_pre: int, text_off: int, bg, scratch) -
     Positions run sinks [0, n_pre) | leak [n_pre, text_off) | text
     [text_off, visible); `bg` holds the (text, sink, leak) masses. A window
     row that does not reach text_off sees only part of the leak range.
-    `scratch` is `_normalize_blocks`'s buffer. Window rows are reduced as
-    soon as they are drawn, so they reuse one `draw`; decode steps are handed
-    to the caller, so each gets a fresh one. `standard_exponential` fills
-    `draw` with the values `rng.exponential(size=draw.shape)` would return.
+    The rows are drawn and normalized one `_row_tiles` tile at a time, and
+    `scratch` is `_normalize_blocks`' buffer, of `_tile_scratch` size. Filling
+    consecutive C-order tiles with `standard_exponential` gives the values one
+    fill of `draw` would, which are those of `rng.exponential(size=draw.shape)`.
+    Window rows are reduced as soon as they are drawn, so they reuse one
+    `draw`; decode steps are handed to the caller, so each gets a fresh one.
     """
     visible = draw.shape[2]
-    rng.standard_exponential(out=draw)
     roles = [(text_off, visible, bg[0]), (0, n_pre, bg[1]), (n_pre, min(text_off, visible), bg[2])]
-    return _normalize_blocks(draw, roles, scratch)
+    flat = draw.reshape(-1, visible)
+    for start, stop in _row_tiles(flat.shape[0], visible):
+        tile = flat[start:stop]
+        rng.standard_exponential(out=tile)
+        _normalize_blocks(tile, roles, scratch)
+    return draw
 
 
 def _draw_count(rng, span: tuple[int, int]) -> int:
@@ -347,9 +382,11 @@ class SyntheticModel:
 
         Each step draws its background, then each planted head hits the
         step's region with probability `strength`, then masked rows go uniform.
+        A yielded step is not referenced here once the caller asks for the
+        next, so a caller that drops it holds one step while the next is drawn.
         """
         geo = self.geometry
-        scratch = np.empty(geo.layers * geo.query_heads * (lp + len(regions)))
+        scratch = _tile_scratch(geo.layers * geo.query_heads, lp + len(regions) - 1)
         for t, region in enumerate(regions):
             block = np.empty((geo.layers, geo.query_heads, lp + t))
             _draw_block(rng, block, n_pre, text_off, bg, scratch)
@@ -359,6 +396,7 @@ class SyntheticModel:
                     block[l, h] = _plant_hit_row(rng, block[l, h], region)
             self._mask_rows(block, lp + t)
             yield block
+            del block
 
     def sample_ocr(self, rng) -> tuple[OcrSample, AttentionTrace]:
         """Generate one OCR-style sample and its decode trace."""
@@ -488,7 +526,7 @@ class SyntheticModel:
         n = lp - window
         window_scores = np.zeros((geo.layers, geo.kv_heads, n))
         rows = np.empty(geo.layers * geo.query_heads * lp)
-        scratch = np.empty(rows.size)
+        scratch = _tile_scratch(geo.layers * geo.query_heads, lp)
         for i in range(window):
             pos = lp - window + i
             visible = pos + 1

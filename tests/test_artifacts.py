@@ -123,6 +123,13 @@ class TestFileBoundary:
         assert sorted(tmp_path.rglob("*")) == before
         assert checked == outcome(make_dir if directory else lambda p: write_bytes(p, b"x"))
 
+    @pytest.mark.parametrize("directory", [False, True])
+    def test_check_writable_refuses_an_empty_path(self, tmp_path, monkeypatch, directory):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(InvalidInputError, match="the path is empty"):
+            check_writable("", directory=directory)
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestWriteJson:
     def test_canonical_form(self, tmp_path):

@@ -940,6 +940,20 @@ class TestCliOutputPaths:
         assert not (tmp_path / "nodir").exists()
         assert (tmp_path / "blocker").read_text() == "not a directory"
 
+    @pytest.mark.parametrize("output", ["corpus-out-dir", "bench-out-dir"])
+    def test_empty_output_directory_exits_2(self, cli_inputs, tmp_path, capsys, monkeypatch,
+                                            output):
+        """`--out-dir ""` is refused, not read as the current directory."""
+        argv = [arg.replace("{in}", str(cli_inputs)) for arg in self.OUTPUTS[output][0]]
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + [""]) == 2
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)
+        assert err == {"error": "InvalidInputError",
+                       "message": "cannot create directory: the path is empty"}
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_prefill_refuses_its_output_before_the_window_pass(self, tmp_path, capsys,
                                                               monkeypatch):
         """The output is checked first, so a bad `--out` costs no decode workload."""

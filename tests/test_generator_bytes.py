@@ -4,8 +4,10 @@ Every bench CSV and CLI artifact is computed from these rows, so a change to
 the generator that moves a single bit, or draws from its generator in
 another order, shows here first. The digests cover each corpus sample's
 fields and step rows, and each decode workload's window scores, decode steps
-and regions, for three models: MHA 2x4, GQA 2x4 over 2 kv heads with a
-masked planted head, and a prompt too short for an image grid.
+and regions, for four models: MHA 2x4, GQA 2x4 over 2 kv heads with a
+masked planted head, a prompt too short for an image grid, and 1x65 over 5
+kv heads at prompt 2048, whose window rows and decode steps span several row
+tiles of the generator and end in a one-row remainder.
 """
 
 import hashlib
@@ -51,11 +53,14 @@ def workload_digest(workload) -> str:
     return digest.hexdigest()
 
 
+PLANTED = ((0, 1), (1, 2))
+
 MODELS = {
-    # name: (query_heads, kv_heads, masked, seed, prompt_len, window)
-    "mha-2x4": (4, 4, (), 5, 160, 32),
-    "gqa-2x4-2kv-masked": (4, 2, ((0, 1), (1, 3)), 6, 160, 32),
-    "no-image-grid": (4, 2, (), 7, 6, 4),
+    # name: (layers, query_heads, kv_heads, planted, masked, seed, prompt_len, window)
+    "mha-2x4": (2, 4, 4, PLANTED, (), 5, 160, 32),
+    "gqa-2x4-2kv-masked": (2, 4, 2, PLANTED, ((0, 1), (1, 3)), 6, 160, 32),
+    "no-image-grid": (2, 4, 2, PLANTED, (), 7, 6, 4),
+    "multi-tile-1x65-5kv": (1, 65, 5, ((0, 1), (0, 40)), (), 8, 2048, 4),
 }
 
 DIGESTS = {
@@ -71,13 +76,17 @@ DIGESTS = {
         "3ce472820a881a77217d9ed80e772a4b3cfe003da008dff51158bedcc9b84b8e",
         "34133dec9ae49c3240bbded60b0b45dd9c978b04220bc62a5c21dc25c301438d",
     ),
+    "multi-tile-1x65-5kv": (
+        "d7de280e25985b22113ac5665f9591ff6b58fc51736edeb86a93129af36faa1d",
+        "557e377a9ce860cd2a485e9158258d6a8556aad6784a044cedf748f188e7021e",
+    ),
 }
 
 
 def _model(name):
-    query_heads, kv_heads, masked, seed, _, _ = MODELS[name]
-    planted = PlantedHeadSet.uniform([(0, 1), (1, 2)], 0.8)
-    model = build_synthetic_model(ModelGeometry(2, query_heads, kv_heads), planted, seed)
+    layers, query_heads, kv_heads, planted, masked, seed, _, _ = MODELS[name]
+    planted = PlantedHeadSet.uniform(planted, 0.8)
+    model = build_synthetic_model(ModelGeometry(layers, query_heads, kv_heads), planted, seed)
     return mask_heads(model, masked)
 
 

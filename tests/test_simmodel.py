@@ -7,6 +7,7 @@ import math
 import re
 import tempfile
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binomtest
 
-from sparsemm import simmodel
+from sparsemm import cache, simmodel
 from sparsemm.allocator import POLICY_NAMES, AllocationConfig, BudgetPlan, allocate, allocate_uniform
 from sparsemm.cache import compress_prefill, replay_masked, replay_plans
 from sparsemm.chaser import HeadScoreMatrix, chase_corpus, match_bbox_to_patches
@@ -670,6 +671,130 @@ class TestNormalizeBlocks:
         assert got is draw
         assert np.array_equal(got, want)
 
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.integers(1, 200), visible=st.integers(0, 3 * simmodel.TILE_VALUES))
+    def test_row_tiles_partition_the_rows(self, rows, visible):
+        tiles = list(simmodel._row_tiles(rows, visible))
+        assert [start for start, _ in tiles] == [0, *(stop for _, stop in tiles[:-1])]
+        assert tiles[-1][1] == rows
+        sizes = [stop - start for start, stop in tiles]
+        # one row alone only when the block is one row
+        assert min(sizes) >= 2 or rows == 1
+        # every tile fits the scratch buffer of any longer visible length
+        assert max(sizes) * visible <= simmodel._tile_scratch(rows, visible + 7).size
+
+    @pytest.mark.parametrize(
+        "shape, n_pre, text_off",
+        [
+            ((1, 33, 2048), 4, 2024),  # 32-row tiles; a one-row remainder joins the last
+            ((5, 13, 2048), 4, 2024),  # 32 + 33 rows
+            ((2, 40, 2048), 4, 2024),  # 32 + 32 + 16 rows
+            ((3, 11, 6000), 0, 5990),  # 10-row tiles, a three-row remainder; no sinks
+            ((1, 5, 40000), 4, 39990),  # visible above half a tile: 2 + 3 rows
+            ((1, 4, 40000), 2, 40010),  # 2 + 2 rows; text_off beyond the row
+            ((1, 1, 70000), 4, 69990),  # one row longer than a tile
+            ((1, 1, 7), 2, 5),
+        ],
+    )
+    def test_draw_block_in_row_tiles_matches_whole_block_oracle(self, shape, n_pre, text_off):
+        """`_draw_block` draws and sums tile by tile; its bits are the whole block's."""
+        visible = shape[2]
+        bg = simmodel.DECODE_BG
+        draw = np.random.default_rng(visible).exponential(size=shape)
+        want = oracle_normalize_blocks(draw, [
+            (np.arange(text_off, visible), bg[0]),
+            (np.arange(n_pre), bg[1]),
+            (np.arange(n_pre, min(text_off, visible)), bg[2]),
+        ])
+        scratch = simmodel._tile_scratch(shape[0] * shape[1], visible)
+        scratch[:] = np.nan
+        got = simmodel._draw_block(
+            np.random.default_rng(visible), np.empty(shape), n_pre, text_off, bg, scratch
+        )
+        assert np.array_equal(got, want)
+
+
+def one_at_a_time(steps):
+    """Yield a fresh copy of each of `steps`, checking that the last is dead first.
+
+    Through a weakref, each copy must be gone before the next is made, so a
+    consumer that holds step t while step t + 1 is built fails.
+    """
+    ref = None
+    for drawn in steps:
+        assert ref is None or ref() is None, "a decode step outlived the read of the next"
+        rows = drawn.copy()
+        del drawn
+        ref = weakref.ref(rows)
+        yield rows
+        del rows
+
+
+class TestOneStepAlive:
+    """Decoding holds one step's rows: step t is freed before step t + 1 is drawn."""
+
+    def test_a_read_step_is_freed_before_the_next_is_drawn(self):
+        """Drawing step 1 peaks at one step and a tile, not at two steps."""
+        geo = ModelGeometry(4, 16, 4)
+        lp = 4096
+        workload = small_model(seed=48, geometry=geo).decode_workload(lp, 3, 8)
+        block = geo.layers * geo.query_heads * lp * 8
+        tracemalloc.start()
+        try:
+            it = iter(workload.steps)
+            ref = weakref.ref(next(it))
+            tracemalloc.reset_peak()
+            assert next(it).shape == (4, 16, lp + 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ref() is None
+        # the new step and the tile scratch (0.26 blocks); step 0 still held
+        # while step 1 is allocated would add a block
+        assert peak < 1.6 * block
+
+    @pytest.mark.parametrize("masks", [(), [[(0, 1)], [(1, 0), (1, 3)]]])
+    def test_replay_drops_each_step_before_the_next(self, masks):
+        geo = ModelGeometry(2, 4, 2)
+        model = small_model(seed=49, strength=0.8, planted=((0, 1), (1, 2)), geometry=geo)
+        workload = model.decode_workload(64, 4, 8, masks)
+        plans = [allocate_uniform(AllocationConfig(2 * 2 * 24, window=8), 2, 2)] * (
+            1 + len(workload.masked)
+        )
+        replay = replay_masked if masks else replay_plans
+        checked = replace(workload, steps=one_at_a_time(workload.steps))
+        for got, want in zip(replay(geo, checked, plans), replay(geo, workload, plans),
+                             strict=True):
+            assert np.array_equal(got.recall_per_step, want.recall_per_step)
+            assert np.array_equal(got.head_mean_recall, want.head_mean_recall)
+
+    def test_stage_peaks_in_step_blocks(self):
+        """Window pass and replay at a geometry whose rows span several tiles.
+
+        A step block is one (layers, query_heads, Lp) float64 array. The window
+        pass holds its rows buffer, the scores and one tile's scratch (about
+        2.3 blocks here); a block-sized scratch reaches 3.0. The replay holds
+        its table and one step (about 3.0 blocks); holding the previous step,
+        a block-sized scratch and a ranked copy reaches 4.3.
+        """
+        geo = ModelGeometry(4, 16, 4)
+        lp, w = 4096, 8
+        model = small_model(seed=50, strength=0.8, planted=((0, 1), (3, 5)), geometry=geo)
+        plan = allocate_uniform(AllocationConfig(4 * 4 * 64, window=w), 4, 4)
+        block = geo.layers * geo.query_heads * lp * 8
+        tracemalloc.start()
+        try:
+            workload = model.decode_workload(lp, 3, w)
+            _, window_peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+            tracemalloc.start()
+            replay_plans(geo, workload, [plan])
+            _, replay_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert window_peak < 2.6 * block
+        assert replay_peak < 3.5 * block
+
 
 class TestDecodeWithCache:
     """Recall and slot accounting of `replay_plans` on model decode workloads."""
@@ -768,6 +893,20 @@ class TestReplayPlans:
             full = plan.budgets >= lp
             if full.all():
                 assert (fast.recall_per_step == 1.0).all()
+
+    @pytest.mark.parametrize("masks", [(), [[(0, 1)], [(1, 2), (1, 3)]]])
+    def test_ranking_in_chunks_moves_no_bit(self, monkeypatch, masks):
+        """Chunks of one kv group give the records of one chunk of every group."""
+        geo = ModelGeometry(2, 4, 2)
+        model = small_model(seed=54, strength=0.8, planted=((0, 1), (1, 2)), geometry=geo)
+        workload = model.decode_workload(96, 3, 8, masks)
+        plans = [allocate_uniform(AllocationConfig(2 * 2 * 40, window=8), 2, 2)] * (1 + len(masks))
+        replay = replay_masked if masks else replay_plans
+        whole = replay(geo, workload, plans)
+        monkeypatch.setattr(cache, "RANK_CHUNK_VALUES", 1)
+        for got, want in zip(replay(geo, workload, plans), whole, strict=True):
+            assert np.array_equal(got.recall_per_step, want.recall_per_step)
+            assert np.array_equal(got.head_mean_recall, want.head_mean_recall)
 
     def test_tied_scores_follow_the_shared_tie_rule(self):
         # coarse scores tie often, so only the tie rule decides which keys a
