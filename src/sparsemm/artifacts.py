@@ -11,8 +11,9 @@ JSON mirror are written by `write_json` in one canonical form, so equal
 objects give equal bytes; the CSV tables by `write_csv`. Readers open a JSON
 file with `read_object` and check its fields with `counts` and `numbers`;
 `elements` names a list's items for both. An array goes to a `.npy` payload
-by `write_array`, whose sha256 its record keeps for `read_array`. A malformed
-file raises InvalidInputError naming it.
+by `write_array`, whose sha256 its record keeps for `read_array`, which also
+refuses a value that is not finite and non-negative. A malformed file raises
+InvalidInputError naming it.
 """
 
 from __future__ import annotations
@@ -203,7 +204,10 @@ def read_array(path, sha256: str, shape: tuple, what: str) -> np.ndarray:
     """The float64 array of `shape` that `write_array` wrote to `path` with digest `sha256`.
 
     Unreadable or altered bytes, anything but one `.npy` array (pickles are
-    refused), or another dtype or shape raise InvalidInputError naming `what`.
+    refused), another dtype or shape, or a value that is not finite and
+    non-negative raise InvalidInputError naming `what` and `path`. Both payload
+    kinds, a corpus sample's rows and a trace's window scores, are non-negative
+    by format.
     """
     data = read_bytes(path, what)
     if hashlib.sha256(data).hexdigest() != sha256:
@@ -219,4 +223,11 @@ def read_array(path, sha256: str, shape: tuple, what: str) -> np.ndarray:
     if arr.shape != shape:
         raise InvalidInputError(f"{what} {path} holds a {arr.ndim}-D array of {arr.size} values, "
                                 f"its record implies shape {shape}")
+    if arr.size:
+        lo, hi = arr.min(), arr.max()  # both NaN if any value is
+        finite = math.isfinite(lo) and math.isfinite(hi)
+        if not finite or lo < 0:
+            kind = "negative" if finite else "non-finite"
+            raise InvalidInputError(f"{what} {path} holds a {kind} value; values must be "
+                                    "finite and >= 0")
     return arr

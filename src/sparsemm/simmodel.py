@@ -148,22 +148,14 @@ class OcrSample:
     """One generated sample: image geometry, per-token bbox truth, prompt roles.
 
     prompt_layout holds TEXT_TOKEN for text positions and the patch index
-    (row-major) for image positions: every patch of the grid appears once.
+    (row-major) for image positions: every patch of the grid appears once. The
+    generator lays the prompt out so, and `load_corpus` checks each record.
     """
 
     image_shape: tuple[int, int]
     grid: tuple[int, int]
     pairs: tuple[tuple[int, tuple[float, float, float, float]], ...]
     prompt_layout: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        labels = sorted(role for role in self.prompt_layout if role != TEXT_TOKEN)
-        n_patches = self.grid[0] * self.grid[1]
-        if len(labels) != n_patches or labels != list(range(n_patches)):
-            raise InvalidInputError(
-                f"layout's {len(labels)} image tokens are not the grid's patch indices "
-                f"0..{n_patches - 1}, each once"
-            )
 
     @property
     def prompt_len(self) -> int:
@@ -172,7 +164,12 @@ class OcrSample:
 
 @dataclass(frozen=True)
 class AttentionTrace:
-    """Per output token, the (layers, query_heads, prompt_len + t) attention rows."""
+    """Per output token, the (layers, query_heads, prompt_len + t) attention rows.
+
+    Each row is a probability vector: the generator draws it so, and
+    `load_corpus` checks every row it reads, so the trace checks only shapes.
+    It holds each step as a read-only view of the array given, not a copy.
+    """
 
     steps: tuple[np.ndarray, ...]
     prompt_len: int
@@ -190,11 +187,9 @@ class AttentionTrace:
                 raise ShapeError(
                     f"step {t} rows have length {arr.shape[2]}, expected {self.prompt_len + t}"
                 )
-            if np.abs(arr.sum(axis=2) - 1.0).max() > 1e-9 or (arr < 0).any():
-                raise InvalidInputError(f"step {t} rows are not probability vectors")
-            arr = arr.copy()
-            arr.setflags(write=False)
-            frozen.append(arr)
+            view = arr.view()
+            view.setflags(write=False)
+            frozen.append(view)
         object.__setattr__(self, "steps", tuple(frozen))
 
     @property
@@ -713,30 +708,45 @@ def _load_record(path) -> tuple[OcrSample, dict]:
         (tok,) = counts({f"pairs[{i}][0]": tok}, where)
         bbox = numbers(elements(bbox, f"pairs[{i}][1]", where, 4), where)
         pairs.append((tok, tuple(float(v) for v in bbox)))
-    sample = OcrSample(
-        tuple(counts(elements(record["image_shape"], "image_shape", where, 2), where, 1)),
-        tuple(counts(elements(record["grid"], "grid", where, 2), where, 1)),
-        tuple(pairs),
-        tuple(counts(elements(record["prompt_layout"], "prompt_layout", where), where, TEXT_TOKEN)),
-    )
-    return sample, record
+    image_shape = tuple(counts(elements(record["image_shape"], "image_shape", where, 2), where, 1))
+    grid = tuple(counts(elements(record["grid"], "grid", where, 2), where, 1))
+    layout = counts(elements(record["prompt_layout"], "prompt_layout", where), where, TEXT_TOKEN)
+    labels = sorted(role for role in layout if role != TEXT_TOKEN)
+    n_patches = grid[0] * grid[1]
+    # each patch index once; the count goes first, so a huge grid never builds a range
+    if len(labels) != n_patches or labels != list(range(n_patches)):
+        raise InvalidInputError(
+            f"{where}: layout's {len(labels)} image tokens are not the grid's patch indices "
+            f"0..{n_patches - 1}, each once"
+        )
+    return OcrSample(image_shape, grid, tuple(pairs), tuple(layout)), record
 
 
 def _load_payload(path, record: dict, prompt_len: int) -> AttentionTrace:
-    """The trace stored in a `.npy` payload, checked against its record."""
+    """The trace stored in a `.npy` payload, checked against its record.
+
+    `read_array` checks the values; each row must also sum to 1 within 1e-9.
+    """
     layers, heads, n_steps = record["layers"], record["query_heads"], record["steps"]
     expected = layers * heads * (n_steps * prompt_len + n_steps * (n_steps - 1) // 2)
     flat = read_array(path, record["sha256"], (expected,), "corpus payload")
     steps = np.split(flat, np.cumsum(layers * heads * (prompt_len + np.arange(n_steps)))[:-1])
-    return AttentionTrace(tuple(step.reshape(layers, heads, -1) for step in steps), prompt_len)
+    steps = tuple(step.reshape(layers, heads, -1) for step in steps)
+    for t, step in enumerate(steps):
+        if np.abs(step.sum(axis=2) - 1.0).max() > 1e-9:
+            raise InvalidInputError(f"corpus payload {path}: step {t} rows do not sum to 1")
+    return AttentionTrace(steps, prompt_len)
 
 
 def load_corpus(directory) -> OcrCorpus:
     """The (OcrSample, AttentionTrace) pairs of a `save_corpus` directory, in name order.
 
     A missing or record-less directory, or a payload without its record (left by a
-    `save_corpus` cut short), fails at once. Sample i's files are read and checked each
-    time it is read; an unreadable, malformed or mismatched file raises InvalidInputError.
+    `save_corpus` cut short), fails at once, and so does a malformed first record,
+    which is read now for the corpus's (layers, query_heads). Sample i's files are
+    read and checked each time it is read; an unreadable, malformed or mismatched
+    file raises InvalidInputError, and a record of other (layers, query_heads) than the
+    first raises ShapeError.
     """
     names = _corpus_names(directory)
     stems = [n[: -len(".json")] for n in names if n.endswith(".json")]
@@ -747,10 +757,19 @@ def load_corpus(directory) -> OcrCorpus:
         )
     if not stems:
         raise InvalidInputError(f"no sample records in {directory}")
+    first = os.path.join(directory, stems[0] + ".json")
+    _, record = _load_record(first)
+    heads = (record["layers"], record["query_heads"])
 
     def read(i: int) -> tuple[OcrSample, AttentionTrace]:
         stem = os.path.join(directory, stems[i])
         sample, record = _load_record(stem + ".json")
+        got = (record["layers"], record["query_heads"])
+        if got != heads:
+            raise ShapeError(
+                f"corpus record {stem}.json scores {got} (layers, query_heads), "
+                f"the first record {first} {heads}"
+            )
         return sample, _load_payload(stem + ".npy", record, sample.prompt_len)
 
     return OcrCorpus(len(stems), read)

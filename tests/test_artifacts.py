@@ -245,6 +245,9 @@ class TestArrayPayload:
         ("npz", "an .npz archive"),
         ("float32", "dtype float32"),
         ("shape", r"holds a 2-D array of 6 values, its record implies shape \(3, 2, 1\)"),
+        ("nan", "holds a non-finite value; values must be finite and >= 0"),
+        ("inf", "holds a non-finite value"),
+        ("negative", "holds a negative value; values must be finite and >= 0"),
     ])
     def test_rejects(self, tmp_path, case, fragment):
         path = tmp_path / "a.npy"
@@ -266,6 +269,10 @@ class TestArrayPayload:
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
         elif case == "float32":
             digest = self._write(path, np.ones((3, 2), dtype=np.float32))
+        elif case in ("nan", "inf", "negative"):
+            values = np.ones((3, 2))
+            values[2, 1] = {"nan": np.nan, "inf": np.inf, "negative": -1e-300}[case]
+            digest = self._write(path, values)
         shape = (3, 2, 1) if case == "shape" else (3, 2)
         with pytest.raises(InvalidInputError, match=fragment) as info:
             read_array(path, digest, shape, "thing")

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -41,7 +42,7 @@ from sparsemm.chaser import (
     token_positions,
 )
 from sparsemm.cli import main
-from sparsemm.errors import InvalidInputError, SparseMMError
+from sparsemm.errors import InvalidInputError, ShapeError, SparseMMError
 from sparsemm.simmodel import (
     TEXT_TOKEN,
     ModelGeometry,
@@ -1229,14 +1230,15 @@ class TestCorpusLoaderErrors:
         save_corpus(directory, generate_ocr_samples(model, 2, 3))
         return directory
 
-    def _rejects(self, directory, tmp_path, capsys, fragment):
-        with pytest.raises(InvalidInputError, match=fragment):
+    def _rejects(self, directory, tmp_path, capsys, fragment, error=InvalidInputError):
+        with pytest.raises(error, match=fragment):
             list(load_corpus(directory))
         capsys.readouterr()
         assert main(["chase", "--corpus", str(directory), "--out", str(tmp_path / "s.json")]) == 2
         err = json.loads(capsys.readouterr().err)
         assert set(err) == {"error", "message"}
-        assert err["error"] == "InvalidInputError"
+        assert err["error"] == error.__name__
+        assert re.search(fragment, err["message"])
         assert not (tmp_path / "s.json").exists()
 
     def _edit_record(self, directory, edit, stem="sample_00001"):
@@ -1290,7 +1292,7 @@ class TestCorpusLoaderErrors:
     ])
     def test_record_field_of_wrong_type(self, corpus, tmp_path, capsys, field, value, fragment):
         self._edit_record(corpus, lambda record: record.update({field: value}))
-        self._rejects(corpus, tmp_path, capsys, fragment)
+        self._rejects(corpus, tmp_path, capsys, rf"sample_00001\.json: .*{fragment}")
 
     @pytest.mark.parametrize("label", [1000000, "repeat"])
     def test_layout_label_outside_the_grid_patches(self, corpus, tmp_path, capsys, label):
@@ -1300,7 +1302,61 @@ class TestCorpusLoaderErrors:
             layout[image[0]] = layout[image[1]] if label == "repeat" else label
 
         self._edit_record(corpus, tamper)
-        self._rejects(corpus, tmp_path, capsys, "patch indices")
+        self._rejects(corpus, tmp_path, capsys, r"sample_00001\.json: .* patch indices")
+
+    def test_sample_layout_must_cover_grid(self, corpus, tmp_path, capsys):
+        """A layout that misses one of the grid's patches is refused, naming the record."""
+        def drop_last_patch(record):
+            layout = record["prompt_layout"]
+            layout.remove(max(layout))
+
+        self._edit_record(corpus, drop_last_patch)
+        self._rejects(corpus, tmp_path, capsys, r"sample_00001\.json: layout's \d+ image tokens")
+
+    def test_record_of_other_heads(self, corpus, tmp_path, capsys):
+        """A 2x2 sample copied into a 1x2 corpus is refused in any order of access."""
+        model = build_synthetic_model(
+            ModelGeometry.mha(2, 2), PlantedHeadSet.uniform([(0, 1)], 0.9), 3
+        )
+        save_corpus(tmp_path / "other", generate_ocr_samples(model, 1, 3))
+        for suffix in (".json", ".npy"):
+            (tmp_path / "other" / f"sample_00000{suffix}").replace(corpus / f"sample_00001{suffix}")
+        fragment = (r"sample_00001\.json scores \(2, 2\) \(layers, query_heads\), "
+                    r"the first record .*sample_00000\.json \(1, 2\)")
+        for order in ((1,), (0, 1), (1, 0)):
+            samples = load_corpus(corpus)
+            with pytest.raises(ShapeError, match=fragment):
+                for i in order:
+                    samples[i]
+        assert load_corpus(corpus)[0][1].layers == 1
+        self._rejects(corpus, tmp_path, capsys, fragment, error=ShapeError)
+
+    def _edit_first_row(self, directory, edit):
+        """Apply `edit` to the first row of sample 1's step 0 and rewrite its payload."""
+        prompt_len = len(json.loads((directory / "sample_00001.json").read_text())["prompt_layout"])
+        flat = self._payload(directory).copy()
+        edit(flat[:prompt_len])
+        self._replace_payload(directory, flat)
+
+    def test_rows_must_be_finite(self, corpus, tmp_path, capsys):
+        """A NaN row passes a sum check (NaN > 1e-9 is false); the payload read refuses it."""
+        self._edit_first_row(corpus, lambda row: row.fill(np.nan))
+        self._rejects(corpus, tmp_path, capsys, r"sample_00001\.npy holds a non-finite value")
+
+    def test_rows_must_be_non_negative(self, corpus, tmp_path, capsys):
+        def shift(row):  # the row still sums to 1
+            row[0] -= 0.5
+            row[1] += 0.5
+
+        self._edit_first_row(corpus, shift)
+        self._rejects(corpus, tmp_path, capsys, r"sample_00001\.npy holds a negative value")
+
+    def test_rows_must_normalize(self, corpus, tmp_path, capsys):
+        def scale(row):
+            row *= 1 + 1e-6
+
+        self._edit_first_row(corpus, scale)
+        self._rejects(corpus, tmp_path, capsys, r"sample_00001\.npy: step 0 rows do not sum to 1")
 
     def test_old_format_record_with_rows(self, corpus, tmp_path, capsys):
         def to_old_format(record):
@@ -1500,4 +1556,13 @@ class TestCompressTraceValidation:
         scores = self._payload(trace).copy()
         scores[1, 0, 5] = np.nan
         self._replace_payload(trace, scores)
-        assert "finite" in self._rejects(trace, plan, capsys)
+        message = self._rejects(trace, plan, capsys)
+        assert "finite" in message and "trace.npy" in message
+
+    def test_negative_scores(self, files, capsys):
+        trace, plan = files
+        scores = self._payload(trace).copy()
+        scores[0, 1, 2] = -1e-3
+        self._replace_payload(trace, scores)
+        message = self._rejects(trace, plan, capsys)
+        assert f"trace payload {trace.with_suffix('.npy')} holds a negative value" in message

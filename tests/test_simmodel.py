@@ -220,15 +220,18 @@ class TestPlantedHeadSet:
 
 
 class TestTraceValidation:
-    def test_rows_must_normalize(self):
-        bad = np.full((1, 1, 3), 0.5)
-        with pytest.raises(InvalidInputError):
-            AttentionTrace((bad,), 3)
+    """A trace checks its steps' shapes only; the loader checks the values it reads."""
 
-    def test_rows_must_be_non_negative(self):
-        bad = np.array([[[1.5, -0.5, 0.0]]])
-        with pytest.raises(InvalidInputError):
-            AttentionTrace((bad,), 3)
+    @pytest.mark.parametrize("steps, error, fragment", [
+        ((), InvalidInputError, "at least one step"),
+        ((np.full((1, 2, 3), 1 / 3), np.full((2, 1, 4), 0.25)), ShapeError,
+         r"must share \(layers, heads\)"),
+        ((np.full((1, 2, 3), 1 / 3), np.full((1, 2, 3), 1 / 3)), ShapeError,
+         "step 1 rows have length 3, expected 4"),
+    ], ids=["no-step", "mismatched-heads", "wrong-step-length"])
+    def test_structure(self, steps, error, fragment):
+        with pytest.raises(error, match=fragment):
+            AttentionTrace(steps, 3)
 
     def test_steps_are_frozen(self):
         ok = np.full((1, 1, 4), 0.25)
@@ -236,9 +239,13 @@ class TestTraceValidation:
         with pytest.raises(ValueError):
             trace.steps[0][0, 0, 0] = 1.0
 
-    def test_sample_layout_must_cover_grid(self):
-        with pytest.raises(InvalidInputError):
-            OcrSample((100, 100), (2, 2), (), (TEXT_TOKEN, 0, 1, 2))
+    def test_steps_are_read_only_views_of_the_arrays_given(self):
+        given = (np.full((1, 2, 4), 0.25), np.full((1, 2, 5), 0.2))
+        trace = AttentionTrace(given, 4)
+        for step, array in zip(trace.steps, given, strict=True):
+            assert np.shares_memory(step, array)
+            assert not step.flags.writeable
+            assert array.flags.writeable
 
 
 class TestDeterminism:
