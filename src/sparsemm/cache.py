@@ -214,11 +214,13 @@ def replay_plans(geometry, workload, plans) -> list[DecodeRecord]:
     order, so a model-built workload has one step's rows in memory at a time.
     A plan keeps, per kv head, the window plus its best b - w ranked keys,
     which is what `compress_prefill` keeps, so every plan cuts the same key
-    order. Each decode step builds one table of cumulative captured mass over
-    the ranked keys,
-    (layers, query_heads, Lp - w + 1); a plan's captured mass is window mass +
-    generated mass + table[b - w]. A head with b >= Lp reads the row total, so
-    its recall is exactly 1. Slot counts follow from min(b, Lp) alone.
+    order. Each decode step is ranked a chunk of kv groups at a time: the
+    chunk's keys are summed in ranked order into one scratch table of
+    cumulative captured mass, (chunk, group_size, Lp - w + 1), and every plan
+    reads its captured mass for those groups there before the next chunk is
+    summed; a plan's kept mass is window mass + generated mass + table[b - w].
+    No table of the whole step is built. A head with b >= Lp reads the row
+    total, so its recall is exactly 1. Slot counts follow from min(b, Lp) alone.
     """
     return _replay(geometry, workload, plans, [None] * len(plans))
 
@@ -231,8 +233,9 @@ def replay_masked(geometry, workload, plans) -> list[DecodeRecord]:
     `workload.masked[i].heads` masked. Those rows are the workload's with
     each masked row set to exactly 1/(Lp + t), and their window scores
     differ only in the masked set's kv groups. So each step is read once:
-    the table and the window and generated mass are built for every head,
-    then, per masked set, again for its groups' rows alone, and spliced in.
+    the captured, window and generated mass are read for every head, then,
+    per masked set, again for its groups' rows alone, through the same chunk
+    scratch, and spliced in.
     A record equals `replay_plans` on the masked model's own workload bit for
     bit, since each head's values come from the same rows by the same sums.
     """
@@ -243,32 +246,46 @@ def replay_masked(geometry, workload, plans) -> list[DecodeRecord]:
     return _replay(geometry, workload, plans, [None, *workload.masked])
 
 
-# values in one chunk of ranked keys: `_step_mass` gathers this many at a time
+# values in one chunk of ranked keys: `_step_mass` ranks and sums this many at a time
 RANK_CHUNK_VALUES = 1 << 16
 
 
-def _step_mass(rows: np.ndarray, order: np.ndarray, lp: int, table: np.ndarray):
-    """Fill one step's captured-mass table; return the always-kept and total mass.
+def _step_mass(rows, order, lp, index, scratch, groups=None, masked_rows=None):
+    """One step's always-kept, prompt-total and captured mass, a chunk of kv groups at a time.
 
     `rows` is (groups, group_size, lp + t), each kv group's query rows, and
-    `order` (groups, 1, n) the group's keys left of the window, best first.
-    table[..., 1:] receives the prompt mass summed in that order (column 0
-    stays 0), so keeping the best k keys captures table[..., k]. The keys are
-    gathered in ranked order a chunk of whole groups at a time, about
-    RANK_CHUNK_VALUES values, and each chunk is summed straight into its rows
-    of the table; a cumulative sum runs along each row, so the chunking moves
-    no bit. The window and generated mass is kept by every plan. Both returns
-    are (groups, group_size).
+    `order` (k, 1, n) the keys left of the window, best first, for k groups:
+    every group of `rows`, or `rows[groups]` with `masked_rows` (k, group_size)
+    set to 1/(lp + t). `index` (k, group_size, plans) holds each plan's count
+    of kept ranked keys. Per chunk of whole groups, about RANK_CHUNK_VALUES
+    values, the keys are gathered in ranked order and summed into `scratch`
+    (chunk, group_size, n + 1), whose column 0 stays 0, so keeping the best j
+    keys captures scratch[..., j]: every plan reads its captured mass there,
+    and the prompt total is the last column. A cumulative sum runs along each
+    row, so the chunking moves no bit. Returns the window and generated mass,
+    which every plan keeps, and the row total, (k, group_size) each, and the
+    captured mass, (k, group_size, plans).
     """
-    groups, group_size, _ = rows.shape
     n = order.shape[2]
-    chunk = max(1, RANK_CHUNK_VALUES // max(group_size * n, 1))
-    for start in range(0, groups, chunk):
-        part = slice(start, start + chunk)
-        ranked = np.take_along_axis(rows[part, :, :lp], order[part], axis=2)
-        np.cumsum(ranked, axis=2, out=table[part, :, 1:])
-    always = rows[:, :, n:lp].sum(axis=2) + rows[:, :, lp:].sum(axis=2)
-    return always, always + table[:, :, n]
+    count = order.shape[0]
+    always = np.empty((count, rows.shape[1]))
+    total = np.empty_like(always)
+    captured = np.empty((count, rows.shape[1], index.shape[2]))
+    for start in range(0, count, scratch.shape[0]):
+        part = slice(start, start + scratch.shape[0])
+        if groups is None:
+            block = rows[part]
+        else:
+            block = rows[groups[part]]
+            block[masked_rows[part]] = 1.0 / rows.shape[2]
+        table = scratch[: block.shape[0]]
+        ranked = np.take_along_axis(block[:, :, :lp], order[part], axis=2)
+        np.cumsum(ranked, axis=2, out=table[:, :, 1:])
+        del ranked
+        always[part] = block[:, :, n:lp].sum(axis=2) + block[:, :, lp:].sum(axis=2)
+        total[part] = always[part] + table[:, :, n]
+        captured[part] = np.take_along_axis(table, index[part], axis=2)
+    return always, total, captured
 
 
 def _replay(geometry, workload, plans, cells) -> list[DecodeRecord]:
@@ -277,7 +294,9 @@ def _replay(geometry, workload, plans, cells) -> list[DecodeRecord]:
     A cell of None reads the workload's own rows; a `MaskedWindow` reads them
     with its heads masked, re-ranked and re-summed for its groups only.
     Arrays are held per kv group, (layers * kv_heads, group_size, ...), so a
-    group's rows, table and masses are one index of the first axis.
+    group's rows and masses are one index of the first axis. One chunk-sized
+    scratch table serves the base rows and every masked set; no array of the
+    step's size but the step itself is held.
     """
     layers, query_heads, kv_heads = geometry.layers, geometry.query_heads, geometry.kv_heads
     lp, w, out_len = workload.prompt_len, workload.window, workload.out_len
@@ -291,22 +310,26 @@ def _replay(geometry, workload, plans, cells) -> list[DecodeRecord]:
     n = lp - w
     order = _descending_order(workload.window_scores).reshape(n_groups, 1, n)
     kept = [np.minimum(plan.budgets, lp) for plan in plans]
-    # table index per query head: 0 keeps the window only, n keeps the prompt
-    index = [np.repeat(k - w, group, axis=1).reshape(n_groups, group, 1) for k in kept]
-    # per masked set: its groups' key order and a table for their rows alone
+    # scratch index per query head and plan: 0 keeps the window only, n keeps the prompt
+    index = np.empty((n_groups, group, len(plans)), dtype=np.intp)
+    for p, k in enumerate(kept):
+        index[:, :, p] = np.repeat(k - w, group, axis=1).reshape(n_groups, group)
+    # per masked set: its groups' key order and its plan's scratch index there
     masked = []
-    for cell in cells:
+    for p, cell in enumerate(cells):
         if cell is None:
             masked.append(None)
             continue
         if cell.scores.shape != (cell.groups.size, n):
             raise ShapeError("masked window scores do not match the workload")
         masked.append((cell, _descending_order(cell.scores)[:, None, :],
-                       np.zeros((cell.groups.size, group, n + 1))))
+                       index[cell.groups, :, p : p + 1]))
     recalls = np.zeros((len(plans), out_len))
     head_acc = np.zeros((len(plans), layers, query_heads))
-    # one table for every step: column 0 stays 0, the rest is rewritten per step
-    table = np.zeros((n_groups, group, n + 1))
+    # one chunk's table for every step and cell, about RANK_CHUNK_VALUES values
+    # and at least one group: column 0 stays 0, the rest is rewritten
+    chunk = min(max(1, RANK_CHUNK_VALUES // max(group * n, 1)), n_groups)
+    scratch = np.zeros((chunk, group, n + 1))
     # steps are counted by hand and dropped at the end of the body, so no
     # reference to step t outlives it while step t + 1 is drawn
     t = 0
@@ -314,22 +337,17 @@ def _replay(geometry, workload, plans, cells) -> list[DecodeRecord]:
         if t >= out_len or rows.shape != (layers, query_heads, lp + t):
             raise ShapeError(f"decode rows of step {t} do not match the geometry")
         grouped = rows.reshape(n_groups, group, lp + t)
-        always, total = _step_mass(grouped, order, lp, table)
-        for p, idx in enumerate(index):
-            captured = np.take_along_axis(table, idx, axis=2)[:, :, 0]
-            kept_mass, row_mass = always, total
+        always, total, captured = _step_mass(grouped, order, lp, index, scratch)
+        for p in range(len(plans)):
+            kept_mass, row_mass, got = always, total, captured[:, :, p]
             if masked[p] is not None:
-                cell, cell_order, cell_table = masked[p]
-                rows_of = grouped[cell.groups]
-                rows_of[cell.rows] = 1.0 / (lp + t)
-                kept_mass, row_mass = always.copy(), total.copy()
-                kept_mass[cell.groups], row_mass[cell.groups] = _step_mass(
-                    rows_of, cell_order, lp, cell_table
+                cell, cell_order, cell_index = masked[p]
+                kept_mass, row_mass, got = always.copy(), total.copy(), got.copy()
+                kept_mass[cell.groups], row_mass[cell.groups], cell_captured = _step_mass(
+                    grouped, cell_order, lp, cell_index, scratch, cell.groups, cell.rows
                 )
-                captured[cell.groups] = np.take_along_axis(
-                    cell_table, idx[cell.groups], axis=2
-                )[:, :, 0]
-            recall = ((kept_mass + captured) / row_mass).reshape(layers, query_heads)
+                got[cell.groups] = cell_captured[:, :, 0]
+            recall = ((kept_mass + got) / row_mass).reshape(layers, query_heads)
             recalls[p, t] = recall.mean()
             head_acc[p] += recall
         del rows, grouped

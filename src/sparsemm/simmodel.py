@@ -710,8 +710,13 @@ def _load_record(path) -> tuple[OcrSample, dict]:
         pairs.append((tok, tuple(float(v) for v in bbox)))
     image_shape = tuple(counts(elements(record["image_shape"], "image_shape", where, 2), where, 1))
     grid = tuple(counts(elements(record["grid"], "grid", where, 2), where, 1))
-    layout = counts(elements(record["prompt_layout"], "prompt_layout", where), where, TEXT_TOKEN)
-    labels = sorted(role for role in layout if role != TEXT_TOKEN)
+    layout = record["prompt_layout"]
+    # checked in place; the named entries are built only to report a bad one
+    if not (isinstance(layout, list) and set(map(type, layout)) <= {int}
+            and min(layout, default=TEXT_TOKEN) >= TEXT_TOKEN):
+        counts(elements(layout, "prompt_layout", where), where, TEXT_TOKEN)
+    labels = sorted(layout)
+    del labels[: labels.count(TEXT_TOKEN)]  # every text token sorts first
     n_patches = grid[0] * grid[1]
     # each patch index once; the count goes first, so a huge grid never builds a range
     if len(labels) != n_patches or labels != list(range(n_patches)):

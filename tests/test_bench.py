@@ -1289,6 +1289,9 @@ class TestCorpusLoaderErrors:
         ("steps", 0, "positive counts"),
         ("pairs", 3, "malformed"),
         ("grid", [1, 1], "image tokens"),
+        ("prompt_layout", 3, "prompt_layout is malformed"),
+        ("prompt_layout", [-1, 2.0, -2, True],
+         r"prompt_layout\[1\], prompt_layout\[2\], prompt_layout\[3\] must be counts >= -1"),
     ])
     def test_record_field_of_wrong_type(self, corpus, tmp_path, capsys, field, value, fragment):
         self._edit_record(corpus, lambda record: record.update({field: value}))

@@ -781,26 +781,35 @@ class TestOneStepAlive:
         A step block is one (layers, query_heads, Lp) float64 array. The window
         pass holds its rows buffer, the scores and one tile's scratch (about
         2.3 blocks here); a block-sized scratch reaches 3.0. The replay holds
-        its table and one step (about 3.0 blocks); holding the previous step,
-        a block-sized scratch and a ranked copy reaches 4.3.
+        one step, the tile scratch that draws it, the key order and its
+        negated scores (about 2.0 blocks, at 1 plan and at 15); a whole-step
+        prefix-sum table reaches 3.0, and holding the previous step, a
+        block-sized scratch or a ranked copy adds a block more.
         """
         geo = ModelGeometry(4, 16, 4)
         lp, w = 4096, 8
         model = small_model(seed=50, strength=0.8, planted=((0, 1), (3, 5)), geometry=geo)
-        plan = allocate_uniform(AllocationConfig(4 * 4 * 64, window=w), 4, 4)
         block = geo.layers * geo.query_heads * lp * 8
         tracemalloc.start()
         try:
             workload = model.decode_workload(lp, 3, w)
             _, window_peak = tracemalloc.get_traced_memory()
-            tracemalloc.stop()
-            tracemalloc.start()
-            replay_plans(geo, workload, [plan])
-            _, replay_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert window_peak < 2.6 * block
-        assert replay_peak < 3.5 * block
+        for n_plans in (1, 15):
+            # per-head budgets from the window to past the prompt
+            plans = [
+                allocate_uniform(AllocationConfig(4 * 4 * int(b), window=w), 4, 4)
+                for b in np.linspace(w, lp + 100, n_plans)
+            ]
+            tracemalloc.start()
+            try:
+                replay_plans(geo, workload, plans)
+                _, replay_peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert replay_peak < 2.4 * block, n_plans
 
 
 class TestDecodeWithCache:
@@ -901,19 +910,29 @@ class TestReplayPlans:
             if full.all():
                 assert (fast.recall_per_step == 1.0).all()
 
-    @pytest.mark.parametrize("masks", [(), [[(0, 1)], [(1, 2), (1, 3)]]])
+    @pytest.mark.parametrize(
+        "masks", [(), [[(0, 1)], [(1, 2), (1, 3)], [(0, 0), (0, 2), (1, 0), (1, 2)]]]
+    )
     def test_ranking_in_chunks_moves_no_bit(self, monkeypatch, masks):
-        """Chunks of one kv group give the records of one chunk of every group."""
+        """Chunks of one kv group, and of three of four groups, give the records of one chunk.
+
+        The masked sets touch group 0, group 3, and all four groups, so with
+        chunks of three the last set also ends in a partial chunk.
+        """
         geo = ModelGeometry(2, 4, 2)
         model = small_model(seed=54, strength=0.8, planted=((0, 1), (1, 2)), geometry=geo)
-        workload = model.decode_workload(96, 3, 8, masks)
-        plans = [allocate_uniform(AllocationConfig(2 * 2 * 40, window=8), 2, 2)] * (1 + len(masks))
+        lp, w = 96, 8
+        workload = model.decode_workload(lp, 3, w, masks)
+        plans = [allocate_uniform(AllocationConfig(2 * 2 * 40, window=w), 2, 2)] * (1 + len(masks))
         replay = replay_masked if masks else replay_plans
+        group_values = geo.group_size * (lp - w)
+        assert cache.RANK_CHUNK_VALUES >= 4 * group_values  # all four groups in one chunk
         whole = replay(geo, workload, plans)
-        monkeypatch.setattr(cache, "RANK_CHUNK_VALUES", 1)
-        for got, want in zip(replay(geo, workload, plans), whole, strict=True):
-            assert np.array_equal(got.recall_per_step, want.recall_per_step)
-            assert np.array_equal(got.head_mean_recall, want.head_mean_recall)
+        for chunk in (1, 3):
+            monkeypatch.setattr(cache, "RANK_CHUNK_VALUES", chunk * group_values)
+            for got, want in zip(replay(geo, workload, plans), whole, strict=True):
+                assert np.array_equal(got.recall_per_step, want.recall_per_step)
+                assert np.array_equal(got.head_mean_recall, want.head_mean_recall)
 
     def test_tied_scores_follow_the_shared_tie_rule(self):
         # coarse scores tie often, so only the tie rule decides which keys a
