@@ -34,6 +34,7 @@ from .chaser import (
 )
 from .errors import InvalidInputError
 from .simmodel import (
+    AttentionTrace,
     ModelGeometry,
     PlantedHeadSet,
     build_synthetic_model,
@@ -333,21 +334,46 @@ def _replay_seed_rows(cfg: ExperimentConfig, seed: int, experiment: str, cells) 
     ]
 
 
-def _grounding_terms(trace, result, planted: PlantedHeadSet):
+class _PlantedRows:
+    """A trace's steps, read once, that keep each step's planted rows as they pass.
+
+    `score_sample` reads the steps through it; the grounding terms then need
+    no second read, which would draw a drawn trace's steps again. `rows[t]`
+    holds step t's rows of `heads`, in that order, (len(heads), visible).
+    """
+
+    def __init__(self, trace, heads):
+        self.trace = trace
+        self.heads = (trace.layers, trace.query_heads)
+        self.index = tuple(np.array(heads, dtype=np.intp).reshape(-1, 2).T)
+        self.rows = []
+
+    def __len__(self) -> int:
+        return self.trace.out_len
+
+    def __iter__(self):
+        for step in self.trace.steps:
+            self.rows.append(step[self.index])
+            yield step
+            del step
+
+
+def _grounding_terms(rows, result, planted: PlantedHeadSet):
     """(head, drawn, uniform) per scored step and planted head of one sample, in that order.
 
+    `rows` holds each step's planted rows, as `_PlantedRows` keeps them, and
     `result` is the sample's `score_sample` result, which carries each
     token's patch positions. `drawn` is the attention mass the head's row
     places on the token's own patch set; `uniform` is the mass an exactly
     uniform (masked) row places there.
     """
     terms = []
-    for step, positions in zip(trace.steps, result.positions):
+    for kept, positions in zip(rows, result.positions):
         if positions is None:
             continue
-        uniform = float(np.full(positions.size, 1.0 / step.shape[2]).sum())
-        for l, h in planted.heads:
-            terms.append(((l, h), float(step[l, h, positions].sum()), uniform))
+        uniform = float(np.full(positions.size, 1.0 / kept.shape[1]).sum())
+        for head, row in zip(planted.heads, kept, strict=True):
+            terms.append((head, float(row[positions].sum()), uniform))
     return terms
 
 
@@ -381,22 +407,23 @@ def _mask_seed_rows(cfg: ExperimentConfig, seed: int) -> list[MaskRow]:
     scores and every skip decision is the same: the masked cell's scores are
     the seed's summed increment with the masked heads zeroed, normalized
     again, and its grounding mass reads each masked planted row as uniform.
-    The corpus is read once: each sample is scored and gives its grounding
-    terms before the next is drawn. The decode half follows the same
-    premise: one `decode_workload` call draws the window rows once and
-    re-sums, per masked cell, only the kv groups that hold a masked head, and
-    `replay_masked` reads the decode steps once for the base plan and every
-    cell. `tests/mask_oracle.py` holds the regenerate-per-cell reference
-    these rows equal.
+    The corpus is read once: each step of each sample is drawn once, and it
+    is scored and its planted rows are kept for the grounding terms as it
+    passes. The decode half follows the same premise: one `decode_workload`
+    call draws the window rows once and re-sums, per masked cell, only the kv
+    groups that hold a masked head, and `replay_masked` reads the decode
+    steps once for the base plan and every cell. `tests/mask_oracle.py`
+    holds the regenerate-per-cell reference these rows equal.
     """
     model = build_synthetic_model(cfg.geometry, cfg.planted_for_seed(seed), seed)
     planted = model.planted
     total, tokens, terms = 0, 0, []
     for sample, trace in generate_ocr_samples(model, cfg.corpus_size, seed):
-        result = score_sample(sample, trace)
+        steps = _PlantedRows(trace, planted.heads)
+        result = score_sample(sample, AttentionTrace(steps, trace.prompt_len))
         total = total + result.increment.scores
         tokens += result.increment.corpus_tokens
-        terms += _grounding_terms(trace, result, planted)
+        terms += _grounding_terms(steps.rows, result, planted)
     summed = HeadScoreMatrix(total, tokens)
     base_scores = _masked_scores(summed, [])
 

@@ -38,6 +38,7 @@ __all__ = [
     "HeadEviction",
     "TopKSelection",
     "compress_prefill",
+    "groups_in_range",
     "replay_masked",
     "replay_plans",
     "report_to_csv",
@@ -112,6 +113,13 @@ def sum_onto_kv_heads(rows: np.ndarray, kv_heads: int) -> np.ndarray:
     for k in range(1, grouped.shape[2]):
         total += grouped[:, :, k]
     return total
+
+
+def groups_in_range(groups: np.ndarray, start: int, stop: int, n_groups: int) -> slice:
+    """The part of `groups`, ascending kv-group indices of n_groups, that lies in [start, stop)."""
+    if stop - start == n_groups:
+        return slice(None)
+    return slice(*np.searchsorted(groups, (start, stop)))
 
 
 @dataclass(frozen=True)
@@ -211,7 +219,8 @@ def replay_plans(geometry, workload, plans) -> list[DecodeRecord]:
     """One DecodeRecord per budget plan over one decode workload, ranking its keys once.
 
     `workload` is a `simmodel.DecodeWorkload`; its `steps` are read once, in
-    order, so a model-built workload has one step's rows in memory at a time.
+    order, and a model-built workload's a tile of kv groups at a time, so
+    one tile and the groups that hold a planted head are in memory, not a step.
     A plan keeps, per kv head, the window plus its best b - w ranked keys,
     which is what `compress_prefill` keeps, so every plan cuts the same key
     order. Each decode step is ranked a chunk of kv groups at a time: the
@@ -250,28 +259,26 @@ def replay_masked(geometry, workload, plans) -> list[DecodeRecord]:
 RANK_CHUNK_VALUES = 1 << 16
 
 
-def _step_mass(rows, order, lp, index, scratch, groups=None, masked_rows=None):
-    """One step's always-kept, prompt-total and captured mass, a chunk of kv groups at a time.
+def _step_mass(rows, order, lp, index, scratch, always, total, captured, groups=None,
+               masked_rows=None) -> None:
+    """A range of one step's always-kept, prompt-total and captured mass, a chunk at a time.
 
-    `rows` is (groups, group_size, lp + t), each kv group's query rows, and
-    `order` (k, 1, n) the keys left of the window, best first, for k groups:
-    every group of `rows`, or `rows[groups]` with `masked_rows` (k, group_size)
-    set to 1/(lp + t). `index` (k, group_size, plans) holds each plan's count
-    of kept ranked keys. Per chunk of whole groups, about RANK_CHUNK_VALUES
-    values, the keys are gathered in ranked order and summed into `scratch`
-    (chunk, group_size, n + 1), whose column 0 stays 0, so keeping the best j
-    keys captures scratch[..., j]: every plan reads its captured mass there,
-    and the prompt total is the last column. A cumulative sum runs along each
-    row, so the chunking moves no bit. Returns the window and generated mass,
-    which every plan keeps, and the row total, (k, group_size) each, and the
-    captured mass, (k, group_size, plans).
+    `rows` is (groups, group_size, lp + t), consecutive kv groups' query rows,
+    and `order` (k, 1, n) the keys left of the window, best first, for k
+    groups: every group of `rows`, or `rows[groups]` with `masked_rows`
+    (k, group_size) set to 1/(lp + t). `index` (k, group_size, plans) holds
+    each plan's count of kept ranked keys. Per chunk of whole groups, about
+    RANK_CHUNK_VALUES values, the keys are gathered in ranked order and
+    summed into `scratch` (chunk, group_size, n + 1), whose column 0 stays 0,
+    so keeping the best j keys captures scratch[..., j]: every plan reads its
+    captured mass there, and the prompt total is the last column. A
+    cumulative sum runs along each row, so neither the chunks nor the ranges
+    move a bit. Writes the window and generated mass, which every plan
+    keeps, into `always` and the row total into `total`, (k, group_size)
+    each, and the captured mass into `captured`, (k, group_size, plans).
     """
     n = order.shape[2]
-    count = order.shape[0]
-    always = np.empty((count, rows.shape[1]))
-    total = np.empty_like(always)
-    captured = np.empty((count, rows.shape[1], index.shape[2]))
-    for start in range(0, count, scratch.shape[0]):
+    for start in range(0, order.shape[0], scratch.shape[0]):
         part = slice(start, start + scratch.shape[0])
         if groups is None:
             block = rows[part]
@@ -285,7 +292,25 @@ def _step_mass(rows, order, lp, index, scratch, groups=None, masked_rows=None):
         always[part] = block[:, :, n:lp].sum(axis=2) + block[:, :, lp:].sum(axis=2)
         total[part] = always[part] + table[:, :, n]
         captured[part] = np.take_along_axis(table, index[part], axis=2)
-    return always, total, captured
+
+
+def _step_ranges(steps, layers: int, query_heads: int, group: int):
+    """Per decode step, its rows as (first kv group, (groups, group_size, Lp + t)) ranges.
+
+    A `simmodel.DecodeSteps` draws each step a tile of kv groups at a time
+    and hands on the groups with a planted head last; any other iterable of
+    whole (layers, query_heads, Lp + t) steps gives one range per step.
+    """
+    if hasattr(steps, "ranges"):
+        yield from steps.ranges()
+        return
+    t = 0
+    for rows in steps:
+        if rows.shape[:2] != (layers, query_heads):
+            raise ShapeError(f"decode rows of step {t} do not match the geometry")
+        yield ((0, rows.reshape(-1, group, rows.shape[2])),)
+        del rows
+        t += 1
 
 
 def _replay(geometry, workload, plans, cells) -> list[DecodeRecord]:
@@ -294,9 +319,14 @@ def _replay(geometry, workload, plans, cells) -> list[DecodeRecord]:
     A cell of None reads the workload's own rows; a `MaskedWindow` reads them
     with its heads masked, re-ranked and re-summed for its groups only.
     Arrays are held per kv group, (layers * kv_heads, group_size, ...), so a
-    group's rows and masses are one index of the first axis. One chunk-sized
-    scratch table serves the base rows and every masked set; no array of the
-    step's size but the step itself is held.
+    group's rows and masses are one index of the first axis. Each step is read
+    as a stream of kv-group ranges (`_step_ranges`), and `_step_mass` reads
+    each range as it comes, for the base rows and for each masked set's
+    groups in it; only the per-head masses of the step are assembled, and
+    the recall mean and the per-head sums are taken over them whole. One
+    chunk-sized scratch table serves every range and masked set, so a
+    model-built workload's step is never held whole: one tile of groups and
+    the groups that hold a planted head are.
     """
     layers, query_heads, kv_heads = geometry.layers, geometry.query_heads, geometry.kv_heads
     lp, w, out_len = workload.prompt_len, workload.window, workload.out_len
@@ -314,7 +344,11 @@ def _replay(geometry, workload, plans, cells) -> list[DecodeRecord]:
     index = np.empty((n_groups, group, len(plans)), dtype=np.intp)
     for p, k in enumerate(kept):
         index[:, :, p] = np.repeat(k - w, group, axis=1).reshape(n_groups, group)
-    # per masked set: its groups' key order and its plan's scratch index there
+    # one step's masses per head: always kept, row total, captured per plan
+    always = np.empty((n_groups, group))
+    total = np.empty_like(always)
+    captured = np.empty((n_groups, group, len(plans)))
+    # per masked set: its groups' key order, its plan's scratch index and masses there
     masked = []
     for p, cell in enumerate(cells):
         if cell is None:
@@ -323,34 +357,46 @@ def _replay(geometry, workload, plans, cells) -> list[DecodeRecord]:
         if cell.scores.shape != (cell.groups.size, n):
             raise ShapeError("masked window scores do not match the workload")
         masked.append((cell, _descending_order(cell.scores)[:, None, :],
-                       index[cell.groups, :, p : p + 1]))
+                       index[cell.groups, :, p : p + 1], np.empty((cell.groups.size, group)),
+                       np.empty((cell.groups.size, group)), np.empty((cell.groups.size, group, 1))))
     recalls = np.zeros((len(plans), out_len))
     head_acc = np.zeros((len(plans), layers, query_heads))
-    # one chunk's table for every step and cell, about RANK_CHUNK_VALUES values
+    # one chunk's table for every range and cell, about RANK_CHUNK_VALUES values
     # and at least one group: column 0 stays 0, the rest is rewritten
     chunk = min(max(1, RANK_CHUNK_VALUES // max(group * n, 1)), n_groups)
     scratch = np.zeros((chunk, group, n + 1))
     # steps are counted by hand and dropped at the end of the body, so no
     # reference to step t outlives it while step t + 1 is drawn
     t = 0
-    for rows in workload.steps:
-        if t >= out_len or rows.shape != (layers, query_heads, lp + t):
+    for ranges in _step_ranges(workload.steps, layers, query_heads, group):
+        covered = 0
+        for start, rows in ranges:
+            stop = start + rows.shape[0]
+            if t >= out_len or rows.shape[1:] != (group, lp + t) or stop > n_groups:
+                raise ShapeError(f"decode rows of step {t} do not match the geometry")
+            covered += rows.shape[0]
+            part = slice(start, stop)
+            _step_mass(rows, order[part], lp, index[part], scratch, always[part], total[part],
+                       captured[part])
+            for cell, cell_order, cell_index, *masses in filter(None, masked):
+                cut = groups_in_range(cell.groups, start, stop, n_groups)
+                _step_mass(rows, cell_order[cut], lp, cell_index[cut], scratch,
+                           *(m[cut] for m in masses), cell.groups[cut] - start, cell.rows[cut])
+            del rows
+        if covered != n_groups:
             raise ShapeError(f"decode rows of step {t} do not match the geometry")
-        grouped = rows.reshape(n_groups, group, lp + t)
-        always, total, captured = _step_mass(grouped, order, lp, index, scratch)
         for p in range(len(plans)):
             kept_mass, row_mass, got = always, total, captured[:, :, p]
             if masked[p] is not None:
-                cell, cell_order, cell_index = masked[p]
+                cell, _, _, cell_always, cell_total, cell_captured = masked[p]
                 kept_mass, row_mass, got = always.copy(), total.copy(), got.copy()
-                kept_mass[cell.groups], row_mass[cell.groups], cell_captured = _step_mass(
-                    grouped, cell_order, lp, cell_index, scratch, cell.groups, cell.rows
-                )
+                kept_mass[cell.groups] = cell_always
+                row_mass[cell.groups] = cell_total
                 got[cell.groups] = cell_captured[:, :, 0]
             recall = ((kept_mass + got) / row_mass).reshape(layers, query_heads)
             recalls[p, t] = recall.mean()
             head_acc[p] += recall
-        del rows, grouped
+        del ranges
         t += 1
     if t != out_len:
         raise ShapeError(f"workload yields {t} decode steps, expected {out_len}")

@@ -149,13 +149,20 @@ def score_sample(sample: OcrSample, trace: AttentionTrace) -> SampleScore:
     scored = 0
     skipped = 0
     token_sets = tuple(token_positions(sample, trace.out_len))
-    for rows, positions in zip(trace.steps, token_sets):
+    # steps are counted by hand (zip and enumerate keep the last item until
+    # they hold the next) and dropped at the end of the body, so a drawn
+    # trace's step t is freed before step t + 1 is drawn
+    t = 0
+    for rows in trace.steps:
+        positions = token_sets[t]
         if positions is None:
             skipped += 1
-            continue
-        top = np.argmax(rows, axis=2)
-        inc += (1.0 / positions.size) * np.isin(top, positions)
-        scored += 1
+        else:
+            top = np.argmax(rows, axis=2)
+            inc += (1.0 / positions.size) * np.isin(top, positions)
+            scored += 1
+        del rows
+        t += 1
     return SampleScore(HeadScoreMatrix(inc, scored), skipped, token_sets)
 
 

@@ -22,20 +22,26 @@ other heads' rows; one window pass therefore also gives the window scores of
 any number of masked models, re-summed for the kv groups their masks touch.
 
 Nothing large is held. A corpus makes sample i when it is read, drawn from its
-own generator or read and checked from its files, and a decode workload draws
-its steps again on each pass from its generator as it stood after the window
-rows, so a caller that streams holds one sample's trace or one step's rows.
+own generator or read and checked from its files, and a drawn sample's trace
+and a decode workload's steps are drawn again on each pass, one step at a
+time, from their generator as it stood after the sample layout or the window
+rows. No step of a decode workload, window row or decode row, is held whole:
+each is drawn a tile of kv groups at a time and handed on as it is drawn,
+the groups that hold a planted head last. So a caller that streams holds one
+tile, the planted groups and one corpus step.
 """
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import math
 import operator
 import os
+from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,7 +49,7 @@ from .artifacts import (
     counts, elements, encode_array, encode_json, list_dir, make_dir, numbers, read_array,
     read_bytes, read_object, write_bytes,
 )
-from .cache import sum_onto_kv_heads
+from .cache import groups_in_range, sum_onto_kv_heads
 from .errors import InvalidInputError, ShapeError
 
 __all__ = [
@@ -168,13 +174,19 @@ class AttentionTrace:
 
     Each row is a probability vector: the generator draws it so, and
     `load_corpus` checks every row it reads, so the trace checks only shapes.
-    It holds each step as a read-only view of the array given, not a copy.
+    A drawn sample's `steps` is a `DecodeSteps`, which draws each step when it
+    is read, the same bits on every pass. Any other iterable of steps that
+    gives its (layers, query_heads) as `heads` and its step count as `len` is
+    taken as such. Otherwise `steps` is a sequence of arrays, held as a tuple
+    of read-only views of the arrays given, not copies.
     """
 
-    steps: tuple[np.ndarray, ...]
+    steps: Iterable[np.ndarray]
     prompt_len: int
 
     def __post_init__(self) -> None:
+        if hasattr(self.steps, "heads"):
+            return
         if not self.steps:
             raise InvalidInputError("trace needs at least one step")
         frozen = []
@@ -193,12 +205,18 @@ class AttentionTrace:
         object.__setattr__(self, "steps", tuple(frozen))
 
     @property
+    def heads(self) -> tuple[int, int]:
+        """(layers, query_heads)."""
+        steps = self.steps
+        return steps.heads if hasattr(steps, "heads") else steps[0].shape[:2]
+
+    @property
     def layers(self) -> int:
-        return self.steps[0].shape[0]
+        return self.heads[0]
 
     @property
     def query_heads(self) -> int:
-        return self.steps[0].shape[1]
+        return self.heads[1]
 
     @property
     def out_len(self) -> int:
@@ -210,16 +228,17 @@ class AttentionTrace:
 TILE_VALUES = 1 << 16
 
 
-def _row_tiles(rows: int, visible: int) -> Iterator[tuple[int, int]]:
+def _row_tiles(rows: int, visible: int, group: int = 1) -> Iterator[tuple[int, int]]:
     """The (start, stop) ranges of consecutive rows that `_draw_block` takes at a time.
 
-    A tile holds about TILE_VALUES values, and at least two rows: a tile of
-    one row occurs only when the block has one row, and a one-row remainder
-    joins the tile before it. That keeps each range total the same float sum
-    as the whole block's: numpy sums an (n, 1) copy pairwise, but an (n, T)
-    copy with T >= 2 position by position.
+    A tile holds whole kv groups of `group` rows, about TILE_VALUES values and
+    at least one group, and at least two rows: a tile of one row occurs only
+    when the block has one row, and a one-row remainder joins the tile before
+    it. That keeps each range total the same float sum as the whole block's:
+    numpy sums an (n, 1) copy pairwise, but an (n, T) copy with T >= 2
+    position by position. `rows` is a multiple of `group`.
     """
-    size = max(2, TILE_VALUES // max(visible, 1))
+    size = group * max(-(-2 // group), TILE_VALUES // max(group * visible, 1))
     start = 0
     while start < rows:
         stop = rows if rows - start - size <= 1 else start + size
@@ -227,13 +246,15 @@ def _row_tiles(rows: int, visible: int) -> Iterator[tuple[int, int]]:
         start = stop
 
 
-def _tile_scratch(rows: int, visible: int) -> np.ndarray:
+def _tile_scratch(rows: int, visible: int, group: int = 1) -> np.ndarray:
     """A `_draw_block` scratch buffer for blocks of `rows` rows of up to `visible` values.
 
     A tile of v-value rows holds at most min(rows, max(2, TILE_VALUES // v) + 1)
-    rows: at most TILE_VALUES + v values, or 3 * v where tiles are two rows.
+    rows when `group` is 1: at most TILE_VALUES + v values, or 3 * v where
+    tiles are two rows. A larger group cuts no remainder, but a tile holds at
+    least one group: group * v values.
     """
-    return np.empty(min(rows * visible, max(TILE_VALUES + visible, 3 * visible)))
+    return np.empty(min(rows * visible, max(TILE_VALUES + visible, 3 * visible, group * visible)))
 
 
 def _normalize_blocks(draw: np.ndarray, roles, scratch: np.ndarray) -> np.ndarray:
@@ -260,8 +281,20 @@ def _normalize_blocks(draw: np.ndarray, roles, scratch: np.ndarray) -> np.ndarra
     return draw
 
 
-def _draw_block(rng, draw: np.ndarray, n_pre: int, text_off: int, bg, scratch) -> np.ndarray:
-    """Fill `draw`, one step's (layers, query_heads, visible) rows, with background rows.
+class _Tiles(NamedTuple):
+    """Where `_draw_block` draws a step that is never held whole: one tile, reused.
+
+    `shape` is the step's (layers, query_heads, visible), `group` its kv group
+    size and `buffer` a flat float64 array of `_tile_scratch` size.
+    """
+
+    shape: tuple[int, int, int]
+    group: int
+    buffer: np.ndarray
+
+
+def _draw_block(rng, draw, n_pre: int, text_off: int, bg, scratch):
+    """Draw one step's (layers, query_heads, visible) background rows into `draw`.
 
     Positions run sinks [0, n_pre) | leak [n_pre, text_off) | text
     [text_off, visible); `bg` holds the (text, sink, leak) masses. A window
@@ -269,18 +302,45 @@ def _draw_block(rng, draw: np.ndarray, n_pre: int, text_off: int, bg, scratch) -
     The rows are drawn and normalized one `_row_tiles` tile at a time, and
     `scratch` is `_normalize_blocks`' buffer, of `_tile_scratch` size. Filling
     consecutive C-order tiles with `standard_exponential` gives the values one
-    fill of `draw` would, which are those of `rng.exponential(size=draw.shape)`.
-    Window rows are reduced as soon as they are drawn, so they reuse one
-    `draw`; decode steps are handed to the caller, so each gets a fresh one.
+    fill of the block would, which are those of `rng.exponential(size=shape)`,
+    wherever the tiles are cut.
+
+    `draw` is an array, filled and returned, or a `_Tiles`: then each tile
+    is cut at kv-group boundaries, drawn into the tile buffer when the
+    returned iterator is read, and yielded as (first row, (rows, visible)
+    view); it is overwritten by the next tile.
     """
     visible = draw.shape[2]
     roles = [(text_off, visible, bg[0]), (0, n_pre, bg[1]), (n_pre, min(text_off, visible), bg[2])]
+    if isinstance(draw, _Tiles):
+        return _draw_tiles(rng, draw, roles, scratch)
     flat = draw.reshape(-1, visible)
     for start, stop in _row_tiles(flat.shape[0], visible):
         tile = flat[start:stop]
         rng.standard_exponential(out=tile)
         _normalize_blocks(tile, roles, scratch)
     return draw
+
+
+def _draw_tiles(rng, tiles: _Tiles, roles, scratch) -> Iterator[tuple[int, np.ndarray]]:
+    """`_draw_block` into a `_Tiles`: each group-aligned tile as it is drawn."""
+    layers, heads, visible = tiles.shape
+    for start, stop in _row_tiles(layers * heads, visible, tiles.group):
+        tile = tiles.buffer[: (stop - start) * visible].reshape(stop - start, visible)
+        rng.standard_exponential(out=tile)
+        _normalize_blocks(tile, roles, scratch)
+        yield start, tile
+
+
+def _fork(rng: np.random.Generator) -> np.random.Generator:
+    """A new generator at `rng`'s state; drawing from either leaves the other unmoved.
+
+    It copies the bit generator's state alone, which costs a third of a
+    `copy.deepcopy`, paid once per drawn sample and per pass.
+    """
+    fork = np.random.Generator(type(rng.bit_generator)(0))
+    fork.bit_generator.state = rng.bit_generator.state
+    return fork
 
 
 def _draw_count(rng, span: tuple[int, int]) -> int:
@@ -372,6 +432,103 @@ class SyntheticModel:
         for l, h in sorted(self.masked):
             block[l, h] = 1.0 / visible
 
+    def _plant_decode(self, rng, rows, region: np.ndarray) -> None:
+        """Each planted head's decode row, in `rows` in planted order, hits `region` with
+        probability `strength`."""
+        for row in rows:
+            u = rng.random()
+            if region.size and u < self.planted.strength:
+                row[...] = _plant_hit_row(rng, row, region)
+
+    def _plant_window(self, rng, rows, union_vis: np.ndarray) -> None:
+        """Steer part of each planted head's window row, in `rows`, onto the visible union."""
+        if not union_vis.size:
+            return
+        u_mass = WINDOW_REGION_FACTOR * self.planted.strength
+        for row in rows:
+            spread = rng.exponential(size=union_vis.size)
+            edited = (1.0 - u_mass) * row
+            edited[union_vis] += u_mass * spread / spread.sum()
+            row[...] = edited
+
+    def _stream(self, visible: int) -> "_Stream":
+        """The buffers that `_draw_ranges` draws steps of up to `visible` positions in."""
+        geo = self.geometry
+        g = geo.group_size
+        groups = sorted({l * geo.kv_heads + h // g for l, h in self.planted.heads})
+        where = {q: i for i, q in enumerate(groups)}
+        masked = sorted(self.masked)
+
+        def slot(l, h):
+            return where[l * geo.kv_heads + h // g] * g + h % g
+
+        rows = geo.layers * geo.query_heads
+        return _Stream(
+            _tile_scratch(rows, visible, g),
+            _tile_scratch(rows, visible, g),
+            np.empty(len(groups) * g * visible),
+            groups,
+            [slot(l, h) for l, h in self.planted.heads],
+            [l * geo.query_heads + h for l, h in masked if l * geo.kv_heads + h // g not in where],
+            [slot(l, h) for l, h in masked if l * geo.kv_heads + h // g in where],
+        )
+
+    def _draw_ranges(self, rng, visible: int, n_pre, text_off, bg, stream, edit) -> Iterator:
+        """Draw one step; yield its rows as (first kv group, (groups, group_size, visible)) ranges.
+
+        `stream` is a `_Stream`. Each tile's finished groups go out as soon as
+        it is drawn, in runs of consecutive groups, each valid until the next
+        range is asked for. The groups that hold a planted head are copied
+        aside first, since their edits draw from `rng` after the whole fill.
+        Once every tile is drawn, `edit(rng, rows)` edits the planted heads'
+        rows there, in planted order, and those groups go out last. A masked
+        head's row is set to exactly 1/visible before its group goes out.
+        A step that fits the tile buffer is drawn whole into it, as
+        `_draw_steps` draws a step, and goes out as one range.
+        """
+        geo = self.geometry
+        g = geo.group_size
+        size = geo.layers * geo.query_heads * visible
+        if size <= stream.tile.size:
+            block = stream.tile[:size].reshape(geo.layers, geo.query_heads, visible)
+            _draw_block(rng, block, n_pre, text_off, bg, stream.scratch)
+            edit(rng, [block[l, h] for l, h in self.planted.heads])
+            self._mask_rows(block, visible)
+            yield 0, block.reshape(-1, g, visible)
+            return
+        groups = stream.groups
+        uniform = 1.0 / visible
+        kept = stream.kept[: len(groups) * g * visible].reshape(len(groups), g, visible)
+        tiles = _Tiles((geo.layers, geo.query_heads, visible), g, stream.tile)
+        i = m = 0
+        for start, tile in _draw_block(rng, tiles, n_pre, text_off, bg, stream.scratch):
+            stop = start + tile.shape[0]
+            while m < len(stream.masked_rows) and stream.masked_rows[m] < stop:
+                tile[stream.masked_rows[m] - start] = uniform
+                m += 1
+            first, last = start // g, stop // g
+            tile = tile.reshape(-1, g, visible)
+            runs = []
+            run = first
+            while i < len(groups) and groups[i] < last:
+                kept[i] = tile[groups[i] - first]
+                if groups[i] > run:
+                    runs.append((run, groups[i]))
+                run = groups[i] + 1
+                i += 1
+            if last > run:
+                runs.append((run, last))
+            for a, b in runs:
+                yield a, tile[a - first : b - first]
+        rows = kept.reshape(-1, visible)
+        edit(rng, [rows[s] for s in stream.planted])
+        rows[stream.masked] = uniform
+        a = 0
+        for b in range(1, len(groups) + 1):
+            if b == len(groups) or groups[b] > groups[b - 1] + 1:
+                yield groups[a], kept[a:b]
+                a = b
+
     def _draw_steps(self, rng, lp: int, regions, n_pre: int, text_off: int, bg) -> Iterator:
         """Yield output token t's (layers, query_heads, lp + t) rows, one per region.
 
@@ -385,16 +542,29 @@ class SyntheticModel:
         for t, region in enumerate(regions):
             block = np.empty((geo.layers, geo.query_heads, lp + t))
             _draw_block(rng, block, n_pre, text_off, bg, scratch)
-            for l, h in self.planted.heads:
-                u = rng.random()
-                if region.size and u < self.planted.strength:
-                    block[l, h] = _plant_hit_row(rng, block[l, h], region)
+            self._plant_decode(rng, [block[l, h] for l, h in self.planted.heads], region)
             self._mask_rows(block, lp + t)
             yield block
             del block
 
+    def _draw_steps_in_ranges(self, rng, lp: int, regions, n_pre: int, text_off: int, bg):
+        """`_draw_steps`' rows, each step an iterator of `_draw_ranges` ranges: no step is held whole.
+
+        A step's ranges are all drawn before the next step is, even if its
+        reader stops early, so every step starts from the same generator state.
+        """
+        stream = self._stream(lp + len(regions) - 1)
+        for t, region in enumerate(regions):
+            edit = partial(self._plant_decode, region=region)
+            ranges = self._draw_ranges(rng, lp + t, n_pre, text_off, bg, stream, edit)
+            yield ranges
+            deque(ranges, maxlen=0)
+
     def sample_ocr(self, rng) -> tuple[OcrSample, AttentionTrace]:
-        """Generate one OCR-style sample and its decode trace."""
+        """Generate one OCR-style sample and its decode trace, whose steps are drawn when read.
+
+        The trace draws from a copy of `rng` as it stands after the layout.
+        """
         gr = _draw_count(rng, GRID_ROWS)
         gc = _draw_count(rng, GRID_COLS)
         h_px = _draw_count(rng, IMAGE_PX)
@@ -429,7 +599,9 @@ class SyntheticModel:
             pairs.append((int(rng.integers(1, 1_000_000)), bbox))
             regions.append(n_pre + _rect_patches(r0, c0, rh, rw, gc))
 
-        steps = tuple(self._draw_steps(rng, lp, regions, n_pre, instr_off, CORPUS_BG))
+        steps = DecodeSteps(
+            self, _fork(rng), lp, tuple(regions), n_pre, instr_off, CORPUS_BG
+        )
         sample = OcrSample(
             (h_px, w_px),
             (gr, gc),
@@ -446,18 +618,20 @@ class SyntheticModel:
         The prompt is laid out as a few leading sink tokens, a large image
         block, and a short instruction tail that the window mostly covers.
         Planted heads aim their window rows at the union of the regions their
-        upcoming output tokens will need. Each window row is folded into the
-        per-kv-head scores as soon as it is drawn, so no (layers, query_heads,
-        w, Lp) tensor is built. No decode row is drawn here: the workload's
-        `steps` start from the generator's state after the window rows.
+        upcoming output tokens will need. Each window row is drawn by
+        `_draw_ranges`, a tile of kv groups at a time, and each range is folded
+        into its groups' scores as it arrives, in query-head order: no window
+        row, let alone a (layers, query_heads, w, Lp) tensor, is held whole.
+        No decode row is drawn here: the workload's `steps` start from the
+        generator's state after the window rows.
 
         Each entry of `masks` is a set of (layer, query_head) pairs; the
         workload's `masked` gives, for each, the window scores that
         `mask_heads(self, heads).decode_workload(...)` would hold. Masking
-        draws nothing, so that model draws this window block; the same pass
-        copies the groups holding a masked head, sets those rows to
-        1/visible and sums them onto their kv head in query-head order, as
-        `sum_onto_kv_heads` sums the whole block. Every score is then the
+        draws nothing, so that model draws these window rows; the same pass
+        copies, from each range, the groups holding a masked head, sets those
+        rows to 1/visible and sums them onto their kv head in query-head
+        order, as `sum_onto_kv_heads` sums any block. Every score is then the
         same float sum, in the same order, as the masked model's.
         """
         if window < 0:
@@ -520,37 +694,28 @@ class SyntheticModel:
 
         n = lp - window
         window_scores = np.zeros((geo.layers, geo.kv_heads, n))
-        rows = np.empty(geo.layers * geo.query_heads * lp)
-        scratch = _tile_scratch(geo.layers * geo.query_heads, lp)
+        folded = window_scores.reshape(geo.layers * geo.kv_heads, n)  # one row per kv group
+        stream = self._stream(lp)
         for i in range(window):
             pos = lp - window + i
             visible = pos + 1
-            block = rows[: geo.layers * geo.query_heads * visible].reshape(
-                geo.layers, geo.query_heads, visible
-            )
-            _draw_block(rng, block, n_pre, tail_off, DECODE_BG, scratch)
-            union_vis = union_positions[union_positions <= pos]
-            if union_vis.size:
-                u_mass = WINDOW_REGION_FACTOR * self.planted.strength
-                for l, h in self.planted.heads:
-                    spread = rng.exponential(size=union_vis.size)
-                    row = (1.0 - u_mass) * block[l, h]
-                    row[union_vis] += u_mass * spread / spread.sum()
-                    block[l, h] = row
-            self._mask_rows(block, visible)
-            window_scores += sum_onto_kv_heads(block[:, :, :n], geo.kv_heads)
-            grouped = block.reshape(-1, geo.group_size, visible)
-            for cell in masked:
-                rows_of = grouped[cell.groups, :, :n]
-                rows_of[cell.rows] = 1.0 / visible
-                cell.scores[...] += sum_onto_kv_heads(rows_of, 1)[:, 0]
+            edit = partial(self._plant_window, union_vis=union_positions[union_positions <= pos])
+            ranges = self._draw_ranges(rng, visible, n_pre, tail_off, DECODE_BG, stream, edit)
+            for start, rows in ranges:
+                stop = start + rows.shape[0]
+                folded[start:stop] += sum_onto_kv_heads(rows[:, :, :n], 1)[:, 0]
+                for cell in masked:
+                    cut = groups_in_range(cell.groups, start, stop, len(folded))
+                    rows_of = rows[cell.groups[cut] - start, :, :n]
+                    rows_of[cell.rows[cut]] = 1.0 / visible
+                    cell.scores[cut] += sum_onto_kv_heads(rows_of, 1)[:, 0]
         if window:
             window_scores /= window
             for cell in masked:
                 cell.scores[...] /= window
 
         regions = tuple(token_regions)
-        steps = DecodeSteps(self, rng, lp, regions, n_pre, tail_off)
+        steps = DecodeSteps(self, rng, lp, regions, n_pre, tail_off, DECODE_BG)
         return DecodeWorkload(
             lp, out_len, window, union_positions, regions, window_scores, steps, masked
         )
@@ -567,16 +732,39 @@ class SyntheticModel:
         return MaskedWindow(heads, groups, rows, np.zeros((groups.size, n)))
 
 
+class _Stream(NamedTuple):
+    """The buffers a model draws streamed steps in, and where its planted and masked rows lie.
+
+    `tile` and `scratch` are one tile and `_normalize_blocks`' copy of it.
+    `groups` holds the kv groups with a planted head, ascending; a step
+    copies them into `kept`, as (len(groups), group_size, visible), whose
+    rows are the slots. `planted` is each planted head's slot, in planted
+    order, and `masked` each masked head's slot there; `masked_rows` are the
+    flat rows layer * query_heads + head, ascending, of the masked heads not
+    held.
+    """
+
+    tile: np.ndarray
+    scratch: np.ndarray
+    kept: np.ndarray
+    groups: list[int]
+    planted: list[int]
+    masked_rows: list[int]
+    masked: list[int]
+
+
 @dataclass(frozen=True)
 class DecodeSteps:
-    """A model-built workload's decode rows, drawn again on every pass.
+    """A model's generated rows, drawn again on every pass: a workload's decode steps or
+    a drawn sample's trace.
 
-    `rng` is the workload generator as it stands after its window rows, and
-    it is never advanced. Each pass draws from a deep copy of it and yields
-    output token t's (layers, query_heads, prompt_len + t) rows through
-    `_draw_steps`, so every pass reads the same bits and only the step being
-    read is in memory. `n_pre` and `text_off` are the role offsets of
-    `_draw_block`.
+    `rng` is the generator as it stands after the window rows or the sample
+    layout, and it is never advanced. Each pass draws from a copy of it (`_fork`),
+    so every pass reads the same bits. Iterating yields output token t's whole
+    (layers, query_heads, prompt_len + t) rows through `_draw_steps`, one step
+    in memory at a time; `ranges` yields each step as kv-group ranges through
+    `_draw_ranges`, one tile and the planted groups in memory. `n_pre`,
+    `text_off` and `bg` are the role offsets and masses of `_draw_block`.
     """
 
     model: SyntheticModel
@@ -585,12 +773,25 @@ class DecodeSteps:
     regions: tuple[np.ndarray, ...] = field(repr=False)
     n_pre: int
     text_off: int
+    bg: tuple[float, float, float]
+
+    @property
+    def heads(self) -> tuple[int, int]:
+        """(layers, query_heads)."""
+        return self.model.geometry.layers, self.model.geometry.query_heads
+
+    def __len__(self) -> int:
+        return len(self.regions)
 
     def __iter__(self) -> Iterator[np.ndarray]:
-        rng = copy.deepcopy(self.rng)
-        return self.model._draw_steps(
-            rng, self.prompt_len, self.regions, self.n_pre, self.text_off, DECODE_BG
-        )
+        return self.model._draw_steps(_fork(self.rng), *self._roles())
+
+    def ranges(self) -> Iterator[Iterator[tuple[int, np.ndarray]]]:
+        """Per step, its (first kv group, (groups, group_size, prompt_len + t)) row ranges."""
+        return self.model._draw_steps_in_ranges(_fork(self.rng), *self._roles())
+
+    def _roles(self) -> tuple:
+        return self.prompt_len, self.regions, self.n_pre, self.text_off, self.bg
 
 
 def build_synthetic_model(
@@ -610,8 +811,10 @@ class OcrCorpus:
     """`size` (OcrSample, AttentionTrace) pairs; `read(i)` makes sample i when it is read.
 
     `read` must give the same bits for i in any order of access and on every
-    pass. Nothing is cached: a caller that iterates holds one sample's trace
-    at a time, and a caller that reads a sample twice makes it twice.
+    pass. Nothing is cached: a caller that iterates holds one sample at a
+    time, and a caller that reads a sample twice makes it twice. A drawn
+    sample's trace holds no step until it is read, and draws its steps again
+    on each pass.
     """
 
     size: int
@@ -697,17 +900,38 @@ def save_corpus(directory, samples) -> str:
     return digest.hexdigest()
 
 
+def _plain_pairs(pairs) -> bool:
+    """Whether `pairs` is a list of [count, [4 finite numbers]] pairs, as `_load_record` asks.
+
+    A False here only sends the pairs to the named checks, which report the
+    bad entry.
+    """
+    try:
+        return isinstance(pairs, list) and all(
+            isinstance(pair, list) and len(pair) == 2
+            and type(pair[0]) is int and pair[0] >= 0
+            and isinstance(pair[1], list) and len(pair[1]) == 4
+            and set(map(type, pair[1])) <= {int, float} and math.isfinite(sum(pair[1]))
+            for pair in pairs
+        )
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
 def _load_record(path) -> tuple[OcrSample, dict]:
     """The sample and the checked geometry of one corpus record."""
     record = read_object(path, "corpus record", CORPUS_KEYS, old_format=(("rows",), "corpus"))
     where = f"corpus record {path}"
     counts({key: record[key] for key in ("layers", "query_heads", "steps")}, where, 1)
-    pairs = []
-    for i, pair in enumerate(elements(record["pairs"], "pairs", where).values()):
-        tok, bbox = elements(pair, f"pairs[{i}]", where, 2).values()
-        (tok,) = counts({f"pairs[{i}][0]": tok}, where)
-        bbox = numbers(elements(bbox, f"pairs[{i}][1]", where, 4), where)
-        pairs.append((tok, tuple(float(v) for v in bbox)))
+    pairs = record["pairs"]
+    # checked in place, as the layout is below; the named entries are built
+    # only to report a bad one
+    if not _plain_pairs(pairs):
+        for i, pair in enumerate(elements(pairs, "pairs", where).values()):
+            tok, bbox = elements(pair, f"pairs[{i}]", where, 2).values()
+            counts({f"pairs[{i}][0]": tok}, where)
+            numbers(elements(bbox, f"pairs[{i}][1]", where, 4), where)
+    pairs = [(tok, tuple(float(v) for v in bbox)) for tok, bbox in pairs]
     image_shape = tuple(counts(elements(record["image_shape"], "image_shape", where, 2), where, 1))
     grid = tuple(counts(elements(record["grid"], "grid", where, 2), where, 1))
     layout = record["prompt_layout"]

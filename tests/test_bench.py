@@ -450,6 +450,33 @@ class TestMaskDerivation:
                 assert len(blocks) == corpus_steps[seed] + cfg.window + cfg.out_len
         assert workloads == list(cfg.seeds)
 
+    def test_mask_seed_draws_each_step_once(self, monkeypatch):
+        """One seed draws each corpus step, window row and decode step once, in that order.
+
+        A drawn trace draws its steps when read, so reading a sample's steps
+        twice (to score them, then for their grounding terms) would draw them
+        twice.
+        """
+        cfg = small_config(kv_heads=2, mask_fractions=(0.0, 0.1, 0.25), corpus_size=3, out_len=3)
+        seed = cfg.seeds[0]
+        model = build_synthetic_model(cfg.geometry, cfg.planted_for_seed(seed), seed)
+        want = [sample.prompt_len + t for sample, trace in
+                generate_ocr_samples(model, cfg.corpus_size, seed) for t in range(trace.out_len)]
+        want += range(cfg.prompt_len - cfg.window + 1, cfg.prompt_len + 1)
+        want += range(cfg.prompt_len, cfg.prompt_len + cfg.out_len)
+        visible = []
+        draw_block = simmodel._draw_block
+
+        def counted(rng, draw, *args):
+            visible.append(draw.shape[2])
+            return draw_block(rng, draw, *args)
+
+        monkeypatch.setattr(simmodel, "_draw_block", counted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            bench._mask_seed_rows(cfg, seed)
+        assert visible == want
+
     def test_bench_imports_no_private_chaser_name(self):
         tree = ast.parse(open(bench.__file__, encoding="utf-8").read())
         for node in ast.walk(tree):

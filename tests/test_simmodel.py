@@ -18,7 +18,7 @@ from scipy.stats import binomtest
 
 from sparsemm import cache, simmodel
 from sparsemm.allocator import POLICY_NAMES, AllocationConfig, BudgetPlan, allocate, allocate_uniform
-from sparsemm.cache import compress_prefill, replay_masked, replay_plans
+from sparsemm.cache import compress_prefill, replay_masked, replay_plans, sum_onto_kv_heads
 from sparsemm.chaser import HeadScoreMatrix, chase_corpus, match_bbox_to_patches
 from sparsemm.errors import InvalidInputError, ShapeError
 from sparsemm.simmodel import (
@@ -62,14 +62,12 @@ def oracle_normalize_blocks(draw, roles):
     return out
 
 
-def oracle_decode_workload(model, prompt_len, out_len, window):
-    """The materializing decode workload: (L, Hq, w, Lp) window rows and decode rows.
+def oracle_layout(model, prompt_len, out_len, window):
+    """The decode workload's prompt layout, drawn as `SyntheticModel.decode_workload` draws it.
 
-    Same RNG draws and role layout as `SyntheticModel.decode_workload`, but
-    every window row is stored, and blocks are normalized by
-    `oracle_normalize_blocks`. Returns (window_attention, decode_rows).
+    Returns (rng, n_pre, image_off, g, union_positions, token_regions), the
+    generator as it stands before the window rows.
     """
-    geo = model.geometry
     rng = model._rng(simmodel._STREAM_DECODE, prompt_len, out_len, window)
     n_pre = min(4, max(0, prompt_len - window))
     tail = max(1, min(24, window - n_pre, prompt_len - n_pre))
@@ -82,11 +80,7 @@ def oracle_decode_workload(model, prompt_len, out_len, window):
     else:
         gr = gc = g = 0
         header = max(0, g_avail)
-    lp = prompt_len
     image_off = n_pre + header
-    sinks = np.arange(n_pre)
-    leak_pos = np.arange(n_pre, image_off + g)
-    tail_pos = np.arange(image_off + g, lp)
 
     rects = []
     union_patches = set()
@@ -114,6 +108,24 @@ def oracle_decode_workload(model, prompt_len, out_len, window):
             token_regions.append(image_off + patches)
         else:
             token_regions.append(np.empty(0, dtype=np.int64))
+    return rng, n_pre, image_off, g, union_positions, token_regions
+
+
+def oracle_decode_workload(model, prompt_len, out_len, window):
+    """The materializing decode workload: (L, Hq, w, Lp) window rows and decode rows.
+
+    Same RNG draws and role layout as `SyntheticModel.decode_workload`, but
+    every window row is stored, and blocks are normalized by
+    `oracle_normalize_blocks`. Returns (window_attention, decode_rows).
+    """
+    geo = model.geometry
+    lp = prompt_len
+    rng, n_pre, image_off, g, union_positions, token_regions = oracle_layout(
+        model, prompt_len, out_len, window
+    )
+    sinks = np.arange(n_pre)
+    leak_pos = np.arange(n_pre, image_off + g)
+    tail_pos = np.arange(image_off + g, lp)
 
     bg = simmodel.DECODE_BG
     window_stack = np.zeros((geo.layers, geo.query_heads, window, lp))
@@ -150,6 +162,46 @@ def oracle_decode_workload(model, prompt_len, out_len, window):
             block[l, h] = 1.0 / visible
         decode_rows.append(block)
     return window_stack, decode_rows
+
+
+def rows_buffer_window(model, prompt_len, out_len, window, masks=()):
+    """The window pass that holds each window row whole in a block-sized `rows` buffer.
+
+    Every row is drawn whole by `_draw_block`, edited and masked in place,
+    and summed onto the kv heads whole, and each masked set's groups are
+    copied from it: the pass as it ran before window rows were streamed in
+    kv-group tiles. Returns (window_scores, [scores of each masked set]).
+    """
+    geo = model.geometry
+    lp, n = prompt_len, prompt_len - window
+    rng, n_pre, image_off, g, union_positions, _ = oracle_layout(
+        model, prompt_len, out_len, window
+    )
+    cells = [model._masked_window(heads, n) for heads in masks]
+    window_scores = np.zeros((geo.layers, geo.kv_heads, n))
+    rows = np.empty(geo.layers * geo.query_heads * lp)
+    scratch = simmodel._tile_scratch(geo.layers * geo.query_heads, lp)
+    for i in range(window):
+        pos = lp - window + i
+        visible = pos + 1
+        block = rows[: geo.layers * geo.query_heads * visible].reshape(
+            geo.layers, geo.query_heads, visible
+        )
+        simmodel._draw_block(rng, block, n_pre, image_off + g, simmodel.DECODE_BG, scratch)
+        model._plant_window(rng, [block[l, h] for l, h in model.planted.heads],
+                            union_positions[union_positions <= pos])
+        model._mask_rows(block, visible)
+        window_scores += sum_onto_kv_heads(block[:, :, :n], geo.kv_heads)
+        grouped = block.reshape(-1, geo.group_size, visible)
+        for cell in cells:
+            rows_of = grouped[cell.groups, :, :n]
+            rows_of[cell.rows] = 1.0 / visible
+            cell.scores[...] += sum_onto_kv_heads(rows_of, 1)[:, 0]
+    if window:
+        window_scores /= window
+        for cell in cells:
+            cell.scores[...] /= window
+    return window_scores, [cell.scores for cell in cells]
 
 
 def eager_corpus(model, n, seed):
@@ -679,16 +731,19 @@ class TestNormalizeBlocks:
         assert np.array_equal(got, want)
 
     @settings(max_examples=200, deadline=None)
-    @given(rows=st.integers(1, 200), visible=st.integers(0, 3 * simmodel.TILE_VALUES))
-    def test_row_tiles_partition_the_rows(self, rows, visible):
-        tiles = list(simmodel._row_tiles(rows, visible))
+    @given(groups=st.integers(1, 200), group=st.integers(1, 5),
+           visible=st.integers(0, 3 * simmodel.TILE_VALUES))
+    def test_row_tiles_partition_the_rows(self, groups, group, visible):
+        rows = groups * group
+        tiles = list(simmodel._row_tiles(rows, visible, group))
         assert [start for start, _ in tiles] == [0, *(stop for _, stop in tiles[:-1])]
         assert tiles[-1][1] == rows
         sizes = [stop - start for start, stop in tiles]
-        # one row alone only when the block is one row
+        # whole kv groups; one row alone only when the block is one row
+        assert all(size % group == 0 for size in sizes)
         assert min(sizes) >= 2 or rows == 1
         # every tile fits the scratch buffer of any longer visible length
-        assert max(sizes) * visible <= simmodel._tile_scratch(rows, visible + 7).size
+        assert max(sizes) * visible <= simmodel._tile_scratch(rows, visible + 7, group).size
 
     @pytest.mark.parametrize(
         "shape, n_pre, text_off",
@@ -719,6 +774,107 @@ class TestNormalizeBlocks:
             np.random.default_rng(visible), np.empty(shape), n_pre, text_off, bg, scratch
         )
         assert np.array_equal(got, want)
+
+
+def assembled(ranges, shape):
+    """One step's whole (layers, query_heads, visible) rows from its kv-group ranges.
+
+    Every group must come exactly once; returns the step and the groups of
+    each range, in the order the ranges came.
+    """
+    layers, heads, visible = shape
+    out = np.full((layers * heads, visible), np.nan)
+    groups = []
+    for start, rows in ranges:
+        k, group, n = rows.shape
+        assert n == visible
+        out.reshape(-1, group, visible)[start : start + k] = rows
+        groups.append(set(range(start, start + k)))
+    assert sorted(q for part in groups for q in part) == list(range(layers * heads // group))
+    return out.reshape(shape), groups
+
+
+class TestStreamedRanges:
+    """A workload's streamed kv-group ranges are its whole steps, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "geometry, planted, masked, prompt_len, window, whole",
+        [
+            # 16 groups of 4 rows, 4 groups to a tile: planted heads in every
+            # tile, masked heads in three, one of them planted, and planted
+            # groups side by side (4 and 5, 11 and 12)
+            (ModelGeometry(4, 16, 4), ((0, 1), (1, 2), (1, 5), (2, 13), (3, 0)),
+             ((1, 5), (0, 9), (3, 15)), 4096, 8, False),
+            # groups of 3 rows: 30-row tiles, where row tiles would take 32
+            (ModelGeometry(3, 15, 5), ((0, 4), (2, 14)), ((1, 0),), 2048, 6, False),
+            # MHA at 40000 positions: a two-row tile and a three-row last tile
+            (ModelGeometry(1, 5, 5), ((0, 1), (0, 3)), ((0, 4),), 40000, 3, False),
+            # a step that fits the tile buffer goes out whole, as one range
+            (ModelGeometry(2, 8, 4), ((0, 1), (1, 6)), ((1, 7), (0, 2)), 160, 32, True),
+            # a one-row block
+            (ModelGeometry(1, 1, 1), ((0, 0),), (), 64, 8, True),
+        ],
+        ids=["planted-in-several-tiles", "group-of-3", "mha", "step-fits-one-tile", "one-row"],
+    )
+    def test_ranges_are_the_whole_steps(self, geometry, planted, masked, prompt_len, window,
+                                        whole):
+        model = mask_heads(small_model(seed=70, strength=0.9, planted=planted, geometry=geometry),
+                           masked)
+        masks = [[(0, 0)], [planted[-1]]]
+        workload = model.decode_workload(prompt_len, 3, window, masks)
+        g = geometry.group_size
+        held = {l * geometry.kv_heads + h // g for l, h in planted}
+        steps = list(workload.steps)
+        for t, ranges in enumerate(workload.steps.ranges()):
+            shape = (geometry.layers, geometry.query_heads, prompt_len + t)
+            got, groups = assembled(ranges, shape)
+            assert got.tobytes() == steps[t].tobytes()
+            # the groups that hold a planted head come last, in ranges of their own
+            last = [bool(part & held) for part in groups]
+            assert (len(groups) == 1) == whole
+            if not whole:
+                assert last == sorted(last)
+                assert all(part <= held for part in groups if part & held)
+        assert t == 2
+        window_scores, cell_scores = rows_buffer_window(model, prompt_len, 3, window, masks)
+        assert workload.window_scores.tobytes() == window_scores.tobytes()
+        for cell, want in zip(workload.masked, cell_scores, strict=True):
+            assert cell.scores.tobytes() == want.tobytes()
+
+    def test_a_reader_that_stops_early_moves_no_later_step(self):
+        model = small_model(seed=71, strength=0.9, planted=((0, 1), (1, 2)),
+                            geometry=ModelGeometry(2, 8, 2))
+        workload = model.decode_workload(2048, 3, 4)
+        want = [rows.tobytes() for rows in workload.steps]
+        got = []
+        for t, ranges in enumerate(workload.steps.ranges()):
+            if t == 1:
+                next(ranges)  # read one range of step 1 only
+                continue
+            got.append(assembled(ranges, (2, 8, 2048 + t))[0].tobytes())
+        assert got == [want[0], want[2]]
+
+    def test_drawn_trace_gives_the_same_bits_on_every_pass_and_in_any_order(self):
+        geometry = ModelGeometry(2, 4, 2)
+        model = mask_heads(
+            small_model(seed=72, strength=0.8, planted=((0, 1), (1, 2)), geometry=geometry),
+            [(1, 3)],
+        )
+        traces = [trace for _, trace in generate_ocr_samples(model, 3, seed=5)]
+        assert all(isinstance(trace.steps, simmodel.DecodeSteps) for trace in traces)
+        # a drawn trace holds its layout, not its steps
+        for trace in traces:
+            assert sum(held_arrays(trace).values()) < 4096
+        want = [[step.tobytes() for step in trace.steps] for trace in traces]
+        for i in (2, 0, 1, 1, 0):
+            assert [step.tobytes() for step in traces[i].steps] == want[i]
+        # two traces, and two passes over one, read in lockstep
+        for a, b, c in zip(traces[0].steps, traces[2].steps, traces[0].steps):
+            assert a.tobytes() == c.tobytes()
+        assert [step.tobytes() for step in traces[2].steps] == want[2]
+        # and the bits are the ones the trace's drawn sample saves
+        for i, (_, trace) in enumerate(eager_corpus(model, 3, 5)):
+            assert [step.tobytes() for step in trace.steps] == want[i]
 
 
 def one_at_a_time(steps):
@@ -776,27 +932,36 @@ class TestOneStepAlive:
             assert np.array_equal(got.head_mean_recall, want.head_mean_recall)
 
     def test_stage_peaks_in_step_blocks(self):
-        """Window pass and replay at a geometry whose rows span several tiles.
+        """Window pass and replay where a step spans several tiles: no stage holds a step.
 
-        A step block is one (layers, query_heads, Lp) float64 array. The window
-        pass holds its rows buffer, the scores and one tile's scratch (about
-        2.3 blocks here); a block-sized scratch reaches 3.0. The replay holds
-        one step, the tile scratch that draws it, the key order and its
-        negated scores (about 2.0 blocks, at 1 plan and at 15); a whole-step
-        prefix-sum table reaches 3.0, and holding the previous step, a
-        block-sized scratch or a ranked copy adds a block more.
+        A step block is one (layers, query_heads, Lp) float64 array, 2 MiB
+        here, and a tile a quarter of it: 4 of the 16 kv groups. A streamed
+        step is drawn in one tile and its normalizing copy, with the two
+        planted groups held aside (`stream`, about 0.66 blocks). The window
+        pass holds that stream and the scores (a quarter block); the replay
+        holds it, the key order (scores-sized), one ranked chunk and its
+        table. Each bound is those arrays and half a block for the layout,
+        the per-range sums and the negated scores. The window pass reads
+        about 1.1 blocks and the replay 1.4, at 1 plan and at 15. A
+        block-sized rows buffer in the window pass, or a whole step held in
+        the replay, adds a block and breaks its bound.
         """
         geo = ModelGeometry(4, 16, 4)
         lp, w = 4096, 8
         model = small_model(seed=50, strength=0.8, planted=((0, 1), (3, 5)), geometry=geo)
         block = geo.layers * geo.query_heads * lp * 8
+        tile = simmodel._tile_scratch(geo.layers * geo.query_heads, lp, geo.group_size).nbytes
+        assert 4 * tile < 1.1 * block  # several tiles to a step
+        stream = 2 * tile + 2 * geo.group_size * lp * 8
+        chunk = cache.RANK_CHUNK_VALUES * 8
         tracemalloc.start()
         try:
             workload = model.decode_workload(lp, 3, w)
             _, window_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert window_peak < 2.6 * block
+        scores = workload.window_scores.nbytes
+        assert window_peak < scores + stream + 0.5 * block
         for n_plans in (1, 15):
             # per-head budgets from the window to past the prompt
             plans = [
@@ -809,7 +974,29 @@ class TestOneStepAlive:
                 _, replay_peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert replay_peak < 2.4 * block, n_plans
+            assert replay_peak < scores + 2 * chunk + stream + 0.5 * block, n_plans
+
+    def test_chasing_a_drawn_corpus_holds_one_step(self):
+        """`chase_corpus` over drawn samples at 32x32 holds one corpus step, not a trace.
+
+        A drawn trace draws each step as the chase reads it: the step, the
+        tile scratch that draws it and the scoring temporaries, about 1.7 of
+        the largest step. A trace held whole is 5 to 9 steps here.
+        """
+        model = small_model(seed=5, strength=0.8, geometry=ModelGeometry(32, 32, 8),
+                            planted=[(l, 3 * l % 32) for l in range(32)])
+        corpus = generate_ocr_samples(model, 4, 2)
+        largest = max(sample.prompt_len + trace.out_len - 1 for sample, trace in corpus)
+        step = 32 * 32 * largest * 8
+        chase_corpus(generate_ocr_samples(model, 1, 3))  # first-call allocations
+        tracemalloc.start()
+        try:
+            chase_corpus(corpus)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert min(trace.out_len for _, trace in corpus) >= 5
+        assert peak < step + simmodel.TILE_VALUES * 8 + 0.5 * step
 
 
 class TestDecodeWithCache:
