@@ -264,20 +264,18 @@ def _step_mass(rows, order, lp, index, scratch, always, total, captured, groups=
     """A range of one step's always-kept, prompt-total and captured mass, a chunk at a time.
 
     `rows` is (groups, group_size, lp + t), consecutive kv groups' query rows,
-    and `order` (k, 1, n) the keys left of the window, best first, for k
-    groups: every group of `rows`, or `rows[groups]` with `masked_rows`
-    (k, group_size) set to 1/(lp + t). `index` (k, group_size, plans) holds
-    each plan's count of kept ranked keys. Per chunk of whole groups, about
-    RANK_CHUNK_VALUES values, the keys are gathered in ranked order and
-    summed into `scratch` (chunk, group_size, n + 1), whose column 0 stays 0,
-    so keeping the best j keys captures scratch[..., j]: every plan reads its
-    captured mass there, and the prompt total is the last column. A
-    cumulative sum runs along each row, so neither the chunks nor the ranges
-    move a bit. Writes the window and generated mass, which every plan
-    keeps, into `always` and the row total into `total`, (k, group_size)
-    each, and the captured mass into `captured`, (k, group_size, plans).
+    and `order` (k, n) the keys left of the window, best first, for k groups:
+    every group of `rows`, or `rows[groups]` with `masked_rows` (k, group_size)
+    set to 1/(lp + t). `index` (k, group_size, plans) holds each plan's count
+    of kept ranked keys. Per chunk of whole groups, about RANK_CHUNK_VALUES
+    values, each group's keys are gathered in ranked order into `scratch`
+    (chunk, group_size, n + 1) and summed along each row there, so neither
+    chunks nor ranges move a bit; column 0 stays 0, so keeping the best j keys
+    captures scratch[..., j], and the prompt total is the last column. Writes
+    the window and generated mass, which every plan keeps, into `always`, the
+    row total into `total`, and each plan's captured mass into `captured`.
     """
-    n = order.shape[2]
+    n = order.shape[1]
     for start in range(0, order.shape[0], scratch.shape[0]):
         part = slice(start, start + scratch.shape[0])
         if groups is None:
@@ -286,9 +284,11 @@ def _step_mass(rows, order, lp, index, scratch, always, total, captured, groups=
             block = rows[groups[part]]
             block[masked_rows[part]] = 1.0 / rows.shape[2]
         table = scratch[: block.shape[0]]
-        ranked = np.take_along_axis(block[:, :, :lp], order[part], axis=2)
-        np.cumsum(ranked, axis=2, out=table[:, :, 1:])
-        del ranked
+        ranked = table[:, :, 1:]
+        # argsort keys are in range, so "clip" clips none; it measured faster than "raise"
+        for i, keys in enumerate(order[part]):
+            block[i].take(keys, axis=1, out=ranked[i], mode="clip")
+        np.cumsum(ranked, axis=2, out=ranked)
         always[part] = block[:, :, n:lp].sum(axis=2) + block[:, :, lp:].sum(axis=2)
         total[part] = always[part] + table[:, :, n]
         captured[part] = np.take_along_axis(table, index[part], axis=2)
@@ -338,7 +338,7 @@ def _replay(geometry, workload, plans, cells) -> list[DecodeRecord]:
     group = geometry.group_size
     n_groups = layers * kv_heads
     n = lp - w
-    order = _descending_order(workload.window_scores).reshape(n_groups, 1, n)
+    order = _descending_order(workload.window_scores).reshape(n_groups, n)
     kept = [np.minimum(plan.budgets, lp) for plan in plans]
     # scratch index per query head and plan: 0 keeps the window only, n keeps the prompt
     index = np.empty((n_groups, group, len(plans)), dtype=np.intp)
@@ -356,7 +356,7 @@ def _replay(geometry, workload, plans, cells) -> list[DecodeRecord]:
             continue
         if cell.scores.shape != (cell.groups.size, n):
             raise ShapeError("masked window scores do not match the workload")
-        masked.append((cell, _descending_order(cell.scores)[:, None, :],
+        masked.append((cell, _descending_order(cell.scores),
                        index[cell.groups, :, p : p + 1], np.empty((cell.groups.size, group)),
                        np.empty((cell.groups.size, group)), np.empty((cell.groups.size, group, 1))))
     recalls = np.zeros((len(plans), out_len))

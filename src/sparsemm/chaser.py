@@ -10,6 +10,7 @@ token count, and min-max normalized into [0, 1].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -104,10 +105,10 @@ def match_bbox_to_patches(bbox, image_shape, grid) -> tuple[int, ...]:
     cell_h = height / rows
     cell_w = width / cols
     # open-interval overlap: cell [c*cw, (c+1)*cw) intersects (x0, x1) with area
-    r_first = max(0, int(np.floor(y0 / cell_h)))
-    r_last = min(rows - 1, int(np.ceil(y1 / cell_h)) - 1)
-    c_first = max(0, int(np.floor(x0 / cell_w)))
-    c_last = min(cols - 1, int(np.ceil(x1 / cell_w)) - 1)
+    r_first = max(0, math.floor(y0 / cell_h))
+    r_last = min(rows - 1, math.ceil(y1 / cell_h) - 1)
+    c_first = max(0, math.floor(x0 / cell_w))
+    c_last = min(cols - 1, math.ceil(x1 / cell_w) - 1)
     covered = []
     for r in range(r_first, r_last + 1):
         for c in range(c_first, c_last + 1):
@@ -121,20 +122,21 @@ def token_positions(sample: OcrSample, out_len: int) -> list[np.ndarray | None]:
 
     A token is skipped, and reads None, when its (text, bbox) pair is
     missing, its box is degenerate, or its patches hold no prompt position.
+    Positions come from a boolean row over patch labels whose last slot,
+    past every label and never set, is the one TEXT_TOKEN reads.
     """
-    layout = np.asarray(sample.prompt_layout)
-    out: list[np.ndarray | None] = []
-    for t in range(out_len):
-        if t >= len(sample.pairs):
-            out.append(None)
-            continue
+    layout = np.asarray(sample.prompt_layout, dtype=np.intp)
+    last_label = int(layout.max(initial=-1))
+    out: list[np.ndarray | None] = [None] * out_len
+    for t, pair in zip(range(out_len), sample.pairs):
         try:
-            patches = match_bbox_to_patches(sample.pairs[t][1], sample.image_shape, sample.grid)
+            patches = match_bbox_to_patches(pair[1], sample.image_shape, sample.grid)
         except DegenerateBoxError:
-            out.append(None)
             continue
-        positions = np.flatnonzero(np.isin(layout, patches))
-        out.append(positions if positions.size else None)
+        member = np.zeros(max(last_label, max(patches, default=-1)) + 2, dtype=bool)
+        member[list(patches)] = True
+        positions = np.flatnonzero(member[layout])
+        out[t] = positions if positions.size else None
     return out
 
 
@@ -158,8 +160,9 @@ def score_sample(sample: OcrSample, trace: AttentionTrace) -> SampleScore:
         if positions is None:
             skipped += 1
         else:
-            top = np.argmax(rows, axis=2)
-            inc += (1.0 / positions.size) * np.isin(top, positions)
+            hit = np.zeros(max(rows.shape[2], sample.prompt_len), dtype=bool)
+            hit[positions] = True
+            inc += (1.0 / positions.size) * hit[np.argmax(rows, axis=2)]
             scored += 1
         del rows
         t += 1

@@ -263,19 +263,19 @@ def _normalize_blocks(draw: np.ndarray, roles, scratch: np.ndarray) -> np.ndarra
     `roles` holds (start, stop, mass) ranges that partition the last axis of
     `draw`; each range is rescaled to carry its mass. Ranges with no position
     forfeit their mass to the rest (renormalized). A range's total is summed
-    from a C-order copy that holds the position axis outermost, which fixes
-    the order of its float sum. The copy is written into `scratch`, a flat
-    float64 buffer of at least `draw.size` values; `_draw_block` passes one
-    row tile at a time, so the buffer is one tile, reused for every tile.
+    from a C-order (positions, rows) copy of it in `scratch`, which fixes the
+    order of its float sum: a flat float64 buffer of at least `draw.size`
+    values, one row tile of `_draw_block`'s, reused for every tile. A `draw`
+    with no (rows, visible) view, which a reshape would copy, raises ValueError.
     """
     live = [(start, stop, m) for start, stop, m in roles if stop > start]
     z = sum(m for _, _, m in live)
+    rows = draw.reshape(math.prod(draw.shape[:-1]), draw.shape[-1], copy=False)
     for start, stop, m in live:
-        block = draw[..., start:stop]
-        outer = np.moveaxis(block, -1, 0)
-        copy = scratch[: block.size].reshape(outer.shape)
-        copy[...] = outer
-        total = copy.sum(axis=0)[..., None]
+        block = rows[:, start:stop]
+        copy = scratch[: block.size].reshape(stop - start, rows.shape[0])
+        copy[...] = block.T
+        total = copy.sum(axis=0)[:, None]
         block *= m / z
         block /= total
     return draw
@@ -353,15 +353,13 @@ def _rect_patches(r0: int, c0: int, rows: int, cols: int, grid_cols: int) -> np.
     return ((r0 + np.arange(rows))[:, None] * grid_cols + (c0 + np.arange(cols))).ravel()
 
 
-def _plant_hit_row(rng, row: np.ndarray, region: np.ndarray) -> np.ndarray:
-    """Rebuild one row as peak + region + scaled background; argmax is the peak."""
+def _plant_hit_row(rng, row: np.ndarray, region: np.ndarray) -> None:
+    """Rebuild `row` in place as peak + region + scaled background, argmax the peak."""
     weights = rng.exponential(size=region.size)
-    weights = REGION_MASS * weights / weights.sum()
     peak = int(region[rng.integers(region.size)])
-    out = (1.0 - PEAK_MASS - REGION_MASS) * row
-    out[region] += weights
-    out[peak] += PEAK_MASS
-    return out
+    row *= 1.0 - PEAK_MASS - REGION_MASS
+    row[region] += REGION_MASS * weights / weights.sum()
+    row[peak] += PEAK_MASS
 
 
 @dataclass(frozen=True)
@@ -438,7 +436,7 @@ class SyntheticModel:
         for row in rows:
             u = rng.random()
             if region.size and u < self.planted.strength:
-                row[...] = _plant_hit_row(rng, row, region)
+                _plant_hit_row(rng, row, region)
 
     def _plant_window(self, rng, rows, union_vis: np.ndarray) -> None:
         """Steer part of each planted head's window row, in `rows`, onto the visible union."""
@@ -447,9 +445,8 @@ class SyntheticModel:
         u_mass = WINDOW_REGION_FACTOR * self.planted.strength
         for row in rows:
             spread = rng.exponential(size=union_vis.size)
-            edited = (1.0 - u_mass) * row
-            edited[union_vis] += u_mass * spread / spread.sum()
-            row[...] = edited
+            row *= 1.0 - u_mass
+            row[union_vis] += u_mass * spread / spread.sum()
 
     def _stream(self, visible: int) -> "_Stream":
         """The buffers that `_draw_ranges` draws steps of up to `visible` positions in."""
@@ -606,7 +603,7 @@ class SyntheticModel:
             (h_px, w_px),
             (gr, gc),
             tuple((tok, tuple(float(v) for v in bbox)) for tok, bbox in pairs),
-            tuple(int(v) for v in layout),
+            tuple(layout.tolist()),
         )
         return sample, AttentionTrace(steps, lp)
 

@@ -6,11 +6,15 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sparsemm
+from sparsemm import chaser
 from sparsemm.chaser import (
     HeadScoreMatrix,
     aggregate_gqa_scores,
@@ -91,6 +95,47 @@ class TestMatchBboxToPatches:
             match_bbox_to_patches((0, 0, 10, 10), (100, 100), (0, 2))
 
 
+# layouts the generator never makes: empty, no image token, duplicated,
+# missing and above-the-grid labels
+LAYOUTS = st.one_of(
+    st.just(()),
+    st.lists(st.just(TEXT_TOKEN), max_size=6),
+    st.lists(st.integers(TEXT_TOKEN, 12), max_size=24),
+).map(tuple)
+
+
+def draw_positions_case(data):
+    """(layout, per-pair patch set or None for a degenerate box, pairs, out_len)."""
+    layout = data.draw(LAYOUTS)
+    patch_sets = data.draw(st.lists(
+        st.one_of(st.none(), st.lists(st.integers(0, 15), unique=True).map(sorted).map(tuple)),
+        max_size=5,
+    ))
+    # a pair's bbox carries its index, which `stub_patches` reads
+    pairs = tuple((7, (float(t), 0.0, 1.0, 1.0)) for t in range(len(patch_sets)))
+    return layout, patch_sets, pairs, data.draw(st.integers(0, len(patch_sets) + 2))
+
+
+def stub_patches(patch_sets):
+    """A `match_bbox_to_patches` that gives each pair its drawn patch set, or raises."""
+
+    def match(bbox, image_shape, grid):
+        patches = patch_sets[int(bbox[0])]
+        if patches is None:
+            raise DegenerateBoxError("drawn as degenerate")
+        return patches
+
+    return match
+
+
+def oracle_positions(layout, patch_sets, pairs, t):
+    """Token t's prompt positions as `np.isin` finds them, or None where it is skipped."""
+    if t >= len(pairs) or patch_sets[t] is None:
+        return None
+    positions = np.flatnonzero(np.isin(np.asarray(layout), patch_sets[t]))
+    return positions if positions.size else None
+
+
 class TestTokenPositions:
     def test_positions_follow_the_layout(self):
         # patches 0 and 2 of a 2x2 grid sit at prompt positions 2 and 4
@@ -98,6 +143,21 @@ class TestTokenPositions:
         sample = OcrSample((100, 100), (2, 2), ((7, (10.0, 10.0, 40.0, 90.0)),), layout)
         (positions,) = token_positions(sample, 1)
         assert positions.tolist() == [2, 4]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_lookup_matches_isin_oracle(self, data):
+        """Hand-built layouts and patch sets, read as `np.isin` reads them."""
+        layout, patch_sets, pairs, out_len = draw_positions_case(data)
+        sample = OcrSample((100, 100), (2, 2), pairs, layout)
+        with mock.patch.object(chaser, "match_bbox_to_patches", stub_patches(patch_sets)):
+            got = token_positions(sample, out_len)
+        want = [oracle_positions(layout, patch_sets, pairs, t) for t in range(out_len)]
+        assert len(got) == out_len
+        for g, w in zip(got, want):
+            assert (g is None) == (w is None)
+            if w is not None:
+                assert g.dtype == np.intp and g.tolist() == w.tolist()
 
 
 def make_sample_and_trace(n_tokens, region_patches, peak_patch, grid=(2, 2)):
@@ -156,6 +216,52 @@ class TestScoreSample:
             OcrSample(sample.image_shape, sample.grid, broken, sample.prompt_layout), trace
         )
         assert (result.increment.corpus_tokens, result.tokens_skipped) == (2, 1)
+
+    def test_argmax_on_a_generated_position_is_a_miss(self):
+        # every row peaks on the last generated token; no prompt position is there
+        sample, trace = make_sample_and_trace(3, [0, 1, 2, 3], 0)
+        lp = sample.prompt_len
+        steps = []
+        for t, step in enumerate(trace.steps):
+            row = step.copy()
+            if t:
+                row[0, 0, lp + t - 1] = 1.0
+            steps.append(row)
+        result = score_sample(sample, AttentionTrace(tuple(steps), lp))
+        assert result.increment.scores[0, 0] == pytest.approx(0.25)  # step 0 alone hits
+        assert result.increment.corpus_tokens == 3
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_hits_match_isin_oracle(self, data):
+        """Argmaxes on prompt and generated positions, read as `np.isin` reads them."""
+        layout, patch_sets, pairs, out_len = draw_positions_case(data)
+        sample = OcrSample((100, 100), (2, 2), pairs, layout)
+        # the trace's prompt may be shorter or longer than the sample's layout
+        lp = max(1, len(layout) + data.draw(st.integers(-2, 2)))
+        layers, heads = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        steps = []
+        for t in range(max(out_len, 1)):
+            rows = rng.random((layers, heads, lp + t))
+            # peaks on generated positions where there are any, else anywhere
+            peaks = rng.integers(lp if t else 0, lp + t, size=(layers, heads))
+            first = rng.random((layers, heads)) < 0.5
+            peaks[first] = rng.integers(0, lp + t, size=int(first.sum()))
+            np.put_along_axis(rows, peaks[..., None], 2.0, axis=2)
+            steps.append(rows)
+        trace = AttentionTrace(tuple(steps), lp)
+        with mock.patch.object(chaser, "match_bbox_to_patches", stub_patches(patch_sets)):
+            got = score_sample(sample, trace)
+        want = np.zeros((layers, heads))
+        scored = 0
+        for t, rows in enumerate(steps):
+            positions = oracle_positions(layout, patch_sets, pairs, t)
+            if positions is not None:
+                want += (1.0 / positions.size) * np.isin(np.argmax(rows, axis=2), positions)
+                scored += 1
+        assert np.array_equal(got.increment.scores, want)
+        assert (got.increment.corpus_tokens, got.tokens_skipped) == (scored, len(steps) - scored)
 
     def test_brute_force_oracle_on_generated_corpus(self):
         model = build_synthetic_model(

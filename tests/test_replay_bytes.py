@@ -8,6 +8,12 @@ past the prompt, and a plan of mixed budgets. The masked head sets put their
 kv groups in one chunk, in both chunks, in the whole second chunk, and in
 every group. The digests were recorded before the replay was chunked across
 plans, when it still built one prefix-sum table per step.
+
+A second pin holds an MHA geometry, 4 layers x 8 heads (group size 1),
+prompt 2080 and window 16: each step goes out as one range of all 32 kv
+groups, and a chunk holds 31 of them, so one chunk gathers and sums many
+groups and the last holds one. Its digests were recorded before the replay
+gathered each group's ranked keys straight into the chunk table.
 """
 
 import hashlib
@@ -80,3 +86,56 @@ def test_masked_records(workload):
     )
     plans = [BudgetPlan(b, int(b.sum()), window=WINDOW) for b in budgets]
     assert records_digest(replay_masked(GEOMETRY, workload, plans)) == DIGESTS["masked"]
+
+
+MHA = ModelGeometry(4, 8, 8)
+MHA_PROMPT, MHA_OUT, MHA_WINDOW = 2080, 3, 16
+MHA_MASKS = [
+    [(0, 3)],  # group 3: the first chunk
+    [(3, 7)],  # group 31: the last chunk, alone
+    [(1, 0), (3, 7)],  # groups 8 and 31: one in each chunk
+    [(l, h) for l in range(4) for h in range(8)],  # every group
+]
+
+MHA_DIGESTS = {
+    "plans": "d1838637b40b81049d4a24e27a65de7f930ab4c89a9378f7de959da6a849e7c0",
+    "masked": "f59c4a023bf77a1c96821924d6875848f26ee7aa9de8a349107bbc6928b10242",
+}
+
+
+@pytest.fixture(scope="module")
+def mha_workload():
+    planted = PlantedHeadSet.uniform([(0, 3), (2, 5), (3, 7)], 0.8)
+    model = build_synthetic_model(MHA, planted, 62)
+    return model.decode_workload(MHA_PROMPT, MHA_OUT, MHA_WINDOW, MHA_MASKS)
+
+
+def test_mha_chunk_spans_many_groups(mha_workload):
+    assert MHA.group_size == 1
+    assert cache.RANK_CHUNK_VALUES // (MHA_PROMPT - MHA_WINDOW) == 31
+    assert MHA.layers * MHA.kv_heads == 32
+    ranges = [len(list(step)) for step in mha_workload.steps.ranges()]
+    assert ranges == [1] * MHA_OUT
+
+
+def test_mha_plan_records(mha_workload):
+    layers, kv_heads = MHA.layers, MHA.kv_heads
+    scores = HeadScoreMatrix(np.random.default_rng(62).random((layers, kv_heads)))
+    plans = [
+        allocate(policy, AllocationConfig(b * layers * kv_heads, MHA_WINDOW), layers, kv_heads,
+                 scores, 62)
+        for policy in POLICY_NAMES
+        for b in (MHA_WINDOW, 40, 700, MHA_PROMPT, MHA_PROMPT + 5)
+    ]
+    mixed = np.random.default_rng(63).choice([MHA_WINDOW, 17, 1040, MHA_PROMPT, MHA_PROMPT + 5],
+                                             size=(layers, kv_heads))
+    plans.append(BudgetPlan(mixed, int(mixed.sum()), window=MHA_WINDOW))
+    assert records_digest(replay_plans(MHA, mha_workload, plans)) == MHA_DIGESTS["plans"]
+
+
+def test_mha_masked_records(mha_workload):
+    budgets = np.random.default_rng(64).choice(
+        [MHA_WINDOW, 200, 1500, MHA_PROMPT, MHA_PROMPT + 5], size=(1 + len(MHA_MASKS), 4, 8)
+    )
+    plans = [BudgetPlan(b, int(b.sum()), window=MHA_WINDOW) for b in budgets]
+    assert records_digest(replay_masked(MHA, mha_workload, plans)) == MHA_DIGESTS["masked"]

@@ -157,7 +157,7 @@ def oracle_decode_workload(model, prompt_len, out_len, window):
         region = token_regions[t]
         for l, h in model.planted.heads:
             if rng.random() < model.planted.strength and region.size:
-                block[l, h] = simmodel._plant_hit_row(rng, block[l, h], region)
+                simmodel._plant_hit_row(rng, block[l, h], region)
         for l, h in sorted(model.masked):
             block[l, h] = 1.0 / visible
         decode_rows.append(block)
@@ -729,6 +729,22 @@ class TestNormalizeBlocks:
         got = simmodel._normalize_blocks(draw, roles, np.full(draw.size + 5, np.nan))
         assert got is draw
         assert np.array_equal(got, want)
+
+    def test_a_draw_without_a_2d_view_is_refused(self):
+        """Rows edited through a reshape that copied would leave `draw` as drawn."""
+        roles = [(0, 4, 0.3), (4, 10, 0.7)]
+        base = np.random.default_rng(5).exponential(size=(3, 2, 10))
+        draw = base.swapaxes(0, 1)  # (2, 3, 10): its rows have no common stride
+        with pytest.raises(ValueError):
+            simmodel._normalize_blocks(draw, roles, np.empty(draw.size))
+        assert np.array_equal(base, np.random.default_rng(5).exponential(size=(3, 2, 10)))
+        # every other row of a block has a 2-D view: normalized in place there
+        rows = np.random.default_rng(6).exponential(size=(6, 10))
+        want = oracle_normalize_blocks(
+            rows[::2].copy(), [(np.arange(start, stop), m) for start, stop, m in roles]
+        )
+        simmodel._normalize_blocks(rows[::2], roles, np.empty(30))
+        assert np.array_equal(rows[::2], want)
 
     @settings(max_examples=200, deadline=None)
     @given(groups=st.integers(1, 200), group=st.integers(1, 5),
