@@ -84,6 +84,26 @@ def _descending_order(scores: np.ndarray) -> np.ndarray:
     return np.argsort(-scores, axis=-1, kind="stable")
 
 
+# values in one chunk of ranked keys: `_key_order` ranks, and `_step_mass` gathers and
+# sums, this many at a time
+RANK_CHUNK_VALUES = 1 << 16
+
+
+def _key_order(scores: np.ndarray) -> np.ndarray:
+    """`_descending_order` of (groups, n) scores, ranked a chunk of groups at a time.
+
+    The order is held in the narrowest unsigned dtype that holds n - 1, so
+    uint16 for n up to 65536; only a chunk of about RANK_CHUNK_VALUES values
+    is ever held as negated scores and intp positions.
+    """
+    groups, n = scores.shape
+    order = np.empty((groups, n), dtype=np.min_scalar_type(max(n - 1, 0)))
+    chunk = max(1, RANK_CHUNK_VALUES // max(n, 1))
+    for start in range(0, groups, chunk):
+        order[start : start + chunk] = _descending_order(scores[start : start + chunk])
+    return order
+
+
 def select_topk(scores, k: int) -> TopKSelection:
     """Positions of the k largest scores, ascending; ties favor earlier positions.
 
@@ -185,8 +205,9 @@ def compress_prefill(
     skipped = lp < w
     kept = np.ones((layers, kv_heads, lp), dtype=bool)
     if not skipped:
-        rank = np.argsort(_descending_order(scores), axis=-1)  # each key's place in the order
-        kept[:, :, :n] = rank < (plan.budgets - w)[:, :, None]
+        # the key in place i of a head's order is kept when i < b - w
+        order = _key_order(scores.reshape(layers * kv_heads, n)).reshape(layers, kv_heads, n)
+        np.put_along_axis(kept[:, :, :n], order, np.arange(n) < (plan.budgets - w)[:, :, None], 2)
     heads = []
     for l in range(layers):
         for j in range(kv_heads):
@@ -223,13 +244,15 @@ def replay_plans(geometry, workload, plans) -> list[DecodeRecord]:
     one tile and the groups that hold a planted head are in memory, not a step.
     A plan keeps, per kv head, the window plus its best b - w ranked keys,
     which is what `compress_prefill` keeps, so every plan cuts the same key
-    order. Each decode step is ranked a chunk of kv groups at a time: the
-    chunk's keys are summed in ranked order into one scratch table of
-    cumulative captured mass, (chunk, group_size, Lp - w + 1), and every plan
-    reads its captured mass for those groups there before the next chunk is
-    summed; a plan's kept mass is window mass + generated mass + table[b - w].
-    No table of the whole step is built. A head with b >= Lp reads the row
-    total, so its recall is exactly 1. Slot counts follow from min(b, Lp) alone.
+    order, ranked a chunk of kv groups at a time into uint16 keys for any
+    Lp - w up to 65536 (`_key_order`). Each decode step is ranked a chunk of
+    kv groups at a time: the chunk's keys are summed in ranked order into one
+    scratch table of cumulative captured mass, (chunk, group_size, Lp - w + 1),
+    and every plan reads its captured mass for those groups there, with one
+    flat `take`, before the next chunk is summed; a plan's kept mass is
+    window mass + generated mass + table[b - w]. No table of the whole step
+    is built. A head with b >= Lp reads the row total, so its recall is
+    exactly 1. Slot counts follow from min(b, Lp) alone.
     """
     return _replay(geometry, workload, plans, [None] * len(plans))
 
@@ -255,27 +278,27 @@ def replay_masked(geometry, workload, plans) -> list[DecodeRecord]:
     return _replay(geometry, workload, plans, [None, *workload.masked])
 
 
-# values in one chunk of ranked keys: `_step_mass` ranks and sums this many at a time
-RANK_CHUNK_VALUES = 1 << 16
-
-
 def _step_mass(rows, order, lp, index, scratch, always, total, captured, groups=None,
                masked_rows=None) -> None:
     """A range of one step's always-kept, prompt-total and captured mass, a chunk at a time.
 
     `rows` is (groups, group_size, lp + t), consecutive kv groups' query rows,
-    and `order` (k, n) the keys left of the window, best first, for k groups:
-    every group of `rows`, or `rows[groups]` with `masked_rows` (k, group_size)
-    set to 1/(lp + t). `index` (k, group_size, plans) holds each plan's count
-    of kept ranked keys. Per chunk of whole groups, about RANK_CHUNK_VALUES
-    values, each group's keys are gathered in ranked order into `scratch`
-    (chunk, group_size, n + 1) and summed along each row there, so neither
-    chunks nor ranges move a bit; column 0 stays 0, so keeping the best j keys
-    captures scratch[..., j], and the prompt total is the last column. Writes
-    the window and generated mass, which every plan keeps, into `always`, the
-    row total into `total`, and each plan's captured mass into `captured`.
+    and `order` (k, n) the keys left of the window, best first, in any
+    unsigned dtype, for k groups: every group of `rows`, or `rows[groups]`
+    with `masked_rows` (k, group_size) set to 1/(lp + t). `index`
+    (k, group_size, plans) holds each plan's count of kept ranked keys. Per
+    chunk of whole groups, about RANK_CHUNK_VALUES values, each group's keys
+    are gathered in ranked order into `scratch` (chunk, group_size, n + 1)
+    and summed along each row there, so neither chunks nor ranges move a bit;
+    column 0 stays 0, so keeping the best j keys captures scratch[..., j], and
+    the prompt total is the last column. Writes the window and generated
+    mass, which every plan keeps, into `always`, the row total into `total`,
+    and each plan's captured mass into `captured`, gathered from the flat
+    scratch with one `take`.
     """
     n = order.shape[1]
+    # each query head's row offset in the flat scratch, to read captured mass with one take
+    row_at = np.arange(0, scratch.size, n + 1).reshape(*scratch.shape[:2], 1)
     for start in range(0, order.shape[0], scratch.shape[0]):
         part = slice(start, start + scratch.shape[0])
         if groups is None:
@@ -285,13 +308,14 @@ def _step_mass(rows, order, lp, index, scratch, always, total, captured, groups=
             block[masked_rows[part]] = 1.0 / rows.shape[2]
         table = scratch[: block.shape[0]]
         ranked = table[:, :, 1:]
-        # argsort keys are in range, so "clip" clips none; it measured faster than "raise"
+        # argsort keys and plan indices are in range, so "clip" clips none; it measured
+        # faster than "raise"
         for i, keys in enumerate(order[part]):
             block[i].take(keys, axis=1, out=ranked[i], mode="clip")
         np.cumsum(ranked, axis=2, out=ranked)
         always[part] = block[:, :, n:lp].sum(axis=2) + block[:, :, lp:].sum(axis=2)
         total[part] = always[part] + table[:, :, n]
-        captured[part] = np.take_along_axis(table, index[part], axis=2)
+        table.take(index[part] + row_at[: len(block)], out=captured[part], mode="clip")
 
 
 def _step_ranges(steps, layers: int, query_heads: int, group: int):
@@ -338,7 +362,7 @@ def _replay(geometry, workload, plans, cells) -> list[DecodeRecord]:
     group = geometry.group_size
     n_groups = layers * kv_heads
     n = lp - w
-    order = _descending_order(workload.window_scores).reshape(n_groups, n)
+    order = _key_order(workload.window_scores.reshape(n_groups, n))
     kept = [np.minimum(plan.budgets, lp) for plan in plans]
     # scratch index per query head and plan: 0 keeps the window only, n keeps the prompt
     index = np.empty((n_groups, group, len(plans)), dtype=np.intp)
@@ -356,7 +380,7 @@ def _replay(geometry, workload, plans, cells) -> list[DecodeRecord]:
             continue
         if cell.scores.shape != (cell.groups.size, n):
             raise ShapeError("masked window scores do not match the workload")
-        masked.append((cell, _descending_order(cell.scores),
+        masked.append((cell, _key_order(cell.scores),
                        index[cell.groups, :, p : p + 1], np.empty((cell.groups.size, group)),
                        np.empty((cell.groups.size, group)), np.empty((cell.groups.size, group, 1))))
     recalls = np.zeros((len(plans), out_len))

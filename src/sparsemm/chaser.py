@@ -145,8 +145,13 @@ def score_sample(sample: OcrSample, trace: AttentionTrace) -> SampleScore:
 
     Tokens that `token_positions` skips (a missing or malformed (text, bbox)
     pair, or an empty patch set) are counted in `tokens_skipped` instead of
-    being treated as misses.
+    being treated as misses. The trace's prompt must be as long as the
+    sample's layout.
     """
+    if trace.prompt_len != sample.prompt_len:
+        raise ShapeError(
+            f"trace prompt_len {trace.prompt_len} != sample layout length {sample.prompt_len}"
+        )
     inc = np.zeros((trace.layers, trace.query_heads))
     scored = 0
     skipped = 0
@@ -160,7 +165,7 @@ def score_sample(sample: OcrSample, trace: AttentionTrace) -> SampleScore:
         if positions is None:
             skipped += 1
         else:
-            hit = np.zeros(max(rows.shape[2], sample.prompt_len), dtype=bool)
+            hit = np.zeros(rows.shape[2], dtype=bool)
             hit[positions] = True
             inc += (1.0 / positions.size) * hit[np.argmax(rows, axis=2)]
             scored += 1

@@ -1,13 +1,17 @@
 """Tests for window attention, key ranking, top-k eviction, and decode recall."""
 
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from sparsemm import cache
 from sparsemm.allocator import BudgetPlan
 from sparsemm.cache import (
+    _descending_order,
+    _key_order,
     compress_prefill,
     replay_plans,
     report_to_csv,
@@ -16,7 +20,7 @@ from sparsemm.cache import (
     window_attention,
 )
 from sparsemm.errors import InvalidInputError, ShapeError
-from sparsemm.simmodel import DecodeWorkload, ModelGeometry
+from sparsemm.simmodel import DecodeWorkload, ModelGeometry, PlantedHeadSet, build_synthetic_model
 from sparsemm.tensor import CausalMask, Matrix, matmul_scaled, softmax_row_masked
 
 from ranking_oracle import rank_window_keys
@@ -199,6 +203,42 @@ class TestRankWindowKeys:
             rank_window_keys(attn, 2, 5)  # row count
         with pytest.raises(ShapeError):
             rank_window_keys(attn[0], 2, 4)  # ndim
+
+
+class TestKeyOrder:
+    """The chunked, narrow key order against `_descending_order` on the whole array."""
+
+    @pytest.mark.parametrize(
+        "n, dtype",
+        [(0, np.uint8), (1, np.uint8), (256, np.uint8), (257, np.uint16),
+         (65536, np.uint16), (65537, np.uint32)],
+    )
+    def test_equals_descending_order_at_each_dtype_bound(self, n, dtype):
+        rng = np.random.default_rng(n)
+        scores = rng.integers(0, 4, size=(3, n)).astype(float)  # ties everywhere
+        order = _key_order(scores)
+        assert order.dtype == dtype and order.shape == (3, n)
+        assert np.array_equal(order, _descending_order(scores))
+
+    @pytest.mark.parametrize("chunk_values", [1, 7, 40, 41, 1000])
+    def test_chunk_edges_mid_array(self, monkeypatch, chunk_values):
+        # 11 groups of 20 keys, ranked in chunks of 1, 1, 2, 2 and all 11 groups
+        monkeypatch.setattr(cache, "RANK_CHUNK_VALUES", chunk_values)
+        rng = np.random.default_rng(chunk_values)
+        scores = rng.integers(0, 3, size=(11, 20)).astype(float)
+        assert np.array_equal(_key_order(scores), _descending_order(scores))
+        bad = scores.copy()
+        bad[-1, -1] = np.nan  # in the last chunk
+        with pytest.raises(InvalidInputError, match="finite"):
+            _key_order(bad)
+        lp, w = 24, 4
+        budgets = rng.integers(w, lp + 2, size=(1, 11))
+        plan = BudgetPlan(budgets, int(budgets.sum()), window=w)
+        kept, _ = compress_prefill(scores[None], plan, w, lp)
+        for j in range(11):
+            best = sorted(range(lp - w), key=lambda k: (-scores[j, k], k))
+            want = sorted(best[: plan.budgets[0, j] - w]) + list(range(lp - w, lp))
+            assert np.flatnonzero(kept[0, j]).tolist() == want
 
 
 class TestCompressPrefill:
@@ -402,3 +442,44 @@ class TestPoliciesAndReports:
         before = cpath.read_bytes()
         report_to_csv(report, cpath)
         assert cpath.read_bytes() == before
+
+
+class TestReplayMemory:
+    def test_replay_holds_no_score_sized_temporary(self, monkeypatch):
+        """The replay's peak above its workload: the step stream, the key order, one chunk.
+
+        The slack is 64 KiB plus one group's gather: `ndarray.take` buffers
+        the strided chunk row it writes, and converts the narrow keys to intp.
+        Ranking the window scores whole held their negated copy, an intp order
+        and a finiteness mask, about 2.1 x the scores' bytes, which breaks the
+        bound.
+        """
+        monkeypatch.setattr(cache, "RANK_CHUNK_VALUES", 4096)
+        geometry = ModelGeometry(4, 16, 4)
+        model = build_synthetic_model(geometry, PlantedHeadSet.uniform([(0, 1), (3, 9)], 0.8), 7)
+        workload = model.decode_workload(4096, 2, 32)
+        plans = [flat_plan(4, 4, b, window=32) for b in (32, 512, 4096)]
+        groups, n = geometry.layers * geometry.kv_heads, workload.prompt_len - workload.window
+        order_bytes = groups * n * np.min_scalar_type(n - 1).itemsize
+        chunk = max(1, cache.RANK_CHUNK_VALUES // (geometry.group_size * n))
+        table_bytes = chunk * geometry.group_size * (n + 1) * 8
+        slack = (64 << 10) + (geometry.group_size + 1) * n * 8
+
+        def peak_of(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def stream():
+            for ranges in workload.steps.ranges():
+                for _, rows in ranges:
+                    del rows
+                del ranges
+
+        stream_bytes = peak_of(stream)
+        replay_bytes = peak_of(lambda: replay_plans(geometry, workload, plans))
+        assert replay_bytes < stream_bytes + order_bytes + table_bytes + slack
+        assert 2.1 * workload.window_scores.nbytes > order_bytes + slack  # the bound has teeth

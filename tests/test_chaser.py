@@ -231,24 +231,33 @@ class TestScoreSample:
         assert result.increment.scores[0, 0] == pytest.approx(0.25)  # step 0 alone hits
         assert result.increment.corpus_tokens == 3
 
+    def test_trace_prompt_of_another_length_is_refused(self):
+        # an argmax on a generated position must never be read against the layout
+        sample, trace = make_sample_and_trace(3, [0, 1, 2, 3], 0)
+        lp = sample.prompt_len
+        for other in (lp - 1, lp + 1):
+            steps = tuple(np.full((1, 1, other + t), 1.0 / (other + t)) for t in range(3))
+            with pytest.raises(ShapeError, match=f"prompt_len {other} != .* {lp}"):
+                score_sample(sample, AttentionTrace(steps, other))
+
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_hits_match_isin_oracle(self, data):
         """Argmaxes on prompt and generated positions, read as `np.isin` reads them."""
         layout, patch_sets, pairs, out_len = draw_positions_case(data)
         sample = OcrSample((100, 100), (2, 2), pairs, layout)
-        # the trace's prompt may be shorter or longer than the sample's layout
-        lp = max(1, len(layout) + data.draw(st.integers(-2, 2)))
+        lp = len(layout)  # the trace's prompt is as long as the sample's layout
         layers, heads = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
         steps = []
         for t in range(max(out_len, 1)):
             rows = rng.random((layers, heads, lp + t))
-            # peaks on generated positions where there are any, else anywhere
-            peaks = rng.integers(lp if t else 0, lp + t, size=(layers, heads))
-            first = rng.random((layers, heads)) < 0.5
-            peaks[first] = rng.integers(0, lp + t, size=int(first.sum()))
-            np.put_along_axis(rows, peaks[..., None], 2.0, axis=2)
+            if lp + t:  # an empty layout's step 0 has no position to peak on
+                # peaks on generated positions where there are any, else anywhere
+                peaks = rng.integers(lp if t else 0, lp + t, size=(layers, heads))
+                first = rng.random((layers, heads)) < 0.5
+                peaks[first] = rng.integers(0, lp + t, size=int(first.sum()))
+                np.put_along_axis(rows, peaks[..., None], 2.0, axis=2)
             steps.append(rows)
         trace = AttentionTrace(tuple(steps), lp)
         with mock.patch.object(chaser, "match_bbox_to_patches", stub_patches(patch_sets)):
