@@ -21,9 +21,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .artifacts import counts, elements, numbers, read_object, write_json
+from .artifacts import Count, Field, ListOf, Number, String, read_object, write_json
 from .chaser import HeadScoreMatrix
-from .errors import InfeasibleBudgetError, InvalidInputError, ShapeError
+from .errors import InfeasibleBudgetError, InvalidInputError, ShapeError, SparseMMError
 
 __all__ = [
     "AllocationConfig",
@@ -236,25 +236,29 @@ def save_plan(path, plan: BudgetPlan) -> None:
     })
 
 
-def load_plan(path) -> BudgetPlan:
-    """The plan of a `save_plan` file; a malformed file raises InvalidInputError.
+# the plan file's fields, as `save_plan` writes them: every plan comes from a
+# policy with an AllocationConfig, whose ratio lies in [0, 1]
+PLAN_FIELDS = (
+    Field("budget_B", Count()),
+    Field("w", Count()),
+    Field("plan", ListOf(ListOf(Count()))),
+    Field("rho", Number(0, 1)),
+    Field("allocator", String(POLICY_NAMES)),
+)
 
-    Keys outside the plan's fields, such as the `score_file_hash` that older
-    plan files hold, are ignored.
+
+def load_plan(path) -> BudgetPlan:
+    """The plan of a `save_plan` file; a malformed file raises a SparseMMError naming it.
+
+    Its fields are checked against PLAN_FIELDS, and the plan's rows must form
+    a grid of 64-bit budgets that BudgetPlan accepts. Keys outside the table,
+    such as the `score_file_hash` that older plan files hold, are ignored.
     """
-    where = f"plan {path}"
-    payload = read_object(path, "plan", ("plan", "budget_B", "w", "rho", "allocator"))
-    total, window = counts({"budget_B": payload["budget_B"], "w": payload["w"]}, where)
-    named = {}
-    for name, row in elements(payload["plan"], "plan", where).items():
-        named |= elements(row, name, where)
-    counts(named, where)
-    (rho,) = numbers({"rho": payload["rho"]}, where)
-    allocator = payload["allocator"]
-    if not isinstance(allocator, str):
-        raise InvalidInputError(f"{where}: allocator must be a string")
+    payload = read_object(path, "plan", PLAN_FIELDS)
     try:
-        budgets = np.array(payload["plan"], dtype=np.int64)
+        return BudgetPlan(np.array(payload["plan"], dtype=np.int64), payload["budget_B"],
+                          payload["w"], float(payload["rho"]), payload["allocator"])
+    except SparseMMError as exc:  # raised by BudgetPlan: the budgets do not fit the plan
+        raise type(exc)(f"plan {path}: {exc}") from exc
     except (OverflowError, ValueError) as exc:  # a budget past int64, or ragged rows
-        raise InvalidInputError(f"{where}: plan is not a grid of 64-bit budgets") from exc
-    return BudgetPlan(budgets, total, window, float(rho), allocator)
+        raise InvalidInputError(f"plan {path}: plan is not a grid of 64-bit budgets") from exc

@@ -8,12 +8,15 @@ the error that writing a file or making a directory would raise, so a command
 can refuse an output before it does any work. The formats are built on them.
 Score files, plans, trace and corpus records, eviction reports and the bench
 JSON mirror are written by `write_json` in one canonical form, so equal
-objects give equal bytes; the CSV tables by `write_csv`. Readers open a JSON
-file with `read_object` and check its fields with `counts` and `numbers`;
-`elements` names a list's items for both. An array goes to a `.npy` payload
-by `write_array`, whose sha256 its record keeps for `read_array`, which also
-refuses a value that is not finite and non-negative. A malformed file raises
-InvalidInputError naming it.
+objects give equal bytes; the CSV tables by `write_csv`. Each input file
+declares its fields once, in a table of `Field` rows beside its loader: a
+field's kind (`Count`, `Number`, `String`, a `ListOf` one kind or a tuple
+of kinds), its length and bounds, and whether it is required.
+`read_object` opens a JSON file, takes its required fields from the table
+and checks them with `check_fields`, the one checker. An array goes to a
+`.npy` payload by `write_array`, whose sha256 its record keeps for
+`read_array`, which also refuses a value that is not finite and
+non-negative. A malformed file raises InvalidInputError naming it.
 """
 
 from __future__ import annotations
@@ -27,15 +30,17 @@ import math
 import os
 import stat
 from contextlib import contextmanager
+from itertools import chain
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, ShapeError
 
-__all__ = ["check_writable", "counts", "elements", "encode_array", "encode_json", "list_dir",
-           "make_dir", "numbers", "read_array", "read_bytes", "read_object", "write_array",
-           "write_bytes", "write_csv", "write_json"]
+__all__ = ["Count", "Field", "ListOf", "Number", "String", "check_fields",
+           "check_writable", "encode_array", "encode_json", "list_dir", "make_dir", "read_array",
+           "read_bytes", "read_object", "write_array", "write_bytes", "write_csv", "write_json"]
 
 
 @contextmanager
@@ -121,12 +126,54 @@ def write_csv(path, header, rows) -> str:
     return write_bytes(path, buf.getvalue().encode())
 
 
-def read_object(path, what: str, required=(), old_format=None) -> dict:
-    """The JSON object in `path`, which must hold every key of `required`.
+class Count(NamedTuple):
+    """A JSON integer, not a bool, >= lo and, if hi is given, <= hi."""
 
-    `what` names the artifact in errors. With `old_format` = (keys, command), a
-    file that lacks a required key but holds one of the retired `keys` is
-    reported as the old format, to be regenerated with `sparsemm <command>`.
+    lo: int = 0
+    hi: int | None = None
+
+
+class Number(NamedTuple):
+    """A finite JSON number, not a bool, >= lo and <= hi where they are given."""
+
+    lo: float | None = None
+    hi: float | None = None
+
+
+class String(NamedTuple):
+    """A JSON string; one of `allowed`, if it is not empty."""
+
+    allowed: tuple = ()
+
+
+class ListOf(NamedTuple):
+    """A JSON list of `item` values.
+
+    A kind is a Count, Number, String or ListOf, or a tuple of kinds: a list
+    of one value of each, in order, such as `(Count(), ListOf(Number(), 4))`
+    for a [count, [4 numbers]] pair. `length` is the list's length, or the
+    names of the fields whose values multiply to it.
+    """
+
+    item: object
+    length: int | tuple[str, ...] | None = None
+
+
+class Field(NamedTuple):
+    """A field of a JSON object: its key, its kind, and whether the object must hold it."""
+
+    name: str
+    kind: object
+    required: bool = True
+
+
+def read_object(path, what: str, fields=(), old_format=None) -> dict:
+    """The JSON object in `path`, holding every required field of `fields`, each checked.
+
+    `what` names the artifact in errors; the fields are checked by
+    `check_fields`. With `old_format` = (keys, command), a file that lacks a
+    required field but holds one of the retired `keys` is reported as the old
+    format, to be regenerated with `sparsemm <command>`.
     """
     data = read_bytes(path, what)
     try:
@@ -135,7 +182,7 @@ def read_object(path, what: str, required=(), old_format=None) -> dict:
         raise InvalidInputError(f"{what} {path} is not JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise InvalidInputError(f"{what} {path} must hold a JSON object")
-    missing = [key for key in required if key not in obj]
+    missing = [field.name for field in fields if field.required and field.name not in obj]
     retired = [key for key in old_format[0] if key in obj] if missing and old_format else []
     if retired:
         raise InvalidInputError(
@@ -144,48 +191,104 @@ def read_object(path, what: str, required=(), old_format=None) -> dict:
         )
     if missing:
         raise InvalidInputError(f"{what} {path} lacks {', '.join(missing)}")
+    check_fields(obj, fields, f"{what} {path}")
     return obj
 
 
-def elements(value, name: str, where: str, length: int | None = None) -> dict:
-    """A JSON list (of `length` items, if given) as {"name[i]": item}."""
-    if not isinstance(value, list) or length not in (None, len(value)):
-        expected = "a list" if length is None else f"a list of {length}"
-        raise InvalidInputError(f"{where}: {name} is malformed, expected {expected}")
-    return {f"{name}[{i}]": item for i, item in enumerate(value)}
+def check_fields(obj: dict, fields, where: str, bounds: bool = True) -> None:
+    """Check every field of `fields` that `obj` holds against its kind.
 
+    A bad value raises InvalidInputError "<where>: a, b, c and N more must be
+    counts", naming the bad values whose fault is the first one's, such as
+    `pairs[3][1]`; a value that is not the list it should be, or a list of
+    another length, "is malformed, expected a list of 2". A list whose
+    `length` names fields must be as long as their values' product, or raises
+    ShapeError. With `bounds` false, only the JSON kinds are checked: a count
+    is any integer >= 0, a number any finite number and a string any string.
 
-def _reject(bad: list, where: str, kind: str) -> None:
-    if bad:
-        more = f" and {len(bad) - 3} more" if len(bad) > 3 else ""
-        raise InvalidInputError(f"{where}: {', '.join(bad[:3])}{more} must be {kind}")
-
-
-def counts(named: dict, where: str, minimum: int = 0) -> list:
-    """The values of `named` (name -> value), each an exact integer >= minimum.
-
-    A count is a JSON integer: bools and floats are rejected, 2.0 included.
+    A valid object costs a few calls a field and none a value: only a bad
+    field is walked value by value, and only a bad value is named.
     """
-    bad = [name for name, value in named.items() if type(value) is not int or value < minimum]
-    _reject(bad, where, {0: "counts", 1: "positive counts"}.get(minimum, f"counts >= {minimum}"))
-    return list(named.values())
+    found = []
+    for field in fields:
+        if field.name in obj:
+            _faults(field.kind, obj[field.name], (field.name,), found, bounds)
+    if found:
+        bad = [_element_name(path) for fault, path in found if fault == found[0][0]]
+        more = f" and {len(bad) - 3} more" if len(bad) > 3 else ""
+        raise InvalidInputError(f"{where}: {', '.join(bad[:3])}{more} {found[0][0]}")
+    for field in fields:
+        factors = getattr(field.kind, "length", None)
+        if type(factors) is tuple and len(obj[field.name]) != math.prod(obj[f] for f in factors):
+            raise ShapeError(f"{where}: {field.name} length does not match {'*'.join(factors)}")
 
 
-def _finite(value) -> bool:
-    try:
-        return type(value) in (int, float) and math.isfinite(value)
+def _fits(kind, values: list, bounds: bool) -> bool:
+    """Whether every one of `values` is of `kind`.
+
+    The items of all the lists are checked together, and those of tuples
+    position by position, so one call covers every value of one kind.
+    """
+    types = set(map(type, values))
+    if type(kind) is tuple:
+        return types <= {list} and set(map(len, values)) <= {len(kind)} and all(
+            _fits(item, [value[i] for value in values], bounds) for i, item in enumerate(kind)
+        )
+    if type(kind) is ListOf:
+        lengths = set(map(len, values)) if types <= {list} else {None}
+        return (None not in lengths and (type(kind.length) is not int or lengths <= {kind.length})
+                and _fits(kind.item, values[0] if len(values) == 1 else [*chain(*values)], bounds))
+    kind = kind if bounds else type(kind)()
+    if type(kind) is String:
+        return types <= {str} and (not kind.allowed or set(values) <= set(kind.allowed))
+    if not values:
+        return True
+    try:  # a NaN or an infinity makes the sum one, and so do finite values past the floats
+        if not types <= ({int} if type(kind) is Count else {int, float}) or (
+                type(kind) is Number and not math.isfinite(sum(values))):
+            return False
     except OverflowError:  # an integer too large for a float
         return False
+    return ((kind.lo is None or min(values) >= kind.lo)
+            and (kind.hi is None or max(values) <= kind.hi))
 
 
-def numbers(named: dict, where: str, minimum=None) -> list:
-    """The values of `named` (name -> value), each a finite JSON number (not a bool) >= minimum."""
-    bad = [
-        name for name, value in named.items()
-        if not _finite(value) or (minimum is not None and value < minimum)
-    ]
-    _reject(bad, where, "finite numbers" if minimum is None else f"finite numbers >= {minimum}")
-    return list(named.values())
+def _faults(kind, value, path: tuple, found: list, bounds: bool) -> None:
+    """Append to `found` (fault, path) for each bad value in `value`.
+
+    The fault is what its error says of it, such as "must be counts". A value
+    that is not the list its kind asks for "is malformed", and its items are
+    not walked.
+    """
+    if _fits(kind, [value], bounds):
+        return
+    if type(kind) is not tuple and type(kind) is not ListOf:
+        found.append((f"must {_phrase(kind if bounds else type(kind)())}", path))
+        return
+    length = len(kind) if type(kind) is tuple else kind.length if type(kind.length) is int else None
+    if type(value) is not list or length not in (None, len(value)):
+        expected = f"a list of {length}" if length else "a list"
+        found.append((f"is malformed, expected {expected}", path))
+        return
+    items = kind if type(kind) is tuple else [kind.item] * len(value)
+    for i, (item, element) in enumerate(zip(items, value)):
+        _faults(item, element, (*path, i), found, bounds)
+
+
+def _element_name(path: tuple) -> str:
+    """A value's name in errors: its field, then its index in each list, as `pairs[3][1]`."""
+    return path[0] + "".join(f"[{i}]" for i in path[1:])
+
+
+def _phrase(kind) -> str:
+    """What each value of a count, number or string kind must do, as its error says."""
+    if type(kind) is String:
+        return f"be one of {', '.join(kind.allowed)}" if kind.allowed else "be strings"
+    if kind.hi is not None:
+        return f"lie in [{kind.lo}, {kind.hi}]"
+    if type(kind) is Count:
+        return {0: "be counts", 1: "be positive counts"}.get(kind.lo, f"be counts >= {kind.lo}")
+    return "be finite numbers" if kind.lo is None else f"be finite numbers >= {kind.lo}"
 
 
 def encode_array(array: np.ndarray) -> bytes:

@@ -17,13 +17,16 @@ rows of existing cells.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+import math
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 
 import numpy as np
 
 from .allocator import AllocationConfig, POLICY_NAMES, allocate
-from .artifacts import counts, elements, numbers, read_object, write_csv, write_json
+from .artifacts import (
+    Count, Field, ListOf, Number, String, check_fields, read_object, write_csv, write_json,
+)
 from .cache import replay_masked, replay_plans
 from .chaser import (
     HeadScoreMatrix,
@@ -32,7 +35,7 @@ from .chaser import (
     normalize_corpus,
     score_sample,
 )
-from .errors import InvalidInputError
+from .errors import InvalidInputError, SparseMMError
 from .simmodel import (
     AttentionTrace,
     ModelGeometry,
@@ -62,6 +65,11 @@ _PLANT_STREAM = 0x97AB
 DEFAULT_COST_LENGTHS = (2048, 4096, 8192, 16384, 32768)
 
 
+def _config(default, kind, key: str | None = None, nonempty: bool = False):
+    """An ExperimentConfig field: default, kind and range, file key, and if it needs an entry."""
+    return field(default=default, metadata={"kind": kind, "key": key, "nonempty": nonempty})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One JSON-loadable description of every experiment's inputs.
@@ -70,60 +78,52 @@ class ExperimentConfig:
     derives a per-seed set of round(fraction * layers * query_heads) heads
     (at least one). The masking study and the rho sweep use the first entry
     of budgets_per_head as their per-head budget.
+
+    Each field declares, beside its default, its JSON kind and range, the one
+    place they are written, and its key in a config file if that is not its
+    name: the geometry and planted-head fields sit in their sections.
+    `load_config` checks a file's kinds against them (CONFIG_FIELDS), and
+    every config, however built, is held to their ranges.
     """
 
-    layers: int = 8
-    query_heads: int = 8
-    kv_heads: int = 8
-    planted_pairs: tuple[tuple[int, int], ...] | None = ((0, 1), (3, 4), (6, 2))
-    planted_fraction: float | None = None
-    planted_strength: float = 0.8
-    corpus_size: int = 40
-    budgets_per_head: tuple[int, ...] = (48, 64, 128)
-    rhos: tuple[float, ...] = (0.0, 0.1, 0.25, 0.5, 0.75, 1.0)
-    policies: tuple[str, ...] = ("sparsemm", "uniform", "pyramid", "random", "ada")
-    mask_fractions: tuple[float, ...] = (0.0, 0.02, 0.05, 0.10)
-    seeds: tuple[int, ...] = tuple(range(10))
-    prompt_len: int = 384
-    out_len: int = 16
-    window: int = 32
-    rho: float = 0.1
-    cost_lengths: tuple[int, ...] = DEFAULT_COST_LENGTHS
-    cost_out_len: int = 100
-    cost_budget_per_head: int = 256
+    layers: int = _config(8, Count(1), "geometry.layers")
+    query_heads: int = _config(8, Count(1), "geometry.query_heads")
+    kv_heads: int = _config(8, Count(1), "geometry.kv_heads")
+    planted_pairs: tuple[tuple[int, int], ...] | None = _config(
+        ((0, 1), (3, 4), (6, 2)), ListOf((Count(), Count())), "planted.pairs"
+    )
+    planted_fraction: float | None = _config(None, Number(0, 1), "planted.fraction")
+    planted_strength: float = _config(0.8, Number(0, 1), "planted.strength")
+    corpus_size: int = _config(40, Count(1))
+    budgets_per_head: tuple[int, ...] = _config((48, 64, 128), ListOf(Count(1)), nonempty=True)
+    rhos: tuple[float, ...] = _config((0.0, 0.1, 0.25, 0.5, 0.75, 1.0), ListOf(Number(0, 1)))
+    policies: tuple[str, ...] = _config(POLICY_NAMES, ListOf(String(POLICY_NAMES)))
+    mask_fractions: tuple[float, ...] = _config((0.0, 0.02, 0.05, 0.10), ListOf(Number(0, 1)))
+    seeds: tuple[int, ...] = _config(tuple(range(10)), ListOf(Count()), nonempty=True)
+    prompt_len: int = _config(384, Count(1))
+    out_len: int = _config(16, Count(1))
+    window: int = _config(32, Count())
+    rho: float = _config(0.1, Number(0, 1))
+    cost_lengths: tuple[int, ...] = _config(DEFAULT_COST_LENGTHS, ListOf(Count(1)))
+    cost_out_len: int = _config(100, Count(1))
+    cost_budget_per_head: int = _config(256, Count(1))
 
     def __post_init__(self) -> None:
-        geometry = self.geometry  # rejects counts below 1 and kv heads that do not divide
-        if not self.seeds:
-            raise InvalidInputError("config needs at least one seed")
-        if min(self.seeds) < 0:
+        # every seed is a model seed, so it lies in the model's seed range
+        if self.seeds and min(self.seeds) < 0:
             raise InvalidInputError(f"seed {min(self.seeds)} must be non-negative")
-        if max(self.seeds) >= 2**32:
+        if self.seeds and max(self.seeds) >= 2**32:
             raise InvalidInputError(f"seed {max(self.seeds)} outside the model seeds [0, 2**32)")
+        _check_ranges(self)
         if self.prompt_len < self.window:
             raise InvalidInputError(
                 f"prompt_len {self.prompt_len} shorter than window {self.window}"
             )
-        for name in ("corpus_size", "prompt_len", "out_len", "window", "cost_out_len",
-                     "cost_budget_per_head", "budgets_per_head", "cost_lengths"):
-            if np.any(np.asarray(getattr(self, name)) < _CONFIG_COUNTS[name]):
-                raise InvalidInputError(f"{name} must be at least {_CONFIG_COUNTS[name]}")
-        if not self.budgets_per_head:
-            raise InvalidInputError("config needs at least one per-head budget")
         for b in self.budgets_per_head:
             if b < self.window:
                 raise InvalidInputError(
                     f"per-head budget {b} below the {self.window}-slot window"
                 )
-        for name in self.policies:
-            if name not in POLICY_NAMES:
-                raise InvalidInputError(f"unknown policy {name!r}")
-        for f in self.mask_fractions:
-            if not 0.0 <= f <= 1.0:
-                raise InvalidInputError("mask fractions must lie in [0, 1]")
-        for name, ratios in (("rho", (self.rho,)), ("rhos", self.rhos)):
-            if not all(0.0 <= r <= 1.0 for r in ratios):
-                raise InvalidInputError(f"{name} must lie in [0, 1]")
         for name in ("seeds", "budgets_per_head", "policies", "rhos", "mask_fractions"):
             values = getattr(self, name)
             if len(set(values)) != len(values):
@@ -132,11 +132,9 @@ class ExperimentConfig:
             raise InvalidInputError(
                 "specify exactly one of planted_pairs and planted_fraction"
             )
-        if self.planted_fraction is not None and not 0.0 <= self.planted_fraction <= 1.0:
-            raise InvalidInputError("planted_fraction must lie in [0, 1]")
-        # pinned heads and the strength, checked as every seed's model checks them
+        # the geometry, pinned heads and strength, checked as every seed's model checks them
         pinned = PlantedHeadSet.uniform(self.planted_pairs or (), self.planted_strength)
-        build_synthetic_model(geometry, pinned, 0)
+        build_synthetic_model(self.geometry, pinned, 0)
 
     @property
     def geometry(self) -> ModelGeometry:
@@ -153,80 +151,70 @@ class ExperimentConfig:
         return PlantedHeadSet.uniform(pairs, self.planted_strength)
 
 
-# count-valued config keys, single or listed, and their minimum
-_CONFIG_COUNTS = {
-    "layers": 1, "query_heads": 1, "kv_heads": 1, "corpus_size": 1,
-    "prompt_len": 1, "out_len": 1, "window": 0, "cost_out_len": 1, "cost_budget_per_head": 1,
-    "budgets_per_head": 1, "seeds": 0, "cost_lengths": 1,
-}
-# tuple-valued fields are JSON lists
-_CONFIG_LISTS = {f.name for f in fields(ExperimentConfig) if isinstance(f.default, tuple)}
-# fields spelled only inside the geometry and planted sections
-_SECTION_FIELDS = {
-    "layers", "query_heads", "kv_heads", "planted_pairs", "planted_fraction", "planted_strength",
-}
+# a config file's geometry may give head_dim, which is checked, then ignored:
+# no stage reads a head dimension, so no ExperimentConfig field holds it
+_HEAD_DIM = Field("geometry.head_dim", Count(1), False)
+# every ExperimentConfig field by its key in a config file
+_CONFIG_KEYS = {f.metadata["key"] or f.name: f for f in fields(ExperimentConfig)}
+# the config file's table: every ExperimentConfig field under its key, and head_dim
+CONFIG_FIELDS = (*(Field(k, f.metadata["kind"], False) for k, f in _CONFIG_KEYS.items()), _HEAD_DIM)
 
 
-def _config_value(key: str, value, where: str):
-    """One config value checked against its field's JSON type; lists become tuples."""
-    if value is None and key in ("planted_pairs", "planted_fraction"):
-        return None
-    named = elements(value, key, where) if key in _CONFIG_LISTS else {key: value}
-    if key in _CONFIG_COUNTS:
-        values = counts(named, where, _CONFIG_COUNTS[key])
-    elif key == "policies":
-        values = value  # ExperimentConfig rejects every name outside POLICY_NAMES
-    elif key == "planted_pairs":
-        values = [
-            tuple(counts(elements(pair, name, where, 2), where)) for name, pair in named.items()
-        ]
-    else:
-        values = numbers(named, where)
-    return tuple(values) if key in _CONFIG_LISTS else values[0]
+def _check_ranges(cfg: ExperimentConfig) -> None:
+    """Raise InvalidInputError for a field of `cfg` outside the range its kind gives."""
+    for f in fields(cfg):
+        kind, values = f.metadata["kind"], getattr(cfg, f.name)
+        if f.metadata["nonempty"] and not values:
+            raise InvalidInputError(f"config needs at least one entry in {f.name}")
+        kind, values = (kind.item, values) if type(kind) is ListOf else (kind, (values,))
+        # the model build checks planted pairs; None is the planted form not in use
+        if type(kind) is tuple or None in values:
+            continue
+        if type(kind) is String:
+            if not all(v in kind.allowed for v in values):
+                raise InvalidInputError(f"{f.name} must be one of {', '.join(kind.allowed)}")
+        elif not all(kind.lo <= v <= (math.inf if kind.hi is None else kind.hi) for v in values):
+            if kind.hi is None:
+                raise InvalidInputError(f"{f.name} must be at least {kind.lo}")
+            raise InvalidInputError(f"{f.name} must lie in [{kind.lo}, {kind.hi}]")
 
 
-def _section(blob: dict, name: str, required, optional, where: str) -> dict:
-    """blob[name] popped: an object with every `required` key and no key outside `optional`."""
-    section = blob.pop(name, {})
-    if not isinstance(section, dict):
-        raise InvalidInputError(f"{where}: {name} must be a JSON object")
-    missing = [key for key in required if key not in section]
-    if section and missing:
-        raise InvalidInputError(f"{where}: {name} lacks {', '.join(missing)}")
-    unknown = sorted(set(section) - set(required) - set(optional))
-    if unknown:
-        raise InvalidInputError(f"{where}: unknown {name} key {unknown[0]!r}")
-    return section
+def _frozen(value):
+    """A JSON list as a tuple, its lists as tuples too; any other value as it is."""
+    return tuple(map(_frozen, value)) if isinstance(value, list) else value
 
 
 def load_config(path) -> ExperimentConfig:
-    """Read an ExperimentConfig from a JSON object file.
+    """Read an ExperimentConfig from a JSON object file; every error names the file.
 
-    Every value is checked against its field's JSON type, so a malformed file
-    raises InvalidInputError naming the file. Geometry and planted-head fields
-    are spelled only inside their `geometry` and `planted` sections.
+    Each value's JSON kind is checked against CONFIG_FIELDS here, and its range
+    by ExperimentConfig. The geometry and planted-head fields are spelled only
+    inside their `geometry` and `planted` sections.
     """
-    blob = read_object(path, "config")
     where = f"config {path}"
-    kwargs = _section(blob, "geometry", ("layers", "query_heads"), ("kv_heads", "head_dim"), where)
-    if "head_dim" in kwargs:  # checked, then ignored: no stage reads a head dimension
-        counts({"head_dim": kwargs.pop("head_dim")}, where, 1)
-    if kwargs:
-        kwargs.setdefault("kv_heads", kwargs["query_heads"])
-    planted = _section(blob, "planted", (), ("pairs", "fraction", "strength"), where)
-    if planted:
-        if ("pairs" in planted) == ("fraction" in planted):
-            raise InvalidInputError(f"{where}: planted needs exactly one of pairs and fraction")
-        kwargs["planted_pairs"] = planted.get("pairs")
-        kwargs["planted_fraction"] = planted.get("fraction")
-        if "strength" in planted:
-            kwargs["planted_strength"] = planted["strength"]
-    known = {f.name for f in fields(ExperimentConfig)} - _SECTION_FIELDS
-    for key, value in blob.items():
-        if key not in known:
-            raise InvalidInputError(f"{where}: unknown config key {key!r}")
-        kwargs[key] = value
-    return ExperimentConfig(**{k: _config_value(k, v, where) for k, v in kwargs.items()})
+    blob = read_object(path, "config")
+    geometry, planted = sections = [blob.pop(name, {}) for name in ("geometry", "planted")]
+    for name, section in zip(("geometry", "planted"), sections):
+        if not isinstance(section, dict):
+            raise InvalidInputError(f"{where}: {name} must be a JSON object")
+        blob |= {f"{name}.{key}": value for key, value in section.items()}
+    unknown = sorted(blob.keys() - {field.name for field in CONFIG_FIELDS})
+    if unknown:
+        raise InvalidInputError(f"{where}: unknown config key {unknown[0]!r}")
+    if geometry and not {"layers", "query_heads"} <= geometry.keys():
+        raise InvalidInputError(f"{where}: geometry needs layers and query_heads")
+    check_fields(blob, CONFIG_FIELDS, where, bounds=False)
+    check_fields(blob, (_HEAD_DIM,), where)  # the one range no ExperimentConfig field checks
+    blob.pop(_HEAD_DIM.name, None)
+    values = {_CONFIG_KEYS[key].name: _frozen(value) for key, value in blob.items()}
+    if geometry:
+        values.setdefault("kv_heads", values["query_heads"])
+    if planted:  # a planted form the file does not give is unused; ExperimentConfig wants one
+        values = {"planted_pairs": None, "planted_fraction": None} | values
+    try:
+        return ExperimentConfig(**values)
+    except SparseMMError as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
 
 
 @dataclass(frozen=True)

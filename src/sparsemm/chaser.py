@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .artifacts import counts, elements, numbers, read_object, write_json
+from .artifacts import Count, Field, ListOf, Number, read_object, write_json
 from .errors import DegenerateBoxError, InvalidInputError, ShapeError
 
 if TYPE_CHECKING:
@@ -241,18 +241,23 @@ def save_scores(path, matrix: HeadScoreMatrix) -> str:
     })
 
 
+# the score file's fields, as `save_scores` writes them
+SCORE_FIELDS = (
+    Field("layers", Count(1)),
+    Field("heads", Count(1)),
+    Field("scores", ListOf(Number(0), length=("layers", "heads"))),
+    Field("corpus_tokens", Count(), required=False),
+)
+
+
 def load_scores(path) -> HeadScoreMatrix:
     """The score matrix of a `save_scores` file; a malformed file raises InvalidInputError.
 
-    Scores must be finite, non-negative JSON numbers. Keys outside the matrix's
-    fields, such as the `normalization` that older score files hold, are ignored.
+    Its fields are checked against SCORE_FIELDS: scores are finite,
+    non-negative JSON numbers, layers * heads of them. Keys outside the table,
+    such as the `normalization` that older score files hold, are ignored.
     """
-    where = f"score file {path}"
-    payload = read_object(path, "score file", ("layers", "heads", "scores"))
-    layers, heads = counts({"layers": payload["layers"], "heads": payload["heads"]}, where, 1)
-    named = elements(payload["scores"], "scores", where)
-    flat = np.array(numbers(named, where, 0), dtype=np.float64)
-    if flat.size != layers * heads:
-        raise ShapeError(f"{where}: scores length does not match layers*heads")
-    (corpus_tokens,) = counts({"corpus_tokens": payload.get("corpus_tokens", 0)}, where)
-    return HeadScoreMatrix(flat.reshape(layers, heads), corpus_tokens)
+    payload = read_object(path, "score file", SCORE_FIELDS)
+    scores = np.array(payload["scores"], dtype=np.float64)
+    return HeadScoreMatrix(scores.reshape(payload["layers"], payload["heads"]),
+                           payload.get("corpus_tokens", 0))

@@ -25,7 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from .artifacts import (
-    check_writable, counts, make_dir, read_array, read_object, write_array, write_json,
+    Count, Field, String, check_writable, make_dir, read_array, read_object, write_array,
+    write_json,
 )
 from .allocator import (
     AllocationConfig,
@@ -43,15 +44,9 @@ from .chaser import (
     load_scores,
     save_scores,
 )
+from .corpusfile import load_corpus, save_corpus
 from .errors import InvalidInputError, ShapeError, SparseMMError
-from .simmodel import (
-    ModelGeometry,
-    PlantedHeadSet,
-    build_synthetic_model,
-    generate_ocr_samples,
-    load_corpus,
-    save_corpus,
-)
+from .simmodel import ModelGeometry, PlantedHeadSet, build_synthetic_model, generate_ocr_samples
 
 __all__ = ["build_parser", "main"]
 
@@ -184,25 +179,33 @@ def cmd_prefill(args: argparse.Namespace) -> dict:
     }
 
 
-TRACE_KEYS = ("layers", "query_heads", "kv_heads", "prompt_len", "window", "sha256")
+# the trace record's fields, as `cmd_prefill` writes them
+TRACE_FIELDS = (
+    Field("layers", Count(1)),
+    Field("query_heads", Count(1)),
+    Field("kv_heads", Count(1)),
+    Field("prompt_len", Count()),
+    Field("window", Count()),
+    Field("sha256", String()),
+)
 
 
 def _load_trace(path) -> tuple[np.ndarray, int, int]:
     """(window_scores, prompt_len, window) from a `prefill` trace and its `.npy` payload.
 
-    The scores must be (layers, kv_heads, max(prompt_len - window, 0)) and
-    kv_heads must divide query_heads.
+    The record's fields are checked against TRACE_FIELDS; the scores must be
+    (layers, kv_heads, max(prompt_len - window, 0)) and kv_heads must divide
+    query_heads.
     """
     blob = read_object(
-        path, "trace", TRACE_KEYS, old_format=(("window_scores", "window_attention"), "prefill")
+        path, "trace", TRACE_FIELDS, old_format=(("window_scores", "window_attention"), "prefill")
     )
-    where = f"trace {path}"
-    layers, query_heads, kv_heads = counts({key: blob[key] for key in TRACE_KEYS[:3]}, where, 1)
-    prompt_len, window = counts({key: blob[key] for key in TRACE_KEYS[3:5]}, where)
+    layers, query_heads, kv_heads, prompt_len, window, sha256 = (blob[f.name] for f in TRACE_FIELDS)
     if query_heads % kv_heads:
+        where = f"trace {path}"
         raise ShapeError(f"{where}: {query_heads} query heads not divisible by {kv_heads} kv heads")
     shape = (layers, kv_heads, max(prompt_len - window, 0))
-    scores = read_array(Path(path).with_suffix(".npy"), blob["sha256"], shape, "trace payload")
+    scores = read_array(Path(path).with_suffix(".npy"), sha256, shape, "trace payload")
     return scores, prompt_len, window
 
 

@@ -22,7 +22,8 @@ other heads' rows; one window pass therefore also gives the window scores of
 any number of masked models, re-summed for the kv groups their masks touch.
 
 Nothing large is held. A corpus makes sample i when it is read, drawn from its
-own generator or read and checked from its files, and a drawn sample's trace
+own generator or read and checked from its files (`corpusfile` holds the
+file format; this module touches no file), and a drawn sample's trace
 and a decode workload's steps are drawn again on each pass, one step at a
 time, from their generator as it stood after the sample layout or the window
 rows. No step of a decode workload, window row or decode row, is held whole:
@@ -33,10 +34,8 @@ tile, the planted groups and one corpus step.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import operator
-import os
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field, replace
@@ -45,10 +44,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .artifacts import (
-    counts, elements, encode_array, encode_json, list_dir, make_dir, numbers, read_array,
-    read_bytes, read_object, write_bytes,
-)
 from .cache import groups_in_range, sum_onto_kv_heads
 from .errors import InvalidInputError, ShapeError
 
@@ -64,11 +59,8 @@ __all__ = [
     "PlantedHeadSet",
     "SyntheticModel",
     "build_synthetic_model",
-    "corpus_digest",
     "generate_ocr_samples",
-    "load_corpus",
     "mask_heads",
-    "save_corpus",
 ]
 
 TEXT_TOKEN = -1
@@ -155,7 +147,8 @@ class OcrSample:
 
     prompt_layout holds TEXT_TOKEN for text positions and the patch index
     (row-major) for image positions: every patch of the grid appears once. The
-    generator lays the prompt out so, and `load_corpus` checks each record.
+    generator lays the prompt out so, and `corpusfile.load_corpus` checks each
+    record.
     """
 
     image_shape: tuple[int, int]
@@ -173,7 +166,8 @@ class AttentionTrace:
     """Per output token, the (layers, query_heads, prompt_len + t) attention rows.
 
     Each row is a probability vector: the generator draws it so, and
-    `load_corpus` checks every row it reads, so the trace checks only shapes.
+    `corpusfile.load_corpus` checks every row it reads, so the trace checks
+    only shapes.
     A drawn sample's `steps` is a `DecodeSteps`, which draws each step when it
     is read, the same bits on every pass. Any other iterable of steps that
     gives its (layers, query_heads) as `heads` and its step count as `len` is
@@ -837,174 +831,3 @@ def generate_ocr_samples(model: SyntheticModel, n: int, seed: int) -> OcrCorpus:
     if seed < 0:
         raise InvalidInputError(f"corpus seed {seed} must be non-negative")
     return OcrCorpus(int(n), lambda i: model.sample_ocr(model._rng(_STREAM_CORPUS, int(seed), i)))
-
-
-CORPUS_KEYS = (
-    "image_shape", "grid", "pairs", "prompt_layout", "layers", "query_heads", "steps", "sha256"
-)
-
-
-def _corpus_names(directory) -> list[str]:
-    names = list_dir(directory, "corpus")
-    return sorted(n for n in names if n.startswith("sample_") and n.endswith((".json", ".npy")))
-
-
-def _save_sample(directory, stem: str, sample: OcrSample, trace: AttentionTrace, digest) -> None:
-    """Write one sample's payload, then its record; feed both to `digest` in name order.
-
-    Their bytes are freed on return, so a corpus holds one sample's at a time.
-    """
-    payload = encode_array(np.concatenate([step.ravel() for step in trace.steps]))
-    record = encode_json({
-        "image_shape": list(sample.image_shape),
-        "grid": list(sample.grid),
-        "pairs": [[tok, list(bbox)] for tok, bbox in sample.pairs],
-        "prompt_layout": list(sample.prompt_layout),
-        "layers": trace.layers,
-        "query_heads": trace.query_heads,
-        "steps": trace.out_len,
-        "sha256": write_bytes(os.path.join(directory, stem + ".npy"), payload),
-    })
-    write_bytes(os.path.join(directory, stem + ".json"), record)
-    for name, data in ((stem + ".json", record), (stem + ".npy", payload)):
-        digest.update(name.encode())
-        digest.update(data)
-
-
-def save_corpus(directory, samples) -> str:
-    """Write each sample as `sample_NNNNN.json` beside `sample_NNNNN.npy`.
-
-    A directory that already holds sample files is refused before anything
-    is written, so a corpus never mixes in another corpus's samples.
-
-    `samples` is read once, in order, and each sample is written before the
-    next is read, so a lazy corpus is written one trace at a time.
-
-    The `.npy` payload is one 1-D float64 array: the trace's steps, each
-    raveled, concatenated in step order. The JSON record is canonical and
-    holds the sample, the trace's geometry and step count, and the payload's
-    sha256.
-
-    Returns `corpus_digest` of the directory, computed from the bytes as they
-    are written, so nothing is read back.
-    """
-    make_dir(directory)
-    if _corpus_names(directory):
-        raise InvalidInputError(f"{directory} already holds a corpus; give an empty directory")
-    digest = hashlib.sha256()
-    for i, (sample, trace) in enumerate(samples):
-        _save_sample(directory, f"sample_{i:05d}", sample, trace, digest)
-    return digest.hexdigest()
-
-
-def _plain_pairs(pairs) -> bool:
-    """Whether `pairs` is a list of [count, [4 finite numbers]] pairs, as `_load_record` asks.
-
-    A False here only sends the pairs to the named checks, which report the
-    bad entry.
-    """
-    try:
-        return isinstance(pairs, list) and all(
-            isinstance(pair, list) and len(pair) == 2
-            and type(pair[0]) is int and pair[0] >= 0
-            and isinstance(pair[1], list) and len(pair[1]) == 4
-            and set(map(type, pair[1])) <= {int, float} and math.isfinite(sum(pair[1]))
-            for pair in pairs
-        )
-    except OverflowError:  # an integer too large for a float
-        return False
-
-
-def _load_record(path) -> tuple[OcrSample, dict]:
-    """The sample and the checked geometry of one corpus record."""
-    record = read_object(path, "corpus record", CORPUS_KEYS, old_format=(("rows",), "corpus"))
-    where = f"corpus record {path}"
-    counts({key: record[key] for key in ("layers", "query_heads", "steps")}, where, 1)
-    pairs = record["pairs"]
-    # checked in place, as the layout is below; the named entries are built
-    # only to report a bad one
-    if not _plain_pairs(pairs):
-        for i, pair in enumerate(elements(pairs, "pairs", where).values()):
-            tok, bbox = elements(pair, f"pairs[{i}]", where, 2).values()
-            counts({f"pairs[{i}][0]": tok}, where)
-            numbers(elements(bbox, f"pairs[{i}][1]", where, 4), where)
-    pairs = [(tok, tuple(float(v) for v in bbox)) for tok, bbox in pairs]
-    image_shape = tuple(counts(elements(record["image_shape"], "image_shape", where, 2), where, 1))
-    grid = tuple(counts(elements(record["grid"], "grid", where, 2), where, 1))
-    layout = record["prompt_layout"]
-    # checked in place; the named entries are built only to report a bad one
-    if not (isinstance(layout, list) and set(map(type, layout)) <= {int}
-            and min(layout, default=TEXT_TOKEN) >= TEXT_TOKEN):
-        counts(elements(layout, "prompt_layout", where), where, TEXT_TOKEN)
-    labels = sorted(layout)
-    del labels[: labels.count(TEXT_TOKEN)]  # every text token sorts first
-    n_patches = grid[0] * grid[1]
-    # each patch index once; the count goes first, so a huge grid never builds a range
-    if len(labels) != n_patches or labels != list(range(n_patches)):
-        raise InvalidInputError(
-            f"{where}: layout's {len(labels)} image tokens are not the grid's patch indices "
-            f"0..{n_patches - 1}, each once"
-        )
-    return OcrSample(image_shape, grid, tuple(pairs), tuple(layout)), record
-
-
-def _load_payload(path, record: dict, prompt_len: int) -> AttentionTrace:
-    """The trace stored in a `.npy` payload, checked against its record.
-
-    `read_array` checks the values; each row must also sum to 1 within 1e-9.
-    """
-    layers, heads, n_steps = record["layers"], record["query_heads"], record["steps"]
-    expected = layers * heads * (n_steps * prompt_len + n_steps * (n_steps - 1) // 2)
-    flat = read_array(path, record["sha256"], (expected,), "corpus payload")
-    steps = np.split(flat, np.cumsum(layers * heads * (prompt_len + np.arange(n_steps)))[:-1])
-    steps = tuple(step.reshape(layers, heads, -1) for step in steps)
-    for t, step in enumerate(steps):
-        if np.abs(step.sum(axis=2) - 1.0).max() > 1e-9:
-            raise InvalidInputError(f"corpus payload {path}: step {t} rows do not sum to 1")
-    return AttentionTrace(steps, prompt_len)
-
-
-def load_corpus(directory) -> OcrCorpus:
-    """The (OcrSample, AttentionTrace) pairs of a `save_corpus` directory, in name order.
-
-    A missing or record-less directory, or a payload without its record (left by a
-    `save_corpus` cut short), fails at once, and so does a malformed first record,
-    which is read now for the corpus's (layers, query_heads). Sample i's files are
-    read and checked each time it is read; an unreadable, malformed or mismatched
-    file raises InvalidInputError, and a record of other (layers, query_heads) than the
-    first raises ShapeError.
-    """
-    names = _corpus_names(directory)
-    stems = [n[: -len(".json")] for n in names if n.endswith(".json")]
-    orphans = sorted({n[: -len(".npy")] for n in names if n.endswith(".npy")} - set(stems))
-    if orphans:
-        raise InvalidInputError(
-            f"corpus payload {os.path.join(directory, orphans[0] + '.npy')} has no record"
-        )
-    if not stems:
-        raise InvalidInputError(f"no sample records in {directory}")
-    first = os.path.join(directory, stems[0] + ".json")
-    _, record = _load_record(first)
-    heads = (record["layers"], record["query_heads"])
-
-    def read(i: int) -> tuple[OcrSample, AttentionTrace]:
-        stem = os.path.join(directory, stems[i])
-        sample, record = _load_record(stem + ".json")
-        got = (record["layers"], record["query_heads"])
-        if got != heads:
-            raise ShapeError(
-                f"corpus record {stem}.json scores {got} (layers, query_heads), "
-                f"the first record {first} {heads}"
-            )
-        return sample, _load_payload(stem + ".npy", record, sample.prompt_len)
-
-    return OcrCorpus(len(stems), read)
-
-
-def corpus_digest(directory) -> str:
-    """sha256 over the names and bytes of every record and payload, in name order."""
-    digest = hashlib.sha256()
-    for name in _corpus_names(directory):
-        digest.update(name.encode())
-        digest.update(read_bytes(os.path.join(directory, name), "corpus file"))
-    return digest.hexdigest()

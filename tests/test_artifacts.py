@@ -3,6 +3,7 @@
 import ast
 import hashlib
 import json
+import math
 import re
 import tempfile
 from functools import lru_cache
@@ -14,22 +15,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sparsemm
-from sparsemm.allocator import AllocationConfig, allocate_uniform, load_plan, save_plan
-from sparsemm.artifacts import (
-    check_writable, counts, elements, list_dir, make_dir, numbers, read_array, read_bytes,
-    read_object, write_array, write_bytes, write_csv, write_json,
+from sparsemm import artifacts
+from sparsemm.allocator import (
+    PLAN_FIELDS, POLICY_NAMES, AllocationConfig, allocate, allocate_uniform, load_plan, save_plan,
 )
-from sparsemm.bench import load_config
-from sparsemm.chaser import HeadScoreMatrix, load_scores, save_scores
-from sparsemm.cli import _load_trace, main
-from sparsemm.errors import InvalidInputError, SparseMMError
+from sparsemm.artifacts import (
+    Count, Field, ListOf, Number, String, check_fields, check_writable, list_dir,
+    make_dir, read_array, read_bytes, read_object, write_array, write_bytes, write_csv,
+    write_json,
+)
+from sparsemm.bench import CONFIG_FIELDS, load_config
+from sparsemm.chaser import SCORE_FIELDS, HeadScoreMatrix, load_scores, save_scores
+from sparsemm.cli import TRACE_FIELDS, _load_trace, main
+from sparsemm.corpusfile import RECORD_FIELDS, load_corpus, save_corpus
+from sparsemm.errors import InvalidInputError, ShapeError, SparseMMError
 from sparsemm.simmodel import (
     ModelGeometry,
     PlantedHeadSet,
     build_synthetic_model,
     generate_ocr_samples,
-    load_corpus,
-    save_corpus,
 )
 
 SRC = Path(sparsemm.__file__).parent
@@ -145,6 +149,11 @@ class TestWriteJson:
         assert a.read_bytes() == b.read_bytes()
 
 
+# three required count fields, a, b and c
+ABC = tuple(Field(name, Count()) for name in "abc")
+A = ABC[:1]
+
+
 class TestReadObject:
     @pytest.mark.parametrize("text, fragment", [
         (None, "cannot read"),
@@ -160,16 +169,16 @@ class TestReadObject:
         elif text is not None:
             path.write_text(text)
         with pytest.raises(InvalidInputError, match=fragment) as info:
-            read_object(path, "thing", ("a", "b", "c"))
+            read_object(path, "thing", ABC)
         assert str(path) in str(info.value)
 
     def test_old_format_is_named_only_when_a_key_is_missing(self, tmp_path):
         path = tmp_path / "x.json"
         path.write_text('{"rows": 1}')
         with pytest.raises(InvalidInputError, match="holds rows, the old format; regenerate it"):
-            read_object(path, "thing", ("a",), old_format=(("rows",), "corpus"))
+            read_object(path, "thing", A, old_format=(("rows",), "corpus"))
         path.write_text('{"rows": 1, "a": 2}')
-        assert read_object(path, "thing", ("a",), old_format=(("rows",), "corpus")) == {"rows": 1, "a": 2}
+        assert read_object(path, "thing", A, old_format=(("rows",), "corpus")) == {"rows": 1, "a": 2}
 
     @pytest.mark.parametrize("key", ["old", "older"])
     def test_old_format_takes_every_retired_key(self, tmp_path, key):
@@ -177,43 +186,145 @@ class TestReadObject:
         path.write_text(json.dumps({key: 1}))
         with pytest.raises(InvalidInputError, match=f"holds {key}, the old format; regenerate it "
                                                     "with `sparsemm prefill`"):
-            read_object(path, "thing", ("a",), old_format=(("old", "older"), "prefill"))
+            read_object(path, "thing", A, old_format=(("old", "older"), "prefill"))
         path.write_text('{"other": 1}')
         with pytest.raises(InvalidInputError, match="lacks a"):
-            read_object(path, "thing", ("a",), old_format=(("old", "older"), "prefill"))
+            read_object(path, "thing", A, old_format=(("old", "older"), "prefill"))
+
+
+def _check(value, kind, where="f"):
+    """`check_fields` on an object whose one field, n, of `kind` holds `value`."""
+    check_fields({"n": value}, (Field("n", kind),), where)
 
 
 class TestFieldCheckers:
+    """The one checker: each kind refuses what it should, and names what it refuses."""
+
     @pytest.mark.parametrize("value", [True, False, 2.0, 1.5, "3", None, [1], -1])
     def test_counts_reject_non_integers_and_negatives(self, value):
-        with pytest.raises(InvalidInputError, match="n must be counts"):
-            counts({"n": value}, "f")
+        with pytest.raises(InvalidInputError, match="f: n must be counts"):
+            _check(value, Count())
 
     def test_counts_minimum(self):
-        assert counts({"a": 1, "b": 2**70}, "f", 1) == [1, 2**70]
+        positive = (Field("a", Count(1)), Field("b", Count(1)))
+        check_fields({"a": 1, "b": 2**70}, positive, "f")
         with pytest.raises(InvalidInputError, match="f: a must be positive counts"):
-            counts({"a": 0, "b": 2}, "f", 1)
-        assert counts({"a": -1}, "f", -1) == [-1]
+            check_fields({"a": 0, "b": 2}, positive, "f")
+        _check(-1, Count(-1))
+        _check([-1, 0, 2**70], ListOf(Count(-1)))
 
     def test_numbers(self):
-        assert numbers({"a": 1, "b": 0.5}, "f") == [1, 0.5]
-        for bad in (True, "1", float("nan"), float("inf"), 10**400, None):
-            with pytest.raises(InvalidInputError, match="finite numbers"):
-                numbers({"a": bad}, "f")
+        for good in (1, 0.5, -2, 10**30):
+            _check(good, Number())
+        for bad in (True, "1", float("nan"), float("inf"), -float("inf"), 10**400, None):
+            with pytest.raises(InvalidInputError, match="f: n must be finite numbers"):
+                _check(bad, Number())
 
     def test_numbers_minimum(self):
-        assert numbers({"a": 0, "b": -0.0, "c": 2.5}, "f", 0) == [0, -0.0, 2.5]
-        with pytest.raises(InvalidInputError, match="f: b must be finite numbers >= 0"):
-            numbers({"a": 0.5, "b": -1e-300}, "f", 0)
-        with pytest.raises(InvalidInputError, match="f: a must be finite numbers >= 0"):
-            numbers({"a": float("nan")}, "f", 0)
+        _check([0, -0.0, 2.5], ListOf(Number(0)))
+        _check(-0.0, Number(0))
+        with pytest.raises(InvalidInputError, match=r"f: n\[1\] must be finite numbers >= 0"):
+            _check([0.5, -1e-300], ListOf(Number(0)))
+        with pytest.raises(InvalidInputError, match="f: n must be finite numbers >= 0"):
+            _check(float("nan"), Number(0))
 
-    def test_elements(self):
-        assert elements([4, 5], "g", "f", 2) == {"g[0]": 4, "g[1]": 5}
+    def test_range_and_allowed_values(self):
+        _check([0, 0.5, 1], ListOf(Number(0, 1)))
+        with pytest.raises(InvalidInputError, match=r"f: n\[1\] must lie in \[0, 1\]"):
+            _check([0, 1.5], ListOf(Number(0, 1)))
+        _check("b", String(("a", "b")))
+        for bad in ("", "c", 1, None):
+            with pytest.raises(InvalidInputError, match="f: n must be one of a, b"):
+                _check(bad, String(("a", "b")))
+        with pytest.raises(InvalidInputError, match="f: n must be strings"):
+            _check(1, String())
+
+    def test_wrong_length_list_is_malformed(self):
+        _check([4, 5], ListOf(Count(), 2))
         for bad in ([4], {"0": 4}, "45", None):
-            with pytest.raises(InvalidInputError, match="g is malformed"):
-                elements(bad, "g", "f", 2)
+            with pytest.raises(InvalidInputError, match="f: n is malformed, expected a list of 2"):
+                _check(bad, ListOf(Count(), 2))
 
+    def test_and_n_more(self):
+        with pytest.raises(InvalidInputError,
+                           match=r"^f: n\[0\], n\[2\], n\[3\] and 2 more must be counts >= -1$"):
+            _check([-2, 0, -3, True, 1.0, "x"], ListOf(Count(-1)))
+
+    def test_tuples_name_the_bad_item(self):
+        pairs = ListOf((Count(), ListOf(Number(), 4)))
+        _check([[0, [1, 2, 3, 4.5]], [7, [0, 0, 0, 0]]], pairs)
+        with pytest.raises(InvalidInputError, match=r"f: n\[1\]\[1\]\[2\] must be finite numbers$"):
+            _check([[0, [1, 2, 3, 4]], [7, [0, 0, None, 0]]], pairs)
+        with pytest.raises(InvalidInputError, match=r"f: n\[1\] is malformed, expected a list of 2"):
+            _check([[0, [1, 2, 3, 4]], [7]], pairs)
+        with pytest.raises(InvalidInputError,
+                           match=r"f: n\[0\]\[1\] is malformed, expected a list of 4"):
+            _check([[0, [1, 2, 3]]], pairs)
+
+    def test_the_first_fault_decides_the_message(self):
+        """The kind of the first bad value names every bad value of that kind, across fields."""
+        fields = (Field("a", Count(1)), Field("b", ListOf(Number())), Field("c", Count(1)))
+        with pytest.raises(InvalidInputError, match="^f: a, c must be positive counts$"):
+            check_fields({"a": 0, "b": [None], "c": 0}, fields, "f")
+        with pytest.raises(InvalidInputError, match="^f: b is malformed, expected a list$"):
+            check_fields({"a": 1, "b": 3, "c": 0}, fields, "f")
+
+    def test_length_set_by_other_fields(self):
+        fields = (Field("rows", Count()), Field("cols", Count()),
+                  Field("v", ListOf(Count(), length=("rows", "cols"))))
+        check_fields({"rows": 2, "cols": 3, "v": [0] * 6}, fields, "f")
+        with pytest.raises(ShapeError, match="f: v length does not match rows\\*cols"):
+            check_fields({"rows": 2, "cols": 3, "v": [0] * 5}, fields, "f")
+
+    def test_bounds_off_checks_only_the_json_kinds(self):
+        for value, kind in ((5, Number(0, 1)), (0, Count(1)), ("z", String(("a",))),
+                            ([-1.5], ListOf(Number(0)))):
+            check_fields({"n": value}, (Field("n", kind),), "f", bounds=False)
+        for value, kind, fragment in ((-1, Count(1), "must be counts"),
+                                      (float("nan"), Number(0, 1), "must be finite numbers"),
+                                      (1, String(("a",)), "must be strings")):
+            with pytest.raises(InvalidInputError, match=f"f: n {fragment}$"):
+                check_fields({"n": value}, (Field("n", kind),), "f", bounds=False)
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.sampled_from(["a", "b", ""]),
+        lambda children: st.lists(children, max_size=5), max_leaves=16,
+    ), kind=st.sampled_from([
+        Count(), Count(1), Number(), Number(0, 1), String(("a", "b")), ListOf(Count(-1)),
+        ListOf(ListOf(Count())), ListOf(Number(0), 3),
+        ListOf((Count(), ListOf(Number(), 2))),
+    ]), bounds=st.booleans())
+    def test_the_checker_refuses_what_a_value_by_value_reference_refuses(self, value, kind, bounds):
+        """The checker tests a kind at a time; the reference tests one value at a time."""
+        fits = _value_fits(kind, value, bounds)
+        assert fits or not artifacts._fits(kind, [value], bounds)
+        if fits:
+            check_fields({"n": value}, (Field("n", kind),), "f", bounds)
+        else:
+            with pytest.raises(InvalidInputError):
+                check_fields({"n": value}, (Field("n", kind),), "f", bounds)
+
+
+def _value_fits(kind, value, bounds: bool) -> bool:
+    """Whether `value` is of `kind`, every list item and number checked on its own."""
+    if type(kind) is tuple:
+        return (type(value) is list and len(value) == len(kind)
+                and all(_value_fits(k, v, bounds) for k, v in zip(kind, value)))
+    if type(kind) is ListOf:
+        return (type(value) is list and kind.length in (None, len(value))
+                and all(_value_fits(kind.item, v, bounds) for v in value))
+    kind = kind if bounds else type(kind)()
+    if type(kind) is String:
+        return type(value) is str and (not kind.allowed or value in kind.allowed)
+    if not (type(value) is int or type(kind) is Number and type(value) is float):
+        return False
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer past the floats
+        finite = type(kind) is Count
+    return (finite and (kind.lo is None or value >= kind.lo)
+            and (kind.hi is None or value <= kind.hi))
 
 
 class TestArrayPayload:
@@ -322,18 +433,25 @@ LOADERS = {"scores": load_scores, "plan": load_plan, "config": load_config, "tra
 
 
 def _load(artifact: str, blob: dict):
-    """Write `blob` as the artifact's file (a trace or corpus record beside its payload) and load it."""
+    """Write `blob` as the artifact's file (a trace or corpus record beside its payload) and load it.
+
+    A SparseMMError must name the file it was raised for: the record, trace
+    or payload path, or the score, plan or config file.
+    """
     payloads = _valid_files()[1]
     with tempfile.TemporaryDirectory() as directory:
         d = Path(directory)
-        if artifact == "record":
-            (d / "sample_00000.npy").write_bytes(payloads["record"])
-            write_json(d / "sample_00000.json", blob)
-            return list(load_corpus(d))
-        if artifact == "trace":
-            (d / "trace.npy").write_bytes(payloads["trace"])
-        write_json(d / f"{artifact}.json", blob)
-        return LOADERS[artifact](d / f"{artifact}.json")
+        stem = d / ("sample_00000" if artifact == "record" else artifact)
+        if artifact in payloads:
+            stem.with_suffix(".npy").write_bytes(payloads[artifact])
+        write_json(stem.with_suffix(".json"), blob)
+        try:
+            if artifact == "record":
+                return list(load_corpus(d))
+            return LOADERS[artifact](stem.with_suffix(".json"))
+        except SparseMMError as exc:
+            assert str(stem) in str(exc), str(exc)
+            raise
 
 
 def _edit_one_item(value, data):
@@ -387,7 +505,8 @@ def _replaced(value, path, new):
 class TestLoadersOnAnyFieldValue:
     """Replacing one top-level field of a valid file with another JSON value
     (an arbitrary one, or the valid one with one nested item replaced) never
-    makes a loader raise anything but a SparseMMError."""
+    makes a loader raise anything but a SparseMMError, and the error names
+    the file it was raised for."""
 
     @pytest.mark.parametrize("artifact", ["scores", "plan", "config", "trace", "record"])
     def test_valid_files_load(self, artifact):
@@ -427,6 +546,92 @@ class TestLoadersOnAnyFieldValue:
     @given(data=st.data())
     def test_corpus_record(self, data):
         _loads_or_raises_sparsemm_error("record", data)
+
+
+# -- each file's table, its writer and its checker
+
+
+def _readme_config_keys() -> set[str]:
+    """The keys of the README's example config, the planted alternative in its comment too.
+
+    A key inside the geometry or planted section is spelled `section.key`.
+    """
+    text = (SRC.parents[1] / "README.md").read_text()
+    block = text.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    example = json.loads(re.sub(r"\s*//.*", "", block))
+    alternative = re.search(r'// "planted": (\{.*\}),', block)[1]
+    example["planted"] |= json.loads(alternative)
+    return {
+        f"{key}.{inner}" if isinstance(value, dict) else key
+        for key, value in example.items()
+        for inner in (value if isinstance(value, dict) else [None])
+    }
+
+
+def _written_keys(tmp_path) -> dict[str, set[str]]:
+    """The keys each writer puts in its file: the score file, plan, trace and corpus record."""
+    save_scores(tmp_path / "scores.json", HeadScoreMatrix(np.ones((2, 2)), 3))
+    save_plan(tmp_path / "plan.json", allocate_uniform(AllocationConfig(64, 8), 2, 2))
+    assert main(["prefill", "--layers", "1", "--query-heads", "2", "--planted", "0,1",
+                 "--prompt-len", "40", "--window", "8", "--out", str(tmp_path / "trace.json")]) == 0
+    model = build_synthetic_model(ModelGeometry.mha(1, 2), PlantedHeadSet.uniform([(0, 1)], 0.9), 3)
+    save_corpus(tmp_path / "corpus", generate_ocr_samples(model, 1, 3))
+    files = {name: tmp_path / f"{name}.json" for name in ("scores", "plan", "trace")}
+    files["record"] = tmp_path / "corpus" / "sample_00000.json"
+    return {name: set(json.loads(path.read_text())) for name, path in files.items()}
+
+
+TABLES = {"scores": SCORE_FIELDS, "plan": PLAN_FIELDS, "trace": TRACE_FIELDS,
+          "record": RECORD_FIELDS, "config": CONFIG_FIELDS}
+
+
+class TestFieldTables:
+    def test_writers_write_exactly_the_table_fields(self, tmp_path, capsys):
+        """Every field a writer writes is declared, and every declared field is written."""
+        written = _written_keys(tmp_path) | {"config": _readme_config_keys()}
+        for name, fields in TABLES.items():
+            assert written[name] == {field.name for field in fields}, name
+            assert {field.name for field in fields if field.required} <= written[name], name
+
+    def test_valid_files_name_no_value(self, tmp_path, monkeypatch, capsys):
+        """Loading a valid file of each kind, at the `cli-flow` benchmark's 8x8/384 size, builds no
+        element name: the names are built only to report a bad value."""
+        model = build_synthetic_model(
+            ModelGeometry.mha(8, 8), PlantedHeadSet.uniform([(0, 1), (3, 4), (6, 2)], 0.8), 0
+        )
+        save_corpus(tmp_path / "corpus", generate_ocr_samples(model, 2, 0))
+        scores = HeadScoreMatrix(np.random.default_rng(0).random((8, 8)), 300)
+        save_scores(tmp_path / "scores.json", scores)
+        save_plan(tmp_path / "plan.json", allocate("sparsemm", AllocationConfig(64 * 64), 8, 8,
+                                                   scores=scores))
+        assert main(["prefill", "--layers", "8", "--query-heads", "8", "--planted", "0,1;3,4;6,2",
+                     "--prompt-len", "384", "--out", str(tmp_path / "trace.json")]) == 0
+        (tmp_path / "config.json").write_text(json.dumps(CONFIG))
+
+        def refuse(path):
+            raise AssertionError(f"named {path} in a valid file")
+
+        monkeypatch.setattr(artifacts, "_element_name", refuse)
+        assert len(load_corpus(tmp_path / "corpus")) == 2
+        for _sample, trace in load_corpus(tmp_path / "corpus"):
+            assert trace.layers == 8
+        load_scores(tmp_path / "scores.json")
+        load_plan(tmp_path / "plan.json")
+        _load_trace(tmp_path / "trace.json")
+        load_config(tmp_path / "config.json")
+        # the guard is live: a bad value is named through it
+        (tmp_path / "scores.json").write_text('{"layers": 1, "heads": 1, "scores": [-1]}')
+        with pytest.raises(AssertionError, match="named"):
+            load_scores(tmp_path / "scores.json")
+
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    @pytest.mark.parametrize("rho", [0.0, 0.1, 1.0])
+    def test_a_plan_of_every_policy_round_trips_byte_for_byte(self, tmp_path, policy, rho):
+        scores = HeadScoreMatrix(np.random.default_rng(1).random((3, 4)), 20)
+        plan = allocate(policy, AllocationConfig(3 * 4 * 24, 8, rho), 3, 4, scores=scores, seed=5)
+        save_plan(tmp_path / "plan.json", plan)
+        save_plan(tmp_path / "again.json", load_plan(tmp_path / "plan.json"))
+        assert (tmp_path / "again.json").read_bytes() == (tmp_path / "plan.json").read_bytes()
 
 
 # -- what the CLI writes
@@ -619,6 +824,13 @@ def test_files_are_touched_only_in_artifacts():
         if path.name != "artifacts.py":
             offenders += _file_access(path.name, ast.parse(path.read_text(), str(path)))
     assert not offenders, offenders
+
+
+def test_the_generator_imports_no_file_format():
+    """`simmodel` generates rows; the corpus file format is `corpusfile`'s."""
+    tree = ast.parse((SRC / "simmodel.py").read_text())
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert not imported & {"artifacts", "corpusfile"}, imported
 
 
 def test_file_guard_catches_every_kind_of_access():

@@ -49,13 +49,13 @@ from sparsemm.simmodel import (
     PlantedHeadSet,
     build_synthetic_model,
     generate_ocr_samples,
-    load_corpus,
     mask_heads,
-    save_corpus,
 )
 from sparsemm.allocator import AllocationConfig, allocate_uniform, load_plan
+from sparsemm.corpusfile import load_corpus, save_corpus
 
 import mask_oracle
+from corpus_oracle import corpus_digest
 from replay_oracle import replay_plan
 
 
@@ -854,7 +854,7 @@ class TestCliInputErrors:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "InvalidInputError"
         assert "already holds a corpus" in err["message"]
-        assert simmodel.corpus_digest(corpus) == digest
+        assert corpus_digest(corpus) == digest
 
     def test_bench_seed_offset_below_zero_exits_2(self, tmp_path, capsys):
         """A config no run can use is rejected before bench creates --out-dir."""
@@ -1196,6 +1196,33 @@ class TestLoaderErrors:
         ]) == 0
         capsys.readouterr()
         self._rejects(["compress", "--trace", str(trace), "--plan", str(bad)], capsys)
+
+    @pytest.mark.parametrize("field, value, fragment", [
+        ("rho", 5, r"rho must lie in \[0, 1\]"),
+        ("rho", -0.5, r"rho must lie in \[0, 1\]"),
+        ("rho", 1.0000001, r"rho must lie in \[0, 1\]"),
+        ("allocator", "", "allocator must be one of sparsemm, uniform, pyramid, random, ada"),
+        ("allocator", "Uniform", "allocator must be one of"),
+        ("allocator", 3, "allocator must be one of"),
+    ])
+    def test_plan_ratio_and_policy_are_as_the_writers_make_them(
+        self, tmp_path, capsys, field, value, fragment
+    ):
+        """Every plan comes from one of the five policies with an AllocationConfig ratio in [0, 1]."""
+        bad = tmp_path / "plan.json"
+        bad.write_text(json.dumps(
+            {"plan": [[8, 8]], "budget_B": 16, "w": 8, "rho": 0.1, "allocator": "uniform", field: value}
+        ))
+        trace = tmp_path / "trace.json"
+        assert main([
+            "prefill", "--layers", "1", "--query-heads", "2", "--planted", "0,1",
+            "--prompt-len", "40", "--window", "8", "--out", str(trace),
+        ]) == 0
+        capsys.readouterr()
+        assert main(["compress", "--trace", str(trace), "--plan", str(bad)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InvalidInputError"
+        assert re.search(fragment, err["message"]) and f"plan {bad}: " in err["message"]
 
     @pytest.mark.parametrize("field, value", [("layers", 1.9), ("heads", 1.9), ("heads", 0)])
     def test_score_counts_of_wrong_type(self, tmp_path, capsys, field, value):

@@ -30,13 +30,12 @@ from sparsemm.simmodel import (
     PlantedHeadSet,
     SyntheticModel,
     build_synthetic_model,
-    corpus_digest,
     generate_ocr_samples,
-    load_corpus,
     mask_heads,
-    save_corpus,
 )
+from sparsemm.corpusfile import load_corpus, save_corpus
 
+from corpus_oracle import corpus_digest
 from ranking_oracle import rank_window_keys
 from replay_oracle import replay_plan
 
