@@ -15,7 +15,9 @@ Eviction itself takes those per-kv-head window scores, shape
 `replay_plans` reads decode recall for many plans over one synthetic decode
 workload. It keeps what `compress_prefill` keeps, by the same tie rule.
 `replay_masked` reads it, in the same pass over the decode steps, for the
-workload's model and for each masked model the workload derived.
+workload's model and for each masked model the workload derived. Every masked
+set's kv groups are read together, sorted by kv group (`sort_groups`), so a
+range of a step costs the same few numpy calls for six sets as for one.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ __all__ = [
     "report_to_csv",
     "report_to_json",
     "select_topk",
+    "sort_groups",
     "sum_onto_kv_heads",
     "window_attention",
 ]
@@ -140,6 +143,19 @@ def groups_in_range(groups: np.ndarray, start: int, stop: int, n_groups: int) ->
     if stop - start == n_groups:
         return slice(None)
     return slice(*np.searchsorted(groups, (start, stop)))
+
+
+def sort_groups(cells) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every cell's kv groups in one array sorted by kv group, to read them all at once.
+
+    Each cell holds ascending `groups` and their (k, group_size) `rows`.
+    Returns (at, groups, rows): the cells' groups and rows, concatenated in
+    cell order and then sorted by kv group, ties in cell order, where sorted
+    entry j is concatenated entry at[j].
+    """
+    groups = np.concatenate([cell.groups for cell in cells])
+    at = np.argsort(groups, kind="stable")
+    return at, groups[at], np.concatenate([cell.rows for cell in cells])[at]
 
 
 @dataclass(frozen=True)
@@ -265,9 +281,9 @@ def replay_masked(geometry, workload, plans) -> list[DecodeRecord]:
     `workload.masked[i].heads` masked. Those rows are the workload's with
     each masked row set to exactly 1/(Lp + t), and their window scores
     differ only in the masked set's kv groups. So each step is read once:
-    the captured, window and generated mass are read for every head, then,
-    per masked set, again for its groups' rows alone, through the same chunk
-    scratch, and spliced in.
+    the captured, window and generated mass are read for every head, then
+    again for the rows of every masked set's groups at once, through the same
+    chunk scratch, and each set's are spliced in.
     A record equals `replay_plans` on the masked model's own workload bit for
     bit, since each head's values come from the same rows by the same sums.
     """
@@ -343,14 +359,19 @@ def _replay(geometry, workload, plans, cells) -> list[DecodeRecord]:
     A cell of None reads the workload's own rows; a `MaskedWindow` reads them
     with its heads masked, re-ranked and re-summed for its groups only.
     Arrays are held per kv group, (layers * kv_heads, group_size, ...), so a
-    group's rows and masses are one index of the first axis. Each step is read
-    as a stream of kv-group ranges (`_step_ranges`), and `_step_mass` reads
-    each range as it comes, for the base rows and for each masked set's
-    groups in it; only the per-head masses of the step are assembled, and
-    the recall mean and the per-head sums are taken over them whole. One
-    chunk-sized scratch table serves every range and masked set, so a
-    model-built workload's step is never held whole: one tile of groups and
-    the groups that hold a planted head are.
+    group's rows and masses are one index of the first axis. The masked sets'
+    groups are sorted together by kv group (`sort_groups`), a group that
+    several sets share once per set, and their scores ranked in one
+    `_key_order` call. Each step is read as a stream of kv-group ranges
+    (`_step_ranges`), and `_step_mass` reads each range as it comes: once for
+    the base rows and once for every masked set's groups in it. Each group's
+    masses come from its own rows by its own sums, whichever groups share
+    its chunk, so a set's bits do not depend on the other sets. Per plan,
+    its set's masses are spliced into the step's base masses through the
+    sort's permutation; the recall mean and the per-head sums are taken over
+    them whole. One chunk-sized scratch table serves every range and masked
+    set, so a model-built workload's step is never held whole: one tile of
+    groups and the groups that hold a planted head are.
     """
     layers, query_heads, kv_heads = geometry.layers, geometry.query_heads, geometry.kv_heads
     lp, w, out_len = workload.prompt_len, workload.window, workload.out_len
@@ -372,17 +393,22 @@ def _replay(geometry, workload, plans, cells) -> list[DecodeRecord]:
     always = np.empty((n_groups, group))
     total = np.empty_like(always)
     captured = np.empty((n_groups, group, len(plans)))
-    # per masked set: its groups' key order, its plan's scratch index and masses there
-    masked = []
-    for p, cell in enumerate(cells):
-        if cell is None:
-            masked.append(None)
-            continue
-        if cell.scores.shape != (cell.groups.size, n):
+    sets = [p for p, cell in enumerate(cells) if cell is not None]
+    for p in sets:
+        if cells[p].scores.shape != (cells[p].groups.size, n):
             raise ShapeError("masked window scores do not match the workload")
-        masked.append((cell, _key_order(cell.scores),
-                       index[cell.groups, :, p : p + 1], np.empty((cell.groups.size, group)),
-                       np.empty((cell.groups.size, group)), np.empty((cell.groups.size, group, 1))))
+    if sets:
+        # every masked set's groups at once, sorted by kv group: their key order,
+        # their plans' scratch index and their masses, each set's taken back by `where`
+        at, set_groups, set_rows = sort_groups([cells[p] for p in sets])
+        set_order = _key_order(np.concatenate([cells[p].scores for p in sets])[at])
+        sizes = [cells[p].groups.size for p in sets]
+        set_index = index[set_groups, :, np.repeat(sets, sizes)[at]][:, :, None]
+        set_masses = (np.empty((at.size, group)), np.empty((at.size, group)),
+                      np.empty((at.size, group, 1)))
+        back = np.empty_like(at)
+        back[at] = np.arange(at.size)
+        where = dict(zip(sets, np.split(back, np.cumsum(sizes)[:-1])))
     recalls = np.zeros((len(plans), out_len))
     head_acc = np.zeros((len(plans), layers, query_heads))
     # one chunk's table for every range and cell, about RANK_CHUNK_VALUES values
@@ -402,21 +428,21 @@ def _replay(geometry, workload, plans, cells) -> list[DecodeRecord]:
             part = slice(start, stop)
             _step_mass(rows, order[part], lp, index[part], scratch, always[part], total[part],
                        captured[part])
-            for cell, cell_order, cell_index, *masses in filter(None, masked):
-                cut = groups_in_range(cell.groups, start, stop, n_groups)
-                _step_mass(rows, cell_order[cut], lp, cell_index[cut], scratch,
-                           *(m[cut] for m in masses), cell.groups[cut] - start, cell.rows[cut])
+            if sets:
+                cut = groups_in_range(set_groups, start, stop, n_groups)
+                _step_mass(rows, set_order[cut], lp, set_index[cut], scratch,
+                           *(m[cut] for m in set_masses), set_groups[cut] - start, set_rows[cut])
             del rows
         if covered != n_groups:
             raise ShapeError(f"decode rows of step {t} do not match the geometry")
         for p in range(len(plans)):
             kept_mass, row_mass, got = always, total, captured[:, :, p]
-            if masked[p] is not None:
-                cell, _, _, cell_always, cell_total, cell_captured = masked[p]
+            if cells[p] is not None:
+                groups, mine = cells[p].groups, where[p]
                 kept_mass, row_mass, got = always.copy(), total.copy(), got.copy()
-                kept_mass[cell.groups] = cell_always
-                row_mass[cell.groups] = cell_total
-                got[cell.groups] = cell_captured[:, :, 0]
+                kept_mass[groups] = set_masses[0][mine]
+                row_mass[groups] = set_masses[1][mine]
+                got[groups] = set_masses[2][mine, :, 0]
             recall = ((kept_mass + got) / row_mass).reshape(layers, query_heads)
             recalls[p, t] = recall.mean()
             head_acc[p] += recall

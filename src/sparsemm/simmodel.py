@@ -28,8 +28,11 @@ and a decode workload's steps are drawn again on each pass, one step at a
 time, from their generator as it stood after the sample layout or the window
 rows. No step of a decode workload, window row or decode row, is held whole:
 each is drawn a tile of kv groups at a time and handed on as it is drawn,
-the groups that hold a planted head last. So a caller that streams holds one
-tile, the planted groups and one corpus step.
+the groups that hold a planted head last. A whole step is drawn alone in row
+tiles when it is larger than a tile; smaller ones are drawn a batch of whole
+steps at a time and normalized together, which costs numpy one call per batch
+where it cost one per step. So a caller that streams holds one tile, the
+planted groups and one corpus step or one batch of small steps.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cache import groups_in_range, sum_onto_kv_heads
+from .cache import groups_in_range, sort_groups, sum_onto_kv_heads
 from .errors import InvalidInputError, ShapeError
 
 __all__ = [
@@ -168,11 +171,12 @@ class AttentionTrace:
     Each row is a probability vector: the generator draws it so, and
     `corpusfile.load_corpus` checks every row it reads, so the trace checks
     only shapes.
-    A drawn sample's `steps` is a `DecodeSteps`, which draws each step when it
-    is read, the same bits on every pass. Any other iterable of steps that
-    gives its (layers, query_heads) as `heads` and its step count as `len` is
-    taken as such. Otherwise `steps` is a sequence of arrays, held as a tuple
-    of read-only views of the arrays given, not copies.
+    A drawn sample's `steps` is a `DecodeSteps`, which draws one step, or one
+    batch of whole steps, when it is read, the same bits on every pass. Any
+    other iterable of steps that gives its (layers, query_heads) as `heads`
+    and its step count as `len` is taken as such. Otherwise `steps` is a
+    sequence of arrays, held as a tuple of read-only views of the arrays
+    given, not copies.
     """
 
     steps: Iterable[np.ndarray]
@@ -218,7 +222,8 @@ class AttentionTrace:
 
 
 # values in one row tile of a drawn block: `_draw_block` fills and normalizes a
-# block this many values at a time, so its scratch never needs a whole block
+# block this many values at a time, so its scratch never needs a whole block;
+# `_draw_batch` normalizes small steps up to this many values at a time
 TILE_VALUES = 1 << 16
 
 
@@ -240,39 +245,82 @@ def _row_tiles(rows: int, visible: int, group: int = 1) -> Iterator[tuple[int, i
         start = stop
 
 
-def _tile_scratch(rows: int, visible: int, group: int = 1) -> np.ndarray:
+def _tile_scratch(rows: int, visible: int, group: int = 1, least: int = 0) -> np.ndarray:
     """A `_draw_block` scratch buffer for blocks of `rows` rows of up to `visible` values.
 
     A tile of v-value rows holds at most min(rows, max(2, TILE_VALUES // v) + 1)
     rows when `group` is 1: at most TILE_VALUES + v values, or 3 * v where
     tiles are two rows. A larger group cuts no remainder, but a tile holds at
-    least one group: group * v values.
+    least one group: group * v values. The buffer holds at least `least`
+    values, so one buffer can also hold a `_draw_batch` table.
     """
-    return np.empty(min(rows * visible, max(TILE_VALUES + visible, 3 * visible, group * visible)))
+    tile = min(rows * visible, max(TILE_VALUES + visible, 3 * visible, group * visible))
+    return np.empty(max(tile, least))
 
 
-def _normalize_blocks(draw: np.ndarray, roles, scratch: np.ndarray) -> np.ndarray:
-    """Compose role-wise Dirichlet blocks into rows that sum to one, in place.
+def _step_batches(rows: int, lp: int, n: int, text_off: int) -> list[tuple[int, int]]:
+    """The (first, stop) ranges of the n steps that `_draw_steps` draws at a time.
 
-    `roles` holds (start, stop, mass) ranges that partition the last axis of
-    `draw`; each range is rescaled to carry its mass. Ranges with no position
-    forfeit their mass to the rest (renormalized). A range's total is summed
-    from a C-order (positions, rows) copy of it in `scratch`, which fixes the
-    order of its float sum: a flat float64 buffer of at least `draw.size`
-    values, one row tile of `_draw_block`'s, reused for every tile. A `draw`
-    with no (rows, visible) view, which a reshape would copy, raises ValueError.
+    Step t is `rows` rows of lp + t positions. Consecutive steps that see text
+    (lp + t > text_off) join one batch while its `_draw_batch` table, its
+    last step's positions by all its steps' rows, holds at most TILE_VALUES
+    values. Any other step is a batch of its own, which `_draw_block` draws
+    in row tiles: one larger than that, one that sees no text, and every
+    step of a one-row model. A one-row step's (positions, 1) copy is summed
+    pairwise, where side by side with others it would be summed position by
+    position.
     """
+    batches = []
+    first = 0
+    while first < n:
+        stop = first + 1
+        if rows > 1 and lp + first > text_off:
+            while stop < n and (stop + 1 - first) * (lp + stop) * rows <= TILE_VALUES:
+                stop += 1
+        batches.append((first, stop))
+        first = stop
+    return batches
+
+
+def _normalize_blocks(blocks, roles, scratch: np.ndarray) -> None:
+    """Compose role-wise Dirichlet rows into rows that sum to one, in place.
+
+    `blocks` are (rows, visible) arrays, the widest last, and `roles` holds
+    (start, stop, mass) ranges that partition the widest one's positions;
+    each range is rescaled to carry its mass. Ranges with no position forfeit
+    their mass to the rest (renormalized), so a narrower block must have a
+    position in every range that has one. Every block is copied, transposed,
+    into one key-major table in `scratch`, (positions, rows of every block),
+    zero past its own length, and a range's totals are summed down a C-order
+    slice of it. That fixes the order of each float sum: position by
+    position, or pairwise where the table is one column. Adding the
+    padding's +0.0 leaves a positive sum as it is. Each range is scaled in
+    the table and every block is copied back. `scratch` is a flat float64
+    buffer of at least (widest visible) * (all rows) values: one row tile of
+    `_draw_block`'s, or one batch of `_draw_batch`'s.
+    """
+    width = sum(block.shape[0] for block in blocks)
+    top = blocks[-1].shape[1]
+    table = scratch[: top * width].reshape(top, width)
+    at = 0
+    for block in blocks:
+        rows, visible = block.shape
+        columns = table[:, at : at + rows]
+        columns[:visible] = block.T
+        columns[visible:] = 0.0
+        at += rows
     live = [(start, stop, m) for start, stop, m in roles if stop > start]
     z = sum(m for _, _, m in live)
-    rows = draw.reshape(math.prod(draw.shape[:-1]), draw.shape[-1], copy=False)
     for start, stop, m in live:
-        block = rows[:, start:stop]
-        copy = scratch[: block.size].reshape(stop - start, rows.shape[0])
-        copy[...] = block.T
-        total = copy.sum(axis=0)[:, None]
-        block *= m / z
-        block /= total
-    return draw
+        part = table[start:stop]
+        total = part.sum(axis=0)
+        part *= m / z
+        part /= total
+    at = 0
+    for block in blocks:
+        rows, visible = block.shape
+        block[...] = table[:visible, at : at + rows].T
+        at += rows
 
 
 class _Tiles(NamedTuple):
@@ -308,11 +356,11 @@ def _draw_block(rng, draw, n_pre: int, text_off: int, bg, scratch):
     roles = [(text_off, visible, bg[0]), (0, n_pre, bg[1]), (n_pre, min(text_off, visible), bg[2])]
     if isinstance(draw, _Tiles):
         return _draw_tiles(rng, draw, roles, scratch)
-    flat = draw.reshape(-1, visible)
+    flat = draw.reshape(-1, visible, copy=False)
     for start, stop in _row_tiles(flat.shape[0], visible):
         tile = flat[start:stop]
         rng.standard_exponential(out=tile)
-        _normalize_blocks(tile, roles, scratch)
+        _normalize_blocks([tile], roles, scratch)
     return draw
 
 
@@ -322,8 +370,32 @@ def _draw_tiles(rng, tiles: _Tiles, roles, scratch) -> Iterator[tuple[int, np.nd
     for start, stop in _row_tiles(layers * heads, visible, tiles.group):
         tile = tiles.buffer[: (stop - start) * visible].reshape(stop - start, visible)
         rng.standard_exponential(out=tile)
-        _normalize_blocks(tile, roles, scratch)
+        _normalize_blocks([tile], roles, scratch)
         yield start, tile
+
+
+def _draw_batch(rng, blocks, n_pre: int, text_off: int, bg, scratch, edit) -> list:
+    """Draw consecutive steps' background rows into `blocks`, normalized together.
+
+    `blocks` are two or more (layers, query_heads, visible) arrays of two or
+    more rows, in stream order, each seeing text (visible > text_off), so
+    each has every role it has in `_draw_block`. Each is filled in turn, and
+    `edit(rng, i)` draws block i's edit randoms right after its fill, as a
+    step drawn alone draws them; their results are returned in order. Then
+    `_normalize_blocks` normalizes every block in one pass over `scratch`,
+    which holds the blocks' rows side by side: the same sums, in the same
+    order, as each block's own, so every bit is the one `_draw_block` gives.
+    One-row blocks are never batched, since a one-column table is summed
+    pairwise and a wider one position by position.
+    """
+    edits = []
+    for i, block in enumerate(blocks):
+        rng.standard_exponential(out=block)
+        edits.append(edit(rng, i))
+    top = blocks[-1].shape[2]
+    roles = [(text_off, top, bg[0]), (0, n_pre, bg[1]), (n_pre, text_off, bg[2])]
+    _normalize_blocks([block.reshape(-1, block.shape[2]) for block in blocks], roles, scratch)
+    return edits
 
 
 def _fork(rng: np.random.Generator) -> np.random.Generator:
@@ -347,13 +419,17 @@ def _rect_patches(r0: int, c0: int, rows: int, cols: int, grid_cols: int) -> np.
     return ((r0 + np.arange(rows))[:, None] * grid_cols + (c0 + np.arange(cols))).ravel()
 
 
-def _plant_hit_row(rng, row: np.ndarray, region: np.ndarray) -> None:
-    """Rebuild `row` in place as peak + region + scaled background, argmax the peak."""
-    weights = rng.exponential(size=region.size)
-    peak = int(region[rng.integers(region.size)])
-    row *= 1.0 - PEAK_MASS - REGION_MASS
-    row[region] += REGION_MASS * weights / weights.sum()
-    row[peak] += PEAK_MASS
+def _plant_hits(rows, region: np.ndarray, hits) -> None:
+    """Rebuild rows[i], for each hit (i, weights, peak), as peak + region + scaled background.
+
+    The region's `weights` are scaled to REGION_MASS, and PEAK_MASS lands on
+    position `peak`, so the row's argmax is the peak.
+    """
+    for i, weights, peak in hits:
+        row = rows[i]
+        row *= 1.0 - PEAK_MASS - REGION_MASS
+        row[region] += REGION_MASS * weights / weights.sum()
+        row[peak] += PEAK_MASS
 
 
 @dataclass(frozen=True)
@@ -424,13 +500,24 @@ class SyntheticModel:
         for l, h in sorted(self.masked):
             block[l, h] = 1.0 / visible
 
+    def _decode_hits(self, rng, region: np.ndarray) -> list:
+        """Draw which planted heads' decode rows hit `region`, each with probability `strength`.
+
+        Returns (planted index, region weights, peak position) per hit, in
+        planted order, for `_plant_hits`.
+        """
+        hits = []
+        for i in range(len(self.planted)):
+            u = rng.random()
+            if region.size and u < self.planted.strength:
+                weights = rng.exponential(size=region.size)
+                hits.append((i, weights, int(region[rng.integers(region.size)])))
+        return hits
+
     def _plant_decode(self, rng, rows, region: np.ndarray) -> None:
         """Each planted head's decode row, in `rows` in planted order, hits `region` with
         probability `strength`."""
-        for row in rows:
-            u = rng.random()
-            if region.size and u < self.planted.strength:
-                _plant_hit_row(rng, row, region)
+        _plant_hits(rows, region, self._decode_hits(rng, region))
 
     def _plant_window(self, rng, rows, union_vis: np.ndarray) -> None:
         """Steer part of each planted head's window row, in `rows`, onto the visible union."""
@@ -474,8 +561,8 @@ class SyntheticModel:
         Once every tile is drawn, `edit(rng, rows)` edits the planted heads'
         rows there, in planted order, and those groups go out last. A masked
         head's row is set to exactly 1/visible before its group goes out.
-        A step that fits the tile buffer is drawn whole into it, as
-        `_draw_steps` draws a step, and goes out as one range.
+        A step that fits the tile buffer is drawn whole into it by
+        `_draw_block` and goes out as one range.
         """
         geo = self.geometry
         g = geo.group_size
@@ -525,18 +612,37 @@ class SyntheticModel:
 
         Each step draws its background, then each planted head hits the
         step's region with probability `strength`, then masked rows go uniform.
-        A yielded step is not referenced here once the caller asks for the
-        next, so a caller that drops it holds one step while the next is drawn.
+        Steps are drawn a `_step_batches` batch at a time: several by
+        `_draw_batch`, one alone by `_draw_block`. Either way each step's hit
+        randoms are drawn right after its fill, so the generator is read in
+        the same order and the bits are the same. A yielded step is not
+        referenced here once the caller asks for the next, so a caller that
+        drops each step holds one batch of steps while the next is drawn.
         """
         geo = self.geometry
-        scratch = _tile_scratch(geo.layers * geo.query_heads, lp + len(regions) - 1)
-        for t, region in enumerate(regions):
-            block = np.empty((geo.layers, geo.query_heads, lp + t))
-            _draw_block(rng, block, n_pre, text_off, bg, scratch)
-            self._plant_decode(rng, [block[l, h] for l, h in self.planted.heads], region)
-            self._mask_rows(block, lp + t)
-            yield block
-            del block
+        rows = geo.layers * geo.query_heads
+        heads = self.planted.heads
+        batches = _step_batches(rows, lp, len(regions), text_off)
+        # the widest `_draw_batch` table, in positions by steps
+        table = max(((stop - first) * (lp + stop - 1) for first, stop in batches
+                     if stop > first + 1), default=0)
+        scratch = _tile_scratch(rows, lp + len(regions) - 1, least=rows * table)
+        for first, stop in batches:
+            blocks = [np.empty((geo.layers, geo.query_heads, lp + t)) for t in range(first, stop)]
+            if len(blocks) > 1:
+                edits = _draw_batch(rng, blocks, n_pre, text_off, bg, scratch,
+                                    lambda rng, i: self._decode_hits(rng, regions[first + i]))
+            else:
+                _draw_block(rng, blocks[0], n_pre, text_off, bg, scratch)
+                edits = [self._decode_hits(rng, regions[first])]
+            for t, block, hits in zip(range(first, stop), blocks, edits):
+                if hits:
+                    _plant_hits([block[l, h] for l, h in heads], regions[t], hits)
+                self._mask_rows(block, lp + t)
+            for i in range(len(blocks)):
+                block, blocks[i] = blocks[i], None
+                yield block
+                del block
 
     def _draw_steps_in_ranges(self, rng, lp: int, regions, n_pre: int, text_off: int, bg):
         """`_draw_steps`' rows, each step an iterator of `_draw_ranges` ranges: no step is held whole.
@@ -622,8 +728,11 @@ class SyntheticModel:
         draws nothing, so that model draws these window rows; the same pass
         copies, from each range, the groups holding a masked head, sets those
         rows to 1/visible and sums them onto their kv head in query-head
-        order, as `sum_onto_kv_heads` sums any block. Every score is then the
-        same float sum, in the same order, as the masked model's.
+        order, as `sum_onto_kv_heads` sums any block. All sets are read at
+        once: their groups, sorted by kv group (`cache.sort_groups`), are
+        gathered, summed and scattered back with one call each per range, and
+        the sets' scores are views of one array. Every score is then the same
+        float sum, in the same order, as the masked model's.
         """
         if window < 0:
             raise InvalidInputError("window must be non-negative")
@@ -632,7 +741,17 @@ class SyntheticModel:
         if out_len < 1:
             raise InvalidInputError("out_len must be positive")
         geo = self.geometry
-        masked = tuple(self._masked_window(heads, prompt_len - window) for heads in masks)
+        n = prompt_len - window
+        masked = [self._masked_window(heads, n) for heads in masks]
+        # the sets' scores are views of one array, in set order; the pass reads
+        # every set's groups at once, sorted by kv group, and `at` takes each
+        # sorted entry back to its set's row
+        scores = np.zeros((sum(cell.groups.size for cell in masked), n))
+        ends = np.cumsum([cell.groups.size for cell in masked], dtype=np.intp)
+        masked = tuple(replace(cell, scores=part)
+                       for cell, part in zip(masked, np.split(scores, ends[:-1])))
+        if masked:
+            at, groups, masked_rows = sort_groups(masked)
         rng = self._rng(_STREAM_DECODE, prompt_len, out_len, window)
 
         # sinks | header filler | image block | instruction tail; the tail is
@@ -683,7 +802,6 @@ class SyntheticModel:
             else:
                 token_regions.append(np.empty(0, dtype=np.int64))
 
-        n = lp - window
         window_scores = np.zeros((geo.layers, geo.kv_heads, n))
         folded = window_scores.reshape(geo.layers * geo.kv_heads, n)  # one row per kv group
         stream = self._stream(lp)
@@ -695,15 +813,14 @@ class SyntheticModel:
             for start, rows in ranges:
                 stop = start + rows.shape[0]
                 folded[start:stop] += sum_onto_kv_heads(rows[:, :, :n], 1)[:, 0]
-                for cell in masked:
-                    cut = groups_in_range(cell.groups, start, stop, len(folded))
-                    rows_of = rows[cell.groups[cut] - start, :, :n]
-                    rows_of[cell.rows[cut]] = 1.0 / visible
-                    cell.scores[cut] += sum_onto_kv_heads(rows_of, 1)[:, 0]
+                if masked:
+                    cut = groups_in_range(groups, start, stop, len(folded))
+                    rows_of = rows[groups[cut] - start, :, :n]
+                    rows_of[masked_rows[cut]] = 1.0 / visible
+                    scores[at[cut]] += sum_onto_kv_heads(rows_of, 1)[:, 0]
         if window:
             window_scores /= window
-            for cell in masked:
-                cell.scores[...] /= window
+            scores /= window
 
         regions = tuple(token_regions)
         steps = DecodeSteps(self, rng, lp, regions, n_pre, tail_off, DECODE_BG)
@@ -752,10 +869,11 @@ class DecodeSteps:
     `rng` is the generator as it stands after the window rows or the sample
     layout, and it is never advanced. Each pass draws from a copy of it (`_fork`),
     so every pass reads the same bits. Iterating yields output token t's whole
-    (layers, query_heads, prompt_len + t) rows through `_draw_steps`, one step
-    in memory at a time; `ranges` yields each step as kv-group ranges through
-    `_draw_ranges`, one tile and the planted groups in memory. `n_pre`,
-    `text_off` and `bg` are the role offsets and masses of `_draw_block`.
+    (layers, query_heads, prompt_len + t) rows through `_draw_steps`, one step,
+    or one batch of whole steps, in memory at a time; `ranges` yields each
+    step as kv-group ranges through `_draw_ranges`, one tile and the planted
+    groups in memory. `n_pre`, `text_off` and `bg` are the role offsets and
+    masses of `_draw_block`.
     """
 
     model: SyntheticModel

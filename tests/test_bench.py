@@ -430,7 +430,7 @@ class TestMaskDerivation:
         }
         workloads, blocks = [], []
         decode_workload = simmodel.SyntheticModel.decode_workload
-        draw_block = simmodel._draw_block
+        draw_block, draw_batch = simmodel._draw_block, simmodel._draw_batch
 
         def workload(model, *args, **kwargs):
             workloads.append(model.seed)
@@ -440,8 +440,14 @@ class TestMaskDerivation:
             blocks.append(None)
             return draw_block(*args, **kwargs)
 
+        def batch(rng, drawn, *args):
+            blocks.extend(None for _ in drawn)
+            return draw_batch(rng, drawn, *args)
+
         monkeypatch.setattr(simmodel.SyntheticModel, "decode_workload", workload)
+        # a step is drawn alone by `_draw_block` or in a batch of steps by `_draw_batch`
         monkeypatch.setattr(simmodel, "_draw_block", block)
+        monkeypatch.setattr(simmodel, "_draw_batch", batch)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             for seed in cfg.seeds:
@@ -465,13 +471,19 @@ class TestMaskDerivation:
         want += range(cfg.prompt_len - cfg.window + 1, cfg.prompt_len + 1)
         want += range(cfg.prompt_len, cfg.prompt_len + cfg.out_len)
         visible = []
-        draw_block = simmodel._draw_block
+        draw_block, draw_batch = simmodel._draw_block, simmodel._draw_batch
 
         def counted(rng, draw, *args):
             visible.append(draw.shape[2])
             return draw_block(rng, draw, *args)
 
+        def batch(rng, blocks, *args):
+            visible.extend(block.shape[2] for block in blocks)
+            return draw_batch(rng, blocks, *args)
+
+        # a step is drawn alone by `_draw_block` or in a batch of steps by `_draw_batch`
         monkeypatch.setattr(simmodel, "_draw_block", counted)
+        monkeypatch.setattr(simmodel, "_draw_batch", batch)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             bench._mask_seed_rows(cfg, seed)

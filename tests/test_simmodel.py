@@ -8,6 +8,7 @@ import re
 import tempfile
 import tracemalloc
 import weakref
+from collections import deque
 from dataclasses import replace
 
 import numpy as np
@@ -58,6 +59,43 @@ def oracle_normalize_blocks(draw, roles):
     for pos, m in live:
         block = draw[..., pos]
         out[..., pos] = (m / z) * block / block.sum(axis=-1, keepdims=True)
+    return out
+
+
+def oracle_hit_row(rng, row, region):
+    """Rebuild a planted head's decode row in place as peak + region + scaled background."""
+    weights = rng.exponential(size=region.size)
+    peak = int(region[rng.integers(region.size)])
+    row *= 1.0 - simmodel.PEAK_MASS - simmodel.REGION_MASS
+    row[region] += simmodel.REGION_MASS * weights / weights.sum()
+    row[peak] += simmodel.PEAK_MASS
+
+
+def oracle_trace(steps):
+    """A drawn trace's steps drawn one at a time, each normalized by `oracle_normalize_blocks`.
+
+    `steps` is a `DecodeSteps`. Each step's background is drawn whole, then
+    its planted heads' hits, then its masked rows go uniform, before the
+    next step is drawn: the per-step draw that batched steps must equal.
+    """
+    model, rng = steps.model, simmodel._fork(steps.rng)
+    geo = model.geometry
+    bg = steps.bg
+    out = []
+    for t, region in enumerate(steps.regions):
+        visible = steps.prompt_len + t
+        draw = rng.exponential(size=(geo.layers, geo.query_heads, visible))
+        block = oracle_normalize_blocks(draw, [
+            (np.arange(steps.text_off, visible), bg[0]),
+            (np.arange(steps.n_pre), bg[1]),
+            (np.arange(steps.n_pre, min(steps.text_off, visible)), bg[2]),
+        ])
+        for l, h in model.planted.heads:
+            if rng.random() < model.planted.strength and region.size:
+                oracle_hit_row(rng, block[l, h], region)
+        for l, h in sorted(model.masked):
+            block[l, h] = 1.0 / visible
+        out.append(block)
     return out
 
 
@@ -156,7 +194,7 @@ def oracle_decode_workload(model, prompt_len, out_len, window):
         region = token_regions[t]
         for l, h in model.planted.heads:
             if rng.random() < model.planted.strength and region.size:
-                simmodel._plant_hit_row(rng, block[l, h], region)
+                oracle_hit_row(rng, block[l, h], region)
         for l, h in sorted(model.masked):
             block[l, h] = 1.0 / visible
         decode_rows.append(block)
@@ -725,25 +763,55 @@ class TestNormalizeBlocks:
             draw.copy(), [(np.arange(start, stop), m) for start, stop, m in roles]
         )
         # a scratch buffer longer than the block, holding stale values
-        got = simmodel._normalize_blocks(draw, roles, np.full(draw.size + 5, np.nan))
-        assert got is draw
-        assert np.array_equal(got, want)
+        simmodel._normalize_blocks(
+            [draw.reshape(-1, visible)], roles, np.full(draw.size + 5, np.nan)
+        )
+        assert np.array_equal(draw, want)
 
     def test_a_draw_without_a_2d_view_is_refused(self):
-        """Rows edited through a reshape that copied would leave `draw` as drawn."""
+        """Rows drawn through a reshape that copied would leave `draw` as it was."""
         roles = [(0, 4, 0.3), (4, 10, 0.7)]
-        base = np.random.default_rng(5).exponential(size=(3, 2, 10))
+        base = np.zeros((3, 2, 10))
         draw = base.swapaxes(0, 1)  # (2, 3, 10): its rows have no common stride
         with pytest.raises(ValueError):
-            simmodel._normalize_blocks(draw, roles, np.empty(draw.size))
-        assert np.array_equal(base, np.random.default_rng(5).exponential(size=(3, 2, 10)))
-        # every other row of a block has a 2-D view: normalized in place there
+            simmodel._draw_block(
+                np.random.default_rng(5), draw, 2, 4, simmodel.DECODE_BG, np.empty(draw.size)
+            )
+        assert not base.any()
+        # every other row of a block is a 2-D block: normalized in place there
         rows = np.random.default_rng(6).exponential(size=(6, 10))
         want = oracle_normalize_blocks(
             rows[::2].copy(), [(np.arange(start, stop), m) for start, stop, m in roles]
         )
-        simmodel._normalize_blocks(rows[::2], roles, np.empty(30))
+        simmodel._normalize_blocks([rows[::2]], roles, np.empty(30))
         assert np.array_equal(rows[::2], want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_blocks_side_by_side_keep_each_blocks_bits(self, data):
+        """Blocks normalized together, the shorter ones padded with zeros, equal each alone."""
+        n_pre = data.draw(st.integers(0, 6))
+        text_off = data.draw(st.integers(n_pre, 40))
+        widths = sorted(data.draw(
+            st.lists(st.integers(text_off + 1, text_off + 60), min_size=1, max_size=5)
+        ))
+        rows = data.draw(st.lists(st.integers(2, 9), min_size=len(widths), max_size=len(widths)))
+        masses = data.draw(st.lists(st.floats(0.01, 1.0), min_size=3, max_size=3))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        blocks = [rng.exponential(size=(r, v)) for r, v in zip(rows, widths)]
+        want = [
+            oracle_normalize_blocks(block.copy(), [
+                (np.arange(text_off, block.shape[1]), masses[0]),
+                (np.arange(n_pre), masses[1]),
+                (np.arange(n_pre, text_off), masses[2]),
+            ])
+            for block in blocks
+        ]
+        roles = [(text_off, widths[-1], masses[0]), (0, n_pre, masses[1]),
+                 (n_pre, text_off, masses[2])]
+        simmodel._normalize_blocks(blocks, roles, np.full(widths[-1] * sum(rows) + 3, np.nan))
+        for got, block_want in zip(blocks, want, strict=True):
+            assert np.array_equal(got, block_want)
 
     @settings(max_examples=200, deadline=None)
     @given(groups=st.integers(1, 200), group=st.integers(1, 5),
@@ -789,6 +857,92 @@ class TestNormalizeBlocks:
             np.random.default_rng(visible), np.empty(shape), n_pre, text_off, bg, scratch
         )
         assert np.array_equal(got, want)
+
+
+class TestBatchedSteps:
+    """Small steps drawn a batch at a time are the steps drawn one at a time, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "tile", [1, 2500, 1 << 24], ids=["one-step-batches", "cut-mid-trace", "whole-traces"]
+    )
+    @pytest.mark.parametrize(
+        "geometry, planted, masked",
+        [
+            # GQA, a masked planted head and a masked head beside a planted one
+            (ModelGeometry(2, 4, 2), ((0, 1), (1, 2)), ((0, 1), (1, 3))),
+            (ModelGeometry.mha(2, 4), ((0, 1),), ((1, 0),)),
+            # one row: its steps are summed pairwise, so never side by side
+            (ModelGeometry(1, 1, 1), ((0, 0),), ()),
+        ],
+        ids=["gqa-masked", "mha", "one-row"],
+    )
+    def test_corpus_steps_equal_the_per_step_draw(self, monkeypatch, tile, geometry, planted,
+                                                  masked):
+        monkeypatch.setattr(simmodel, "TILE_VALUES", tile)
+        model = mask_heads(
+            small_model(seed=80, strength=0.9, planted=planted, geometry=geometry), masked
+        )
+        rows = geometry.layers * geometry.query_heads
+        batches = []
+        for _, trace in generate_ocr_samples(model, 6, seed=9):
+            steps = trace.steps
+            want = oracle_trace(steps)
+            assert [step.tobytes() for step in steps] == [step.tobytes() for step in want]
+            batches.append(simmodel._step_batches(rows, steps.prompt_len, len(steps),
+                                                  steps.text_off))
+        # each tile size draws the batches it is meant to
+        sizes = [stop - first for trace in batches for first, stop in trace]
+        if tile == 1 or rows == 1:
+            assert set(sizes) == {1}
+        elif tile == 1 << 24:
+            assert all(len(trace) == 1 for trace in batches) and min(sizes) > 1
+        else:
+            assert max(sizes) > 1 and max(len(trace) for trace in batches) > 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.integers(1, 300), lp=st.integers(0, 3000), n=st.integers(1, 20),
+           text_off=st.integers(0, 3000))
+    def test_step_batches_partition_the_steps(self, rows, lp, n, text_off):
+        batches = simmodel._step_batches(rows, lp, n, text_off)
+        assert [first for first, _ in batches] == [0, *(stop for _, stop in batches[:-1])]
+        assert batches[-1][1] == n
+        for (first, stop), after in zip(batches, [*batches[1:], None]):
+            # a batch's table, its last step's positions by its rows, fits a tile
+            table = (stop - first) * (lp + stop - 1) * rows
+            if stop - first > 1:
+                assert rows > 1 and lp + first > text_off
+                assert table <= simmodel.TILE_VALUES
+            # and it takes every next step that fits
+            if after and rows > 1 and lp + first > text_off:
+                assert (stop + 1 - first) * (lp + stop) * rows > simmodel.TILE_VALUES
+
+    def test_a_drawn_small_trace_holds_one_batch(self):
+        """Reading a trace of small steps peaks at one batch and its scratch, not the trace.
+
+        At 8x16 a step is 10K to 25K values, so a batch holds two to six
+        steps and both traces read here span three batches and more than two
+        tiles. A batch of steps holds at most TILE_VALUES values, and so does
+        its table in the scratch; the rest is numpy's ufunc buffer (8192
+        values) and the role totals. Holding the trace whole, or two batches,
+        breaks the bound.
+        """
+        model = small_model(seed=51, strength=0.8, geometry=ModelGeometry.mha(8, 16),
+                            planted=((0, 1), (3, 4)))
+        corpus = generate_ocr_samples(model, 3, 4)
+        tile = simmodel.TILE_VALUES * 8
+        for i in (1, 2):
+            steps = corpus[i][1].steps
+            assert len(simmodel._step_batches(128, steps.prompt_len, len(steps),
+                                              steps.text_off)) == 3
+            assert sum(step.nbytes for step in steps) > 2 * tile
+            tracemalloc.start()
+            try:
+                for step in steps:
+                    del step
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * tile + tile / 4
 
 
 def assembled(ranges, shape):
@@ -1262,6 +1416,44 @@ class TestReplayMasked:
             assert np.array_equal(got.head_mean_recall, want.head_mean_recall)
             assert np.array_equal(got.slots_per_step, want.slots_per_step)
             assert got.peak_slots == want.peak_slots
+
+    def test_sets_that_share_kv_groups_over_several_ranges(self):
+        """One set repeated and two overlapping sets, read in one pass over multi-range steps.
+
+        At (2, 16, 4) and a 4096-key prompt a step is 131K values, so each
+        window row and decode step comes as two tiles of four kv groups and
+        the planted groups last. The sets' groups, sorted together, repeat
+        and interleave across those ranges.
+        """
+        geo = ModelGeometry(2, 16, 4)
+        lp, w, out_len = 4096, 4, 2
+        planted = ((0, 1), (1, 13))  # kv groups 0 and 7
+        model = small_model(seed=81, strength=0.9, planted=planted, geometry=geo)
+        first = [(0, 1), (0, 5), (1, 9)]  # groups 0, 1 and 6
+        other = [(0, 2), (1, 9), (1, 10), (1, 14)]  # groups 0, 6 and 7
+        masks = [first, first, other]
+        workload = model.decode_workload(lp, out_len, w, masks)
+        steps = workload.steps.ranges()
+        assert len([start for start, _ in next(steps)]) > 2
+        deque(steps, maxlen=0)
+        assert len({int(g) for cell in workload.masked for g in cell.groups}) < sum(
+            cell.groups.size for cell in workload.masked)
+
+        rng = np.random.default_rng(81)
+        levels = np.array([w, w + 1000, lp, lp + 3])
+        budgets = rng.choice(levels, size=(1 + len(masks), geo.layers, geo.kv_heads))
+        plans = [BudgetPlan(b, int(b.sum()), window=w) for b in budgets]
+        fast = replay_masked(geo, workload, plans)
+        n_groups = geo.layers * geo.kv_heads
+        for mask, cell, plan, got in zip(masks, workload.masked, plans[1:], fast[1:], strict=True):
+            own = mask_heads(model, mask).decode_workload(lp, out_len, w)
+            spliced = workload.window_scores.reshape(n_groups, lp - w).copy()
+            spliced[cell.groups] = cell.scores
+            assert spliced.reshape(own.window_scores.shape).tobytes() == own.window_scores.tobytes()
+            (want,) = replay_plans(geo, own, [plan])
+            assert got.recall_per_step.tobytes() == want.recall_per_step.tobytes()
+            assert got.head_mean_recall.tobytes() == want.head_mean_recall.tobytes()
+            assert np.array_equal(got.slots_per_step, want.slots_per_step)
 
     def test_masked_window_holds_only_the_touched_groups(self):
         geo = ModelGeometry(2, 8, 2)
