@@ -26,13 +26,20 @@ own generator or read and checked from its files (`corpusfile` holds the
 file format; this module touches no file), and a drawn sample's trace
 and a decode workload's steps are drawn again on each pass, one step at a
 time, from their generator as it stood after the sample layout or the window
-rows. No step of a decode workload, window row or decode row, is held whole:
-each is drawn a tile of kv groups at a time and handed on as it is drawn,
-the groups that hold a planted head last. A whole step is drawn alone in row
-tiles when it is larger than a tile; smaller ones are drawn a batch of whole
-steps at a time and normalized together, which costs numpy one call per batch
-where it cost one per step. So a caller that streams holds one tile, the
-planted groups and one corpus step or one batch of small steps.
+rows.
+
+Every step, corpus step, window row or decode step, is drawn by one planner
+and one loop. `_plan` cuts a stream of steps into draws: a batch of whole
+small steps, or one tile of kv groups of a step larger than a tile.
+`SyntheticModel._draw` fills each draw, draws each step's edit randoms right
+after that step's own rows, and normalizes the draw at once, which costs
+numpy one call per draw where it would cost one per step. Two readers hand
+the steps on: `DecodeSteps.__iter__` gives each step whole, drawing a tiled
+step straight into it, and `SyntheticModel._ranges` gives each step as
+kv-group ranges, a tile as soon as it is drawn and the groups that hold a
+planted head last. No step of a decode workload, window row or decode row, is
+held whole, so a caller that streams holds one tile or one batch of small
+steps, the planted groups, and one corpus step.
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import NamedTuple
+from itertools import chain, groupby
 
 import numpy as np
 
@@ -221,14 +228,14 @@ class AttentionTrace:
         return len(self.steps)
 
 
-# values in one row tile of a drawn block: `_draw_block` fills and normalizes a
-# block this many values at a time, so its scratch never needs a whole block;
-# `_draw_batch` normalizes small steps up to this many values at a time
+# values in one draw: the drawing loop (`SyntheticModel._draw`) fills and
+# normalizes a batch of small whole steps, or one row tile of a larger step,
+# about this many values at a time, so its scratch never needs a whole step
 TILE_VALUES = 1 << 16
 
 
 def _row_tiles(rows: int, visible: int, group: int = 1) -> Iterator[tuple[int, int]]:
-    """The (start, stop) ranges of consecutive rows that `_draw_block` takes at a time.
+    """The (start, stop) ranges of consecutive rows that a step drawn alone is cut into.
 
     A tile holds whole kv groups of `group` rows, about TILE_VALUES values and
     at least one group, and at least two rows: a tile of one row occurs only
@@ -245,30 +252,16 @@ def _row_tiles(rows: int, visible: int, group: int = 1) -> Iterator[tuple[int, i
         start = stop
 
 
-def _tile_scratch(rows: int, visible: int, group: int = 1, least: int = 0) -> np.ndarray:
-    """A `_draw_block` scratch buffer for blocks of `rows` rows of up to `visible` values.
-
-    A tile of v-value rows holds at most min(rows, max(2, TILE_VALUES // v) + 1)
-    rows when `group` is 1: at most TILE_VALUES + v values, or 3 * v where
-    tiles are two rows. A larger group cuts no remainder, but a tile holds at
-    least one group: group * v values. The buffer holds at least `least`
-    values, so one buffer can also hold a `_draw_batch` table.
-    """
-    tile = min(rows * visible, max(TILE_VALUES + visible, 3 * visible, group * visible))
-    return np.empty(max(tile, least))
-
-
 def _step_batches(rows: int, lp: int, n: int, text_off: int) -> list[tuple[int, int]]:
-    """The (first, stop) ranges of the n steps that `_draw_steps` draws at a time.
+    """The (first, stop) ranges of the n steps that `_plan` draws at a time.
 
     Step t is `rows` rows of lp + t positions. Consecutive steps that see text
-    (lp + t > text_off) join one batch while its `_draw_batch` table, its
-    last step's positions by all its steps' rows, holds at most TILE_VALUES
-    values. Any other step is a batch of its own, which `_draw_block` draws
-    in row tiles: one larger than that, one that sees no text, and every
-    step of a one-row model. A one-row step's (positions, 1) copy is summed
-    pairwise, where side by side with others it would be summed position by
-    position.
+    (lp + t > text_off) join one batch while its `_normalize_blocks` table,
+    its last step's positions by all its steps' rows, holds at most
+    TILE_VALUES values. Any other step is a batch of its own, drawn in row
+    tiles: one larger than that, one that sees no text, and every step of a
+    one-row model. A one-row step's (positions, 1) copy is summed pairwise,
+    where side by side with others it would be summed position by position.
     """
     batches = []
     first = 0
@@ -280,6 +273,36 @@ def _step_batches(rows: int, lp: int, n: int, text_off: int) -> list[tuple[int, 
         batches.append((first, stop))
         first = stop
     return batches
+
+
+def _plan(geo: ModelGeometry, lp: int, n: int, text_off: int) -> list[list[tuple]]:
+    """The draws that n steps are cut into, each a list of (step, start row, stop row) pieces.
+
+    Step t is the geometry's layers * query_heads rows, in kv groups, of
+    lp + t positions. A `_step_batches` batch of several steps is one draw of
+    their whole rows. A step of its own is one draw per `_row_tiles` tile: of
+    its whole rows where it fits one tile. A draw's pieces are normalized
+    together.
+    """
+    rows = geo.layers * geo.query_heads
+    draws = []
+    for first, stop in _step_batches(rows, lp, n, text_off):
+        tiles = _row_tiles(rows, lp + first, geo.group_size) if stop == first + 1 else [(0, rows)]
+        draws += ([(t, a, b) for t in range(first, stop)] for a, b in tiles)
+    return draws
+
+
+def _fill(rng, rows: np.ndarray, t: int, draw_edit=None):
+    """Fill `rows`, rows of step t, with `standard_exponential` draws; return step t's edit.
+
+    `draw_edit` is given where `rows` are the step's last: the step's edit
+    randoms are drawn right after its fill, and `draw_edit(rng, t)` is
+    returned. Otherwise the step has rows still to draw, and None is returned.
+    Consecutive fills give the values one fill of all the rows would, which
+    are those of `rng.exponential`, wherever the rows are cut.
+    """
+    rng.standard_exponential(out=rows)
+    return None if draw_edit is None else draw_edit(rng, t)
 
 
 def _normalize_blocks(blocks, roles, scratch: np.ndarray) -> None:
@@ -296,8 +319,8 @@ def _normalize_blocks(blocks, roles, scratch: np.ndarray) -> None:
     position, or pairwise where the table is one column. Adding the
     padding's +0.0 leaves a positive sum as it is. Each range is scaled in
     the table and every block is copied back. `scratch` is a flat float64
-    buffer of at least (widest visible) * (all rows) values: one row tile of
-    `_draw_block`'s, or one batch of `_draw_batch`'s.
+    buffer of at least (widest visible) * (all rows) values: one draw of
+    `SyntheticModel._draw`, a row tile or a batch of whole steps.
     """
     width = sum(block.shape[0] for block in blocks)
     top = blocks[-1].shape[1]
@@ -321,81 +344,6 @@ def _normalize_blocks(blocks, roles, scratch: np.ndarray) -> None:
         rows, visible = block.shape
         block[...] = table[:visible, at : at + rows].T
         at += rows
-
-
-class _Tiles(NamedTuple):
-    """Where `_draw_block` draws a step that is never held whole: one tile, reused.
-
-    `shape` is the step's (layers, query_heads, visible), `group` its kv group
-    size and `buffer` a flat float64 array of `_tile_scratch` size.
-    """
-
-    shape: tuple[int, int, int]
-    group: int
-    buffer: np.ndarray
-
-
-def _draw_block(rng, draw, n_pre: int, text_off: int, bg, scratch):
-    """Draw one step's (layers, query_heads, visible) background rows into `draw`.
-
-    Positions run sinks [0, n_pre) | leak [n_pre, text_off) | text
-    [text_off, visible); `bg` holds the (text, sink, leak) masses. A window
-    row that does not reach text_off sees only part of the leak range.
-    The rows are drawn and normalized one `_row_tiles` tile at a time, and
-    `scratch` is `_normalize_blocks`' buffer, of `_tile_scratch` size. Filling
-    consecutive C-order tiles with `standard_exponential` gives the values one
-    fill of the block would, which are those of `rng.exponential(size=shape)`,
-    wherever the tiles are cut.
-
-    `draw` is an array, filled and returned, or a `_Tiles`: then each tile
-    is cut at kv-group boundaries, drawn into the tile buffer when the
-    returned iterator is read, and yielded as (first row, (rows, visible)
-    view); it is overwritten by the next tile.
-    """
-    visible = draw.shape[2]
-    roles = [(text_off, visible, bg[0]), (0, n_pre, bg[1]), (n_pre, min(text_off, visible), bg[2])]
-    if isinstance(draw, _Tiles):
-        return _draw_tiles(rng, draw, roles, scratch)
-    flat = draw.reshape(-1, visible, copy=False)
-    for start, stop in _row_tiles(flat.shape[0], visible):
-        tile = flat[start:stop]
-        rng.standard_exponential(out=tile)
-        _normalize_blocks([tile], roles, scratch)
-    return draw
-
-
-def _draw_tiles(rng, tiles: _Tiles, roles, scratch) -> Iterator[tuple[int, np.ndarray]]:
-    """`_draw_block` into a `_Tiles`: each group-aligned tile as it is drawn."""
-    layers, heads, visible = tiles.shape
-    for start, stop in _row_tiles(layers * heads, visible, tiles.group):
-        tile = tiles.buffer[: (stop - start) * visible].reshape(stop - start, visible)
-        rng.standard_exponential(out=tile)
-        _normalize_blocks([tile], roles, scratch)
-        yield start, tile
-
-
-def _draw_batch(rng, blocks, n_pre: int, text_off: int, bg, scratch, edit) -> list:
-    """Draw consecutive steps' background rows into `blocks`, normalized together.
-
-    `blocks` are two or more (layers, query_heads, visible) arrays of two or
-    more rows, in stream order, each seeing text (visible > text_off), so
-    each has every role it has in `_draw_block`. Each is filled in turn, and
-    `edit(rng, i)` draws block i's edit randoms right after its fill, as a
-    step drawn alone draws them; their results are returned in order. Then
-    `_normalize_blocks` normalizes every block in one pass over `scratch`,
-    which holds the blocks' rows side by side: the same sums, in the same
-    order, as each block's own, so every bit is the one `_draw_block` gives.
-    One-row blocks are never batched, since a one-column table is summed
-    pairwise and a wider one position by position.
-    """
-    edits = []
-    for i, block in enumerate(blocks):
-        rng.standard_exponential(out=block)
-        edits.append(edit(rng, i))
-    top = blocks[-1].shape[2]
-    roles = [(text_off, top, bg[0]), (0, n_pre, bg[1]), (n_pre, text_off, bg[2])]
-    _normalize_blocks([block.reshape(-1, block.shape[2]) for block in blocks], roles, scratch)
-    return edits
 
 
 def _fork(rng: np.random.Generator) -> np.random.Generator:
@@ -495,10 +443,15 @@ class SyntheticModel:
     def _rng(self, stream, *key) -> np.random.Generator:
         return np.random.default_rng(np.random.SeedSequence([int(self.seed), stream, *key]))
 
-    def _mask_rows(self, block: np.ndarray, visible: int) -> None:
-        """Overwrite every masked head's row of one step block with exactly 1/visible."""
+    def _finish(self, block: np.ndarray, edit) -> None:
+        """Edit a whole step's (layers, query_heads, visible) rows, then set its masked rows.
+
+        `edit` takes the planted heads' rows, in planted order. Each masked
+        head's row is then set to exactly 1/visible.
+        """
+        edit([block[l, h] for l, h in self.planted.heads])
         for l, h in sorted(self.masked):
-            block[l, h] = 1.0 / visible
+            block[l, h] = 1.0 / block.shape[2]
 
     def _decode_hits(self, rng, region: np.ndarray) -> list:
         """Draw which planted heads' decode rows hit `region`, each with probability `strength`.
@@ -514,146 +467,118 @@ class SyntheticModel:
                 hits.append((i, weights, int(region[rng.integers(region.size)])))
         return hits
 
-    def _plant_decode(self, rng, rows, region: np.ndarray) -> None:
-        """Each planted head's decode row, in `rows` in planted order, hits `region` with
-        probability `strength`."""
-        _plant_hits(rows, region, self._decode_hits(rng, region))
+    def _window_spreads(self, rng, union_vis: np.ndarray) -> list:
+        """Draw each planted head's spread over the visible union, in planted order, for
+        `_plant_window`; none where no union position is visible."""
+        size = union_vis.size
+        return [rng.exponential(size=size) for _ in self.planted.heads] if size else []
 
-    def _plant_window(self, rng, rows, union_vis: np.ndarray) -> None:
+    def _plant_window(self, rows, union_vis: np.ndarray, spreads: list) -> None:
         """Steer part of each planted head's window row, in `rows`, onto the visible union."""
-        if not union_vis.size:
-            return
         u_mass = WINDOW_REGION_FACTOR * self.planted.strength
-        for row in rows:
-            spread = rng.exponential(size=union_vis.size)
+        for row, spread in zip(rows, spreads):
             row *= 1.0 - u_mass
             row[union_vis] += u_mass * spread / spread.sum()
 
-    def _stream(self, visible: int) -> "_Stream":
-        """The buffers that `_draw_ranges` draws steps of up to `visible` positions in."""
-        geo = self.geometry
-        g = geo.group_size
-        groups = sorted({l * geo.kv_heads + h // g for l, h in self.planted.heads})
-        where = {q: i for i, q in enumerate(groups)}
-        masked = sorted(self.masked)
+    def _draw(self, rng, plan, lp: int, n_pre: int, text_off: int, bg, draw_edit, place):
+        """The one drawing loop: draw the steps of `plan`, step t of lp + t positions.
 
-        def slot(l, h):
-            return where[l * geo.kv_heads + h // g] * g + h % g
+        Positions run sinks [0, n_pre) | leak [n_pre, text_off) | text
+        [text_off, visible); `bg` holds the (text, sink, leak) masses. A step
+        that does not reach text_off sees only part of the leak range.
+        `plan` is the steps' `_plan`. Each piece of a draw, rows [a, b) of
+        step t, is drawn into `place(t, a, b)`, a (b - a, lp + t) array, by
+        `_fill`, in stream order; after a step's last piece, the step's edit
+        randoms are drawn, and `draw_edit(rng, t)` gives its edit, which takes
+        the planted heads' rows. So the generator is read in the same order
+        however the steps are cut. Then `_normalize_blocks` normalizes the
+        draw's pieces together, and each is yielded as ((t, a, b), edit),
+        `edit` None on every piece but a step's last. The rows are the
+        placer's: nothing here holds a piece once the next is asked for.
+        """
+        rows = self.geometry.layers * self.geometry.query_heads
+        scratch = np.empty(max((sum(b - a for _, a, b in draw) * (lp + draw[-1][0])
+                                for draw in plan), default=0))
+        for draw in plan:
+            blocks = [place(t, a, b) for t, a, b in draw]
+            edits = [_fill(rng, block, t, draw_edit if b == rows else None)
+                     for (t, _, b), block in zip(draw, blocks)]
+            visible = lp + draw[-1][0]
+            _normalize_blocks(blocks, [(text_off, visible, bg[0]), (0, n_pre, bg[1]),
+                                       (n_pre, min(text_off, visible), bg[2])], scratch)
+            del blocks
+            yield from zip(draw, edits)
 
-        rows = geo.layers * geo.query_heads
-        return _Stream(
-            _tile_scratch(rows, visible, g),
-            _tile_scratch(rows, visible, g),
-            np.empty(len(groups) * g * visible),
-            groups,
-            [slot(l, h) for l, h in self.planted.heads],
-            [l * geo.query_heads + h for l, h in masked if l * geo.kv_heads + h // g not in where],
-            [slot(l, h) for l, h in masked if l * geo.kv_heads + h // g in where],
-        )
+    def _ranges(self, rng, plan, lp: int, n_pre: int, text_off: int, bg, draw_edit) -> Iterator:
+        """Per step of `_draw`, an iterator of its (first kv group, (groups, group_size, visible))
+        row ranges.
 
-    def _draw_ranges(self, rng, visible: int, n_pre, text_off, bg, stream, edit) -> Iterator:
-        """Draw one step; yield its rows as (first kv group, (groups, group_size, visible)) ranges.
-
-        `stream` is a `_Stream`. Each tile's finished groups go out as soon as
-        it is drawn, in runs of consecutive groups, each valid until the next
-        range is asked for. The groups that hold a planted head are copied
-        aside first, since their edits draw from `rng` after the whole fill.
-        Once every tile is drawn, `edit(rng, rows)` edits the planted heads'
-        rows there, in planted order, and those groups go out last. A masked
-        head's row is set to exactly 1/visible before its group goes out.
-        A step that fits the tile buffer is drawn whole into it by
-        `_draw_block` and goes out as one range.
+        Each draw is placed in one buffer, `room`, which the next draw reuses,
+        so a range is valid until the next range is asked for. A step drawn
+        whole is edited, masked and handed on as one range. A step drawn in tiles hands on each tile's groups as soon as
+        it is drawn, in runs of consecutive groups. The groups that hold a
+        planted head are copied aside (`kept`) instead, since the step's edit
+        comes after its last tile; it is applied to the planted heads' rows
+        there, and those groups go out last. A masked head's row is set to
+        exactly 1/visible before its group goes out. A step's ranges are all
+        drawn before the next step is, even if its reader stops early, so
+        every step starts from the same generator state.
         """
         geo = self.geometry
-        g = geo.group_size
-        size = geo.layers * geo.query_heads * visible
-        if size <= stream.tile.size:
-            block = stream.tile[:size].reshape(geo.layers, geo.query_heads, visible)
-            _draw_block(rng, block, n_pre, text_off, bg, stream.scratch)
-            edit(rng, [block[l, h] for l, h in self.planted.heads])
-            self._mask_rows(block, visible)
-            yield 0, block.reshape(-1, g, visible)
-            return
-        groups = stream.groups
-        uniform = 1.0 / visible
-        kept = stream.kept[: len(groups) * g * visible].reshape(len(groups), g, visible)
-        tiles = _Tiles((geo.layers, geo.query_heads, visible), g, stream.tile)
-        i = m = 0
-        for start, tile in _draw_block(rng, tiles, n_pre, text_off, bg, stream.scratch):
-            stop = start + tile.shape[0]
-            while m < len(stream.masked_rows) and stream.masked_rows[m] < stop:
-                tile[stream.masked_rows[m] - start] = uniform
-                m += 1
-            first, last = start // g, stop // g
-            tile = tile.reshape(-1, g, visible)
-            runs = []
-            run = first
-            while i < len(groups) and groups[i] < last:
-                kept[i] = tile[groups[i] - first]
-                if groups[i] > run:
-                    runs.append((run, groups[i]))
-                run = groups[i] + 1
-                i += 1
-            if last > run:
-                runs.append((run, last))
-            for a, b in runs:
-                yield a, tile[a - first : b - first]
-        rows = kept.reshape(-1, visible)
-        edit(rng, [rows[s] for s in stream.planted])
-        rows[stream.masked] = uniform
-        a = 0
-        for b in range(1, len(groups) + 1):
-            if b == len(groups) or groups[b] > groups[b - 1] + 1:
-                yield groups[a], kept[a:b]
-                a = b
+        g, rows = geo.group_size, geo.layers * geo.query_heads
+        # flat rows layer * query_heads + head; a kept row's slot is its row in `kept`
+        planted = [l * geo.query_heads + h for l, h in self.planted.heads]
+        masked = [l * geo.query_heads + h for l, h in sorted(self.masked)]
+        groups = sorted({r // g for r in planted})
+        slots = {q * g + k: i * g + k for i, q in enumerate(groups) for k in range(g)}
+        masked_rows = [r for r in masked if r not in slots]
+        # the kept groups' runs of consecutive kv groups, as lists of kept indices
+        kept_runs = [list(run) for _, run in groupby(range(len(groups)), lambda i: groups[i] - i)]
+        n = sum(b == rows for draw in plan for _, _, b in draw)  # one last piece a step
+        kept = np.empty(len(groups) * g * (lp + n - 1))
+        room = np.empty(max((sum((b - a) * (lp + t) for t, a, b in draw) for draw in plan),
+                            default=0))
+        placed = deque()
 
-    def _draw_steps(self, rng, lp: int, regions, n_pre: int, text_off: int, bg) -> Iterator:
-        """Yield output token t's (layers, query_heads, lp + t) rows, one per region.
+        def place(t, a, b):
+            at = sum(block.size for block in placed)
+            placed.append(room[at : at + (b - a) * (lp + t)].reshape(b - a, lp + t))
+            return placed[-1]
 
-        Each step draws its background, then each planted head hits the
-        step's region with probability `strength`, then masked rows go uniform.
-        Steps are drawn a `_step_batches` batch at a time: several by
-        `_draw_batch`, one alone by `_draw_block`. Either way each step's hit
-        randoms are drawn right after its fill, so the generator is read in
-        the same order and the bits are the same. A yielded step is not
-        referenced here once the caller asks for the next, so a caller that
-        drops each step holds one batch of steps while the next is drawn.
-        """
-        geo = self.geometry
-        rows = geo.layers * geo.query_heads
-        heads = self.planted.heads
-        batches = _step_batches(rows, lp, len(regions), text_off)
-        # the widest `_draw_batch` table, in positions by steps
-        table = max(((stop - first) * (lp + stop - 1) for first, stop in batches
-                     if stop > first + 1), default=0)
-        scratch = _tile_scratch(rows, lp + len(regions) - 1, least=rows * table)
-        for first, stop in batches:
-            blocks = [np.empty((geo.layers, geo.query_heads, lp + t)) for t in range(first, stop)]
-            if len(blocks) > 1:
-                edits = _draw_batch(rng, blocks, n_pre, text_off, bg, scratch,
-                                    lambda rng, i: self._decode_hits(rng, regions[first + i]))
-            else:
-                _draw_block(rng, blocks[0], n_pre, text_off, bg, scratch)
-                edits = [self._decode_hits(rng, regions[first])]
-            for t, block, hits in zip(range(first, stop), blocks, edits):
-                if hits:
-                    _plant_hits([block[l, h] for l, h in heads], regions[t], hits)
-                self._mask_rows(block, lp + t)
-            for i in range(len(blocks)):
-                block, blocks[i] = blocks[i], None
-                yield block
-                del block
+        def step_ranges(pieces):
+            (t, start, stop), edit = next(pieces)
+            visible = lp + t
+            if stop - start == rows:
+                block = placed.popleft()
+                self._finish(block.reshape(geo.layers, geo.query_heads, visible), edit)
+                yield 0, block.reshape(-1, g, visible)
+                return
+            held = kept[: len(groups) * g * visible].reshape(-1, visible)
+            m = 0
+            for (_, start, stop), edit in chain([((t, start, stop), edit)], pieces):
+                block = placed.popleft()
+                while m < len(masked_rows) and masked_rows[m] < stop:
+                    block[masked_rows[m] - start] = 1.0 / visible
+                    m += 1
+                run = start
+                for r in range(start, stop, g):
+                    if r in slots:
+                        held[slots[r] : slots[r] + g] = block[r - start : r - start + g]
+                        if r > run:
+                            yield run // g, block[run - start : r - start].reshape(-1, g, visible)
+                        run = r + g
+                if stop > run:
+                    yield run // g, block[run - start :].reshape(-1, g, visible)
+                if edit is not None:
+                    break
+            edit([held[slots[r]] for r in planted])
+            held[[slots[r] for r in masked if r in slots]] = 1.0 / visible
+            for run in kept_runs:
+                yield groups[run[0]], held[run[0] * g : (run[-1] + 1) * g].reshape(-1, g, visible)
 
-    def _draw_steps_in_ranges(self, rng, lp: int, regions, n_pre: int, text_off: int, bg):
-        """`_draw_steps`' rows, each step an iterator of `_draw_ranges` ranges: no step is held whole.
-
-        A step's ranges are all drawn before the next step is, even if its
-        reader stops early, so every step starts from the same generator state.
-        """
-        stream = self._stream(lp + len(regions) - 1)
-        for t, region in enumerate(regions):
-            edit = partial(self._plant_decode, region=region)
-            ranges = self._draw_ranges(rng, lp + t, n_pre, text_off, bg, stream, edit)
+        pieces = self._draw(rng, plan, lp, n_pre, text_off, bg, draw_edit, place)
+        for _ in range(n):
+            ranges = step_ranges(pieces)
             yield ranges
             deque(ranges, maxlen=0)
 
@@ -715,10 +640,12 @@ class SyntheticModel:
         The prompt is laid out as a few leading sink tokens, a large image
         block, and a short instruction tail that the window mostly covers.
         Planted heads aim their window rows at the union of the regions their
-        upcoming output tokens will need. Each window row is drawn by
-        `_draw_ranges`, a tile of kv groups at a time, and each range is folded
-        into its groups' scores as it arrives, in query-head order: no window
-        row, let alone a (layers, query_heads, w, Lp) tensor, is held whole.
+        upcoming output tokens will need. The window rows are one stream of
+        steps, row i seeing Lp - w + 1 + i positions, read by `_ranges`: a
+        batch of small rows, or a tile of kv groups of a large one, at a time.
+        Each range is folded into its groups' scores as it arrives, in
+        query-head order: no large window row, let alone a
+        (layers, query_heads, w, Lp) tensor, is held whole.
         No decode row is drawn here: the workload's `steps` start from the
         generator's state after the window rows.
 
@@ -804,12 +731,17 @@ class SyntheticModel:
 
         window_scores = np.zeros((geo.layers, geo.kv_heads, n))
         folded = window_scores.reshape(geo.layers * geo.kv_heads, n)  # one row per kv group
-        stream = self._stream(lp)
-        for i in range(window):
-            pos = lp - window + i
-            visible = pos + 1
-            edit = partial(self._plant_window, union_vis=union_positions[union_positions <= pos])
-            ranges = self._draw_ranges(rng, visible, n_pre, tail_off, DECODE_BG, stream, edit)
+        first = lp - window + 1  # window row i sees first + i positions
+
+        def edit(rng, i):
+            union_vis = union_positions[union_positions < first + i]
+            return partial(self._plant_window, union_vis=union_vis,
+                           spreads=self._window_spreads(rng, union_vis))
+
+        plan = _plan(geo, first, window, tail_off)
+        window_rows = self._ranges(rng, plan, first, n_pre, tail_off, DECODE_BG, edit)
+        for i, ranges in enumerate(window_rows):
+            visible = first + i
             for start, rows in ranges:
                 stop = start + rows.shape[0]
                 folded[start:stop] += sum_onto_kv_heads(rows[:, :, :n], 1)[:, 0]
@@ -840,27 +772,6 @@ class SyntheticModel:
         return MaskedWindow(heads, groups, rows, np.zeros((groups.size, n)))
 
 
-class _Stream(NamedTuple):
-    """The buffers a model draws streamed steps in, and where its planted and masked rows lie.
-
-    `tile` and `scratch` are one tile and `_normalize_blocks`' copy of it.
-    `groups` holds the kv groups with a planted head, ascending; a step
-    copies them into `kept`, as (len(groups), group_size, visible), whose
-    rows are the slots. `planted` is each planted head's slot, in planted
-    order, and `masked` each masked head's slot there; `masked_rows` are the
-    flat rows layer * query_heads + head, ascending, of the masked heads not
-    held.
-    """
-
-    tile: np.ndarray
-    scratch: np.ndarray
-    kept: np.ndarray
-    groups: list[int]
-    planted: list[int]
-    masked_rows: list[int]
-    masked: list[int]
-
-
 @dataclass(frozen=True)
 class DecodeSteps:
     """A model's generated rows, drawn again on every pass: a workload's decode steps or
@@ -868,12 +779,14 @@ class DecodeSteps:
 
     `rng` is the generator as it stands after the window rows or the sample
     layout, and it is never advanced. Each pass draws from a copy of it (`_fork`),
-    so every pass reads the same bits. Iterating yields output token t's whole
-    (layers, query_heads, prompt_len + t) rows through `_draw_steps`, one step,
-    or one batch of whole steps, in memory at a time; `ranges` yields each
-    step as kv-group ranges through `_draw_ranges`, one tile and the planted
-    groups in memory. `n_pre`, `text_off` and `bg` are the role offsets and
-    masses of `_draw_block`.
+    so every pass reads the same bits. Both readers take their steps from
+    `SyntheticModel._draw`, the one drawing loop. Iterating yields output
+    token t's whole (layers, query_heads, prompt_len + t) rows, one step, or
+    one batch of whole steps, in memory at a time; a step drawn in tiles is
+    drawn straight into the array handed on. `ranges` yields each step as
+    kv-group ranges (`SyntheticModel._ranges`), one draw (a tile, or a batch
+    of whole small steps) and the planted groups in memory. `n_pre`, `text_off` and `bg` are the loop's role
+    offsets and masses.
     """
 
     model: SyntheticModel
@@ -893,14 +806,34 @@ class DecodeSteps:
         return len(self.regions)
 
     def __iter__(self) -> Iterator[np.ndarray]:
-        return self.model._draw_steps(_fork(self.rng), *self._roles())
+        model, (layers, heads) = self.model, self.heads
+        held = deque()
+
+        def place(t, a, b):
+            if a == 0:
+                held.append(np.empty((layers, heads, self.prompt_len + t)))
+            return held[-1].reshape(layers * heads, -1)[a:b]
+
+        for _, edit in model._draw(_fork(self.rng), *self._stream(), place):
+            if edit is not None:
+                step = held.popleft()
+                model._finish(step, edit)
+                yield step
+                del step
 
     def ranges(self) -> Iterator[Iterator[tuple[int, np.ndarray]]]:
         """Per step, its (first kv group, (groups, group_size, prompt_len + t)) row ranges."""
-        return self.model._draw_steps_in_ranges(_fork(self.rng), *self._roles())
+        return self.model._ranges(_fork(self.rng), *self._stream())
 
-    def _roles(self) -> tuple:
-        return self.prompt_len, self.regions, self.n_pre, self.text_off, self.bg
+    def _stream(self) -> tuple:
+        """The steps' arguments of `SyntheticModel._draw` and `_ranges`, but the generator."""
+        plan = _plan(self.model.geometry, self.prompt_len, len(self), self.text_off)
+        return plan, self.prompt_len, self.n_pre, self.text_off, self.bg, self._edit
+
+    def _edit(self, rng, t: int):
+        """Draw step t's planted hits; return the edit that plants them in the planted rows."""
+        region = self.regions[t]
+        return partial(_plant_hits, region=region, hits=self.model._decode_hits(rng, region))
 
 
 def build_synthetic_model(

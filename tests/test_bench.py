@@ -430,24 +430,20 @@ class TestMaskDerivation:
         }
         workloads, blocks = [], []
         decode_workload = simmodel.SyntheticModel.decode_workload
-        draw_block, draw_batch = simmodel._draw_block, simmodel._draw_batch
+        fill = simmodel._fill
 
         def workload(model, *args, **kwargs):
             workloads.append(model.seed)
             return decode_workload(model, *args, **kwargs)
 
-        def block(*args, **kwargs):
-            blocks.append(None)
-            return draw_block(*args, **kwargs)
-
-        def batch(rng, drawn, *args):
-            blocks.extend(None for _ in drawn)
-            return draw_batch(rng, drawn, *args)
+        def block(rng, rows, t, draw_edit=None):
+            if draw_edit is not None:
+                blocks.append(None)
+            return fill(rng, rows, t, draw_edit)
 
         monkeypatch.setattr(simmodel.SyntheticModel, "decode_workload", workload)
-        # a step is drawn alone by `_draw_block` or in a batch of steps by `_draw_batch`
-        monkeypatch.setattr(simmodel, "_draw_block", block)
-        monkeypatch.setattr(simmodel, "_draw_batch", batch)
+        # every step is filled by `_fill`, which draws its edit after the step's last rows
+        monkeypatch.setattr(simmodel, "_fill", block)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             for seed in cfg.seeds:
@@ -471,19 +467,15 @@ class TestMaskDerivation:
         want += range(cfg.prompt_len - cfg.window + 1, cfg.prompt_len + 1)
         want += range(cfg.prompt_len, cfg.prompt_len + cfg.out_len)
         visible = []
-        draw_block, draw_batch = simmodel._draw_block, simmodel._draw_batch
+        fill = simmodel._fill
 
-        def counted(rng, draw, *args):
-            visible.append(draw.shape[2])
-            return draw_block(rng, draw, *args)
+        def counted(rng, rows, t, draw_edit=None):
+            if draw_edit is not None:
+                visible.append(rows.shape[1])
+            return fill(rng, rows, t, draw_edit)
 
-        def batch(rng, blocks, *args):
-            visible.extend(block.shape[2] for block in blocks)
-            return draw_batch(rng, blocks, *args)
-
-        # a step is drawn alone by `_draw_block` or in a batch of steps by `_draw_batch`
-        monkeypatch.setattr(simmodel, "_draw_block", counted)
-        monkeypatch.setattr(simmodel, "_draw_batch", batch)
+        # every step is filled by `_fill`, which draws its edit after the step's last rows
+        monkeypatch.setattr(simmodel, "_fill", counted)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             bench._mask_seed_rows(cfg, seed)
@@ -666,13 +658,15 @@ class TestCli:
 
     def test_prefill_draws_the_window_rows_and_no_decode_step(self, tmp_path, monkeypatch, capsys):
         visible = []
-        draw_block = simmodel._draw_block
+        fill = simmodel._fill
 
-        def counted(rng, draw, *args):
-            visible.append(draw.shape[2])
-            return draw_block(rng, draw, *args)
+        def counted(rng, rows, t, draw_edit=None):
+            if draw_edit is not None:
+                visible.append(rows.shape[1])
+            return fill(rng, rows, t, draw_edit)
 
-        monkeypatch.setattr(simmodel, "_draw_block", counted)
+        # every step is filled by `_fill`, which draws its edit after the step's last rows
+        monkeypatch.setattr(simmodel, "_fill", counted)
         trace = tmp_path / "trace.json"
         assert main([
             "prefill", "--layers", "2", "--query-heads", "4", "--kv-heads", "2",

@@ -204,30 +204,42 @@ def oracle_decode_workload(model, prompt_len, out_len, window):
 def rows_buffer_window(model, prompt_len, out_len, window, masks=()):
     """The window pass that holds each window row whole in a block-sized `rows` buffer.
 
-    Every row is drawn whole by `_draw_block`, edited and masked in place,
-    and summed onto the kv heads whole, and each masked set's groups are
-    copied from it: the pass as it ran before window rows were streamed in
-    kv-group tiles. Returns (window_scores, [scores of each masked set]).
+    Every row is drawn whole with `rng.exponential`, normalized by
+    `oracle_normalize_blocks`, edited and masked in place, as
+    `oracle_decode_workload` draws it, and summed onto the kv heads whole;
+    each masked set's groups are copied from it: the pass as it ran before
+    window rows were streamed in kv-group tiles. Returns (window_scores,
+    [scores of each masked set]).
     """
     geo = model.geometry
     lp, n = prompt_len, prompt_len - window
     rng, n_pre, image_off, g, union_positions, _ = oracle_layout(
         model, prompt_len, out_len, window
     )
+    bg = simmodel.DECODE_BG
+    u_mass = simmodel.WINDOW_REGION_FACTOR * model.planted.strength
     cells = [model._masked_window(heads, n) for heads in masks]
     window_scores = np.zeros((geo.layers, geo.kv_heads, n))
     rows = np.empty(geo.layers * geo.query_heads * lp)
-    scratch = simmodel._tile_scratch(geo.layers * geo.query_heads, lp)
     for i in range(window):
         pos = lp - window + i
         visible = pos + 1
         block = rows[: geo.layers * geo.query_heads * visible].reshape(
             geo.layers, geo.query_heads, visible
         )
-        simmodel._draw_block(rng, block, n_pre, image_off + g, simmodel.DECODE_BG, scratch)
-        model._plant_window(rng, [block[l, h] for l, h in model.planted.heads],
-                            union_positions[union_positions <= pos])
-        model._mask_rows(block, visible)
+        block[...] = oracle_normalize_blocks(
+            rng.exponential(size=block.shape),
+            [(np.arange(image_off + g, visible), bg[0]), (np.arange(n_pre), bg[1]),
+             (np.arange(n_pre, min(image_off + g, visible)), bg[2])],
+        )
+        union_vis = union_positions[union_positions <= pos]
+        for l, h in model.planted.heads:
+            if union_vis.size:
+                spread = rng.exponential(size=union_vis.size)
+                block[l, h] *= 1.0 - u_mass
+                block[l, h, union_vis] += u_mass * spread / spread.sum()
+        for l, h in sorted(model.masked):
+            block[l, h] = 1.0 / visible
         window_scores += sum_onto_kv_heads(block[:, :, :n], geo.kv_heads)
         grouped = block.reshape(-1, geo.group_size, visible)
         for cell in cells:
@@ -769,14 +781,12 @@ class TestNormalizeBlocks:
         assert np.array_equal(draw, want)
 
     def test_a_draw_without_a_2d_view_is_refused(self):
-        """Rows drawn through a reshape that copied would leave `draw` as it was."""
+        """Rows filled through a copy would leave `draw` as it was: `_fill` refuses them."""
         roles = [(0, 4, 0.3), (4, 10, 0.7)]
         base = np.zeros((3, 2, 10))
         draw = base.swapaxes(0, 1)  # (2, 3, 10): its rows have no common stride
         with pytest.raises(ValueError):
-            simmodel._draw_block(
-                np.random.default_rng(5), draw, 2, 4, simmodel.DECODE_BG, np.empty(draw.size)
-            )
+            simmodel._fill(np.random.default_rng(5), draw, 0)
         assert not base.any()
         # every other row of a block is a 2-D block: normalized in place there
         rows = np.random.default_rng(6).exponential(size=(6, 10))
@@ -825,8 +835,9 @@ class TestNormalizeBlocks:
         # whole kv groups; one row alone only when the block is one row
         assert all(size % group == 0 for size in sizes)
         assert min(sizes) >= 2 or rows == 1
-        # every tile fits the scratch buffer of any longer visible length
-        assert max(sizes) * visible <= simmodel._tile_scratch(rows, visible + 7, group).size
+        # a tile holds at most TILE_VALUES values and a row, three rows, or one group
+        bound = max(simmodel.TILE_VALUES + visible, 3 * visible, group * visible)
+        assert max(sizes) * visible <= bound
 
     @pytest.mark.parametrize(
         "shape, n_pre, text_off",
@@ -842,7 +853,8 @@ class TestNormalizeBlocks:
         ],
     )
     def test_draw_block_in_row_tiles_matches_whole_block_oracle(self, shape, n_pre, text_off):
-        """`_draw_block` draws and sums tile by tile; its bits are the whole block's."""
+        """The drawing loop draws and sums a large step tile by tile; its bits are the whole
+        block's."""
         visible = shape[2]
         bg = simmodel.DECODE_BG
         draw = np.random.default_rng(visible).exponential(size=shape)
@@ -851,11 +863,15 @@ class TestNormalizeBlocks:
             (np.arange(n_pre), bg[1]),
             (np.arange(n_pre, min(text_off, visible)), bg[2]),
         ])
-        scratch = simmodel._tile_scratch(shape[0] * shape[1], visible)
-        scratch[:] = np.nan
-        got = simmodel._draw_block(
-            np.random.default_rng(visible), np.empty(shape), n_pre, text_off, bg, scratch
-        )
+        model = small_model(planted=(), geometry=ModelGeometry.mha(*shape[:2]))
+        got = np.full(shape, np.nan)
+        plan = simmodel._plan(model.geometry, visible, 1, text_off)
+        pieces = model._draw(np.random.default_rng(visible), plan, visible, n_pre, text_off, bg,
+                             lambda rng, t: "edit", lambda t, a, b: got.reshape(-1, visible)[a:b])
+        # one piece per row tile; the step's edit comes with its last
+        edits = [edit for _, edit in pieces]
+        assert edits == [None] * (len(edits) - 1) + ["edit"]
+        assert len(edits) == len(list(simmodel._row_tiles(shape[0] * shape[1], visible)))
         assert np.array_equal(got, want)
 
 
@@ -878,6 +894,9 @@ class TestBatchedSteps:
     )
     def test_corpus_steps_equal_the_per_step_draw(self, monkeypatch, tile, geometry, planted,
                                                   masked):
+        """Corpus steps, window rows and decode steps, however `_plan` cuts them, are their
+        per-step draws: corpus and decode steps `oracle_trace`'s, window scores, with and
+        without masked sets, `rows_buffer_window`'s."""
         monkeypatch.setattr(simmodel, "TILE_VALUES", tile)
         model = mask_heads(
             small_model(seed=80, strength=0.9, planted=planted, geometry=geometry), masked
@@ -898,6 +917,30 @@ class TestBatchedSteps:
             assert all(len(trace) == 1 for trace in batches) and min(sizes) > 1
         else:
             assert max(sizes) > 1 and max(len(trace) for trace in batches) > 1
+
+        # a workload's window rows and decode steps; its first window rows see no text
+        prompt_len, out_len, window = 64, 5, 20
+        masks = [[(0, 0)], [planted[-1]]]
+        normalize, drawn = simmodel._normalize_blocks, []
+
+        def counted(blocks, *args):
+            drawn.append(len(blocks))
+            return normalize(blocks, *args)
+
+        monkeypatch.setattr(simmodel, "_normalize_blocks", counted)
+        workload = model.decode_workload(prompt_len, out_len, window, masks)
+        # window rows are normalized side by side wherever steps may be
+        assert max(drawn) > 1 if tile > 1 and rows > 1 else set(drawn) == {1}
+        window_scores, cell_scores = rows_buffer_window(model, prompt_len, out_len, window, masks)
+        assert workload.window_scores.tobytes() == window_scores.tobytes()
+        for cell, want in zip(workload.masked, cell_scores, strict=True):
+            assert cell.scores.tobytes() == want.tobytes()
+        want = [step.tobytes() for step in oracle_trace(workload.steps)]
+        assert [step.tobytes() for step in workload.steps] == want
+        shapes = [(geometry.layers, geometry.query_heads, prompt_len + t) for t in range(out_len)]
+        got = [assembled(ranges, shape)[0].tobytes()
+               for ranges, shape in zip(workload.steps.ranges(), shapes, strict=True)]
+        assert got == want
 
     @settings(max_examples=300, deadline=None)
     @given(rows=st.integers(1, 300), lp=st.integers(0, 3000), n=st.integers(1, 20),
@@ -924,21 +967,32 @@ class TestBatchedSteps:
         tiles. A batch of steps holds at most TILE_VALUES values, and so does
         its table in the scratch; the rest is numpy's ufunc buffer (8192
         values) and the role totals. Holding the trace whole, or two batches,
-        breaks the bound.
+        breaks the bound. A small workload's decode steps, read by `ranges`,
+        are batched the same way: 8 steps of 150 to 157 positions, three to a
+        batch, placed in one buffer that holds one batch.
         """
         model = small_model(seed=51, strength=0.8, geometry=ModelGeometry.mha(8, 16),
                             planted=((0, 1), (3, 4)))
         corpus = generate_ocr_samples(model, 3, 4)
         tile = simmodel.TILE_VALUES * 8
-        for i in (1, 2):
-            steps = corpus[i][1].steps
+        workload = model.decode_workload(150, 8, 8)
+
+        def read_whole(steps):
+            for step in steps:
+                del step
+
+        def read_ranges(steps):
+            for ranges in steps.ranges():
+                deque(ranges, maxlen=0)
+
+        for steps, read in [(corpus[1][1].steps, read_whole), (corpus[2][1].steps, read_whole),
+                            (workload.steps, read_ranges)]:
             assert len(simmodel._step_batches(128, steps.prompt_len, len(steps),
                                               steps.text_off)) == 3
             assert sum(step.nbytes for step in steps) > 2 * tile
             tracemalloc.start()
             try:
-                for step in steps:
-                    del step
+                read(steps)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -1119,7 +1173,8 @@ class TestOneStepAlive:
         lp, w = 4096, 8
         model = small_model(seed=50, strength=0.8, planted=((0, 1), (3, 5)), geometry=geo)
         block = geo.layers * geo.query_heads * lp * 8
-        tile = simmodel._tile_scratch(geo.layers * geo.query_heads, lp, geo.group_size).nbytes
+        rows = geo.layers * geo.query_heads
+        tile = max(b - a for a, b in simmodel._row_tiles(rows, lp, geo.group_size)) * lp * 8
         assert 4 * tile < 1.1 * block  # several tiles to a step
         stream = 2 * tile + 2 * geo.group_size * lp * 8
         chunk = cache.RANK_CHUNK_VALUES * 8
