@@ -13,8 +13,11 @@ declares its fields once, in a table of `Field` rows beside its loader: a
 field's kind (`Count`, `Number`, `String`, a `ListOf` one kind or a tuple
 of kinds), its length and bounds, and whether it is required.
 `read_object` opens a JSON file, takes its required fields from the table
-and checks them with `check_fields`, the one checker. An array goes to a
-`.npy` payload by `write_array`, whose sha256 its record keeps for
+and checks them with `check_fields`. That is the one range checker for every
+input: a config is a table too (`bench.CONFIG_FIELDS`), and an
+`ExperimentConfig` is held to it whether it was read from a file or built in
+code, so a field has one name and one wording in its errors. An array goes
+to a `.npy` payload by `write_array`, whose sha256 its record keeps for
 `read_array`, which also refuses a value that is not finite and
 non-negative. A malformed file raises InvalidInputError naming it.
 """
@@ -195,16 +198,15 @@ def read_object(path, what: str, fields=(), old_format=None) -> dict:
     return obj
 
 
-def check_fields(obj: dict, fields, where: str, bounds: bool = True) -> None:
-    """Check every field of `fields` that `obj` holds against its kind.
+def check_fields(obj: dict, fields, where: str) -> None:
+    """Check every field of `fields` that `obj` holds against its kind, bounds included.
 
     A bad value raises InvalidInputError "<where>: a, b, c and N more must be
     counts", naming the bad values whose fault is the first one's, such as
     `pairs[3][1]`; a value that is not the list it should be, or a list of
     another length, "is malformed, expected a list of 2". A list whose
     `length` names fields must be as long as their values' product, or raises
-    ShapeError. With `bounds` false, only the JSON kinds are checked: a count
-    is any integer >= 0, a number any finite number and a string any string.
+    ShapeError.
 
     A valid object costs a few calls a field and none a value: only a bad
     field is walked value by value, and only a bad value is named.
@@ -212,7 +214,7 @@ def check_fields(obj: dict, fields, where: str, bounds: bool = True) -> None:
     found = []
     for field in fields:
         if field.name in obj:
-            _faults(field.kind, obj[field.name], (field.name,), found, bounds)
+            _faults(field.kind, obj[field.name], (field.name,), found)
     if found:
         bad = [_element_name(path) for fault, path in found if fault == found[0][0]]
         more = f" and {len(bad) - 3} more" if len(bad) > 3 else ""
@@ -223,7 +225,7 @@ def check_fields(obj: dict, fields, where: str, bounds: bool = True) -> None:
             raise ShapeError(f"{where}: {field.name} length does not match {'*'.join(factors)}")
 
 
-def _fits(kind, values: list, bounds: bool) -> bool:
+def _fits(kind, values: list) -> bool:
     """Whether every one of `values` is of `kind`.
 
     The items of all the lists are checked together, and those of tuples
@@ -232,13 +234,12 @@ def _fits(kind, values: list, bounds: bool) -> bool:
     types = set(map(type, values))
     if type(kind) is tuple:
         return types <= {list} and set(map(len, values)) <= {len(kind)} and all(
-            _fits(item, [value[i] for value in values], bounds) for i, item in enumerate(kind)
+            _fits(item, [value[i] for value in values]) for i, item in enumerate(kind)
         )
     if type(kind) is ListOf:
         lengths = set(map(len, values)) if types <= {list} else {None}
         return (None not in lengths and (type(kind.length) is not int or lengths <= {kind.length})
-                and _fits(kind.item, values[0] if len(values) == 1 else [*chain(*values)], bounds))
-    kind = kind if bounds else type(kind)()
+                and _fits(kind.item, values[0] if len(values) == 1 else [*chain(*values)]))
     if type(kind) is String:
         return types <= {str} and (not kind.allowed or set(values) <= set(kind.allowed))
     if not values:
@@ -253,17 +254,17 @@ def _fits(kind, values: list, bounds: bool) -> bool:
             and (kind.hi is None or max(values) <= kind.hi))
 
 
-def _faults(kind, value, path: tuple, found: list, bounds: bool) -> None:
+def _faults(kind, value, path: tuple, found: list) -> None:
     """Append to `found` (fault, path) for each bad value in `value`.
 
     The fault is what its error says of it, such as "must be counts". A value
     that is not the list its kind asks for "is malformed", and its items are
     not walked.
     """
-    if _fits(kind, [value], bounds):
+    if _fits(kind, [value]):
         return
     if type(kind) is not tuple and type(kind) is not ListOf:
-        found.append((f"must {_phrase(kind if bounds else type(kind)())}", path))
+        found.append((f"must {_phrase(kind)}", path))
         return
     length = len(kind) if type(kind) is tuple else kind.length if type(kind.length) is int else None
     if type(value) is not list or length not in (None, len(value)):
@@ -272,7 +273,7 @@ def _faults(kind, value, path: tuple, found: list, bounds: bool) -> None:
         return
     items = kind if type(kind) is tuple else [kind.item] * len(value)
     for i, (item, element) in enumerate(zip(items, value)):
-        _faults(item, element, (*path, i), found, bounds)
+        _faults(item, element, (*path, i), found)
 
 
 def _element_name(path: tuple) -> str:

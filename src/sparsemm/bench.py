@@ -17,7 +17,6 @@ rows of existing cells.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 
@@ -81,9 +80,14 @@ class ExperimentConfig:
 
     Each field declares, beside its default, its JSON kind and range, the one
     place they are written, and its key in a config file if that is not its
-    name: the geometry and planted-head fields sit in their sections.
-    `load_config` checks a file's kinds against them (CONFIG_FIELDS), and
-    every config, however built, is held to their ranges.
+    name: the geometry and planted-head fields sit in their sections. Every
+    config, from a file, from code or from `replace`, is held to that table,
+    CONFIG_FIELDS, by `artifacts.check_fields`: its tuples as JSON lists, an
+    unused planted form left out, and an error named by the field's key, as
+    in "config: geometry.layers must be positive counts". The checks no
+    table expresses follow: lists that need an entry, repeated entries, a
+    prompt or a budget shorter than the window, exactly one planted form,
+    and the model build.
     """
 
     layers: int = _config(8, Count(1), "geometry.layers")
@@ -97,24 +101,29 @@ class ExperimentConfig:
     corpus_size: int = _config(40, Count(1))
     budgets_per_head: tuple[int, ...] = _config((48, 64, 128), ListOf(Count(1)), nonempty=True)
     rhos: tuple[float, ...] = _config((0.0, 0.1, 0.25, 0.5, 0.75, 1.0), ListOf(Number(0, 1)))
-    policies: tuple[str, ...] = _config(POLICY_NAMES, ListOf(String(POLICY_NAMES)))
-    mask_fractions: tuple[float, ...] = _config((0.0, 0.02, 0.05, 0.10), ListOf(Number(0, 1)))
-    seeds: tuple[int, ...] = _config(tuple(range(10)), ListOf(Count()), nonempty=True)
+    policies: tuple[str, ...] = _config(POLICY_NAMES, ListOf(String(POLICY_NAMES)), nonempty=True)
+    mask_fractions: tuple[float, ...] = _config(
+        (0.0, 0.02, 0.05, 0.10), ListOf(Number(0, 1)), nonempty=True
+    )
+    # every seed is a model seed, so it lies in the model's seed range
+    seeds: tuple[int, ...] = _config(tuple(range(10)), ListOf(Count(0, 2**32 - 1)), nonempty=True)
     prompt_len: int = _config(384, Count(1))
     out_len: int = _config(16, Count(1))
     window: int = _config(32, Count())
     rho: float = _config(0.1, Number(0, 1))
-    cost_lengths: tuple[int, ...] = _config(DEFAULT_COST_LENGTHS, ListOf(Count(1)))
+    cost_lengths: tuple[int, ...] = _config(DEFAULT_COST_LENGTHS, ListOf(Count(1)), nonempty=True)
     cost_out_len: int = _config(100, Count(1))
     cost_budget_per_head: int = _config(256, Count(1))
 
     def __post_init__(self) -> None:
-        # every seed is a model seed, so it lies in the model's seed range
-        if self.seeds and min(self.seeds) < 0:
-            raise InvalidInputError(f"seed {min(self.seeds)} must be non-negative")
-        if self.seeds and max(self.seeds) >= 2**32:
-            raise InvalidInputError(f"seed {max(self.seeds)} outside the model seeds [0, 2**32)")
-        _check_ranges(self)
+        blob = {key: _thawed(getattr(self, f.name)) for key, f in _CONFIG_KEYS.items()}
+        for form in ("planted.pairs", "planted.fraction"):  # None is the form not in use
+            if blob[form] is None:
+                del blob[form]
+        check_fields(blob, CONFIG_FIELDS, "config")
+        for f in fields(self):
+            if f.metadata["nonempty"] and not getattr(self, f.name):
+                raise InvalidInputError(f"{f.name} needs at least one entry")
         if self.prompt_len < self.window:
             raise InvalidInputError(
                 f"prompt_len {self.prompt_len} shorter than window {self.window}"
@@ -160,36 +169,25 @@ _CONFIG_KEYS = {f.metadata["key"] or f.name: f for f in fields(ExperimentConfig)
 CONFIG_FIELDS = (*(Field(k, f.metadata["kind"], False) for k, f in _CONFIG_KEYS.items()), _HEAD_DIM)
 
 
-def _check_ranges(cfg: ExperimentConfig) -> None:
-    """Raise InvalidInputError for a field of `cfg` outside the range its kind gives."""
-    for f in fields(cfg):
-        kind, values = f.metadata["kind"], getattr(cfg, f.name)
-        if f.metadata["nonempty"] and not values:
-            raise InvalidInputError(f"config needs at least one entry in {f.name}")
-        kind, values = (kind.item, values) if type(kind) is ListOf else (kind, (values,))
-        # the model build checks planted pairs; None is the planted form not in use
-        if type(kind) is tuple or None in values:
-            continue
-        if type(kind) is String:
-            if not all(v in kind.allowed for v in values):
-                raise InvalidInputError(f"{f.name} must be one of {', '.join(kind.allowed)}")
-        elif not all(kind.lo <= v <= (math.inf if kind.hi is None else kind.hi) for v in values):
-            if kind.hi is None:
-                raise InvalidInputError(f"{f.name} must be at least {kind.lo}")
-            raise InvalidInputError(f"{f.name} must lie in [{kind.lo}, {kind.hi}]")
-
-
 def _frozen(value):
     """A JSON list as a tuple, its lists as tuples too; any other value as it is."""
     return tuple(map(_frozen, value)) if isinstance(value, list) else value
 
 
-def load_config(path) -> ExperimentConfig:
-    """Read an ExperimentConfig from a JSON object file; every error names the file.
+def _thawed(value):
+    """A tuple or list as a JSON list, its items thawed too; any other value as it is."""
+    return list(map(_thawed, value)) if isinstance(value, (tuple, list)) else value
 
-    Each value's JSON kind is checked against CONFIG_FIELDS here, and its range
-    by ExperimentConfig. The geometry and planted-head fields are spelled only
-    inside their `geometry` and `planted` sections.
+
+def load_config(path) -> ExperimentConfig:
+    """Read an ExperimentConfig from a JSON object file; every error names the file once.
+
+    The geometry and planted-head fields are spelled only inside their
+    `geometry` and `planted` sections. Every key, `geometry.head_dim`
+    included, is checked against CONFIG_FIELDS by one `check_fields` call, in
+    the wording a config built in code gets, as in
+    "config <path>: seeds[0] must lie in [0, 4294967295]"; the checks that
+    ExperimentConfig adds are reported after the same prefix.
     """
     where = f"config {path}"
     blob = read_object(path, "config")
@@ -203,8 +201,7 @@ def load_config(path) -> ExperimentConfig:
         raise InvalidInputError(f"{where}: unknown config key {unknown[0]!r}")
     if geometry and not {"layers", "query_heads"} <= geometry.keys():
         raise InvalidInputError(f"{where}: geometry needs layers and query_heads")
-    check_fields(blob, CONFIG_FIELDS, where, bounds=False)
-    check_fields(blob, (_HEAD_DIM,), where)  # the one range no ExperimentConfig field checks
+    check_fields(blob, CONFIG_FIELDS, where)
     blob.pop(_HEAD_DIM.name, None)
     values = {_CONFIG_KEYS[key].name: _frozen(value) for key, value in blob.items()}
     if geometry:

@@ -91,6 +91,8 @@ def _build_model(args: argparse.Namespace):
 
 def cmd_corpus(args: argparse.Namespace) -> dict:
     check_writable(args.out_dir, directory=True)
+    if args.samples < 1:
+        raise InvalidInputError(f"--samples {args.samples} must be at least 1")
     model = _build_model(args)
     samples = generate_ocr_samples(model, args.samples, args.seed)
     return {
@@ -103,6 +105,8 @@ def cmd_corpus(args: argparse.Namespace) -> dict:
 
 def cmd_chase(args: argparse.Namespace) -> dict:
     check_writable(args.out)
+    if args.group < 1:
+        raise InvalidInputError(f"--group {args.group} must be at least 1")
     samples = load_corpus(args.corpus)
     scores, skipped = chase_corpus(samples)
     scores = aggregate_gqa_scores(scores, args.group)
@@ -154,7 +158,7 @@ def cmd_prefill(args: argparse.Namespace) -> dict:
     model = _build_model(args)
     geo = model.geometry
     if args.prompt_len < 1 or args.out_len < 1:
-        raise InvalidInputError("prompt_len and out_len must be positive")
+        raise InvalidInputError("--prompt-len and --out-len must be at least 1")
     if args.prompt_len < args.window:
         # the whole prompt sits inside the window: there is no key to score,
         # and compress keeps every position
@@ -235,7 +239,10 @@ def cmd_bench(args: argparse.Namespace) -> dict:
     check_writable(args.out_dir, directory=True)
     cfg = bench.load_config(args.config)
     if args.seed:
-        cfg = replace(cfg, seeds=tuple(s + args.seed for s in cfg.seeds))
+        try:
+            cfg = replace(cfg, seeds=tuple(s + args.seed for s in cfg.seeds))
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"--seed {args.seed}: {exc}") from exc
     if args.jobs < 1:
         raise InvalidInputError(f"--jobs {args.jobs} must be at least 1")
     out_dir = Path(args.out_dir)

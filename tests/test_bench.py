@@ -104,9 +104,10 @@ class TestConfig:
         with pytest.raises(InvalidInputError):
             small_config(budgets_per_head=(16,))
         # with no window, the counts' own floors still hold
-        with pytest.raises(InvalidInputError, match="budgets_per_head must be at least 1"):
+        with pytest.raises(InvalidInputError,
+                           match=r"^config: budgets_per_head\[0\] must be positive counts$"):
             small_config(window=0, budgets_per_head=(0,))
-        with pytest.raises(InvalidInputError, match="prompt_len must be at least 1"):
+        with pytest.raises(InvalidInputError, match="^config: prompt_len must be positive counts$"):
             small_config(window=0, prompt_len=0)
 
     def test_unknown_policy_rejected(self):
@@ -127,30 +128,73 @@ class TestConfig:
         assert len(a) == round(0.25 * 16)
         assert cfg.planted_for_seed(4).heads != a.heads
 
-    @pytest.mark.parametrize("field, value, fragment", [
-        pytest.param("seeds", (1, 0, 1), "repeats an entry", id="seeds-value0"),
-        pytest.param("budgets_per_head", (48, 64, 48), "repeats an entry",
+    @pytest.mark.parametrize("field, value, message", [
+        pytest.param("seeds", (1, 0, 1), "seeds repeats an entry", id="seeds-value0"),
+        pytest.param("budgets_per_head", (48, 64, 48), "budgets_per_head repeats an entry",
                      id="budgets_per_head-value1"),
-        pytest.param("policies", ("uniform", "sparsemm", "uniform"), "repeats an entry",
+        pytest.param("policies", ("uniform", "sparsemm", "uniform"), "policies repeats an entry",
                      id="policies-value2"),
-        pytest.param("rhos", (0.1, 0.10), "repeats an entry", id="rhos-value3"),
-        pytest.param("mask_fractions", (0.0, 0.0), "repeats an entry", id="mask_fractions-value4"),
-        # counts that only load_config used to check, each below its minimum
-        ("corpus_size", 0, "must be at least 1"),
-        ("out_len", 0, "must be at least 1"),
-        ("window", -1, "must be at least 0"),
-        ("cost_out_len", 0, "must be at least 1"),
-        ("cost_budget_per_head", 0, "must be at least 1"),
-        ("cost_lengths", (2048, 0), "must be at least 1"),
+        pytest.param("rhos", (0.1, 0.10), "rhos repeats an entry", id="rhos-value3"),
+        pytest.param("mask_fractions", (0.0, 0.0), "mask_fractions repeats an entry",
+                     id="mask_fractions-value4"),
+        # counts below their minimum, each named by its config key
+        pytest.param("corpus_size", 0, "config: corpus_size must be positive counts",
+                     id="corpus_size-0-must be at least 1"),
+        pytest.param("out_len", 0, "config: out_len must be positive counts",
+                     id="out_len-0-must be at least 1"),
+        pytest.param("window", -1, "config: window must be counts",
+                     id="window--1-must be at least 0"),
+        pytest.param("cost_out_len", 0, "config: cost_out_len must be positive counts",
+                     id="cost_out_len-0-must be at least 1"),
+        pytest.param("cost_budget_per_head", 0, "config: cost_budget_per_head must be positive counts",
+                     id="cost_budget_per_head-0-must be at least 1"),
+        pytest.param("cost_lengths", (2048, 0), "config: cost_lengths[1] must be positive counts",
+                     id="cost_lengths-value10-must be at least 1"),
     ])
-    def test_repeated_entries_rejected(self, field, value, fragment):
+    def test_repeated_entries_rejected(self, field, value, message):
         """A repeated list entry, or a count below its minimum, fails when the config is built."""
-        with pytest.raises(InvalidInputError, match=f"{field} {fragment}"):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
             small_config(**{field: value})
 
     def test_negative_seed_rejected(self):
-        with pytest.raises(InvalidInputError, match="non-negative"):
+        with pytest.raises(InvalidInputError,
+                           match=r"^config: seeds\[1\] must lie in \[0, 4294967295\]$"):
             small_config(seeds=(0, -1))
+
+    @pytest.mark.parametrize("name, key, value", [
+        ("corpus_size", "corpus_size", 0),
+        ("layers", "geometry.layers", 0),
+        ("rho", "rho", 1.5),
+        ("planted_fraction", "planted.fraction", -0.1),
+        ("policies", "policies", ["sparsemm", "magic"]),
+        ("seeds", "seeds", [0, 2**32]),
+    ])
+    def test_code_and_file_share_one_wording(self, tmp_path, name, key, value):
+        """A value outside its range reads the same built in code as loaded from a file.
+
+        The error names the field by its key in a config file, and names the file once.
+        """
+        section, _, leaf = key.rpartition(".")
+        blob = {section: {leaf: value}} if section else {key: value}
+        code = {name: tuple(value) if isinstance(value, list) else value}
+        if section == "geometry":
+            blob[section]["query_heads"] = 8  # a geometry section needs both
+        if section == "planted":
+            code["planted_pairs"] = None  # the file's section holds only the fraction
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(blob))
+        with pytest.raises(InvalidInputError) as built:
+            ExperimentConfig(**code)
+        with pytest.raises(InvalidInputError) as loaded:
+            load_config(path)
+        tail = str(built.value).removeprefix("config: ")
+        assert tail.startswith(key) and str(built.value) == f"config: {tail}"
+        assert str(loaded.value) == f"config {path}: {tail}"
+
+    def test_largest_model_seed_accepted_by_both_routes(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"seeds": [2**32 - 1]}))
+        assert ExperimentConfig(seeds=(2**32 - 1,)).seeds == load_config(path).seeds == (2**32 - 1,)
 
     def test_load_config_round_trip(self, tmp_path):
         blob = {
@@ -788,9 +832,16 @@ class TestCliInputErrors:
         (["allocate", "--layers", "1", "--heads", "2", "--out", "p.json"],
          "the following arguments are required: --budget"),
         ([], "the following arguments are required: command"),
-    ], ids=["invalid-value", "unknown-flag", "ambiguous-flag", "missing-flag", "no-command"])
+        (["corpus", *MODEL, "--samples", "0", "--out-dir", "c"], "--samples 0 must be at least 1"),
+        (["chase", "--corpus", "c", "--group", "0", "--out", "s.json"],
+         "--group 0 must be at least 1"),
+    ], ids=["invalid-value", "unknown-flag", "ambiguous-flag", "missing-flag", "no-command",
+            "corpus-samples-below-one", "chase-group-below-one"])
     def test_usage_error_exits_2(self, tmp_path, capsys, monkeypatch, argv, fragment):
-        """argparse's errors take the same path as every other input error."""
+        """argparse's errors, and a count flag below its floor, take the path of every input error.
+
+        A flag's error names the flag, not the library parameter it feeds.
+        """
         monkeypatch.chdir(tmp_path)
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -849,6 +900,7 @@ class TestCliInputErrors:
         assert main(argv) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "InvalidInputError"
+        assert err["message"] == f"--group {group} must be at least 1"
         assert not scores.exists()
 
     def test_corpus_into_a_used_directory_exits_2(self, tmp_path, capsys):
@@ -866,15 +918,17 @@ class TestCliInputErrors:
         """A config no run can use is rejected before bench creates --out-dir."""
         geometry = {"layers": 8, "query_heads": 2, "kv_heads": 8}
         cases = [  # (experiment, config, --seed offset, message fragment)
-            ("sweep", {"budgets_per_head": [48], "seeds": [0, 1]}, "-3", "seed -3"),
-            ("sweep", {"seeds": [0, 1]}, str(2**32), "seed 4294967297"),
-            ("sweep", {"seeds": [2**32]}, "0", "seed 4294967296"),
+            ("sweep", {"budgets_per_head": [48], "seeds": [0, 1]}, "-3",
+             "--seed -3: config: seeds[0], seeds[1] must lie in [0, 4294967295]"),
+            ("sweep", {"seeds": [0, 1]}, str(2**32),
+             "--seed 4294967296: config: seeds[0], seeds[1] must lie in [0, 4294967295]"),
+            ("sweep", {"seeds": [2**32]}, "0", "cfg2.json: seeds[0] must lie in [0, 4294967295]"),
             ("sweep", {"geometry": geometry}, "0", "2 query heads not divisible by 8 kv heads"),
             ("sweep", {"planted": {"pairs": [[0, 1], [8, 0]]}}, "0", "planted head (8, 0) outside"),
             ("sweep", {"prompt_len": 16}, "0", "prompt_len 16 shorter than window 32"),
-            ("sweep", {"planted": {"fraction": 1.5}}, "0", "planted_fraction"),
+            ("sweep", {"planted": {"fraction": 1.5}}, "0", "planted.fraction must lie in [0, 1]"),
             ("sweep", {"rho": 5.0}, "0", "rho must lie in [0, 1]"),
-            ("rho", {"rhos": [2.0]}, "0", "rhos must lie in [0, 1]"),
+            ("rho", {"rhos": [2.0]}, "0", "rhos[0] must lie in [0, 1]"),
             ("mask", {"rho": -1.0}, "0", "rho must lie in [0, 1]"),
         ]
         for i, (experiment, config, offset, fragment) in enumerate(cases):
@@ -901,6 +955,21 @@ class TestCliInputErrors:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "InvalidInputError"
         assert f"--jobs {jobs} must be at least 1" in err["message"]
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("experiment, key", [
+        ("cost", "cost_lengths"), ("mask", "mask_fractions"), ("sweep", "policies"),
+    ])
+    def test_bench_empty_list_exits_2_before_out_dir(self, tmp_path, capsys, experiment, key):
+        """A list the experiment needs an entry of is refused before any seed's work."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({key: []}))
+        out_dir = tmp_path / "out"
+        argv = ["bench", experiment, "--config", str(cfg_path), "--out-dir", str(out_dir)]
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InvalidInputError"
+        assert err["message"] == f"config {cfg_path}: {key} needs at least one entry"
         assert not out_dir.exists()
 
 
