@@ -2,8 +2,9 @@
 
 `read_bytes`, `write_bytes`, `make_dir` and `list_dir` are the only calls in
 the package that touch the file system; each turns an OSError into an
-InvalidInputError naming the path, and `write_bytes` returns the hex sha256
-of what it wrote. `check_writable` raises beforehand, and creates nothing,
+InvalidInputError naming the path. `write_bytes` takes bytes or a list of
+buffers, written in order with no joined copy, and returns the hex sha256 of
+what it wrote. `check_writable` raises beforehand, and creates nothing,
 the error that writing a file or making a directory would raise, so a command
 can refuse an output before it does any work. The formats are built on them.
 Score files, plans, trace and corpus records, eviction reports and the bench
@@ -17,9 +18,12 @@ and checks them with `check_fields`. That is the one range checker for every
 input: a config is a table too (`bench.CONFIG_FIELDS`), and an
 `ExperimentConfig` is held to it whether it was read from a file or built in
 code, so a field has one name and one wording in its errors. An array goes
-to a `.npy` payload by `write_array`, whose sha256 its record keeps for
-`read_array`, which also refuses a value that is not finite and
-non-negative. A malformed file raises InvalidInputError naming it.
+to a `.npy` payload by `write_array`: the bytes `np.save` writes, as the
+header `npy_header` builds from the shape and then the array's own buffer, so
+no copy is made. Its record keeps the sha256 for `read_array`, which reads
+the file once and gives the values as a read-only view of the bytes read; it
+also refuses a value that is not finite and non-negative. A malformed file
+raises InvalidInputError naming it.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ import stat
 from contextlib import contextmanager
 from itertools import chain
 from pathlib import Path
+from tokenize import TokenError
 from typing import NamedTuple
 
 import numpy as np
@@ -42,8 +47,9 @@ import numpy as np
 from .errors import InvalidInputError, ShapeError
 
 __all__ = ["Count", "Field", "ListOf", "Number", "String", "check_fields",
-           "check_writable", "encode_array", "encode_json", "list_dir", "make_dir", "read_array",
-           "read_bytes", "read_object", "write_array", "write_bytes", "write_csv", "write_json"]
+           "check_writable", "encode_array", "encode_json", "list_dir", "make_dir", "npy_header",
+           "read_array", "read_bytes", "read_object", "write_array", "write_bytes", "write_csv",
+           "write_json"]
 
 
 @contextmanager
@@ -62,10 +68,17 @@ def read_bytes(path, what: str) -> bytes:
 
 
 def write_bytes(path, data) -> str:
-    """Write `data` to `path`; return the hex sha256 of the bytes written."""
-    with _os_errors(f"cannot write {path}"):
-        Path(path).write_bytes(data)
-    return hashlib.sha256(data).hexdigest()
+    """Write `data`, bytes or a list of buffers, to `path`; return the hex sha256 of its bytes.
+
+    The buffers are written in order, each fed to the sha256 as it is written,
+    so no joined copy of them is made.
+    """
+    digest = hashlib.sha256()
+    with _os_errors(f"cannot write {path}"), open(path, "wb") as fh:
+        for part in [data] if isinstance(data, bytes) else data:
+            fh.write(part)
+            digest.update(part)
+    return digest.hexdigest()
 
 
 def make_dir(path) -> None:
@@ -292,11 +305,21 @@ def _phrase(kind) -> str:
     return "be finite numbers" if kind.lo is None else f"be finite numbers >= {kind.lo}"
 
 
-def encode_array(array: np.ndarray) -> bytes:
-    """The bytes `np.save` writes for `array`."""
+def npy_header(shape: tuple) -> bytes:
+    """The `.npy` header `np.save` writes for a C-order float64 array of `shape`."""
     buf = io.BytesIO()
-    np.save(buf, array)
+    header = {"descr": "<f8", "fortran_order": False, "shape": shape}
+    np.lib.format.write_array_header_1_0(buf, header)
     return buf.getvalue()
+
+
+def encode_array(array: np.ndarray) -> list:
+    """The bytes `np.save` writes for float64 `array`: the header, then the array's own buffer.
+
+    A C-contiguous float64 array is not copied.
+    """
+    array = np.asarray(array, dtype=np.float64, order="C")
+    return [npy_header(array.shape), array]
 
 
 def write_array(path, array: np.ndarray) -> str:
@@ -307,26 +330,21 @@ def write_array(path, array: np.ndarray) -> str:
 def read_array(path, sha256: str, shape: tuple, what: str) -> np.ndarray:
     """The float64 array of `shape` that `write_array` wrote to `path` with digest `sha256`.
 
-    Unreadable or altered bytes, anything but one `.npy` array (pickles are
-    refused), another dtype or shape, or a value that is not finite and
-    non-negative raise InvalidInputError naming `what` and `path`. Both payload
-    kinds, a corpus sample's rows and a trace's window scores, are non-negative
-    by format.
+    The file is read once. Its header must be the one `write_array` writes for
+    `shape`, and the values are then a read-only view of the bytes read, not
+    a copy. Unreadable or altered bytes, anything but one `.npy` array
+    (pickles are refused), another dtype or shape, or a value that is not
+    finite and non-negative raise InvalidInputError naming `what` and `path`.
+    Both payload kinds, a corpus sample's rows and a trace's window scores,
+    are non-negative by format.
     """
     data = read_bytes(path, what)
     if hashlib.sha256(data).hexdigest() != sha256:
         raise InvalidInputError(f"{what} {path} does not match its record's sha256")
-    try:
-        arr = np.load(io.BytesIO(data), allow_pickle=False)
-    except (OSError, ValueError, EOFError) as exc:
-        raise InvalidInputError(f"{what} {path} is not a readable .npy: {exc}") from exc
-    if not isinstance(arr, np.ndarray):  # np.load opens an .npz archive as a mapping
-        raise InvalidInputError(f"{what} {path} is an .npz archive, not one .npy array")
-    if arr.dtype != np.float64:
-        raise InvalidInputError(f"{what} {path} has dtype {arr.dtype}, expected float64")
-    if arr.shape != shape:
-        raise InvalidInputError(f"{what} {path} holds a {arr.ndim}-D array of {arr.size} values, "
-                                f"its record implies shape {shape}")
+    header = npy_header(shape)
+    if not data.startswith(header) or len(data) != len(header) + 8 * math.prod(shape):
+        raise InvalidInputError(f"{what} {path} {_npy_fault(data, shape)}")
+    arr = np.frombuffer(data, np.float64, offset=len(header)).reshape(shape)
     if arr.size:
         lo, hi = arr.min(), arr.max()  # both NaN if any value is
         finite = math.isfinite(lo) and math.isfinite(hi)
@@ -335,3 +353,29 @@ def read_array(path, sha256: str, shape: tuple, what: str) -> np.ndarray:
             raise InvalidInputError(f"{what} {path} holds a {kind} value; values must be "
                                     "finite and >= 0")
     return arr
+
+
+def _npy_fault(data: bytes, shape: tuple) -> str:
+    """Why `data` is not the `.npy` `write_array` writes for `shape`, read from its header alone."""
+    if data.startswith(b"PK\x03\x04"):  # the zip archive `np.savez` writes
+        return "is an .npz archive, not one .npy array"
+    fh = io.BytesIO(data)
+    try:
+        version = np.lib.format.read_magic(fh)
+        read_header = (np.lib.format.read_array_header_1_0 if version == (1, 0)
+                       else np.lib.format.read_array_header_2_0)
+        got, _, dtype = read_header(fh)
+    except (ValueError, SyntaxError, TypeError, TokenError) as exc:  # what a garbled header raises
+        return f"is not a readable .npy: {exc}"
+    if dtype.hasobject:
+        return "is not a readable .npy: it holds Python objects, and pickles are refused"
+    size = len(data) - fh.tell()
+    if size != dtype.itemsize * math.prod(got):
+        return f"is not a readable .npy: {size} bytes of values, its header implies shape {got}"
+    if dtype != np.float64:
+        return f"has dtype {dtype}, expected float64"
+    if got != shape:
+        return (f"holds a {len(got)}-D array of {math.prod(got)} values, "
+                f"its record implies shape {shape}")
+    # a Fortran-order or version 2.0 header, say, of the right dtype and shape
+    return "is not a readable .npy: its header is not the one `write_array` writes"

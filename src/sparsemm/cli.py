@@ -17,6 +17,7 @@ alone, so the other commands do not load it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -80,6 +81,8 @@ def _add_model_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_model(args: argparse.Namespace):
+    if not 0 <= args.seed < 2**32:
+        raise InvalidInputError(f"--seed {args.seed} must lie in [0, {2**32 - 1}]")
     geometry = ModelGeometry(
         args.layers,
         args.query_heads,
@@ -124,6 +127,11 @@ def cmd_chase(args: argparse.Namespace) -> dict:
 
 def cmd_allocate(args: argparse.Namespace) -> dict:
     check_writable(args.out)
+    for flag, lo in (("budget", 1), ("window", 0), ("seed", 0)):
+        if getattr(args, flag) < lo:
+            raise InvalidInputError(f"--{flag} {getattr(args, flag)} must be at least {lo}")
+    if not 0 <= args.rho <= 1:
+        raise InvalidInputError(f"--rho {args.rho} must lie in [0, 1]")
     scores = None
     layers, heads = args.layers, args.heads
     if args.scores:
@@ -285,14 +293,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p)
     p.add_argument("--samples", type=int, default=40)
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(fn=cmd_corpus)
 
     p = sub.add_parser("chase", help="score visual heads over a corpus directory")
     p.add_argument("--corpus", required=True)
     p.add_argument("--group", type=int, default=1,
                    help="query heads per kv head (at least 1); >1 sums scores onto kv heads")
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_chase)
 
     p = sub.add_parser("allocate", help="turn a score file into a budget plan")
     p.add_argument("--scores", default=None)
@@ -304,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", choices=POLICY_NAMES, default="sparsemm")
     p.add_argument("--seed", type=int, default=0, help="seed for the random policy")
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_allocate)
 
     p = sub.add_parser("prefill", help="generate a prefill trace of per-kv-head window scores")
     _add_model_args(p)
@@ -312,14 +317,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-len", type=int, default=16)
     p.add_argument("--window", type=int, default=DEFAULT_WINDOW)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_prefill)
 
     p = sub.add_parser("compress", help="apply a plan to a prefill trace")
     p.add_argument("--trace", required=True)
     p.add_argument("--plan", required=True)
     p.add_argument("--out-json", default=None)
     p.add_argument("--out-csv", default=None)
-    p.set_defaults(fn=cmd_compress)
 
     p = sub.add_parser("bench", help="run a packaged experiment from a config file")
     p.add_argument("experiment", choices=("sweep", "rho", "mask", "cost"))
@@ -328,15 +331,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--seed", type=int, default=0,
                    help="offset added to every configured seed")
-    p.set_defaults(fn=cmd_bench)
 
     return parser
 
 
+# main's parser, built on first use: building one takes about a millisecond
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        summary = args.fn(args)
+        args = _shared_parser().parse_args(argv)
+        # by name on each call, so a command replaced after the parser was built is the one run
+        summary = globals()[f"cmd_{args.command}"](args)
     except SparseMMError as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")

@@ -1,11 +1,13 @@
 """The corpus directory format: two files per sample, written and read one sample at a time.
 
-`save_corpus` writes sample i as `sample_NNNNN.npy`, its trace's steps
-raveled and concatenated into one float64 array, then `sample_NNNNN.json`, a
-canonical record of the sample, the trace's geometry and step count, and the
-payload's sha256. `load_corpus` gives the samples back as an `OcrCorpus` that
-reads and checks sample i's files each time it is read: the record against
-RECORD_FIELDS and the grid, the payload against its record.
+`save_corpus` writes sample i as `sample_NNNNN.npy`, the bytes `np.save`
+writes for its trace's steps raveled and concatenated into one float64 array,
+written from the steps' own buffers with no concatenated copy; then
+`sample_NNNNN.json`, a canonical record of the sample, the trace's geometry
+and step count, and the payload's sha256. `load_corpus` gives the samples back
+as an `OcrCorpus` that reads and checks sample i's files each time it is read:
+the record against RECORD_FIELDS and the grid, the payload against its record.
+A loaded trace's steps are read-only views of the payload bytes read.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import os
 import numpy as np
 
 from .artifacts import (
-    Count, Field, ListOf, Number, String, encode_array, encode_json, list_dir, make_dir,
+    Count, Field, ListOf, Number, String, encode_json, list_dir, make_dir, npy_header,
     read_array, read_object, write_bytes,
 )
 from .errors import InvalidInputError, ShapeError
@@ -45,9 +47,12 @@ def _corpus_names(directory) -> list[str]:
 def _save_sample(directory, stem: str, sample: OcrSample, trace: AttentionTrace, digest) -> None:
     """Write one sample's payload, then its record; feed both to `digest` in name order.
 
-    Their bytes are freed on return, so a corpus holds one sample's at a time.
+    The payload is the `.npy` header, then each step's own buffer, raveled:
+    the bytes `np.save` writes for the steps concatenated, with no copy made.
+    Its buffers are freed on return, so a corpus holds one sample's at a time.
     """
-    payload = encode_array(np.concatenate([step.ravel() for step in trace.steps]))
+    steps = [step.ravel() for step in trace.steps]
+    payload = [npy_header((sum(step.size for step in steps),)), *steps]
     record = encode_json({
         "image_shape": list(sample.image_shape),
         "grid": list(sample.grid),
@@ -59,9 +64,10 @@ def _save_sample(directory, stem: str, sample: OcrSample, trace: AttentionTrace,
         "sha256": write_bytes(os.path.join(directory, stem + ".npy"), payload),
     })
     write_bytes(os.path.join(directory, stem + ".json"), record)
-    for name, data in ((stem + ".json", record), (stem + ".npy", payload)):
+    for name, parts in ((stem + ".json", [record]), (stem + ".npy", payload)):
         digest.update(name.encode())
-        digest.update(data)
+        for part in parts:
+            digest.update(part)
 
 
 def save_corpus(directory, samples) -> str:

@@ -2,10 +2,12 @@
 
 import ast
 import hashlib
+import io
 import json
 import math
 import re
 import tempfile
+import tracemalloc
 from functools import lru_cache
 from pathlib import Path
 
@@ -30,7 +32,9 @@ from sparsemm.cli import TRACE_FIELDS, _load_trace, main
 from sparsemm.corpusfile import RECORD_FIELDS, load_corpus, save_corpus
 from sparsemm.errors import InvalidInputError, ShapeError, SparseMMError
 from sparsemm.simmodel import (
+    AttentionTrace,
     ModelGeometry,
+    OcrSample,
     PlantedHeadSet,
     build_synthetic_model,
     generate_ocr_samples,
@@ -332,6 +336,23 @@ class TestArrayPayload:
         np.save(tmp_path / "b.npy", array)
         assert (tmp_path / "a.npy").read_bytes() == (tmp_path / "b.npy").read_bytes()
 
+    @settings(max_examples=300, deadline=None)
+    @given(start=st.integers(0, 200), length=st.integers(0, 16), new=st.binary(max_size=16))
+    def test_any_edit_is_read_or_refused_by_name(self, start, length, new):
+        """A payload with a run of bytes replaced, cut or added, under its own digest, is either
+        read as `np.load` reads it or refused with an InvalidInputError naming the file."""
+        valid = _npy_bytes(np.ones((3, 2)))
+        data = valid[:start] + new + valid[start + length:]
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "a.npy"
+            path.write_bytes(data)
+            try:
+                loaded = read_array(path, hashlib.sha256(data).hexdigest(), (3, 2), "thing")
+            except InvalidInputError as exc:
+                assert str(path) in str(exc)
+                return
+        assert loaded.tobytes() == np.load(io.BytesIO(data), allow_pickle=False).tobytes()
+
     def _write(self, path, array):
         """Write `array` as `np.save` would and return the digest of its bytes."""
         np.save(path, array, allow_pickle=True)
@@ -377,6 +398,111 @@ class TestArrayPayload:
         with pytest.raises(InvalidInputError, match=fragment) as info:
             read_array(path, digest, shape, "thing")
         assert str(path) in str(info.value)
+
+
+def _npy_bytes(array) -> bytes:
+    """The bytes `np.save` writes for `array`: the slow path the payload writers replace."""
+    buf = io.BytesIO()
+    np.save(buf, array)
+    return buf.getvalue()
+
+
+def _trace(layers: int, heads: int, prompt_len: int, n_steps: int, seed: int) -> AttentionTrace:
+    rng = np.random.default_rng(seed)
+    return AttentionTrace([rng.random((layers, heads, prompt_len + t)) for t in range(n_steps)],
+                          prompt_len)
+
+
+def _sample(prompt_len: int) -> OcrSample:
+    return OcrSample((50, 50 * prompt_len), (1, prompt_len), ((7, (0.0, 0.0, 50.0, 50.0)),),
+                     tuple(range(prompt_len)))
+
+
+def _peak_bytes(fn) -> int:
+    """The peak of the bytes `fn()` allocates beyond those live before, as tracemalloc counts."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+SHAPES = st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(0, 40))
+
+
+class TestPayloadFastPaths:
+    """Each payload path that writes or reads an array's own buffer against the `np.save` and
+    `np.load` path it replaced: the same bytes, the same values, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=SHAPES, n_steps=st.integers(1, 5), seed=st.integers(0, 2**16))
+    def test_corpus_payload_is_np_save_of_the_steps_concatenated(self, shape, n_steps, seed):
+        layers, heads, prompt_len = shape
+        prompt_len += 1  # a corpus prompt holds at least one token
+        trace = _trace(layers, heads, prompt_len, n_steps, seed)
+        with tempfile.TemporaryDirectory() as directory:
+            d = Path(directory)
+            digest = save_corpus(d, [(_sample(prompt_len), trace)])
+            payload = (d / "sample_00000.npy").read_bytes()
+            record = (d / "sample_00000.json").read_bytes()
+        assert payload == _npy_bytes(np.concatenate([s.ravel() for s in trace.steps]))
+        expected = hashlib.sha256(b"sample_00000.json" + record + b"sample_00000.npy" + payload)
+        assert digest == expected.hexdigest()
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=SHAPES, seed=st.integers(0, 2**16), strided=st.booleans())
+    def test_write_array_is_np_save(self, shape, seed, strided):
+        array = np.random.default_rng(seed).random(shape)
+        if strided:  # a view that is not contiguous: written in C order, as np.save writes it
+            array = array[:, ::2]
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "a.npy"
+            digest = write_array(path, array)
+            data = path.read_bytes()
+        assert data == _npy_bytes(array)
+        assert digest == hashlib.sha256(data).hexdigest()
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=SHAPES, seed=st.integers(0, 2**16))
+    def test_read_array_is_np_load_bit_for_bit(self, shape, seed):
+        data = _npy_bytes(np.random.default_rng(seed).random(shape))
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "a.npy"
+            path.write_bytes(data)
+            loaded = read_array(path, hashlib.sha256(data).hexdigest(), shape, "thing")
+            expected = np.load(path, allow_pickle=False)
+        assert loaded.dtype == expected.dtype and loaded.shape == expected.shape
+        assert loaded.tobytes() == expected.tobytes()
+        assert not loaded.flags.writeable
+
+
+class TestPayloadCopies:
+    """A payload is written from, and read into, one buffer: no copy of it is made on the way.
+
+    375 KB is the size of a `cli-flow` corpus payload; 64 KiB of slack covers the header,
+    the record and the interpreter's own allocations.
+    """
+
+    SLACK = 64 * 1024
+
+    def test_read_array_holds_only_the_bytes_read(self, tmp_path):
+        path = tmp_path / "a.npy"
+        digest = write_array(path, np.random.default_rng(0).random((8, 8, 733)))
+        peak = _peak_bytes(lambda: read_array(path, digest, (8, 8, 733), "thing"))
+        assert peak <= path.stat().st_size + self.SLACK
+
+    def test_write_array_copies_nothing(self, tmp_path):
+        array = np.random.default_rng(0).random((8, 8, 733))
+        assert _peak_bytes(lambda: write_array(tmp_path / "a.npy", array)) <= self.SLACK
+
+    def test_corpus_payload_write_copies_nothing(self, tmp_path):
+        trace = _trace(8, 8, 38, 16, 0)
+        assert sum(step.nbytes for step in trace.steps) > 350_000
+        samples = [(_sample(38), trace)]
+        assert _peak_bytes(lambda: save_corpus(tmp_path / "corpus", samples)) <= self.SLACK
 
 
 # -- every loader returns or raises a SparseMMError, whatever one field holds
@@ -655,13 +781,16 @@ def flow(tmp_path, capsys):
 
 
 # sha256 of what the flow writes, recorded before the corpus payload code moved
-# into artifacts.py and the trace's window scores moved to a .npy
+# into artifacts.py and the trace's window scores moved to a .npy; trace.json,
+# which holds its payload's sha256, before payloads were written from the arrays'
+# own buffers
 FLOW_DIGESTS = {
     "corpus": "c1877857a97b1b84bcbf1ef0444ad22c57569ef784a9efd6ea1d9a0517647530",
     "scores.json": "4c07ce7cfae3c30466f490993ea59c8336dae62ed5f891c1136491024b0c429d",
     "plan.json": "99dcfae088a14549d15f62e0af0ff6845af5b49e2215459f3267de6de9c136f7",
     "report.json": "5dc2181550fc3104b1de39421dc65a6028fcabb9cd2aead04082d70540c1afbb",
     "report.csv": "89b3950f72aea5b1c8335532a9a2ebd7f2163b892ff3d0eb1d51f7f6140503f1",
+    "trace.json": "e23fc490c9e7983021eb3c4ad23bb0d0addbebdd330a523f4a056c8ea6a2d68f",
 }
 
 
@@ -673,7 +802,7 @@ class TestCliArtifacts:
         assert summaries["chase"]["hash"] == FLOW_DIGESTS["scores.json"]
         written = {
             name: hashlib.sha256((directory / name).read_bytes()).hexdigest()
-            for name in ("scores.json", "plan.json", "report.json", "report.csv")
+            for name in ("scores.json", "plan.json", "report.json", "report.csv", "trace.json")
         }
         assert written == {name: FLOW_DIGESTS[name] for name in written}
 

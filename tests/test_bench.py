@@ -649,6 +649,37 @@ class TestCli:
         assert summaries[-1]["total_kept"] <= 64 * 16
         assert report_json.exists() and report_csv.exists()
 
+    def test_one_parser_serves_every_command_of_a_process(self, tmp_path, capsys, monkeypatch):
+        """`main` builds its parser once a process: two commands and then a usage error, run
+        in one process, give what each gives in a fresh one, files included."""
+        argvs = [
+            ["allocate", "--layers", "2", "--heads", "2", "--budget", "64", "--window", "8",
+             "--rho", "0.5", "--policy", "uniform", "--out", "plan.json"],
+            ["prefill", *TINY_MODEL, "--prompt-len", "40", "--window", "8", "--out", "trace.json"],
+            ["allocate", "--layers", "2", "--heads", "2", "--out", "again.json"],
+        ]
+        fresh, shared = tmp_path / "fresh", tmp_path / "shared"
+        fresh.mkdir()
+        shared.mkdir()
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        expected = []
+        for argv in argvs:
+            run = subprocess.run([sys.executable, "-m", "sparsemm.cli", *argv], cwd=fresh,
+                                 capture_output=True, text=True, env=env)
+            expected.append((run.returncode, run.stdout, run.stderr))
+        monkeypatch.chdir(shared)
+        got = []
+        for argv in argvs:
+            code = main(argv)
+            captured = capsys.readouterr()
+            got.append((code, captured.out, captured.err))
+        assert got == expected
+        assert [code for code, _, _ in got] == [0, 0, 2]
+        assert {p.name: p.read_bytes() for p in shared.iterdir()} == {
+            p.name: p.read_bytes() for p in fresh.iterdir()
+        }
+        assert cli.build_parser() is not cli.build_parser()
+
     def test_structured_error_on_contract_violation(self, tmp_path, capsys):
         model = [
             "--layers", "2", "--query-heads", "2",
@@ -835,10 +866,24 @@ class TestCliInputErrors:
         (["corpus", *MODEL, "--samples", "0", "--out-dir", "c"], "--samples 0 must be at least 1"),
         (["chase", "--corpus", "c", "--group", "0", "--out", "s.json"],
          "--group 0 must be at least 1"),
+        (["allocate", "--layers", "1", "--heads", "2", "--budget", "0", "--out", "p.json"],
+         "--budget 0 must be at least 1"),
+        (["allocate", "--layers", "1", "--heads", "2", "--budget", "64", "--rho", "2",
+          "--out", "p.json"], "--rho 2.0 must lie in [0, 1]"),
+        (["allocate", "--layers", "1", "--heads", "2", "--budget", "64", "--window", "-1",
+          "--out", "p.json"], "--window -1 must be at least 0"),
+        (["allocate", "--layers", "1", "--heads", "2", "--budget", "64", "--policy", "random",
+          "--seed", "-1", "--out", "p.json"], "--seed -1 must be at least 0"),
+        (["corpus", *MODEL, "--seed", "-1", "--out-dir", "c"],
+         "--seed -1 must lie in [0, 4294967295]"),
+        (["prefill", *MODEL, "--prompt-len", "40", "--seed", "-1", "--out", "t.json"],
+         "--seed -1 must lie in [0, 4294967295]"),
     ], ids=["invalid-value", "unknown-flag", "ambiguous-flag", "missing-flag", "no-command",
-            "corpus-samples-below-one", "chase-group-below-one"])
+            "corpus-samples-below-one", "chase-group-below-one", "allocate-budget-below-one",
+            "allocate-rho-above-one", "allocate-window-below-zero", "allocate-seed-below-zero",
+            "corpus-seed-below-zero", "prefill-seed-below-zero"])
     def test_usage_error_exits_2(self, tmp_path, capsys, monkeypatch, argv, fragment):
-        """argparse's errors, and a count flag below its floor, take the path of every input error.
+        """argparse's errors, and a number flag out of range, take the path of every input error.
 
         A flag's error names the flag, not the library parameter it feeds.
         """
