@@ -36,6 +36,7 @@ import json
 import math
 import os
 import stat
+import warnings
 from contextlib import contextmanager
 from itertools import chain
 from pathlib import Path
@@ -364,7 +365,9 @@ def _npy_fault(data: bytes, shape: tuple) -> str:
         version = np.lib.format.read_magic(fh)
         read_header = (np.lib.format.read_array_header_1_0 if version == (1, 0)
                        else np.lib.format.read_array_header_2_0)
-        got, _, dtype = read_header(fh)
+        # a header numpy reads only through its Python 2 filter warns; the error names the fault
+        with warnings.catch_warnings(action="ignore"):
+            got, _, dtype = read_header(fh)
     except (ValueError, SyntaxError, TypeError, TokenError) as exc:  # what a garbled header raises
         return f"is not a readable .npy: {exc}"
     if dtype.hasobject:

@@ -8,7 +8,9 @@ scores into a budget plan, `compress` applies a plan to a prefill trace, and
 
 Every command prints one JSON summary line on success. Usage errors and
 contract violations, an output path that cannot be written included, exit 2
-with a structured {"error", "message"} object on stderr; every output path is
+with a structured {"error", "message"} object on stderr. A number flag states its
+range where the parser adds it (`_InRange`), so a value outside it is refused,
+naming the flag and the range, while argv is parsed; every output path is then
 checked before the command reads an input or does any work. Files are read
 and written only through `artifacts`. `bench` is imported by `cmd_bench`
 alone, so the other commands do not load it.
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -69,20 +72,36 @@ def _parse_planted(text: str) -> list[tuple[int, int]]:
     return pairs
 
 
+class _InRange(argparse.Action):
+    """Store a number flag's value, refusing one outside [lo, hi] (NaN included) as argv is parsed.
+
+    The error is raised here, not from `type=`, whose ValueError argparse would reword.
+    """
+
+    def __init__(self, option_strings, dest, lo, hi=math.inf, **kwargs):
+        super().__init__(option_strings, dest, **kwargs)
+        self.lo, self.hi = lo, hi
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if not self.lo <= value <= self.hi:
+            bound = (f"be at least {self.lo}" if self.hi == math.inf
+                     else f"lie in [{self.lo}, {self.hi}]")
+            raise InvalidInputError(f"{self.option_strings[0]} {value} must {bound}")
+        setattr(namespace, self.dest, value)
+
+
 def _add_model_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--layers", type=int, required=True)
-    parser.add_argument("--query-heads", type=int, required=True)
-    parser.add_argument("--kv-heads", type=int, default=None,
+    parser.add_argument("--layers", type=int, action=_InRange, lo=1, required=True)
+    parser.add_argument("--query-heads", type=int, action=_InRange, lo=1, required=True)
+    parser.add_argument("--kv-heads", type=int, action=_InRange, lo=1, default=None,
                         help="defaults to --query-heads (multi-head attention)")
     parser.add_argument("--planted", required=True,
                         help="semicolon-separated layer,head pairs, e.g. '0,1;3,4'")
-    parser.add_argument("--strength", type=float, default=0.8)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--strength", type=float, action=_InRange, lo=0, hi=1, default=0.8)
+    parser.add_argument("--seed", type=int, action=_InRange, lo=0, hi=2**32 - 1, default=0)
 
 
 def _build_model(args: argparse.Namespace):
-    if not 0 <= args.seed < 2**32:
-        raise InvalidInputError(f"--seed {args.seed} must lie in [0, {2**32 - 1}]")
     geometry = ModelGeometry(
         args.layers,
         args.query_heads,
@@ -94,8 +113,6 @@ def _build_model(args: argparse.Namespace):
 
 def cmd_corpus(args: argparse.Namespace) -> dict:
     check_writable(args.out_dir, directory=True)
-    if args.samples < 1:
-        raise InvalidInputError(f"--samples {args.samples} must be at least 1")
     model = _build_model(args)
     samples = generate_ocr_samples(model, args.samples, args.seed)
     return {
@@ -108,8 +125,6 @@ def cmd_corpus(args: argparse.Namespace) -> dict:
 
 def cmd_chase(args: argparse.Namespace) -> dict:
     check_writable(args.out)
-    if args.group < 1:
-        raise InvalidInputError(f"--group {args.group} must be at least 1")
     samples = load_corpus(args.corpus)
     scores, skipped = chase_corpus(samples)
     scores = aggregate_gqa_scores(scores, args.group)
@@ -127,11 +142,6 @@ def cmd_chase(args: argparse.Namespace) -> dict:
 
 def cmd_allocate(args: argparse.Namespace) -> dict:
     check_writable(args.out)
-    for flag, lo in (("budget", 1), ("window", 0), ("seed", 0)):
-        if getattr(args, flag) < lo:
-            raise InvalidInputError(f"--{flag} {getattr(args, flag)} must be at least {lo}")
-    if not 0 <= args.rho <= 1:
-        raise InvalidInputError(f"--rho {args.rho} must lie in [0, 1]")
     scores = None
     layers, heads = args.layers, args.heads
     if args.scores:
@@ -165,8 +175,6 @@ def cmd_prefill(args: argparse.Namespace) -> dict:
     check_writable(args.out)
     model = _build_model(args)
     geo = model.geometry
-    if args.prompt_len < 1 or args.out_len < 1:
-        raise InvalidInputError("--prompt-len and --out-len must be at least 1")
     if args.prompt_len < args.window:
         # the whole prompt sits inside the window: there is no key to score,
         # and compress keeps every position
@@ -251,8 +259,6 @@ def cmd_bench(args: argparse.Namespace) -> dict:
             cfg = replace(cfg, seeds=tuple(s + args.seed for s in cfg.seeds))
         except InvalidInputError as exc:
             raise InvalidInputError(f"--seed {args.seed}: {exc}") from exc
-    if args.jobs < 1:
-        raise InvalidInputError(f"--jobs {args.jobs} must be at least 1")
     out_dir = Path(args.out_dir)
     make_dir(out_dir)
     if args.experiment == "sweep":
@@ -291,31 +297,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("corpus", help="generate a synthetic OCR corpus directory")
     _add_model_args(p)
-    p.add_argument("--samples", type=int, default=40)
+    p.add_argument("--samples", type=int, action=_InRange, lo=1, default=40)
     p.add_argument("--out-dir", required=True)
 
     p = sub.add_parser("chase", help="score visual heads over a corpus directory")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--group", type=int, default=1,
+    p.add_argument("--group", type=int, action=_InRange, lo=1, default=1,
                    help="query heads per kv head (at least 1); >1 sums scores onto kv heads")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("allocate", help="turn a score file into a budget plan")
     p.add_argument("--scores", default=None)
-    p.add_argument("--layers", type=int, default=None)
-    p.add_argument("--heads", type=int, default=None)
-    p.add_argument("--budget", type=int, required=True, help="global budget B")
-    p.add_argument("--rho", type=float, default=DEFAULT_RHO)
-    p.add_argument("--window", type=int, default=DEFAULT_WINDOW)
+    p.add_argument("--layers", type=int, action=_InRange, lo=1, default=None)
+    p.add_argument("--heads", type=int, action=_InRange, lo=1, default=None)
+    p.add_argument("--budget", type=int, action=_InRange, lo=1, required=True,
+                   help="global budget B")
+    p.add_argument("--rho", type=float, action=_InRange, lo=0, hi=1, default=DEFAULT_RHO)
+    p.add_argument("--window", type=int, action=_InRange, lo=0, default=DEFAULT_WINDOW)
     p.add_argument("--policy", choices=POLICY_NAMES, default="sparsemm")
-    p.add_argument("--seed", type=int, default=0, help="seed for the random policy")
+    p.add_argument("--seed", type=int, action=_InRange, lo=0, default=0,
+                   help="seed for the random policy")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("prefill", help="generate a prefill trace of per-kv-head window scores")
     _add_model_args(p)
-    p.add_argument("--prompt-len", type=int, required=True)
-    p.add_argument("--out-len", type=int, default=16)
-    p.add_argument("--window", type=int, default=DEFAULT_WINDOW)
+    p.add_argument("--prompt-len", type=int, action=_InRange, lo=1, required=True)
+    p.add_argument("--out-len", type=int, action=_InRange, lo=1, default=16)
+    p.add_argument("--window", type=int, action=_InRange, lo=0, default=DEFAULT_WINDOW)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("compress", help="apply a plan to a prefill trace")
@@ -328,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("experiment", choices=("sweep", "rho", "mask", "cost"))
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, action=_InRange, lo=1, default=1)
     p.add_argument("--seed", type=int, default=0,
                    help="offset added to every configured seed")
 

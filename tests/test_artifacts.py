@@ -8,6 +8,7 @@ import math
 import re
 import tempfile
 import tracemalloc
+import warnings
 from functools import lru_cache
 from pathlib import Path
 
@@ -352,6 +353,19 @@ class TestArrayPayload:
                 assert str(path) in str(exc)
                 return
         assert loaded.tobytes() == np.load(io.BytesIO(data), allow_pickle=False).tobytes()
+
+    def test_a_python_2_header_is_refused_without_a_warning(self, tmp_path):
+        """numpy parses a `3L` shape only through its Python 2 filter, which warns; the
+        structured error is all a reader sees."""
+        data = _npy_bytes(np.ones(3)).replace(b"(3,), } ", b"(3L,), }")
+        assert b"(3L,)" in data
+        path = tmp_path / "a.npy"
+        path.write_bytes(data)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(InvalidInputError, match="not a readable .npy"):
+                read_array(path, hashlib.sha256(data).hexdigest(), (3,), "thing")
+        assert caught == []
 
     def _write(self, path, array):
         """Write `array` as `np.save` would and return the digest of its bytes."""

@@ -1,10 +1,12 @@
 """Tests for the experiment harness and the CLI wiring."""
 
+import argparse
 import ast
 import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -1016,6 +1018,106 @@ class TestCliInputErrors:
         assert err["error"] == "InvalidInputError"
         assert err["message"] == f"config {cfg_path}: {key} needs at least one entry"
         assert not out_dir.exists()
+
+
+def _subcommands(parser):
+    """(name, parser) for each subcommand `build_parser` adds."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices.items()
+
+
+def _bounded_flags():
+    """(command, flag, action) for every number flag the parser range-checks."""
+    return [(command, action.option_strings[0], action)
+            for command, p in _subcommands(cli.build_parser()) for action in p._actions
+            if isinstance(action, cli._InRange)]
+
+
+def _outside(action):
+    """Values just outside `action`'s range, and NaN and both infinities for a float flag."""
+    if action.type is int:
+        return [action.lo - 1] + ([action.hi + 1] if action.hi < math.inf else [])
+    return [math.nextafter(action.lo, -math.inf), math.nextafter(action.hi, math.inf),
+            math.nan, math.inf, -math.inf]
+
+
+class TestCliNumberFlags:
+    """Every number flag states its range in the parser, and one check refuses a value outside it.
+
+    The cases are read from `build_parser` itself, so a flag bounded later is tested too.
+    """
+
+    MODEL = ["--layers", "1", "--query-heads", "2", "--planted", "0,1"]
+    # each command with every required flag, at a value in range; the flag under test comes last
+    BASE = {
+        "corpus": ["corpus", *MODEL, "--samples", "1", "--out-dir", "c"],
+        "chase": ["chase", "--corpus", "c", "--out", "s.json"],
+        "allocate": ["allocate", "--layers", "1", "--heads", "2", "--budget", "64",
+                     "--out", "p.json"],
+        "prefill": ["prefill", *MODEL, "--prompt-len", "40", "--out", "t.json"],
+        "bench": ["bench", "mask", "--config", "cfg.json", "--out-dir", "out"],
+    }
+    OUTSIDE = [(command, flag, action, value) for command, flag, action in _bounded_flags()
+               for value in _outside(action)]
+
+    def test_every_number_flag_is_bounded(self):
+        """A number flag added without a range fails here; `bench --seed` is an offset, held to
+        the config's seed range after it is added."""
+        unbounded = [(command, action.option_strings[0])
+                     for command, p in _subcommands(cli.build_parser()) for action in p._actions
+                     if action.type in (int, float) and not isinstance(action, cli._InRange)]
+        assert unbounded == [("bench", "--seed")]
+
+    def test_the_bounded_flags(self):
+        bounds = {(command, flag): (action.lo, action.hi)
+                  for command, flag, action in _bounded_flags()}
+        model = {"--layers": (1, math.inf), "--query-heads": (1, math.inf),
+                 "--kv-heads": (1, math.inf), "--strength": (0, 1), "--seed": (0, 2**32 - 1)}
+        assert bounds == {
+            **{(command, flag): bound for command in ("corpus", "prefill")
+               for flag, bound in model.items()},
+            ("corpus", "--samples"): (1, math.inf),
+            ("chase", "--group"): (1, math.inf),
+            ("allocate", "--layers"): (1, math.inf),
+            ("allocate", "--heads"): (1, math.inf),
+            ("allocate", "--budget"): (1, math.inf),
+            ("allocate", "--rho"): (0, 1),
+            ("allocate", "--window"): (0, math.inf),
+            ("allocate", "--seed"): (0, math.inf),
+            ("prefill", "--prompt-len"): (1, math.inf),
+            ("prefill", "--out-len"): (1, math.inf),
+            ("prefill", "--window"): (0, math.inf),
+            ("bench", "--jobs"): (1, math.inf),
+        }
+
+    @pytest.mark.parametrize("command, flag, action, value", OUTSIDE,
+                             ids=[f"{c}{f}={v}" for c, f, _, v in OUTSIDE])
+    def test_a_value_outside_the_range_exits_2(self, tmp_path, capsys, monkeypatch, command, flag,
+                                               action, value):
+        monkeypatch.chdir(tmp_path)
+        assert main(self.BASE[command] + [f"{flag}={value}"]) == 2
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)
+        assert err["error"] == "InvalidInputError"
+        bound = (f"be at least {action.lo}" if action.hi == math.inf
+                 else f"lie in [{action.lo}, {action.hi}]")
+        assert err["message"] == f"{flag} {value} must {bound}"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, flag, action", _bounded_flags(),
+                             ids=[f"{c}{f}" for c, f, _ in _bounded_flags()])
+    def test_both_ends_of_the_range_are_taken(self, command, flag, action):
+        for value in (action.lo, action.hi):
+            if value < math.inf:
+                args = cli.build_parser().parse_args(self.BASE[command] + [f"{flag}={value}"])
+                assert getattr(args, action.dest) == value
+
+    def test_a_number_out_of_range_is_named_before_an_unwritable_output(self, tmp_path, capsys):
+        """Flags are checked while argv is parsed, so before any output path."""
+        argv = ["chase", "--corpus", "c", "--group", "0", "--out", str(tmp_path / "nodir" / "s")]
+        assert main(argv) == 2
+        assert json.loads(capsys.readouterr().err)["message"] == "--group 0 must be at least 1"
 
 
 TINY_MODEL = ["--layers", "1", "--query-heads", "2", "--planted", "0,1"]
