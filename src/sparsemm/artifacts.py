@@ -366,7 +366,8 @@ def _npy_fault(data: bytes, shape: tuple) -> str:
         read_header = (np.lib.format.read_array_header_1_0 if version == (1, 0)
                        else np.lib.format.read_array_header_2_0)
         # a header numpy reads only through its Python 2 filter warns; the error names the fault
-        with warnings.catch_warnings(action="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
             got, _, dtype = read_header(fh)
     except (ValueError, SyntaxError, TypeError, TokenError) as exc:  # what a garbled header raises
         return f"is not a readable .npy: {exc}"

@@ -84,8 +84,7 @@ class _InRange(argparse.Action):
 
     def __call__(self, parser, namespace, value, option_string=None):
         if not self.lo <= value <= self.hi:
-            bound = (f"be at least {self.lo}" if self.hi == math.inf
-                     else f"lie in [{self.lo}, {self.hi}]")
+            bound = f"be at least {self.lo}" if self.hi == math.inf else f"lie in [{self.lo}, {self.hi}]"
             raise InvalidInputError(f"{self.option_strings[0]} {value} must {bound}")
         setattr(namespace, self.dest, value)
 
