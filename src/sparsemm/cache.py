@@ -15,9 +15,11 @@ Eviction itself takes those per-kv-head window scores, shape
 `replay_plans` reads decode recall for many plans over one synthetic decode
 workload. It keeps what `compress_prefill` keeps, by the same tie rule.
 `replay_masked` reads it, in the same pass over the decode steps, for the
-workload's model and for each masked model the workload derived. Every masked
-set's kv groups are read together, sorted by kv group (`sort_groups`), so a
-range of a step costs the same few numpy calls for six sets as for one.
+workload's model and for each masked model the workload derived. The
+workload's masked groups come as one table sorted by kv group
+(`simmodel.MaskedGroups`), read as extra kv-group rows after the model's
+own, so a range of a step costs the same few numpy calls for six sets as
+for one.
 """
 
 from __future__ import annotations
@@ -40,13 +42,11 @@ __all__ = [
     "HeadEviction",
     "TopKSelection",
     "compress_prefill",
-    "groups_in_range",
     "replay_masked",
     "replay_plans",
     "report_to_csv",
     "report_to_json",
     "select_topk",
-    "sort_groups",
     "sum_onto_kv_heads",
     "window_attention",
 ]
@@ -136,26 +136,6 @@ def sum_onto_kv_heads(rows: np.ndarray, kv_heads: int) -> np.ndarray:
     for k in range(1, grouped.shape[2]):
         total += grouped[:, :, k]
     return total
-
-
-def groups_in_range(groups: np.ndarray, start: int, stop: int, n_groups: int) -> slice:
-    """The part of `groups`, ascending kv-group indices of n_groups, that lies in [start, stop)."""
-    if stop - start == n_groups:
-        return slice(None)
-    return slice(*np.searchsorted(groups, (start, stop)))
-
-
-def sort_groups(cells) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every cell's kv groups in one array sorted by kv group, to read them all at once.
-
-    Each cell holds ascending `groups` and their (k, group_size) `rows`.
-    Returns (at, groups, rows): the cells' groups and rows, concatenated in
-    cell order and then sorted by kv group, ties in cell order, where sorted
-    entry j is concatenated entry at[j].
-    """
-    groups = np.concatenate([cell.groups for cell in cells])
-    at = np.argsort(groups, kind="stable")
-    return at, groups[at], np.concatenate([cell.rows for cell in cells])[at]
 
 
 @dataclass(frozen=True)
@@ -270,7 +250,7 @@ def replay_plans(geometry, workload, plans) -> list[DecodeRecord]:
     is built. A head with b >= Lp reads the row total, so its recall is
     exactly 1. Slot counts follow from min(b, Lp) alone.
     """
-    return _replay(geometry, workload, plans, [None] * len(plans))
+    return _replay(geometry, workload, plans, None)
 
 
 def replay_masked(geometry, workload, plans) -> list[DecodeRecord]:
@@ -278,50 +258,44 @@ def replay_masked(geometry, workload, plans) -> list[DecodeRecord]:
 
     plans[0] is replayed over the workload's own rows, as `replay_plans`
     replays it, and plans[1 + i] over the rows of the workload's model with
-    `workload.masked[i].heads` masked. Those rows are the workload's with
+    `workload.masked.heads[i]` masked. Those rows are the workload's with
     each masked row set to exactly 1/(Lp + t), and their window scores
-    differ only in the masked set's kv groups. So each step is read once:
-    the captured, window and generated mass are read for every head, then
-    again for the rows of every masked set's groups at once, through the same
-    chunk scratch, and each set's are spliced in.
+    differ only in the masked set's kv groups, the rows of the
+    `workload.masked` table. So each step is read once: the captured,
+    window and generated mass are read for every head, then again for every
+    row of the table at once, through the same chunk scratch, and each plan
+    reads its set's rows in place of those groups.
     A record equals `replay_plans` on the masked model's own workload bit for
     bit, since each head's values come from the same rows by the same sums.
     """
-    if len(plans) != 1 + len(workload.masked):
-        raise InvalidInputError(
-            f"{len(plans)} plans for 1 + {len(workload.masked)} masked head sets"
-        )
-    return _replay(geometry, workload, plans, [None, *workload.masked])
+    sets = len(workload.masked.heads)
+    if len(plans) != 1 + sets:
+        raise InvalidInputError(f"{len(plans)} plans for 1 + {sets} masked head sets")
+    return _replay(geometry, workload, plans, workload.masked)
 
 
-def _step_mass(rows, order, lp, index, scratch, always, total, captured, groups=None,
-               masked_rows=None) -> None:
+def _step_mass(rows, order, lp, index, scratch, always, total, captured) -> None:
     """A range of one step's always-kept, prompt-total and captured mass, a chunk at a time.
 
-    `rows` is (groups, group_size, lp + t), consecutive kv groups' query rows,
-    and `order` (k, n) the keys left of the window, best first, in any
-    unsigned dtype, for k groups: every group of `rows`, or `rows[groups]`
-    with `masked_rows` (k, group_size) set to 1/(lp + t). `index`
-    (k, group_size, plans) holds each plan's count of kept ranked keys. Per
-    chunk of whole groups, about RANK_CHUNK_VALUES values, each group's keys
-    are gathered in ranked order into `scratch` (chunk, group_size, n + 1)
-    and summed along each row there, so neither chunks nor ranges move a bit;
-    column 0 stays 0, so keeping the best j keys captures scratch[..., j], and
-    the prompt total is the last column. Writes the window and generated
-    mass, which every plan keeps, into `always`, the row total into `total`,
-    and each plan's captured mass into `captured`, gathered from the flat
-    scratch with one `take`.
+    `rows` is (k, group_size, lp + t), k kv groups' query rows: consecutive
+    groups of a step, or masked groups gathered from it. `order` (k, n)
+    holds each group's keys left of the window, best first, in any unsigned
+    dtype, and `index` (k, group_size, plans) each plan's count of kept
+    ranked keys. Per chunk of whole groups, about RANK_CHUNK_VALUES values,
+    each group's keys are gathered in ranked order into `scratch`
+    (chunk, group_size, n + 1) and summed along each row there, so neither
+    chunks nor ranges move a bit; column 0 stays 0, so keeping the best j
+    keys captures scratch[..., j], and the prompt total is the last column.
+    Writes the window and generated mass, which every plan keeps, into
+    `always`, the row total into `total`, and each plan's captured mass into
+    `captured`, gathered from the flat scratch with one `take`.
     """
     n = order.shape[1]
     # each query head's row offset in the flat scratch, to read captured mass with one take
     row_at = np.arange(0, scratch.size, n + 1).reshape(*scratch.shape[:2], 1)
     for start in range(0, order.shape[0], scratch.shape[0]):
         part = slice(start, start + scratch.shape[0])
-        if groups is None:
-            block = rows[part]
-        else:
-            block = rows[groups[part]]
-            block[masked_rows[part]] = 1.0 / rows.shape[2]
+        block = rows[part]
         table = scratch[: block.shape[0]]
         ranked = table[:, :, 1:]
         # argsort keys and plan indices are in range, so "clip" clips none; it measured
@@ -353,25 +327,26 @@ def _step_ranges(steps, layers: int, query_heads: int, group: int):
         t += 1
 
 
-def _replay(geometry, workload, plans, cells) -> list[DecodeRecord]:
-    """`replay_plans` and `replay_masked`: plan p over the rows of `cells[p]`.
+def _replay(geometry, workload, plans, masked) -> list[DecodeRecord]:
+    """`replay_plans` and `replay_masked`: plans[0] over the workload's own rows, and, with a
+    `simmodel.MaskedGroups` table `masked`, plans[1 + i] over them with `masked.heads[i]`
+    masked.
 
-    A cell of None reads the workload's own rows; a `MaskedWindow` reads them
-    with its heads masked, re-ranked and re-summed for its groups only.
-    Arrays are held per kv group, (layers * kv_heads, group_size, ...), so a
-    group's rows and masses are one index of the first axis. The masked sets'
-    groups are sorted together by kv group (`sort_groups`), a group that
-    several sets share once per set, and their scores ranked in one
-    `_key_order` call. Each step is read as a stream of kv-group ranges
-    (`_step_ranges`), and `_step_mass` reads each range as it comes: once for
-    the base rows and once for every masked set's groups in it. Each group's
-    masses come from its own rows by its own sums, whichever groups share
-    its chunk, so a set's bits do not depend on the other sets. Per plan,
-    its set's masses are spliced into the step's base masses through the
-    sort's permutation; the recall mean and the per-head sums are taken over
-    them whole. One chunk-sized scratch table serves every range and masked
-    set, so a model-built workload's step is never held whole: one tile of
-    groups and the groups that hold a planted head are.
+    Arrays are held per row, (rows, group_size, ...): one row per kv group,
+    layer * kv_heads + kv_head, then one per row j of the table, so a row's
+    order, index and masses are one index of the first axis. The table's
+    scores are ranked in one `_key_order` call. `src[p, q]` is the row that
+    plan p reads for kv group q: q itself, or n_groups + j where row j of
+    the table is plan p's set's group q. Each step is read as a stream of
+    kv-group ranges (`_step_ranges`), and `_step_mass` reads each range as
+    it comes: once for its groups and once for the table's rows in it,
+    gathered from the range with their masked query heads set to 1/(Lp + t).
+    Each row's masses come from its own rows by its own sums, whichever rows
+    share its chunk, so a set's bits do not depend on the other sets. Per
+    plan, the recall mean and the per-head sums are taken over its `src`
+    rows. One chunk-sized scratch table serves every range, so a
+    model-built workload's step is never held whole: one tile of groups and
+    the groups that hold a planted head are.
     """
     layers, query_heads, kv_heads = geometry.layers, geometry.query_heads, geometry.kv_heads
     lp, w, out_len = workload.prompt_len, workload.window, workload.out_len
@@ -387,31 +362,25 @@ def _replay(geometry, workload, plans, cells) -> list[DecodeRecord]:
     kept = [np.minimum(plan.budgets, lp) for plan in plans]
     # scratch index per query head and plan: 0 keeps the window only, n keeps the prompt
     index = np.empty((n_groups, group, len(plans)), dtype=np.intp)
-    for p, k in enumerate(kept):
-        index[:, :, p] = np.repeat(k - w, group, axis=1).reshape(n_groups, group)
-    # one step's masses per head: always kept, row total, captured per plan
-    always = np.empty((n_groups, group))
-    total = np.empty_like(always)
-    captured = np.empty((n_groups, group, len(plans)))
-    sets = [p for p, cell in enumerate(cells) if cell is not None]
-    for p in sets:
-        if cells[p].scores.shape != (cells[p].groups.size, n):
+    for p, b in enumerate(kept):
+        index[:, :, p] = np.repeat(b - w, group, axis=1).reshape(n_groups, group)
+    # src[p, q]: the row that plan p reads for kv group q
+    src = np.tile(np.arange(n_groups), (len(plans), 1))
+    k = 0 if masked is None else masked.groups.size
+    if k:
+        if masked.scores.shape != (k, n):
             raise ShapeError("masked window scores do not match the workload")
-    if sets:
-        # every masked set's groups at once, sorted by kv group: their key order,
-        # their plans' scratch index and their masses, each set's taken back by `where`
-        at, set_groups, set_rows = sort_groups([cells[p] for p in sets])
-        set_order = _key_order(np.concatenate([cells[p].scores for p in sets])[at])
-        sizes = [cells[p].groups.size for p in sets]
-        set_index = index[set_groups, :, np.repeat(sets, sizes)[at]][:, :, None]
-        set_masses = (np.empty((at.size, group)), np.empty((at.size, group)),
-                      np.empty((at.size, group, 1)))
-        back = np.empty_like(at)
-        back[at] = np.arange(at.size)
-        where = dict(zip(sets, np.split(back, np.cumsum(sizes)[:-1])))
+        # the table's rows follow the groups': their key order and every plan's index
+        order = np.concatenate([order, _key_order(masked.scores)])
+        index = np.concatenate([index, index[masked.groups]])
+        src[1 + masked.sets, masked.groups] = n_groups + np.arange(k)
+    # one step's masses per row: always kept, row total, captured per plan
+    always = np.empty((n_groups + k, group))
+    total = np.empty_like(always)
+    captured = np.empty((n_groups + k, group, len(plans)))
     recalls = np.zeros((len(plans), out_len))
     head_acc = np.zeros((len(plans), layers, query_heads))
-    # one chunk's table for every range and cell, about RANK_CHUNK_VALUES values
+    # one chunk's table for every range and row, about RANK_CHUNK_VALUES values
     # and at least one group: column 0 stays 0, the rest is rewritten
     chunk = min(max(1, RANK_CHUNK_VALUES // max(group * n, 1)), n_groups)
     scratch = np.zeros((chunk, group, n + 1))
@@ -428,22 +397,19 @@ def _replay(geometry, workload, plans, cells) -> list[DecodeRecord]:
             part = slice(start, stop)
             _step_mass(rows, order[part], lp, index[part], scratch, always[part], total[part],
                        captured[part])
-            if sets:
-                cut = groups_in_range(set_groups, start, stop, n_groups)
-                _step_mass(rows, set_order[cut], lp, set_index[cut], scratch,
-                           *(m[cut] for m in set_masses), set_groups[cut] - start, set_rows[cut])
+            if k:
+                # the table's rows in the range, gathered: a copy, dropped with the range
+                a, b = np.searchsorted(masked.groups, (start, stop))
+                rows = rows[masked.groups[a:b] - start]
+                rows[masked.rows[a:b]] = 1.0 / (lp + t)
+                part = slice(n_groups + a, n_groups + b)
+                _step_mass(rows, order[part], lp, index[part], scratch, always[part],
+                           total[part], captured[part])
             del rows
         if covered != n_groups:
             raise ShapeError(f"decode rows of step {t} do not match the geometry")
-        for p in range(len(plans)):
-            kept_mass, row_mass, got = always, total, captured[:, :, p]
-            if cells[p] is not None:
-                groups, mine = cells[p].groups, where[p]
-                kept_mass, row_mass, got = always.copy(), total.copy(), got.copy()
-                kept_mass[groups] = set_masses[0][mine]
-                row_mass[groups] = set_masses[1][mine]
-                got[groups] = set_masses[2][mine, :, 0]
-            recall = ((kept_mass + got) / row_mass).reshape(layers, query_heads)
+        for p, mine in enumerate(src):
+            recall = ((always[mine] + captured[mine, :, p]) / total[mine]).reshape(layers, -1)
             recalls[p, t] = recall.mean()
             head_acc[p] += recall
         del ranges
@@ -453,8 +419,8 @@ def _replay(geometry, workload, plans, cells) -> list[DecodeRecord]:
 
     steps = np.arange(out_len, dtype=np.int64)
     records = []
-    for p, k in enumerate(kept):
-        base = int(k.sum())
+    for p, b in enumerate(kept):
+        base = int(b.sum())
         slots = base + steps * (layers * kv_heads)
         records.append(
             DecodeRecord(

@@ -19,7 +19,8 @@ need. Window rows are reduced to per-kv-head key scores as they are drawn;
 only the scores are kept. Masked heads emit exactly uniform rows. Masking is
 applied after all random draws, so masking any subset never perturbs the
 other heads' rows; one window pass therefore also gives the window scores of
-any number of masked models, re-summed for the kv groups their masks touch.
+any number of masked models, re-summed for the kv groups their masks touch
+and held as one table of those groups sorted by kv group (`MaskedGroups`).
 
 Nothing large is held. A corpus makes sample i when it is read, drawn from its
 own generator or read and checked from its files (`corpusfile` holds the
@@ -54,7 +55,7 @@ from itertools import chain, groupby
 
 import numpy as np
 
-from .cache import groups_in_range, sort_groups, sum_onto_kv_heads
+from .cache import sum_onto_kv_heads
 from .errors import InvalidInputError, ShapeError
 
 __all__ = [
@@ -62,7 +63,7 @@ __all__ = [
     "AttentionTrace",
     "DecodeSteps",
     "DecodeWorkload",
-    "MaskedWindow",
+    "MaskedGroups",
     "ModelGeometry",
     "OcrCorpus",
     "OcrSample",
@@ -381,21 +382,26 @@ def _plant_hits(rows, region: np.ndarray, hits) -> None:
 
 
 @dataclass(frozen=True)
-class MaskedWindow:
-    """The window scores of the workload's model with `heads` masked, where they differ.
+class MaskedGroups:
+    """The window scores of the workload's model with each head set masked, where they differ.
 
-    `groups` holds the flat indices layer * kv_heads + kv_head of the kv
-    groups that contain one of `heads`, ascending, and `rows[i, k]` is True
-    where query head k of group i is one of them. `scores[i]` is group i's
-    row of the masked model's `window_scores`; every other group's row is
-    the workload's own. The masked model's decode rows are the workload's
-    with each row of `heads` set to exactly 1/visible.
+    `heads[i]` is set i's (layer, query_head) pairs, less any the model
+    masks already. The table has one row per (set, kv group holding one of
+    its heads), sorted by kv group, ties in set order: row j is set
+    `sets[j]`'s kv group `groups[j]`, flat layer * kv_heads + kv_head,
+    `rows[j, k]` is True where that group's query head k is masked, and
+    `scores[j]` is the group's row of that set's masked model's
+    `window_scores`. Every other group's row is the workload's own. A masked
+    model's decode rows are the workload's with each masked row set to
+    exactly 1/visible. The default table holds no set.
     """
 
-    heads: frozenset
-    groups: np.ndarray = field(repr=False)  # (k,)
-    rows: np.ndarray = field(repr=False)  # (k, group_size) bool
-    scores: np.ndarray = field(repr=False)  # (k, Lp - w)
+    heads: tuple[frozenset, ...] = ()
+    # (k,) sets and groups, (k, group_size) bool rows and (k, Lp - w) scores
+    sets: np.ndarray = field(default_factory=partial(np.empty, 0, np.intp), repr=False)
+    groups: np.ndarray = field(default_factory=partial(np.empty, 0, np.intp), repr=False)
+    rows: np.ndarray = field(default_factory=partial(np.empty, (0, 0), bool), repr=False)
+    scores: np.ndarray = field(default_factory=partial(np.empty, (0, 0)), repr=False)
 
 
 @dataclass(frozen=True)
@@ -408,8 +414,9 @@ class DecodeWorkload:
     (layers, query_heads, prompt_len + t) rows, t = 0..out_len-1, on every
     pass over it. A model-built workload holds a `DecodeSteps`, which draws
     each step as it is read; a hand-built one may hold a tuple of arrays.
-    `masked` holds one `MaskedWindow` per head set the workload was asked to
-    derive, in the order asked.
+    `masked` holds the window scores of each head set the workload was asked
+    to derive, in the order asked, as one `MaskedGroups` table; a hand-built
+    workload's holds no set.
     """
 
     prompt_len: int
@@ -419,7 +426,7 @@ class DecodeWorkload:
     token_regions: tuple[np.ndarray, ...] = field(repr=False)
     window_scores: np.ndarray = field(repr=False)  # (L, H_kv, Lp - w)
     steps: Iterable[np.ndarray] = field(repr=False)  # per t: (L, Hq, Lp + t)
-    masked: tuple[MaskedWindow, ...] = field(default=(), repr=False)
+    masked: MaskedGroups = field(default_factory=MaskedGroups, repr=False)
 
 
 @dataclass(frozen=True)
@@ -650,16 +657,16 @@ class SyntheticModel:
         generator's state after the window rows.
 
         Each entry of `masks` is a set of (layer, query_head) pairs; the
-        workload's `masked` gives, for each, the window scores that
+        workload's `masked` table gives, for each, the window scores that
         `mask_heads(self, heads).decode_workload(...)` would hold. Masking
         draws nothing, so that model draws these window rows; the same pass
         copies, from each range, the groups holding a masked head, sets those
         rows to 1/visible and sums them onto their kv head in query-head
-        order, as `sum_onto_kv_heads` sums any block. All sets are read at
-        once: their groups, sorted by kv group (`cache.sort_groups`), are
-        gathered, summed and scattered back with one call each per range, and
-        the sets' scores are views of one array. Every score is then the same
-        float sum, in the same order, as the masked model's.
+        order, as `sum_onto_kv_heads` sums any block. The table's rows are
+        sorted by kv group, so a range's rows are one slice of it, found by
+        one search, and every set's groups in the range are gathered and
+        summed with one call each. Every score is then the same float sum, in
+        the same order, as the masked model's.
         """
         if window < 0:
             raise InvalidInputError("window must be non-negative")
@@ -668,17 +675,18 @@ class SyntheticModel:
         if out_len < 1:
             raise InvalidInputError("out_len must be positive")
         geo = self.geometry
-        n = prompt_len - window
-        masked = [self._masked_window(heads, n) for heads in masks]
-        # the sets' scores are views of one array, in set order; the pass reads
-        # every set's groups at once, sorted by kv group, and `at` takes each
-        # sorted entry back to its set's row
-        scores = np.zeros((sum(cell.groups.size for cell in masked), n))
-        ends = np.cumsum([cell.groups.size for cell in masked], dtype=np.intp)
-        masked = tuple(replace(cell, scores=part)
-                       for cell, part in zip(masked, np.split(scores, ends[:-1])))
-        if masked:
-            at, groups, masked_rows = sort_groups(masked)
+        group, n = geo.group_size, prompt_len - window
+        heads = tuple(mask_heads(self, mask).masked - self.masked for mask in masks)
+        # one row per (set, kv group it touches), sorted by kv group, ties in set order
+        touched = sorted({(l * geo.kv_heads + h // group, i) for i, hs in enumerate(heads)
+                          for l, h in hs})
+        row_of = {cell: j for j, cell in enumerate(touched)}
+        marks = np.zeros((len(touched), group), dtype=bool)
+        for i, hs in enumerate(heads):
+            for l, h in hs:
+                marks[row_of[l * geo.kv_heads + h // group, i], h % group] = True
+        groups, sets = np.array(touched, dtype=np.intp).reshape(-1, 2).T.copy()
+        scores = np.zeros((len(touched), n))
         rng = self._rng(_STREAM_DECODE, prompt_len, out_len, window)
 
         # sinks | header filler | image block | instruction tail; the tail is
@@ -745,31 +753,21 @@ class SyntheticModel:
             for start, rows in ranges:
                 stop = start + rows.shape[0]
                 folded[start:stop] += sum_onto_kv_heads(rows[:, :, :n], 1)[:, 0]
-                if masked:
-                    cut = groups_in_range(groups, start, stop, len(folded))
-                    rows_of = rows[groups[cut] - start, :, :n]
-                    rows_of[masked_rows[cut]] = 1.0 / visible
-                    scores[at[cut]] += sum_onto_kv_heads(rows_of, 1)[:, 0]
+                if heads:
+                    a, b = np.searchsorted(groups, (start, stop))
+                    rows_of = rows[groups[a:b] - start, :, :n]
+                    rows_of[marks[a:b]] = 1.0 / visible
+                    scores[a:b] += sum_onto_kv_heads(rows_of, 1)[:, 0]
         if window:
             window_scores /= window
             scores /= window
 
         regions = tuple(token_regions)
         steps = DecodeSteps(self, rng, lp, regions, n_pre, tail_off, DECODE_BG)
+        masked = MaskedGroups(heads, sets, groups, marks, scores)
         return DecodeWorkload(
             lp, out_len, window, union_positions, regions, window_scores, steps, masked
         )
-
-    def _masked_window(self, heads, n: int) -> MaskedWindow:
-        """A `MaskedWindow` for the heads this model does not mask yet, its n-key scores at 0."""
-        geo = self.geometry
-        g = geo.group_size
-        heads = mask_heads(self, heads).masked - self.masked
-        groups = np.array(sorted({l * geo.kv_heads + h // g for l, h in heads}), dtype=np.int64)
-        rows = np.zeros((groups.size, g), dtype=bool)
-        for l, h in heads:
-            rows[np.searchsorted(groups, l * geo.kv_heads + h // g), h % g] = True
-        return MaskedWindow(heads, groups, rows, np.zeros((groups.size, n)))
 
 
 @dataclass(frozen=True)

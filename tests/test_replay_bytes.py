@@ -14,6 +14,11 @@ prompt 2080 and window 16: each step goes out as one range of all 32 kv
 groups, and a chunk holds 31 of them, so one chunk gathers and sums many
 groups and the last holds one. Its digests were recorded before the replay
 gathered each group's ranked keys straight into the chunk table.
+
+At both geometries each masked set's window scores are pinned too: its
+heads, kv groups and scores, in set order. Recall digests move only when a
+ranking moves; these move with any bit of a score. They were recorded when
+each set's scores were still held apart, before the sets became one table.
 """
 
 import hashlib
@@ -39,6 +44,7 @@ MASKS = [
 DIGESTS = {
     "plans": "780118997245add59a95b51b05edf8e5633406fef8e9848d06a6220b1b180bac",
     "masked": "74e4120918c7947dc47693de4c298053371c614f7dbec8ce42e214cb8a9abb1a",
+    "masked_scores": "953645ca79e6e7322b78d8e171efa15049549e0cef8010726d0cc754026cb2d0",
 }
 
 
@@ -53,6 +59,17 @@ def records_digest(records) -> str:
     return digest.hexdigest()
 
 
+def masked_scores_digest(masked) -> str:
+    """sha256 of each masked set's sorted heads, kv groups and window scores, in set order."""
+    digest = hashlib.sha256()
+    for i, heads in enumerate(masked.heads):
+        mine = masked.sets == i
+        digest.update(repr(sorted(heads)).encode())
+        digest.update(masked.groups[mine].astype(np.int64).tobytes())
+        digest.update(masked.scores[mine].tobytes())
+    return digest.hexdigest()
+
+
 @pytest.fixture(scope="module")
 def workload():
     planted = PlantedHeadSet.uniform([(0, 1), (0, 9), (1, 14)], 0.8)
@@ -64,6 +81,10 @@ def test_workload_ranks_in_several_chunks():
     group_values = GEOMETRY.group_size * (PROMPT - WINDOW)
     assert cache.RANK_CHUNK_VALUES // group_values == 4
     assert GEOMETRY.layers * GEOMETRY.kv_heads == 8
+
+
+def test_masked_window_scores(workload):
+    assert masked_scores_digest(workload.masked) == DIGESTS["masked_scores"]
 
 
 def test_plan_records(workload):
@@ -100,6 +121,7 @@ MHA_MASKS = [
 MHA_DIGESTS = {
     "plans": "d1838637b40b81049d4a24e27a65de7f930ab4c89a9378f7de959da6a849e7c0",
     "masked": "f59c4a023bf77a1c96821924d6875848f26ee7aa9de8a349107bbc6928b10242",
+    "masked_scores": "234c5efe683852915df9b361b3b2e7353a105a1b77cfcacc2ff909ee6fa1a71c",
 }
 
 
@@ -116,6 +138,10 @@ def test_mha_chunk_spans_many_groups(mha_workload):
     assert MHA.layers * MHA.kv_heads == 32
     ranges = [len(list(step)) for step in mha_workload.steps.ranges()]
     assert ranges == [1] * MHA_OUT
+
+
+def test_mha_masked_window_scores(mha_workload):
+    assert masked_scores_digest(mha_workload.masked) == MHA_DIGESTS["masked_scores"]
 
 
 def test_mha_plan_records(mha_workload):

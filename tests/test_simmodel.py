@@ -10,6 +10,7 @@ import tracemalloc
 import weakref
 from collections import deque
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -201,14 +202,25 @@ def oracle_decode_workload(model, prompt_len, out_len, window):
     return window_stack, decode_rows
 
 
+def masked_sets(masked):
+    """Each set of a `MaskedGroups` table, in set order, as its heads and its rows' groups,
+    rows and scores: the table's rows where `sets == i`."""
+    return [
+        SimpleNamespace(heads=heads, groups=masked.groups[masked.sets == i],
+                        rows=masked.rows[masked.sets == i], scores=masked.scores[masked.sets == i])
+        for i, heads in enumerate(masked.heads)
+    ]
+
+
 def rows_buffer_window(model, prompt_len, out_len, window, masks=()):
     """The window pass that holds each window row whole in a block-sized `rows` buffer.
 
     Every row is drawn whole with `rng.exponential`, normalized by
     `oracle_normalize_blocks`, edited and masked in place, as
     `oracle_decode_workload` draws it, and summed onto the kv heads whole;
-    each masked set's groups are copied from it: the pass as it ran before
-    window rows were streamed in kv-group tiles. Returns (window_scores,
+    each masked set's groups, those holding a head the model does not mask
+    yet, ascending, are copied from it: the pass as it ran before window
+    rows were streamed in kv-group tiles. Returns (window_scores,
     [scores of each masked set]).
     """
     geo = model.geometry
@@ -218,7 +230,16 @@ def rows_buffer_window(model, prompt_len, out_len, window, masks=()):
     )
     bg = simmodel.DECODE_BG
     u_mass = simmodel.WINDOW_REGION_FACTOR * model.planted.strength
-    cells = [model._masked_window(heads, n) for heads in masks]
+    size = geo.group_size
+    cells = []
+    for heads in masks:
+        heads = mask_heads(model, heads).masked - model.masked
+        groups = sorted({l * geo.kv_heads + h // size for l, h in heads})
+        rows = np.zeros((len(groups), size), dtype=bool)
+        for l, h in heads:
+            rows[groups.index(l * geo.kv_heads + h // size), h % size] = True
+        cells.append(SimpleNamespace(groups=np.array(groups, dtype=np.intp), rows=rows,
+                                     scores=np.zeros((len(groups), n))))
     window_scores = np.zeros((geo.layers, geo.kv_heads, n))
     rows = np.empty(geo.layers * geo.query_heads * lp)
     for i in range(window):
@@ -933,7 +954,7 @@ class TestBatchedSteps:
         assert max(drawn) > 1 if tile > 1 and rows > 1 else set(drawn) == {1}
         window_scores, cell_scores = rows_buffer_window(model, prompt_len, out_len, window, masks)
         assert workload.window_scores.tobytes() == window_scores.tobytes()
-        for cell, want in zip(workload.masked, cell_scores, strict=True):
+        for cell, want in zip(masked_sets(workload.masked), cell_scores, strict=True):
             assert cell.scores.tobytes() == want.tobytes()
         want = [step.tobytes() for step in oracle_trace(workload.steps)]
         assert [step.tobytes() for step in workload.steps] == want
@@ -1061,7 +1082,7 @@ class TestStreamedRanges:
         assert t == 2
         window_scores, cell_scores = rows_buffer_window(model, prompt_len, 3, window, masks)
         assert workload.window_scores.tobytes() == window_scores.tobytes()
-        for cell, want in zip(workload.masked, cell_scores, strict=True):
+        for cell, want in zip(masked_sets(workload.masked), cell_scores, strict=True):
             assert cell.scores.tobytes() == want.tobytes()
 
     def test_a_reader_that_stops_early_moves_no_later_step(self):
@@ -1145,7 +1166,7 @@ class TestOneStepAlive:
         model = small_model(seed=49, strength=0.8, planted=((0, 1), (1, 2)), geometry=geo)
         workload = model.decode_workload(64, 4, 8, masks)
         plans = [allocate_uniform(AllocationConfig(2 * 2 * 24, window=8), 2, 2)] * (
-            1 + len(workload.masked)
+            1 + len(workload.masked.heads)
         )
         replay = replay_masked if masks else replay_plans
         checked = replace(workload, steps=one_at_a_time(workload.steps))
@@ -1443,7 +1464,7 @@ class TestReplayMasked:
         ]
         masks += masks  # each set twice: under mixed budgets, then cut inside the ranked keys
         workload = model.decode_workload(lp, out_len, window, masks)
-        assert len(workload.masked) == len(masks)
+        assert len(workload.masked.heads) == len(masks)
 
         rng = np.random.default_rng(seed)
         middle = window + (lp - window + 1) // 2
@@ -1459,7 +1480,8 @@ class TestReplayMasked:
         assert np.array_equal(fast[0].head_mean_recall, base.head_mean_recall)
 
         n_groups = geo.layers * geo.kv_heads
-        for mask, cell, plan, got in zip(masks, workload.masked, plans[1:], fast[1:], strict=True):
+        for mask, cell, plan, got in zip(masks, masked_sets(workload.masked), plans[1:], fast[1:],
+                                         strict=True):
             masked_model = mask_heads(model, mask)
             assert cell.heads == masked_model.masked - model.masked
             own = masked_model.decode_workload(lp, out_len, window)
@@ -1491,8 +1513,9 @@ class TestReplayMasked:
         steps = workload.steps.ranges()
         assert len([start for start, _ in next(steps)]) > 2
         deque(steps, maxlen=0)
-        assert len({int(g) for cell in workload.masked for g in cell.groups}) < sum(
-            cell.groups.size for cell in workload.masked)
+        cells = masked_sets(workload.masked)
+        assert len({int(g) for cell in cells for g in cell.groups}) < sum(
+            cell.groups.size for cell in cells)
 
         rng = np.random.default_rng(81)
         levels = np.array([w, w + 1000, lp, lp + 3])
@@ -1500,7 +1523,8 @@ class TestReplayMasked:
         plans = [BudgetPlan(b, int(b.sum()), window=w) for b in budgets]
         fast = replay_masked(geo, workload, plans)
         n_groups = geo.layers * geo.kv_heads
-        for mask, cell, plan, got in zip(masks, workload.masked, plans[1:], fast[1:], strict=True):
+        for mask, cell, plan, got in zip(masks, masked_sets(workload.masked), plans[1:], fast[1:],
+                                         strict=True):
             own = mask_heads(model, mask).decode_workload(lp, out_len, w)
             spliced = workload.window_scores.reshape(n_groups, lp - w).copy()
             spliced[cell.groups] = cell.scores
@@ -1511,12 +1535,23 @@ class TestReplayMasked:
             assert np.array_equal(got.slots_per_step, want.slots_per_step)
 
     def test_masked_window_holds_only_the_touched_groups(self):
+        """The table holds one row per (set, kv group) a set touches, sorted by kv group, ties
+        in set order."""
         geo = ModelGeometry(2, 8, 2)
-        workload = small_model(seed=3, geometry=geo).decode_workload(64, 2, 8, [[(1, 5), (1, 6)]])
-        (cell,) = workload.masked
+        model = small_model(seed=3, geometry=geo)
+        workload = model.decode_workload(64, 2, 8, [[(1, 5), (1, 6)]])
+        (cell,) = masked_sets(workload.masked)
         assert cell.groups.tolist() == [3]
         assert cell.rows.tolist() == [[False, True, True, False]]
         assert cell.scores.shape == (1, 64 - 8)
+        # a second set: kv group 0, and kv group 3 beside the first set's row there
+        table = model.decode_workload(64, 2, 8, [[(1, 5), (1, 6)], [(1, 4), (0, 0)]]).masked
+        assert table.sets.tolist() == [1, 0, 1]
+        assert table.groups.tolist() == [0, 3, 3]
+        assert table.rows.tolist() == [[True, False, False, False], [False, True, True, False],
+                                       [True, False, False, False]]
+        assert table.scores.shape == (3, 64 - 8)
+        assert table.scores[1].tobytes() == workload.masked.scores[0].tobytes()
 
     def test_plan_count_must_match_the_masked_sets(self):
         geo = ModelGeometry.mha(2, 4)
