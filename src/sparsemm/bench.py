@@ -385,9 +385,9 @@ def _masked_scores(summed: HeadScoreMatrix, masked) -> HeadScoreMatrix:
 def _mask_seed_rows(cfg: ExperimentConfig, seed: int) -> list[MaskRow]:
     """One MaskRow per (fraction, mode) cell, every cell derived from one corpus and one workload.
 
-    Masking overwrites rows after every random draw, so a masked model's
-    corpus is this seed's corpus with the masked rows set to exactly
-    1/visible. Such a row's argmax is position 0, which is a text token in
+    A masked model's corpus is, by definition (`simmodel`), this seed's
+    corpus with the masked rows set to exactly 1/visible after every draw.
+    Such a row's argmax is position 0, which is a text token in
     every sample (`simmodel.PRE_TEXT` starts at 2), so a masked head never
     scores and every skip decision is the same: the masked cell's scores are
     the seed's summed increment with the masked heads zeroed, normalized

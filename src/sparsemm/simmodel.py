@@ -16,11 +16,12 @@ heads' observation-window rows concentrate on the union of upcoming ground
 truth regions, and their decode rows land inside the per-token region, so a
 cache policy that reads the window correctly can keep what those heads will
 need. Window rows are reduced to per-kv-head key scores as they are drawn;
-only the scores are kept. Masked heads emit exactly uniform rows. Masking is
-applied after all random draws, so masking any subset never perturbs the
-other heads' rows; one window pass therefore also gives the window scores of
-any number of masked models, re-summed for the kv groups their masks touch
-and held as one table of those groups sorted by kv group (`MaskedGroups`).
+only the scores are kept. The generator masks nothing: a model with some
+heads masked is defined as this model's rows with each masked head's row set
+to exactly 1/visible after every draw. So one window pass also gives the
+window scores of any number of masked models, re-summed for the kv groups
+their masks touch and held as one table of those groups sorted by kv group
+(`MaskedGroups`).
 
 Nothing large is held. A corpus makes sample i when it is read, drawn from its
 own generator or read and checked from its files (`corpusfile` holds the
@@ -49,7 +50,7 @@ import math
 import operator
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, groupby
 
@@ -71,7 +72,6 @@ __all__ = [
     "SyntheticModel",
     "build_synthetic_model",
     "generate_ocr_samples",
-    "mask_heads",
 ]
 
 TEXT_TOKEN = -1
@@ -126,6 +126,12 @@ class ModelGeometry:
     @classmethod
     def mha(cls, layers: int, heads: int) -> "ModelGeometry":
         return cls(layers, heads, heads)
+
+    def check_heads(self, kind: str, heads) -> None:
+        """Raise unless every (layer, query_head) pair of `heads` lies inside the geometry."""
+        for l, h in sorted(heads):
+            if not (0 <= l < self.layers and 0 <= h < self.query_heads):
+                raise InvalidInputError(f"{kind} head ({l}, {h}) outside geometry")
 
 
 @dataclass(frozen=True)
@@ -385,15 +391,15 @@ def _plant_hits(rows, region: np.ndarray, hits) -> None:
 class MaskedGroups:
     """The window scores of the workload's model with each head set masked, where they differ.
 
-    `heads[i]` is set i's (layer, query_head) pairs, less any the model
-    masks already. The table has one row per (set, kv group holding one of
-    its heads), sorted by kv group, ties in set order: row j is set
-    `sets[j]`'s kv group `groups[j]`, flat layer * kv_heads + kv_head,
-    `rows[j, k]` is True where that group's query head k is masked, and
-    `scores[j]` is the group's row of that set's masked model's
-    `window_scores`. Every other group's row is the workload's own. A masked
-    model's decode rows are the workload's with each masked row set to
-    exactly 1/visible. The default table holds no set.
+    `heads[i]` is set i's (layer, query_head) pairs. The table has one row
+    per (set, kv group holding one of its heads), sorted by kv group, ties
+    in set order: row j is set `sets[j]`'s kv group `groups[j]`, flat
+    layer * kv_heads + kv_head, `rows[j, k]` is True where that group's
+    query head k is masked, and `scores[j]` is the group's row of that set's
+    masked model's `window_scores`. Every other group's row is the
+    workload's own. A masked model's decode rows are the workload's with
+    each masked row set to exactly 1/visible. The default table holds no
+    set.
     """
 
     heads: tuple[frozenset, ...] = ()
@@ -436,29 +442,14 @@ class SyntheticModel:
     geometry: ModelGeometry
     planted: PlantedHeadSet
     seed: int
-    masked: frozenset = frozenset()
 
     def __post_init__(self) -> None:
-        geo = self.geometry
-        for kind, heads in (("planted", self.planted.heads), ("masked", sorted(self.masked))):
-            for l, h in heads:
-                if not (0 <= l < geo.layers and 0 <= h < geo.query_heads):
-                    raise InvalidInputError(f"{kind} head ({l}, {h}) outside geometry")
+        self.geometry.check_heads("planted", self.planted.heads)
         if not 0 <= self.seed < 2**32:
             raise InvalidInputError(f"model seed {self.seed} outside [0, 2**32)")
 
     def _rng(self, stream, *key) -> np.random.Generator:
         return np.random.default_rng(np.random.SeedSequence([int(self.seed), stream, *key]))
-
-    def _finish(self, block: np.ndarray, edit) -> None:
-        """Edit a whole step's (layers, query_heads, visible) rows, then set its masked rows.
-
-        `edit` takes the planted heads' rows, in planted order. Each masked
-        head's row is then set to exactly 1/visible.
-        """
-        edit([block[l, h] for l, h in self.planted.heads])
-        for l, h in sorted(self.masked):
-            block[l, h] = 1.0 / block.shape[2]
 
     def _decode_hits(self, rng, region: np.ndarray) -> list:
         """Draw which planted heads' decode rows hit `region`, each with probability `strength`.
@@ -522,23 +513,21 @@ class SyntheticModel:
 
         Each draw is placed in one buffer, `room`, which the next draw reuses,
         so a range is valid until the next range is asked for. A step drawn
-        whole is edited, masked and handed on as one range. A step drawn in tiles hands on each tile's groups as soon as
-        it is drawn, in runs of consecutive groups. The groups that hold a
-        planted head are copied aside (`kept`) instead, since the step's edit
-        comes after its last tile; it is applied to the planted heads' rows
-        there, and those groups go out last. A masked head's row is set to
-        exactly 1/visible before its group goes out. A step's ranges are all
-        drawn before the next step is, even if its reader stops early, so
-        every step starts from the same generator state.
+        whole is edited and handed on as one range. A step drawn in tiles
+        hands on each tile's groups as soon as it is drawn, in runs of
+        consecutive groups. The groups that hold a planted head are copied
+        aside (`kept`) instead, since the step's edit comes after its last
+        tile; it is applied to the planted heads' rows there, and those
+        groups go out last. A step's ranges are all drawn before the next
+        step is, even if its reader stops early, so every step starts from
+        the same generator state.
         """
         geo = self.geometry
         g, rows = geo.group_size, geo.layers * geo.query_heads
         # flat rows layer * query_heads + head; a kept row's slot is its row in `kept`
         planted = [l * geo.query_heads + h for l, h in self.planted.heads]
-        masked = [l * geo.query_heads + h for l, h in sorted(self.masked)]
         groups = sorted({r // g for r in planted})
         slots = {q * g + k: i * g + k for i, q in enumerate(groups) for k in range(g)}
-        masked_rows = [r for r in masked if r not in slots]
         # the kept groups' runs of consecutive kv groups, as lists of kept indices
         kept_runs = [list(run) for _, run in groupby(range(len(groups)), lambda i: groups[i] - i)]
         n = sum(b == rows for draw in plan for _, _, b in draw)  # one last piece a step
@@ -557,16 +546,12 @@ class SyntheticModel:
             visible = lp + t
             if stop - start == rows:
                 block = placed.popleft()
-                self._finish(block.reshape(geo.layers, geo.query_heads, visible), edit)
+                edit([block[r] for r in planted])
                 yield 0, block.reshape(-1, g, visible)
                 return
             held = kept[: len(groups) * g * visible].reshape(-1, visible)
-            m = 0
             for (_, start, stop), edit in chain([((t, start, stop), edit)], pieces):
                 block = placed.popleft()
-                while m < len(masked_rows) and masked_rows[m] < stop:
-                    block[masked_rows[m] - start] = 1.0 / visible
-                    m += 1
                 run = start
                 for r in range(start, stop, g):
                     if r in slots:
@@ -579,7 +564,6 @@ class SyntheticModel:
                 if edit is not None:
                     break
             edit([held[slots[r]] for r in planted])
-            held[[slots[r] for r in masked if r in slots]] = 1.0 / visible
             for run in kept_runs:
                 yield groups[run[0]], held[run[0] * g : (run[-1] + 1) * g].reshape(-1, g, visible)
 
@@ -656,17 +640,18 @@ class SyntheticModel:
         No decode row is drawn here: the workload's `steps` start from the
         generator's state after the window rows.
 
-        Each entry of `masks` is a set of (layer, query_head) pairs; the
-        workload's `masked` table gives, for each, the window scores that
-        `mask_heads(self, heads).decode_workload(...)` would hold. Masking
-        draws nothing, so that model draws these window rows; the same pass
-        copies, from each range, the groups holding a masked head, sets those
-        rows to 1/visible and sums them onto their kv head in query-head
-        order, as `sum_onto_kv_heads` sums any block. The table's rows are
-        sorted by kv group, so a range's rows are one slice of it, found by
-        one search, and every set's groups in the range are gathered and
-        summed with one call each. Every score is then the same float sum, in
-        the same order, as the masked model's.
+        Each entry of `masks` is an iterable of (layer, query_head) pairs, a
+        head given twice being masked once; a head outside the geometry
+        raises. The workload's `masked` table gives, for each, the window
+        scores of the masked model: these window rows with each masked
+        head's row set to exactly 1/visible. So the same pass copies, from
+        each range, the groups holding a masked head, sets those rows to
+        1/visible and sums them onto their kv head in query-head order, as
+        `sum_onto_kv_heads` sums any block. The table's rows are sorted by kv
+        group, so a range's rows are one slice of it, found by one search,
+        and every set's groups in the range are gathered and summed with one
+        call each. Every score is then the same float sum, in the same order,
+        as a pass that masks each whole window row would give.
         """
         if window < 0:
             raise InvalidInputError("window must be non-negative")
@@ -676,7 +661,9 @@ class SyntheticModel:
             raise InvalidInputError("out_len must be positive")
         geo = self.geometry
         group, n = geo.group_size, prompt_len - window
-        heads = tuple(mask_heads(self, mask).masked - self.masked for mask in masks)
+        heads = tuple(frozenset((int(l), int(h)) for l, h in mask) for mask in masks)
+        for hs in heads:
+            geo.check_heads("masked", hs)
         # one row per (set, kv group it touches), sorted by kv group, ties in set order
         touched = sorted({(l * geo.kv_heads + h // group, i) for i, hs in enumerate(heads)
                           for l, h in hs})
@@ -815,7 +802,7 @@ class DecodeSteps:
         for _, edit in model._draw(_fork(self.rng), *self._stream(), place):
             if edit is not None:
                 step = held.popleft()
-                model._finish(step, edit)
+                edit([step[l, h] for l, h in model.planted.heads])
                 yield step
                 del step
 
@@ -838,12 +825,6 @@ def build_synthetic_model(
     geometry: ModelGeometry, planted: PlantedHeadSet, seed: int
 ) -> SyntheticModel:
     return SyntheticModel(geometry, planted, int(seed))
-
-
-def mask_heads(model: SyntheticModel, heads) -> SyntheticModel:
-    """Return a model whose given heads emit exactly uniform attention."""
-    heads = frozenset((int(l), int(h)) for l, h in heads)
-    return replace(model, masked=model.masked | heads)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,15 @@
 """Regenerate-per-cell masking study: the reference `bench.run_masking_study` must equal.
 
-For every masked cell it builds the masked model, generates and chases that
-model's corpus again, sums grounding mass over the regenerated traces, and
-builds and replays that model's own decode workload, so it relies on none of
-the facts the derived study rests on. Rows come out as `run_masking_study`
-emits them: cell-major, each cell's seeds in config order.
+For every masked cell it masks the corpus again (`masked_model.masked_corpus`:
+the base model's traces with each masked row set to 1/visible as it is
+read), chases it again, and sums grounding mass over those masked traces. It
+builds the masked model's own decode workload (`masked_model.masked_workload`):
+its window scores from a window pass that holds each row whole and masks it
+before summing, never from the `MaskedGroups` table, and its decode steps
+the base steps masked as they are read, and replays it with `replay_plans`.
+So it relies on none of the facts the derived study rests on. Rows come
+out as `run_masking_study` emits them: cell-major, each cell's seeds in
+config order.
 """
 
 import numpy as np
@@ -14,7 +19,9 @@ from sparsemm.bench import MaskRow, recovery_stats, top_scored_heads
 from sparsemm.cache import replay_plans
 from sparsemm.chaser import aggregate_gqa_scores, chase_corpus, match_bbox_to_patches
 from sparsemm.errors import DegenerateBoxError
-from sparsemm.simmodel import build_synthetic_model, generate_ocr_samples, mask_heads
+from sparsemm.simmodel import build_synthetic_model, generate_ocr_samples
+
+from masked_model import masked_corpus, masked_workload
 
 
 def grounding_mass(samples, planted) -> float:
@@ -39,12 +46,13 @@ def grounding_mass(samples, planted) -> float:
     return total / count if count else 0.0
 
 
-def decode_recall(cfg, model, scores) -> float:
-    """Mean recall of the sparsemm plan for `scores` over `model`'s own decode workload."""
+def decode_recall(cfg, model, masked, scores) -> float:
+    """Mean recall of the sparsemm plan for `scores` over the decode workload of `model`
+    with `masked` heads masked."""
     budget = cfg.budgets_per_head[0] * cfg.layers * cfg.kv_heads
     plan = allocate("sparsemm", AllocationConfig(budget, cfg.window, cfg.rho), cfg.layers,
                     cfg.kv_heads, scores=aggregate_gqa_scores(scores, cfg.geometry.group_size))
-    workload = model.decode_workload(cfg.prompt_len, cfg.out_len, cfg.window)
+    workload = masked_workload(model, cfg.prompt_len, cfg.out_len, cfg.window, masked)
     (record,) = replay_plans(model.geometry, workload, [plan])
     return record.mean_recall
 
@@ -56,7 +64,7 @@ def mask_seed_rows(cfg, seed) -> list[MaskRow]:
     planted = base_model.planted
     _, base_recovery = recovery_stats(base_scores, planted)
     base_grounding = grounding_mass(base_samples, planted)
-    base_decode = decode_recall(cfg, base_model, base_scores)
+    base_decode = decode_recall(cfg, base_model, (), base_scores)
     total = cfg.layers * cfg.query_heads
     rows = []
     for fraction in cfg.mask_fractions:
@@ -71,12 +79,11 @@ def mask_seed_rows(cfg, seed) -> list[MaskRow]:
                 flat = rng.choice(total, size=n_mask, replace=False)
                 chosen = [(int(i) // cfg.query_heads, int(i) % cfg.query_heads) for i in flat]
             if chosen:
-                model = mask_heads(base_model, chosen)
-                samples = generate_ocr_samples(model, cfg.corpus_size, seed)
+                samples = masked_corpus(base_samples, chosen)
                 scores, _ = chase_corpus(samples)
                 _, recovery = recovery_stats(scores, planted)
                 grounding = grounding_mass(samples, planted)
-                decode = decode_recall(cfg, model, scores)
+                decode = decode_recall(cfg, base_model, chosen, scores)
             else:
                 recovery, grounding, decode = base_recovery, base_grounding, base_decode
             rows.append(MaskRow(

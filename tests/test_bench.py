@@ -51,13 +51,13 @@ from sparsemm.simmodel import (
     PlantedHeadSet,
     build_synthetic_model,
     generate_ocr_samples,
-    mask_heads,
 )
 from sparsemm.allocator import AllocationConfig, allocate_uniform, load_plan
 from sparsemm.corpusfile import load_corpus, save_corpus
 
 import mask_oracle
 from corpus_oracle import corpus_digest
+from masked_model import masked_corpus
 from replay_oracle import replay_plan
 
 
@@ -430,7 +430,7 @@ class TestMaskDerivation:
         mapped = []
 
         def generate(model, n, seed):
-            corpora.append((seed, model.masked))
+            corpora.append(seed)
             return generate_ocr_samples(model, n, seed)
 
         def score(sample, trace):
@@ -459,7 +459,7 @@ class TestMaskDerivation:
             warnings.simplefilter("ignore")
             rows = run_masking_study(cfg)
         assert len(rows) == 2 * len(fractions) * len(cfg.seeds)
-        assert corpora == [(seed, frozenset()) for seed in cfg.seeds]
+        assert corpora == list(cfg.seeds)
         # the corpus is lazy: each sample is drawn once, as it is scored
         assert drawn == [seed for seed in cfg.seeds for _ in range(cfg.corpus_size)]
         assert len(scored) == cfg.corpus_size * len(cfg.seeds)
@@ -544,7 +544,7 @@ class TestMaskDerivation:
         model = build_synthetic_model(geometry, PlantedHeadSet.uniform([(0, 1)], 1.0), model_seed)
         every_head = [(l, h) for l in range(2) for h in range(4)]
         base = generate_ocr_samples(model, 3, corpus_seed)
-        masked = generate_ocr_samples(mask_heads(model, every_head), 3, corpus_seed)
+        masked = masked_corpus(base, every_head)
         for (sample, trace), (_, masked_trace) in zip(base, masked):
             assert sample.prompt_layout[0] == TEXT_TOKEN
             result = score_sample(sample, masked_trace)

@@ -8,10 +8,19 @@ and regions, for four models: MHA 2x4, GQA 2x4 over 2 kv heads with a
 masked planted head, a prompt too short for an image grid, and 1x65 over 5
 kv heads at prompt 2048, whose window rows and decode steps span several row
 tiles of the generator and end in a one-row remainder.
+
+The generator masks nothing, so the masked model's bytes are the base
+model's, masked after they are drawn (`masked_model`): its corpus steps and
+decode steps by `masked_steps`, and its window scores read from the
+`MaskedGroups` table that the base workload derives for its masked set. Its
+digests are the ones the model gave when the generator drew masked rows
+itself, so they also check that masking after every draw perturbs no other
+bit.
 """
 
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,8 +30,9 @@ from sparsemm.simmodel import (
     PlantedHeadSet,
     build_synthetic_model,
     generate_ocr_samples,
-    mask_heads,
 )
+
+from masked_model import masked_corpus, masked_steps, table_scores
 
 
 def _array(digest, arr, dtype) -> None:
@@ -84,20 +94,25 @@ DIGESTS = {
 
 
 def _model(name):
+    """The base model and its masked heads."""
     layers, query_heads, kv_heads, planted, masked, seed, _, _ = MODELS[name]
     planted = PlantedHeadSet.uniform(planted, 0.8)
     model = build_synthetic_model(ModelGeometry(layers, query_heads, kv_heads), planted, seed)
-    return mask_heads(model, masked)
+    return model, masked
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_corpus_bytes(name):
-    samples = generate_ocr_samples(_model(name), 3, seed=11)
+    model, masked = _model(name)
+    samples = masked_corpus(generate_ocr_samples(model, 3, seed=11), masked)
     assert corpus_digest(samples) == DIGESTS[name][0]
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_decode_workload_bytes(name):
     *_, prompt_len, window = MODELS[name]
-    workload = _model(name).decode_workload(prompt_len, 3, window)
+    model, masked = _model(name)
+    workload = model.decode_workload(prompt_len, 3, window, [masked])
+    workload = replace(workload, window_scores=table_scores(workload, 0),
+                       steps=masked_steps(workload.steps, masked))
     assert workload_digest(workload) == DIGESTS[name][1]

@@ -3,14 +3,12 @@
 import dataclasses
 import hashlib
 import json
-import math
 import re
 import tempfile
 import tracemalloc
 import weakref
 from collections import deque
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +18,7 @@ from scipy.stats import binomtest
 
 from sparsemm import cache, simmodel
 from sparsemm.allocator import POLICY_NAMES, AllocationConfig, BudgetPlan, allocate, allocate_uniform
-from sparsemm.cache import compress_prefill, replay_masked, replay_plans, sum_onto_kv_heads
+from sparsemm.cache import compress_prefill, replay_masked, replay_plans
 from sparsemm.chaser import HeadScoreMatrix, chase_corpus, match_bbox_to_patches
 from sparsemm.errors import InvalidInputError, ShapeError
 from sparsemm.simmodel import (
@@ -33,11 +31,18 @@ from sparsemm.simmodel import (
     SyntheticModel,
     build_synthetic_model,
     generate_ocr_samples,
-    mask_heads,
 )
 from sparsemm.corpusfile import load_corpus, save_corpus
 
 from corpus_oracle import corpus_digest
+from masked_model import (
+    masked_steps,
+    masked_workload,
+    oracle_layout,
+    oracle_normalize_blocks,
+    table_scores,
+    whole_row_window,
+)
 from ranking_oracle import rank_window_keys
 from replay_oracle import replay_plan
 
@@ -45,22 +50,6 @@ from replay_oracle import replay_plan
 def small_model(seed=0, strength=1.0, planted=((0, 1),), geometry=None):
     geo = geometry or ModelGeometry.mha(2, 4)
     return build_synthetic_model(geo, PlantedHeadSet.uniform(list(planted), strength), seed)
-
-
-def oracle_normalize_blocks(draw, roles):
-    """Role-wise normalization through a gathered copy and a zero-filled output.
-
-    `roles` pairs position arrays with target masses; roles with no visible
-    position forfeit their mass to the rest (renormalized). The in-place
-    `simmodel._normalize_blocks` must reproduce it bit for bit.
-    """
-    out = np.zeros_like(draw)
-    live = [(pos, m) for pos, m in roles if pos.size]
-    z = sum(m for _, m in live)
-    for pos, m in live:
-        block = draw[..., pos]
-        out[..., pos] = (m / z) * block / block.sum(axis=-1, keepdims=True)
-    return out
 
 
 def oracle_hit_row(rng, row, region):
@@ -76,8 +65,8 @@ def oracle_trace(steps):
     """A drawn trace's steps drawn one at a time, each normalized by `oracle_normalize_blocks`.
 
     `steps` is a `DecodeSteps`. Each step's background is drawn whole, then
-    its planted heads' hits, then its masked rows go uniform, before the
-    next step is drawn: the per-step draw that batched steps must equal.
+    its planted heads' hits, before the next step is drawn: the per-step
+    draw that batched steps must equal.
     """
     model, rng = steps.model, simmodel._fork(steps.rng)
     geo = model.geometry
@@ -94,67 +83,18 @@ def oracle_trace(steps):
         for l, h in model.planted.heads:
             if rng.random() < model.planted.strength and region.size:
                 oracle_hit_row(rng, block[l, h], region)
-        for l, h in sorted(model.masked):
-            block[l, h] = 1.0 / visible
         out.append(block)
     return out
 
 
-def oracle_layout(model, prompt_len, out_len, window):
-    """The decode workload's prompt layout, drawn as `SyntheticModel.decode_workload` draws it.
-
-    Returns (rng, n_pre, image_off, g, union_positions, token_regions), the
-    generator as it stands before the window rows.
-    """
-    rng = model._rng(simmodel._STREAM_DECODE, prompt_len, out_len, window)
-    n_pre = min(4, max(0, prompt_len - window))
-    tail = max(1, min(24, window - n_pre, prompt_len - n_pre))
-    g_avail = prompt_len - n_pre - tail
-    if g_avail >= 4:
-        gr = int(math.isqrt(g_avail))
-        gc = g_avail // gr
-        g = gr * gc
-        header = g_avail - g
-    else:
-        gr = gc = g = 0
-        header = max(0, g_avail)
-    image_off = n_pre + header
-
-    rects = []
-    union_patches = set()
-    if g:
-        for _ in range(16):
-            if len(union_patches) >= 0.6 * g:
-                break
-            rh = int(rng.integers(max(1, gr // 4), max(2, gr // 3) + 1))
-            rw = int(rng.integers(max(1, gc // 4), max(2, gc // 3) + 1))
-            r0 = int(rng.integers(0, gr - rh + 1))
-            c0 = int(rng.integers(0, gc - rw + 1))
-            rects.append((r0, c0, rh, rw))
-            union_patches |= {(r0 + i) * gc + (c0 + j) for i in range(rh) for j in range(rw)}
-    union_positions = image_off + np.array(sorted(union_patches), dtype=np.int64)
-
-    token_regions = []
-    for _ in range(out_len):
-        if rects:
-            r0, c0, rh, rw = rects[int(rng.integers(len(rects)))]
-            sh = int(rng.integers(1, rh + 1))
-            sw = int(rng.integers(1, rw + 1))
-            o_r = r0 + int(rng.integers(0, rh - sh + 1))
-            o_c = c0 + int(rng.integers(0, rw - sw + 1))
-            patches = np.array([(o_r + i) * gc + (o_c + j) for i in range(sh) for j in range(sw)])
-            token_regions.append(image_off + patches)
-        else:
-            token_regions.append(np.empty(0, dtype=np.int64))
-    return rng, n_pre, image_off, g, union_positions, token_regions
-
-
-def oracle_decode_workload(model, prompt_len, out_len, window):
+def oracle_decode_workload(model, prompt_len, out_len, window, masked=()):
     """The materializing decode workload: (L, Hq, w, Lp) window rows and decode rows.
 
     Same RNG draws and role layout as `SyntheticModel.decode_workload`, but
     every window row is stored, and blocks are normalized by
-    `oracle_normalize_blocks`. Returns (window_attention, decode_rows).
+    `oracle_normalize_blocks`. Each `masked` head's rows are set to exactly
+    1/visible once a row is drawn and edited. Returns (window_attention,
+    decode_rows).
     """
     geo = model.geometry
     lp = prompt_len
@@ -182,7 +122,7 @@ def oracle_decode_workload(model, prompt_len, out_len, window):
                 row = (1.0 - u_mass) * block[l, h]
                 row[union_vis] += u_mass * spread / spread.sum()
                 block[l, h] = row
-        for l, h in sorted(model.masked):
+        for l, h in masked:
             block[l, h] = 1.0 / visible
         window_stack[:, :, i, :visible] = block
 
@@ -196,82 +136,10 @@ def oracle_decode_workload(model, prompt_len, out_len, window):
         for l, h in model.planted.heads:
             if rng.random() < model.planted.strength and region.size:
                 oracle_hit_row(rng, block[l, h], region)
-        for l, h in sorted(model.masked):
+        for l, h in masked:
             block[l, h] = 1.0 / visible
         decode_rows.append(block)
     return window_stack, decode_rows
-
-
-def masked_sets(masked):
-    """Each set of a `MaskedGroups` table, in set order, as its heads and its rows' groups,
-    rows and scores: the table's rows where `sets == i`."""
-    return [
-        SimpleNamespace(heads=heads, groups=masked.groups[masked.sets == i],
-                        rows=masked.rows[masked.sets == i], scores=masked.scores[masked.sets == i])
-        for i, heads in enumerate(masked.heads)
-    ]
-
-
-def rows_buffer_window(model, prompt_len, out_len, window, masks=()):
-    """The window pass that holds each window row whole in a block-sized `rows` buffer.
-
-    Every row is drawn whole with `rng.exponential`, normalized by
-    `oracle_normalize_blocks`, edited and masked in place, as
-    `oracle_decode_workload` draws it, and summed onto the kv heads whole;
-    each masked set's groups, those holding a head the model does not mask
-    yet, ascending, are copied from it: the pass as it ran before window
-    rows were streamed in kv-group tiles. Returns (window_scores,
-    [scores of each masked set]).
-    """
-    geo = model.geometry
-    lp, n = prompt_len, prompt_len - window
-    rng, n_pre, image_off, g, union_positions, _ = oracle_layout(
-        model, prompt_len, out_len, window
-    )
-    bg = simmodel.DECODE_BG
-    u_mass = simmodel.WINDOW_REGION_FACTOR * model.planted.strength
-    size = geo.group_size
-    cells = []
-    for heads in masks:
-        heads = mask_heads(model, heads).masked - model.masked
-        groups = sorted({l * geo.kv_heads + h // size for l, h in heads})
-        rows = np.zeros((len(groups), size), dtype=bool)
-        for l, h in heads:
-            rows[groups.index(l * geo.kv_heads + h // size), h % size] = True
-        cells.append(SimpleNamespace(groups=np.array(groups, dtype=np.intp), rows=rows,
-                                     scores=np.zeros((len(groups), n))))
-    window_scores = np.zeros((geo.layers, geo.kv_heads, n))
-    rows = np.empty(geo.layers * geo.query_heads * lp)
-    for i in range(window):
-        pos = lp - window + i
-        visible = pos + 1
-        block = rows[: geo.layers * geo.query_heads * visible].reshape(
-            geo.layers, geo.query_heads, visible
-        )
-        block[...] = oracle_normalize_blocks(
-            rng.exponential(size=block.shape),
-            [(np.arange(image_off + g, visible), bg[0]), (np.arange(n_pre), bg[1]),
-             (np.arange(n_pre, min(image_off + g, visible)), bg[2])],
-        )
-        union_vis = union_positions[union_positions <= pos]
-        for l, h in model.planted.heads:
-            if union_vis.size:
-                spread = rng.exponential(size=union_vis.size)
-                block[l, h] *= 1.0 - u_mass
-                block[l, h, union_vis] += u_mass * spread / spread.sum()
-        for l, h in sorted(model.masked):
-            block[l, h] = 1.0 / visible
-        window_scores += sum_onto_kv_heads(block[:, :, :n], geo.kv_heads)
-        grouped = block.reshape(-1, geo.group_size, visible)
-        for cell in cells:
-            rows_of = grouped[cell.groups, :, :n]
-            rows_of[cell.rows] = 1.0 / visible
-            cell.scores[...] += sum_onto_kv_heads(rows_of, 1)[:, 0]
-    if window:
-        window_scores /= window
-        for cell in cells:
-            cell.scores[...] /= window
-    return window_scores, [cell.scores for cell in cells]
 
 
 def eager_corpus(model, n, seed):
@@ -400,10 +268,10 @@ class TestDeterminism:
         with pytest.raises(InvalidInputError, match="model seed"):
             SyntheticModel(ModelGeometry.mha(2, 4), PlantedHeadSet(), seed)
         with pytest.raises(InvalidInputError, match="model seed"):
-            replace(small_model(), seed=seed)  # the copy mask_heads makes
+            replace(small_model(), seed=seed)  # a copy made by `dataclasses.replace`
 
     def test_largest_model_seed_accepted(self):
-        model = mask_heads(small_model(seed=2**32 - 1), [(1, 2)])
+        model = small_model(seed=2**32 - 1)
         assert model.seed == 2**32 - 1
         assert len(generate_ocr_samples(model, 1, seed=0)) == 1
 
@@ -455,36 +323,63 @@ class TestPlantedBehavior:
 
 
 class TestMasking:
+    """A masked model is the base model's rows with each masked head's row set to exactly
+    1/visible; `decode_workload(..., masks)` derives its window scores as one table."""
+
+    LP, W = 64, 8
+
+    def _uniform_scores(self):
+        """A masked row's window score of each key left of the window: the mean of 1/visible
+        over the window rows, which see LP - W + 1 to LP positions."""
+        return np.mean(1.0 / np.arange(self.LP - self.W + 1, self.LP + 1))
+
+    def _plan(self):
+        return allocate_uniform(AllocationConfig(2 * 4 * 16, window=self.W), 2, 4)
+
     def test_empty_mask_is_identity(self):
-        base = generate_ocr_samples(small_model(seed=21), 2, seed=3)
-        masked = generate_ocr_samples(mask_heads(small_model(seed=21), []), 2, seed=3)
-        for (_, ta), (_, tb) in zip(base, masked):
-            for ra, rb in zip(ta.steps, tb.steps):
-                assert np.array_equal(ra, rb)
+        model = small_model(seed=21)
+        workload = model.decode_workload(self.LP, 2, self.W, [[]])
+        assert workload.masked.heads == (frozenset(),)
+        assert workload.masked.groups.size == 0
+        base, empty = replay_masked(model.geometry, workload, [self._plan()] * 2)
+        assert np.array_equal(empty.recall_per_step, base.recall_per_step)
+        assert np.array_equal(empty.head_mean_recall, base.head_mean_recall)
 
     def test_masking_unrelated_head_leaves_planted_rows_unchanged(self):
-        base = generate_ocr_samples(small_model(seed=21), 3, seed=3)
-        masked = generate_ocr_samples(
-            mask_heads(small_model(seed=21), [(1, 2)]), 3, seed=3
-        )
-        for (_, ta), (_, tb) in zip(base, masked):
-            for ra, rb in zip(ta.steps, tb.steps):
-                assert np.array_equal(ra[0, 1], rb[0, 1])
-                assert np.allclose(rb[1, 2], 1.0 / ra.shape[2], atol=1e-15)
+        model = small_model(seed=21)  # MHA 2x4, planted head (0, 1)
+        workload = model.decode_workload(self.LP, 2, self.W, [[(1, 2)]])
+        assert workload.masked.groups.tolist() == [6]  # kv group 1 * 4 + 2 alone
+        scores = table_scores(workload, 0)
+        assert np.array_equal(scores[0, 1], workload.window_scores[0, 1])
+        assert np.allclose(scores[1, 2], self._uniform_scores(), rtol=0, atol=1e-15)
+        base, cell = replay_masked(model.geometry, workload, [self._plan()] * 2)
+        others = np.ones((2, 4), dtype=bool)
+        others[1, 2] = False
+        assert np.array_equal(cell.head_mean_recall[others], base.head_mean_recall[others])
 
     def test_masking_all_heads_makes_every_row_uniform(self):
-        model = mask_heads(
-            small_model(seed=22), [(l, h) for l in range(2) for h in range(4)]
-        )
-        for _, trace in generate_ocr_samples(model, 2, seed=0):
-            for step in trace.steps:
-                assert np.allclose(step, 1.0 / step.shape[2], atol=1e-15)
+        every = [(l, h) for l in range(2) for h in range(4)]
+        workload = small_model(seed=22).decode_workload(self.LP, 2, self.W, [every])
+        assert workload.masked.groups.tolist() == list(range(8))
+        assert workload.masked.rows.all()
+        assert np.allclose(table_scores(workload, 0), self._uniform_scores(), rtol=0, atol=1e-15)
 
     def test_mask_out_of_range_rejected(self):
         with pytest.raises(InvalidInputError, match=r"masked head \(5, 0\) outside geometry"):
-            mask_heads(small_model(), [(5, 0)])
-        with pytest.raises(InvalidInputError, match="masked head"):
-            replace(small_model(), masked=frozenset({(0, 4)}))
+            small_model().decode_workload(self.LP, 2, self.W, [[(5, 0)]])
+        with pytest.raises(InvalidInputError, match=r"masked head \(0, 4\) outside geometry"):
+            small_model().decode_workload(self.LP, 2, self.W, [[(0, 1)], [(0, 4), (0, 2)]])
+
+    def test_a_repeated_head_is_masked_once(self):
+        """A set that names a head twice gives the table of the set naming it once."""
+        model = small_model(seed=23, geometry=ModelGeometry(2, 4, 2))
+        once = model.decode_workload(self.LP, 2, self.W, [[(0, 1), (1, 3)]]).masked
+        twice = model.decode_workload(
+            self.LP, 2, self.W, [[(1, 3), (0, 1), (np.int64(1), np.int64(3)), (0, 1)]]
+        ).masked
+        assert twice.heads == once.heads == (frozenset({(0, 1), (1, 3)}),)
+        for name in ("sets", "groups", "rows", "scores"):
+            assert getattr(twice, name).tobytes() == getattr(once, name).tobytes()
 
 
 @pytest.fixture(params=["drawn", "stored"])
@@ -502,8 +397,7 @@ def make_corpus(request, tmp_path):
 class TestLazyCorpus:
     def _model(self):
         geometry = ModelGeometry(2, 4, 2)
-        model = small_model(seed=61, strength=0.8, planted=((0, 1), (1, 2)), geometry=geometry)
-        return mask_heads(model, [(1, 3)])
+        return small_model(seed=61, strength=0.8, planted=((0, 1), (1, 2)), geometry=geometry)
 
     def test_any_order_and_every_pass_match_the_eager_list(self, make_corpus):
         model = self._model()
@@ -701,7 +595,7 @@ class TestDecodeWorkload:
             (4, 4, (), 160, 32),  # MHA
             (4, 2, (), 160, 32),  # GQA 4 -> 2
             (4, 1, (), 160, 32),  # GQA 4 -> 1
-            (4, 2, ((0, 1), (1, 3)), 160, 32),  # a masked planted head and another
+            (4, 2, ((0, 1), (1, 3)), 160, 32),  # masking a planted head and another
             (4, 2, (), 32, 32),  # Lp = w: no key left of the window
             (4, 1, (), 33, 32),  # one scored key, one kv head
             (4, 2, (), 40, 32),  # a 3x4 image grid
@@ -709,17 +603,19 @@ class TestDecodeWorkload:
         ],
     )
     def test_matches_materializing_oracle(self, query_heads, kv_heads, masked, prompt_len, window):
+        """The workload, and the masked model that its set `masked` derives, are the oracle's."""
         geo = ModelGeometry(2, query_heads, kv_heads)
-        model = mask_heads(
-            small_model(seed=43, strength=0.8, planted=((0, 1), (1, 2)), geometry=geo), masked
-        )
-        wl = model.decode_workload(prompt_len, 3, window)
-        window_attention, decode_rows = oracle_decode_workload(model, prompt_len, 3, window)
-        want = rank_window_keys(window_attention, kv_heads, window).scores
-        assert wl.window_scores.shape == (2, kv_heads, prompt_len - window)
-        assert np.array_equal(wl.window_scores, want)
-        for got, rows in zip(wl.steps, decode_rows, strict=True):
-            assert np.array_equal(got, rows)
+        model = small_model(seed=43, strength=0.8, planted=((0, 1), (1, 2)), geometry=geo)
+        wl = model.decode_workload(prompt_len, 3, window, [masked])
+        for heads, scores in [((), wl.window_scores), (masked, table_scores(wl, 0))]:
+            window_attention, decode_rows = oracle_decode_workload(
+                model, prompt_len, 3, window, heads
+            )
+            want = rank_window_keys(window_attention, kv_heads, window).scores
+            assert scores.shape == (2, kv_heads, prompt_len - window)
+            assert np.array_equal(scores, want)
+            for got, rows in zip(masked_steps(wl.steps, heads), decode_rows, strict=True):
+                assert np.array_equal(got, rows)
 
     def test_holds_no_window_by_prompt_array(self):
         lp, w = 160, 32
@@ -735,9 +631,7 @@ class TestDecodeWorkload:
     @pytest.mark.parametrize("kv_heads, prompt_len, window", [(2, 160, 32), (4, 6, 4), (1, 32, 32)])
     def test_steps_are_the_same_bytes_on_every_pass(self, kv_heads, prompt_len, window):
         geo = ModelGeometry(2, 4, kv_heads)
-        model = mask_heads(
-            small_model(seed=45, strength=0.8, planted=((0, 1), (1, 2)), geometry=geo), [(1, 3)]
-        )
+        model = small_model(seed=45, strength=0.8, planted=((0, 1), (1, 2)), geometry=geo)
         wl = model.decode_workload(prompt_len, 4, window)
         _, want = oracle_decode_workload(model, prompt_len, 4, window)
         want = [rows.tobytes() for rows in want]
@@ -905,7 +799,7 @@ class TestBatchedSteps:
     @pytest.mark.parametrize(
         "geometry, planted, masked",
         [
-            # GQA, a masked planted head and a masked head beside a planted one
+            # GQA, a masked set of a planted head and a head beside a planted one
             (ModelGeometry(2, 4, 2), ((0, 1), (1, 2)), ((0, 1), (1, 3))),
             (ModelGeometry.mha(2, 4), ((0, 1),), ((1, 0),)),
             # one row: its steps are summed pairwise, so never side by side
@@ -916,12 +810,10 @@ class TestBatchedSteps:
     def test_corpus_steps_equal_the_per_step_draw(self, monkeypatch, tile, geometry, planted,
                                                   masked):
         """Corpus steps, window rows and decode steps, however `_plan` cuts them, are their
-        per-step draws: corpus and decode steps `oracle_trace`'s, window scores, with and
-        without masked sets, `rows_buffer_window`'s."""
+        per-step draws: corpus and decode steps `oracle_trace`'s, and window scores, the
+        workload's own and each masked set's, `whole_row_window`'s."""
         monkeypatch.setattr(simmodel, "TILE_VALUES", tile)
-        model = mask_heads(
-            small_model(seed=80, strength=0.9, planted=planted, geometry=geometry), masked
-        )
+        model = small_model(seed=80, strength=0.9, planted=planted, geometry=geometry)
         rows = geometry.layers * geometry.query_heads
         batches = []
         for _, trace in generate_ocr_samples(model, 6, seed=9):
@@ -941,7 +833,7 @@ class TestBatchedSteps:
 
         # a workload's window rows and decode steps; its first window rows see no text
         prompt_len, out_len, window = 64, 5, 20
-        masks = [[(0, 0)], [planted[-1]]]
+        masks = [[(0, 0)], [planted[-1]], masked]
         normalize, drawn = simmodel._normalize_blocks, []
 
         def counted(blocks, *args):
@@ -952,10 +844,11 @@ class TestBatchedSteps:
         workload = model.decode_workload(prompt_len, out_len, window, masks)
         # window rows are normalized side by side wherever steps may be
         assert max(drawn) > 1 if tile > 1 and rows > 1 else set(drawn) == {1}
-        window_scores, cell_scores = rows_buffer_window(model, prompt_len, out_len, window, masks)
-        assert workload.window_scores.tobytes() == window_scores.tobytes()
-        for cell, want in zip(masked_sets(workload.masked), cell_scores, strict=True):
-            assert cell.scores.tobytes() == want.tobytes()
+        want = whole_row_window(model, prompt_len, out_len, window)
+        assert workload.window_scores.tobytes() == want.tobytes()
+        for i, mask in enumerate(masks):
+            want = whole_row_window(model, prompt_len, out_len, window, mask)
+            assert table_scores(workload, i).tobytes() == want.tobytes()
         want = [step.tobytes() for step in oracle_trace(workload.steps)]
         assert [step.tobytes() for step in workload.steps] == want
         shapes = [(geometry.layers, geometry.query_heads, prompt_len + t) for t in range(out_len)]
@@ -1045,8 +938,8 @@ class TestStreamedRanges:
         "geometry, planted, masked, prompt_len, window, whole",
         [
             # 16 groups of 4 rows, 4 groups to a tile: planted heads in every
-            # tile, masked heads in three, one of them planted, and planted
-            # groups side by side (4 and 5, 11 and 12)
+            # tile, a masked set with heads in three, one of them planted, and
+            # planted groups side by side (4 and 5, 11 and 12)
             (ModelGeometry(4, 16, 4), ((0, 1), (1, 2), (1, 5), (2, 13), (3, 0)),
              ((1, 5), (0, 9), (3, 15)), 4096, 8, False),
             # groups of 3 rows: 30-row tiles, where row tiles would take 32
@@ -1062,9 +955,8 @@ class TestStreamedRanges:
     )
     def test_ranges_are_the_whole_steps(self, geometry, planted, masked, prompt_len, window,
                                         whole):
-        model = mask_heads(small_model(seed=70, strength=0.9, planted=planted, geometry=geometry),
-                           masked)
-        masks = [[(0, 0)], [planted[-1]]]
+        model = small_model(seed=70, strength=0.9, planted=planted, geometry=geometry)
+        masks = [[(0, 0)], [planted[-1]], masked]
         workload = model.decode_workload(prompt_len, 3, window, masks)
         g = geometry.group_size
         held = {l * geometry.kv_heads + h // g for l, h in planted}
@@ -1080,10 +972,11 @@ class TestStreamedRanges:
                 assert last == sorted(last)
                 assert all(part <= held for part in groups if part & held)
         assert t == 2
-        window_scores, cell_scores = rows_buffer_window(model, prompt_len, 3, window, masks)
-        assert workload.window_scores.tobytes() == window_scores.tobytes()
-        for cell, want in zip(masked_sets(workload.masked), cell_scores, strict=True):
-            assert cell.scores.tobytes() == want.tobytes()
+        want = whole_row_window(model, prompt_len, 3, window)
+        assert workload.window_scores.tobytes() == want.tobytes()
+        for i, mask in enumerate(masks):
+            want = whole_row_window(model, prompt_len, 3, window, mask)
+            assert table_scores(workload, i).tobytes() == want.tobytes()
 
     def test_a_reader_that_stops_early_moves_no_later_step(self):
         model = small_model(seed=71, strength=0.9, planted=((0, 1), (1, 2)),
@@ -1100,10 +993,7 @@ class TestStreamedRanges:
 
     def test_drawn_trace_gives_the_same_bits_on_every_pass_and_in_any_order(self):
         geometry = ModelGeometry(2, 4, 2)
-        model = mask_heads(
-            small_model(seed=72, strength=0.8, planted=((0, 1), (1, 2)), geometry=geometry),
-            [(1, 3)],
-        )
+        model = small_model(seed=72, strength=0.8, planted=((0, 1), (1, 2)), geometry=geometry)
         traces = [trace for _, trace in generate_ocr_samples(model, 3, seed=5)]
         assert all(isinstance(trace.steps, simmodel.DecodeSteps) for trace in traces)
         # a drawn trace holds its layout, not its steps
@@ -1260,13 +1150,17 @@ class TestDecodeWithCache:
         assert record.peak_slots == 2 * 4 * (128 + 5)
 
     def test_all_uniform_model_matches_analytic_recall(self):
-        model = mask_heads(
-            small_model(seed=52), [(l, h) for l in range(2) for h in range(4)]
-        )
+        """Every head masked, by the masked model's own workload and by the derived cell."""
+        model = small_model(seed=52)
+        every = [(l, h) for l in range(2) for h in range(4)]
         lp, out, w = 128, 6, 32
-        record = self._replay(model, lp, out, w, per_head=w)
+        plan = allocate_uniform(AllocationConfig(2 * 4 * w, window=w), 2, 4)
+        (own,) = replay_plans(model.geometry, masked_workload(model, lp, out, w, every), [plan])
+        _, cell = replay_masked(model.geometry, model.decode_workload(lp, out, w, [every]),
+                                [plan, plan])
         want = (w + np.arange(out)) / (lp + np.arange(out))
-        assert np.abs(record.recall_per_step - want).max() <= 1e-12
+        for record in (own, cell):
+            assert np.abs(record.recall_per_step - want).max() <= 1e-12
 
     def test_compressed_slot_accounting(self):
         lp, out, w, b = 128, 4, 32, 48
@@ -1422,8 +1316,9 @@ class TestReplayMasked:
     """One window pass and one step stream against each masked model's own workload.
 
     `decode_workload(..., masks)` with `replay_masked` must give every masked
-    cell the bits that `mask_heads(model, heads).decode_workload(...)` replayed
-    by `replay_plans` gives: `==`, no tolerance.
+    cell the bits that the masked model's own workload,
+    `masked_model.masked_workload(model, ..., heads)`, replayed by
+    `replay_plans` gives: `==`, no tolerance.
     """
 
     GEOMETRIES = [(2, 4, 4), (2, 4, 2), (1, 4, 1), (2, 8, 2)]  # group sizes 1, 2, 4, 4
@@ -1445,18 +1340,15 @@ class TestReplayMasked:
         window=st.integers(0, 8),
         extra=st.integers(0, 40),
         out_len=st.integers(1, 3),
-        premasked=st.booleans(),
         picks=st.lists(st.lists(st.integers(0, 15), max_size=5), max_size=2),
         seed=st.integers(0, 2**16),
     )
     def test_cells_equal_masked_models(
-        self, shape, window, extra, out_len, premasked, picks, seed
+        self, shape, window, extra, out_len, picks, seed
     ):
         geo = ModelGeometry(*shape)
         planted = ((0, 1), (geo.layers - 1, geo.query_heads - 1))
         model = small_model(seed=seed, strength=0.8, planted=planted, geometry=geo)
-        if premasked:  # a head the model masks already, inside a group the cells re-sum
-            model = mask_heads(model, [(0, 0)])
         lp = max(window + extra, 1)
         heads = [(l, h) for l in range(geo.layers) for h in range(geo.query_heads)]
         masks = self._fixed_masks(geo, planted) + [
@@ -1479,15 +1371,10 @@ class TestReplayMasked:
         assert np.array_equal(fast[0].recall_per_step, base.recall_per_step)
         assert np.array_equal(fast[0].head_mean_recall, base.head_mean_recall)
 
-        n_groups = geo.layers * geo.kv_heads
-        for mask, cell, plan, got in zip(masks, masked_sets(workload.masked), plans[1:], fast[1:],
-                                         strict=True):
-            masked_model = mask_heads(model, mask)
-            assert cell.heads == masked_model.masked - model.masked
-            own = masked_model.decode_workload(lp, out_len, window)
-            spliced = workload.window_scores.reshape(n_groups, lp - window).copy()
-            spliced[cell.groups] = cell.scores
-            assert np.array_equal(spliced.reshape(own.window_scores.shape), own.window_scores)
+        assert workload.masked.heads == tuple(frozenset(mask) for mask in masks)
+        for i, (mask, plan, got) in enumerate(zip(masks, plans[1:], fast[1:], strict=True)):
+            own = masked_workload(model, lp, out_len, window, mask)
+            assert np.array_equal(table_scores(workload, i), own.window_scores)
             (want,) = replay_plans(geo, own, [plan])
             assert np.array_equal(got.recall_per_step, want.recall_per_step)
             assert np.array_equal(got.head_mean_recall, want.head_mean_recall)
@@ -1513,22 +1400,17 @@ class TestReplayMasked:
         steps = workload.steps.ranges()
         assert len([start for start, _ in next(steps)]) > 2
         deque(steps, maxlen=0)
-        cells = masked_sets(workload.masked)
-        assert len({int(g) for cell in cells for g in cell.groups}) < sum(
-            cell.groups.size for cell in cells)
+        groups = workload.masked.groups
+        assert len(set(groups.tolist())) < groups.size
 
         rng = np.random.default_rng(81)
         levels = np.array([w, w + 1000, lp, lp + 3])
         budgets = rng.choice(levels, size=(1 + len(masks), geo.layers, geo.kv_heads))
         plans = [BudgetPlan(b, int(b.sum()), window=w) for b in budgets]
         fast = replay_masked(geo, workload, plans)
-        n_groups = geo.layers * geo.kv_heads
-        for mask, cell, plan, got in zip(masks, masked_sets(workload.masked), plans[1:], fast[1:],
-                                         strict=True):
-            own = mask_heads(model, mask).decode_workload(lp, out_len, w)
-            spliced = workload.window_scores.reshape(n_groups, lp - w).copy()
-            spliced[cell.groups] = cell.scores
-            assert spliced.reshape(own.window_scores.shape).tobytes() == own.window_scores.tobytes()
+        for i, (mask, plan, got) in enumerate(zip(masks, plans[1:], fast[1:], strict=True)):
+            own = masked_workload(model, lp, out_len, w, mask)
+            assert table_scores(workload, i).tobytes() == own.window_scores.tobytes()
             (want,) = replay_plans(geo, own, [plan])
             assert got.recall_per_step.tobytes() == want.recall_per_step.tobytes()
             assert got.head_mean_recall.tobytes() == want.head_mean_recall.tobytes()
@@ -1539,11 +1421,11 @@ class TestReplayMasked:
         in set order."""
         geo = ModelGeometry(2, 8, 2)
         model = small_model(seed=3, geometry=geo)
-        workload = model.decode_workload(64, 2, 8, [[(1, 5), (1, 6)]])
-        (cell,) = masked_sets(workload.masked)
-        assert cell.groups.tolist() == [3]
-        assert cell.rows.tolist() == [[False, True, True, False]]
-        assert cell.scores.shape == (1, 64 - 8)
+        first = model.decode_workload(64, 2, 8, [[(1, 5), (1, 6)]]).masked
+        assert first.sets.tolist() == [0]
+        assert first.groups.tolist() == [3]
+        assert first.rows.tolist() == [[False, True, True, False]]
+        assert first.scores.shape == (1, 64 - 8)
         # a second set: kv group 0, and kv group 3 beside the first set's row there
         table = model.decode_workload(64, 2, 8, [[(1, 5), (1, 6)], [(1, 4), (0, 0)]]).masked
         assert table.sets.tolist() == [1, 0, 1]
@@ -1551,7 +1433,7 @@ class TestReplayMasked:
         assert table.rows.tolist() == [[True, False, False, False], [False, True, True, False],
                                        [True, False, False, False]]
         assert table.scores.shape == (3, 64 - 8)
-        assert table.scores[1].tobytes() == workload.masked.scores[0].tobytes()
+        assert table.scores[1].tobytes() == first.scores[0].tobytes()
 
     def test_plan_count_must_match_the_masked_sets(self):
         geo = ModelGeometry.mha(2, 4)
